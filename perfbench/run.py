@@ -1,11 +1,12 @@
 """ltcforge benchmark: one workload, one fresh process, one JSON result line.
 
-    python3 perfbench/run.py --workload pipelines --seed 1 --seconds 34 --trace 0
+    python3 perfbench/run.py --workload pipelines --seed 1 --seconds 32 --trace 0
 
 Run from the root of a source checkout.  The launcher pins BLAS/OpenMP
 threads to 1 and runs the workload in a child process (perfbench/worker.py).
-With --trace 0 it first starts the workload a few extra times for set-up
-only and reports the median set-up time.  It prints human-readable lines
+With --trace 0 it also starts the workload a few extra times for set-up
+only, half of them before and half after the measured process, and
+reports the median set-up time.  It prints human-readable lines
 starting with "#", then, as the last line, one JSON object with the keys
 correct, attempted, failed and metrics: the end-to-end metrics of
 BENCHMARK.json with --trace 0, its per-layer metrics with --trace 1.
@@ -25,7 +26,11 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("pipelines", "exact-scan", "artifacts")
-DEADLINE_S = 170.0  # the whole run, set-up probes included
+# The whole run may take --seconds plus this margin, which covers the set-up
+# probes, the warm-up iteration, the last iteration's overrun and one
+# operation timeout of the worker.
+MARGIN_S = 100.0
+SETUP_RUNS = 9  # set-ups whose median is setup_s; the measured process is one of them
 PINNED = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}
 # What each workload's work items are, for the human-readable lines.
@@ -75,7 +80,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--setup-runs", type=int, default=5, help="set-ups whose median is setup_s")
     ap.add_argument("--small", action="store_true", help="smallest inputs, for the self-test")
     ap.add_argument("--break-oracle", action="store_true", help="expect a wrong value, for the self-test")
     args = ap.parse_args()
@@ -92,21 +96,21 @@ def main() -> int:
     os.makedirs(os.path.join(root, ".perfbench_out"), exist_ok=True)
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
 
-    setups, failure = [], None
-    if not args.trace:
-        for _ in range(args.setup_runs - 1):
-            probe, failure = spawn(args, ["--setup-only"], DEADLINE_S - (time.monotonic() - start))
-            if probe is None:
-                break
-            setups.append(probe["setup_s"])
-    result = None
-    if failure is None:
-        result, failure = spawn(args, [], DEADLINE_S - (time.monotonic() - start))
+    deadline = args.seconds + MARGIN_S
+    probes = 0 if args.trace else (2 if args.small else SETUP_RUNS) - 1
+    steps = ["probe"] * (probes // 2) + ["run"] + ["probe"] * (probes - probes // 2)
+    setups, result, failure = [], None, None
+    for step in steps:
+        out, failure = spawn(args, ["--setup-only"] if step == "probe" else [],
+                             deadline - (time.monotonic() - start))
+        if out is None:
+            break
+        setups.append(out["setup_s"])
+        if step == "run":
+            result = out
 
-    if result is None:
+    if failure is not None:
         result = {"attempted": 1, "failed": 1, "iter_s": [], "items": [], "errors": [failure]}
-    else:
-        setups.append(result["setup_s"])
     values = measured(args, result, setups)
     names = spec["per_layer"] if args.trace else spec["end_to_end"]
     correct = result["failed"] == 0 and all(m["name"] in values for m in names)

@@ -37,7 +37,7 @@ def check(ok: bool, what: str) -> None:
 
 def bench(workload: str, seed: int, trace: int, *extra: str, cwd: str = ".") -> tuple[int, str]:
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed), "--seconds", "1",
-           "--trace", str(trace), "--small", "--setup-runs", "2", *extra]
+           "--trace", str(trace), "--small", *extra]
     proc = subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE, text=True, timeout=180)
     return proc.returncode, proc.stdout
 
