@@ -167,18 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> tuple[dict, int]:
-    if args.what == "hadamard":
-        fam, code = generalized_hadamard(
-            VecSpace(Field(args.p), args.dimv), VecSpace(Field(args.p), args.dimd), args.budget
-        )
-        return {
-            "code": code_to_json(code),
-            "family": family_to_json(fam),
-            "distance": frac_to_json(distance(code)),
-            "rate": rate_to_json(rate(code)),
-        }, 0
-    if args.what == "longcode":
-        fam, code = generalized_long_code(args.s, Alphabet.plain(args.delta_size), args.budget)
+    if args.what in ("hadamard", "longcode"):
+        if args.what == "hadamard":
+            fam, code = generalized_hadamard(
+                VecSpace(Field(args.p), args.dimv), VecSpace(Field(args.p), args.dimd), args.budget
+            )
+        else:
+            fam, code = generalized_long_code(args.s, Alphabet.plain(args.delta_size), args.budget)
         return {
             "code": code_to_json(code),
             "family": family_to_json(fam),

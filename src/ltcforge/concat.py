@@ -9,7 +9,6 @@ per check, the block offsets to read and the predicate on the read letters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,8 +21,9 @@ from .testers import (
     Tester,
     accept_from_tuples,
     coordinate_classes,
-    encode_tuple,
+    factors_through,
     pad_check,
+    pushforward,
     tuples_from_accept,
 )
 
@@ -127,7 +127,7 @@ def check_f_compatible(
     A coordinate function is a valid choice at position l exactly when its
     fibers refine the check's swap-invariance classes at l, so candidates
     are filtered per coordinate before the product search; the synthesized
-    predicate is the pushforward of the check (accepting on tuples outside
+    predicate is the pushforward of the check (rejecting tuples outside
     the factoring image).
     """
     if tester.alphabet.size != encoder.domain_size:
@@ -160,17 +160,8 @@ def check_f_compatible(
         if combos > budget:
             raise CapacityError(combos, budget, "compatibility search")
         positions = tuple(c[0] for c in cand_per_coord)
-        # Pushforward predicate; off-image tuples reject (they can only be
-        # read from corrupted blocks, so codewords are unaffected and the
-        # linear case keeps subspace accept sets).
-        accept = 0
-        for tup in itertools.product(range(size), repeat=arity):
-            if check.accepts(tup, size):
-                key = tuple(
-                    encoder.family.tables[b][sym] for b, sym in zip(positions, tup)
-                )
-                accept |= 1 << encode_tuple(key, dsize)
-        entries.append(WitnessEntry(positions, accept))
+        maps = [encoder.family.tables[b] for b in positions]
+        entries.append(WitnessEntry(positions, pushforward(check, size, maps, dsize)))
     wit = CompatibilityWitness(tuple(entries))
     assert verify_witness(tester, encoder, wit)
     return wit
@@ -182,33 +173,12 @@ def verify_witness(
     """Exhaustive check of the factoring identity for every entry."""
     if len(witness.entries) != len(tester.checks):
         return False
-    size = tester.alphabet.size
-    dsize = encoder.target.size
+    size, dsize = tester.alphabet.size, encoder.target.size
     for check, entry in zip(tester.checks, witness.entries):
-        if len(entry.positions) != check.arity:
+        maps = [encoder.family.tables[b] for b in entry.positions]
+        if len(maps) != check.arity or not factors_through(check, size, maps, entry.accept, dsize):
             return False
-        for tup in itertools.product(range(size), repeat=check.arity):
-            key = tuple(
-                encoder.family.tables[b][sym] for b, sym in zip(entry.positions, tup)
-            )
-            lhs = check.accepts(tup, size)
-            rhs = bool((entry.accept >> encode_tuple(key, dsize)) & 1)
-            if lhs != rhs:
-                return False
     return True
-
-
-def _pad_entry(entry: WitnessEntry, q: int, dsize: int) -> WitnessEntry:
-    a = len(entry.positions)
-    if a == q:
-        return entry
-    positions = entry.positions + (entry.positions[0],) * (q - a)
-    block = entry.accept
-    width = dsize**a
-    accept = 0
-    for high in range(dsize ** (q - a)):
-        accept |= block << (high * width)
-    return WitnessEntry(positions, accept)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +204,11 @@ def concat_tester(
     supplied lower bounds; the resulting certified soundness
     mu_outer*mu_inner / ((q*k+1)*mu_outer + mu_inner) is stored in metadata
     together with its post-alphabet-increase variant.
+
+    Outer checks and witness entries are used as they are; routine 3 counts
+    a check of arity below q as reading its first block again for each
+    missing query, and every output check is padded to the output arity
+    once, at the end.
     """
     if mu_outer <= 0 or mu_inner <= 0:
         raise DomainError("soundness lower bounds must be positive")
@@ -243,13 +218,10 @@ def concat_tester(
         raise MismatchError("outer tester does not match the encoder domain")
     if not verify_witness(outer, encoder, witness):
         raise MismatchError("witness does not verify against the outer tester")
-    size = outer.alphabet.size
     dsize = encoder.target.size
     q = outer.q
     k = encoder.k
     n = outer.n
-    padded = [pad_check(ch, q, size) for ch in outer.checks]
-    padded_entries = [_pad_entry(e, q, dsize) for e in witness.entries]
 
     scale = Fraction(1, q * k)
     total = mu_outer * mu_inner * scale + mu_inner**2 * scale + mu_inner * mu_outer
@@ -264,12 +236,11 @@ def concat_tester(
         for ch in inner.checks:
             queries = tuple(block * k + pos for pos in ch.queries)
             checks.append(Check(queries, ch.accept, rho1 * Fraction(1, n) * ch.weight))
-    for ch, entry in zip(padded, padded_entries):
+    for ch, entry in zip(outer.checks, witness.entries):
         queries = tuple(a * k + b for a, b in zip(ch.queries, entry.positions))
         checks.append(Check(queries, entry.accept, rho2 * ch.weight))
-    for ch in padded:
-        for pos_idx in range(q):
-            block = ch.queries[pos_idx]
+    for ch in outer.checks:
+        for block in ch.queries + (ch.queries[0],) * (q - ch.arity):
             for ich in inner.checks:
                 queries = tuple(block * k + pos for pos in ich.queries)
                 checks.append(

@@ -59,31 +59,17 @@ def code_from_family(family: FunctionFamily) -> tuple[Code, bool]:
     return Code(family.target, family.k, words), injective
 
 
-def dependent_tuples(
-    family: FunctionFamily,
-    q: int,
-    budget: int = DEFAULT_BUDGET,
-    distinct_sorted: bool = False,
-):
+def dependent_tuples(family: FunctionFamily, q: int, budget: int = DEFAULT_BUDGET):
     """Ordered q-tuples of coordinate indices (repeats allowed) whose joint
-    image is a proper subset of target^q, each paired with that image.
-
-    distinct_sorted restricts to strictly increasing tuples (an efficiency
-    experiment switch, off by default).
-    """
+    image is a proper subset of target^q, each paired with that image."""
     if q < 1:
         raise DomainError("tuple arity must be at least 1")
     k = family.k
     if k**q > budget:
         raise CapacityError(k**q, budget, "dependent tuple enumeration")
     full = family.target.size**q
-    source = (
-        itertools.combinations(range(k), q)
-        if distinct_sorted
-        else itertools.product(range(k), repeat=q)
-    )
     out = []
-    for tup in source:
+    for tup in itertools.product(range(k), repeat=q):
         image = {tuple(family.tables[i][s] for i in tup) for s in range(family.domain_size)}
         if len(image) < full:
             out.append((tup, tuple(sorted(image))))

@@ -11,12 +11,14 @@ overall verdict degrades from "pass" to "conditional".
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import DEFAULT_BUDGET, VecSpace
 from .codes import Alphabet, Code, distance, is_linear_code, make_rate, rate
 from .concat import (
+    CompatibilityWitness,
     Encoder,
     alphabet_increase_tester,
     concat_tester,
@@ -91,11 +93,10 @@ def certify(report: PipelineReport) -> dict:
         "pass" if achieved["inner_soundness"] >= promised["nu_floor"] else "fail"
     )
     s_rep: SoundnessReport = achieved["soundness"]
+    ok = s_rep.infinite or s_rep.value >= promised["soundness"]
     if s_rep.mode == "exact":
-        ok = s_rep.infinite or s_rep.value >= promised["soundness"]
         verdicts["soundness"] = "pass" if ok else "fail"
     else:
-        ok = s_rep.infinite or s_rep.value >= promised["soundness"]
         verdicts["soundness"] = "consistent" if ok else "violated"
     if "separable_soundness" in achieved and achieved["separable_soundness"] is not None:
         verdicts["separable_soundness"] = (
@@ -119,33 +120,72 @@ def certify(report: PipelineReport) -> dict:
     return {"verdicts": verdicts, "overall": overall}
 
 
-def _finalize(report: PipelineReport) -> PipelineReport:
+def _reduce(
+    kind: str, code: Code, t_sep: Tester, mu_prime: Fraction, encoder: Encoder,
+    wit: CompatibilityWitness, inner_code: Code, q_dep: int,
+    promise: Callable[[Fraction], dict], params: dict, target: Alphabet | None,
+    budget: int, seed: int, trials: int,
+) -> PipelineReport:
+    """The path every reduction shares once its separable tester t_sep
+    (certified soundness mu_prime), encoder and witness exist: the inner
+    dependence tester of arity q_dep and its exact soundness nu, the
+    concatenated code and tester, the alphabet increase to `target` (none
+    when target is None), then promised against achieved values.
+
+    promise(nu) gives the reduction's closed forms; the closed-form
+    soundness is asserted equal to the bound composed from mu_prime and nu.
+    """
+    q, k = t_sep.q, encoder.k
+    t_inner = dependence_tester(encoder.family, q_dep, budget)
+    nu = soundness_exact(t_inner, inner_code, budget).value
+    concat_code = concatenate(code, encoder)
+    t_concat = concat_tester(t_sep, mu_prime, t_inner, nu, encoder, wit)
+    mu_mid = mu_prime * nu / ((q * k + 1) * mu_prime + nu)
+    promised = {**promise(nu), "separable_bound": mu_prime}
+    final_code, t_final, bound = concat_code, t_concat, mu_mid
+    if target is not None:
+        mapping = tuple(range(encoder.target.size))
+        t_final = alphabet_increase_tester(t_concat, mu_mid, mapping, target)
+        final_code = embed_code(concat_code, mapping, target, linear_embedding=kind == "linear")
+        promised["soundness_before_increase"] = mu_mid
+        bound = mu_mid / (mu_mid + 1)
+    assert promised["soundness"] == bound
+    if final_code.alphabet.size**final_code.n <= budget:
+        s_rep = soundness_exact(t_final, final_code, budget, bound=bound)
+    else:
+        s_rep = soundness_sampled(t_final, final_code, trials, seed, bound=bound)
+    sep = None
+    if code.alphabet.size**code.n <= budget:
+        sep = soundness_exact(t_sep, code, budget)
+    achieved = {
+        "distance": distance(final_code),
+        "rate": rate(final_code),
+        "soundness": s_rep,
+        "inner_soundness": nu,
+        "inner_distance": distance(inner_code),
+        "separable_soundness": None if sep is None or sep.infinite else sep.value,
+        "validation_ok": validate(t_final, final_code).ok,
+    }
+    if kind == "linear":
+        achieved["tester_linear"] = classify_linear(t_final).kind != "nonlinear"
+        achieved["code_linear"] = is_linear_code(final_code)[0]
+    params = {**params, "q": q, "k": k, "mu_prime": mu_prime}
+    params.update(seed=seed, trials=s_rep.trials, budget=budget)
+    stages = {
+        "separable_tester": t_sep,
+        "encoder": encoder,
+        "inner_code": inner_code,
+        "inner_tester": t_inner,
+        "witness": wit,
+        "concatenated_code": concat_code,
+        "concatenated_tester": t_concat,
+        "final_code": final_code,
+        "final_tester": t_final,
+    }
+    report = PipelineReport(kind, params, promised, achieved, stages)
     summary = certify(report)
-    report.verdicts = summary["verdicts"]
-    report.overall = summary["overall"]
+    report.verdicts, report.overall = summary["verdicts"], summary["overall"]
     return report
-
-
-def _final_soundness(
-    tester: Tester,
-    code: Code,
-    promised: Fraction,
-    budget: int,
-    seed: int,
-    trials: int,
-) -> SoundnessReport:
-    total = code.alphabet.size**code.n
-    if total <= budget:
-        return soundness_exact(tester, code, budget, bound=promised)
-    return soundness_sampled(tester, code, trials, seed, bound=promised)
-
-
-def _stage_soundness(tester: Tester, code: Code, budget: int) -> Fraction | None:
-    total = code.alphabet.size**code.n
-    if total > budget:
-        return None
-    rep = soundness_exact(tester, code, budget)
-    return None if rep.infinite else rep.value
 
 
 def linear_reduction(
@@ -181,81 +221,30 @@ def linear_reduction(
     delta_prime = VecSpace(space.field, c)
 
     t_sep = linear_separable_replacement(tester, mu, delta_prime)
-    mu_prime = Fraction(c, q * space.dim + c) * mu
     cert = check_linearly_separable(t_sep, delta_prime)
     assert not isinstance(cert, SeparabilityFailure)
-    encoder = compatibility_encoder(code.alphabet, Alphabet.vector(delta_prime), True, budget)
-    wit = witness_from_certificate(cert, t_sep, encoder)
     inner_family, inner_code = generalized_hadamard(space, delta_prime, budget)
-    assert inner_family.tables == encoder.family.tables
-    k = encoder.k
-    q_dep = 2 if c > 1 else 3
-    t_inner = dependence_tester(inner_family, q_dep, budget)
-    nu = soundness_exact(t_inner, inner_code, budget).value
-    concat_code = concatenate(code, encoder)
-    t_concat = concat_tester(t_sep, mu_prime, t_inner, nu, encoder, wit)
-    mu_mid = mu_prime * nu / ((q * k + 1) * mu_prime + nu)
-    target = Alphabet.vector(delta_space)
-    mapping = tuple(range(delta_prime.size))
-    t_final = alphabet_increase_tester(t_concat, mu_mid, mapping, target)
-    final_code = embed_code(concat_code, mapping, target, linear_embedding=True)
-
+    encoder = Encoder(inner_family)
     delta_c, r_c = distance(code), rate(code)
-    promised_soundness = (
-        c * mu * nu
-        / ((q * sigma_size**c + 1) * c * mu + (q * space.dim + c) * nu + c * mu * nu)
+
+    def promise(nu: Fraction) -> dict:
+        return {
+            "distance": (1 - Fraction(1, p**c)) * delta_c,
+            "rate": Fraction(c, d) * (r_c * rate(inner_code)),
+            "rate_closed_form": Fraction(c * space.dim, d * sigma_size**c) * r_c,
+            "soundness": c * mu * nu
+            / ((q * sigma_size**c + 1) * c * mu + (q * space.dim + c) * nu + c * mu * nu),
+            "nu_floor": Fraction(1, sigma_size ** (2 * c))
+            if c > 1
+            else Fraction(1, sigma_size**3),
+        }
+
+    wit = witness_from_certificate(cert, t_sep, encoder)
+    mu_prime = Fraction(c, q * space.dim + c) * mu
+    return _reduce(
+        "linear", code, t_sep, mu_prime, encoder, wit, inner_code, 2 if c > 1 else 3, promise,
+        {"c": c, "d": d, "p": p, "mu": mu}, Alphabet.vector(delta_space), budget, seed, trials,
     )
-    assert promised_soundness == mu_mid / (mu_mid + 1)
-    promised = {
-        "distance": (1 - Fraction(1, p**c)) * delta_c,
-        "rate": Fraction(c, d) * (r_c * rate(inner_code)),
-        "rate_closed_form": Fraction(c * space.dim, d * sigma_size**c) * r_c,
-        "soundness": promised_soundness,
-        "soundness_before_increase": mu_mid,
-        "nu_floor": Fraction(1, sigma_size ** (2 * c)) if c > 1 else Fraction(1, sigma_size**3),
-        "separable_bound": mu_prime,
-    }
-    s_rep = _final_soundness(t_final, final_code, promised_soundness, budget, seed, trials)
-    achieved = {
-        "distance": distance(final_code),
-        "rate": rate(final_code),
-        "soundness": s_rep,
-        "inner_soundness": nu,
-        "inner_distance": distance(inner_code),
-        "separable_soundness": _stage_soundness(t_sep, code, budget),
-        "validation_ok": validate(t_final, final_code).ok,
-        "tester_linear": classify_linear(t_final).kind != "nonlinear",
-        "code_linear": is_linear_code(final_code)[0],
-    }
-    report = PipelineReport(
-        kind="linear",
-        params={
-            "q": q,
-            "c": c,
-            "d": d,
-            "k": k,
-            "p": p,
-            "mu": mu,
-            "mu_prime": mu_prime,
-            "seed": seed,
-            "trials": s_rep.trials,
-            "budget": budget,
-        },
-        promised=promised,
-        achieved=achieved,
-        stages={
-            "separable_tester": t_sep,
-            "encoder": encoder,
-            "inner_code": inner_code,
-            "inner_tester": t_inner,
-            "witness": wit,
-            "concatenated_code": concat_code,
-            "concatenated_tester": t_concat,
-            "final_code": final_code,
-            "final_tester": t_final,
-        },
-    )
-    return _finalize(report)
 
 
 def general_reduction(
@@ -279,81 +268,29 @@ def general_reduction(
     if c == 2 and q < 3:
         raise DomainError("c = 2 requires a tester with at least 3 queries")
     sigma_size = code.alphabet.size
-    delta_prime = Alphabet.plain(c)
 
     t_sep = separable_replacement(tester, mu, c)
-    mu_prime = mu / sigma_size**q
     cert = check_separable(t_sep, c)
     assert not isinstance(cert, SeparabilityFailure)
-    encoder = compatibility_encoder(code.alphabet, delta_prime, False, budget)
-    wit = witness_from_certificate(cert, t_sep, encoder)
-    inner_family, inner_code = generalized_long_code(sigma_size, delta_prime, budget)
-    assert inner_family.tables == encoder.family.tables
-    k = encoder.k
-    q_dep = 2 if c > 2 else 3
-    t_inner = dependence_tester(inner_family, q_dep, budget)
-    nu = soundness_exact(t_inner, inner_code, budget).value
-    concat_code = concatenate(code, encoder)
-    t_concat = concat_tester(t_sep, mu_prime, t_inner, nu, encoder, wit)
-    mu_mid = mu_prime * nu / ((q * k + 1) * mu_prime + nu)
-    target = Alphabet.plain(d)
-    mapping = tuple(range(c))
-    t_final = alphabet_increase_tester(t_concat, mu_mid, mapping, target)
-    final_code = embed_code(concat_code, mapping, target)
-
+    inner_family, inner_code = generalized_long_code(sigma_size, Alphabet.plain(c), budget)
+    encoder = Encoder(inner_family)
     delta_c, r_c = distance(code), rate(code)
-    promised_soundness = mu * nu / (
-        (q * c**sigma_size + 1) * mu + sigma_size**q * nu + mu * nu
+
+    def promise(nu: Fraction) -> dict:
+        return {
+            "distance": (1 - Fraction(1, c)) * delta_c,
+            "rate": make_rate(Fraction(1, encoder.k), sigma_size, d) * r_c,
+            "soundness": mu * nu / ((q * c**sigma_size + 1) * mu + sigma_size**q * nu + mu * nu),
+            "nu_floor": Fraction(1, c ** (2 * sigma_size))
+            if c > 2
+            else Fraction(1, 2 ** (3 * sigma_size)),
+        }
+
+    wit = witness_from_certificate(cert, t_sep, encoder)
+    return _reduce(
+        "general", code, t_sep, mu / sigma_size**q, encoder, wit, inner_code, 2 if c > 2 else 3,
+        promise, {"c": c, "d": d, "mu": mu}, Alphabet.plain(d), budget, seed, trials,
     )
-    assert promised_soundness == mu_mid / (mu_mid + 1)
-    promised = {
-        "distance": (1 - Fraction(1, c)) * delta_c,
-        "rate": make_rate(Fraction(1, k), sigma_size, d) * r_c,
-        "soundness": promised_soundness,
-        "soundness_before_increase": mu_mid,
-        "nu_floor": Fraction(1, c ** (2 * sigma_size))
-        if c > 2
-        else Fraction(1, 2 ** (3 * sigma_size)),
-        "separable_bound": mu_prime,
-    }
-    s_rep = _final_soundness(t_final, final_code, promised_soundness, budget, seed, trials)
-    achieved = {
-        "distance": distance(final_code),
-        "rate": rate(final_code),
-        "soundness": s_rep,
-        "inner_soundness": nu,
-        "inner_distance": distance(inner_code),
-        "separable_soundness": _stage_soundness(t_sep, code, budget),
-        "validation_ok": validate(t_final, final_code).ok,
-    }
-    report = PipelineReport(
-        kind="general",
-        params={
-            "q": q,
-            "c": c,
-            "d": d,
-            "k": k,
-            "mu": mu,
-            "mu_prime": mu_prime,
-            "seed": seed,
-            "trials": s_rep.trials,
-            "budget": budget,
-        },
-        promised=promised,
-        achieved=achieved,
-        stages={
-            "separable_tester": t_sep,
-            "encoder": encoder,
-            "inner_code": inner_code,
-            "inner_tester": t_inner,
-            "witness": wit,
-            "concatenated_code": concat_code,
-            "concatenated_tester": t_concat,
-            "final_code": final_code,
-            "final_tester": t_final,
-        },
-    )
-    return _finalize(report)
 
 
 def semilinear_reduction(
@@ -382,12 +319,9 @@ def semilinear_reduction(
     f2 = VecSpace(space.field, 1)
 
     t_sep = linear_separable_replacement(tester, mu, f2)
-    m = q * space.dim
-    mu_prime = mu / m
     cert = check_linearly_separable(t_sep, f2)
     assert not isinstance(cert, SeparabilityFailure)
     g_encoder = compatibility_encoder(code.alphabet, Alphabet.vector(f2), True, budget)
-    wit_g = witness_from_certificate(cert, t_sep, g_encoder)
     t_count = space.size
     k = t_count + 2 * t_count**2
     derived = critical_family(g_encoder.family)
@@ -397,60 +331,21 @@ def semilinear_reduction(
         derived.tables + ((0,) * derived.domain_size,) * (k - derived.k),
     )
     encoder = Encoder(padded)
-    wit = extend_compatibility(wit_g, g_encoder, encoder)
+    wit = extend_compatibility(witness_from_certificate(cert, t_sep, g_encoder), g_encoder, encoder)
     inner_code, _ = code_from_family(padded)
-    t_inner = dependence_tester(padded, 2, budget)
-    nu = soundness_exact(t_inner, inner_code, budget).value
-    final_code = concatenate(code, encoder)
-    t_final = concat_tester(t_sep, mu_prime, t_inner, nu, encoder, wit)
-
     delta_c, r_c = distance(code), rate(code)
-    promised_soundness = mu * nu / (
-        (2 * q * t_count**2 + q * t_count + 1) * mu + (q * space.dim) * nu
+
+    def promise(nu: Fraction) -> dict:
+        return {
+            "distance": delta_c / k,
+            "rate": make_rate(Fraction(1, k), t_count, 3) * r_c,
+            "soundness": mu * nu
+            / ((2 * q * t_count**2 + q * t_count + 1) * mu + (q * space.dim) * nu),
+            "nu_floor": Fraction(1, k**2),
+            "inner_distance_floor": Fraction(1, k),
+        }
+
+    return _reduce(
+        "semilinear", code, t_sep, mu / (q * space.dim), encoder, wit, inner_code, 2, promise,
+        {"t": t_count, "mu": mu}, None, budget, seed, trials,
     )
-    assert promised_soundness == mu_prime * nu / ((q * k + 1) * mu_prime + nu)
-    promised = {
-        "distance": delta_c / k,
-        "rate": make_rate(Fraction(1, k), t_count, 3) * r_c,
-        "soundness": promised_soundness,
-        "nu_floor": Fraction(1, k**2),
-        "separable_bound": mu_prime,
-        "inner_distance_floor": Fraction(1, k),
-    }
-    s_rep = _final_soundness(t_final, final_code, promised_soundness, budget, seed, trials)
-    achieved = {
-        "distance": distance(final_code),
-        "rate": rate(final_code),
-        "soundness": s_rep,
-        "inner_soundness": nu,
-        "inner_distance": distance(inner_code),
-        "separable_soundness": _stage_soundness(t_sep, code, budget),
-        "validation_ok": validate(t_final, final_code).ok,
-    }
-    report = PipelineReport(
-        kind="semilinear",
-        params={
-            "q": q,
-            "k": k,
-            "t": t_count,
-            "mu": mu,
-            "mu_prime": mu_prime,
-            "seed": seed,
-            "trials": s_rep.trials,
-            "budget": budget,
-        },
-        promised=promised,
-        achieved=achieved,
-        stages={
-            "separable_tester": t_sep,
-            "encoder": encoder,
-            "inner_code": inner_code,
-            "inner_tester": t_inner,
-            "witness": wit,
-            "concatenated_code": final_code,
-            "concatenated_tester": t_final,
-            "final_code": final_code,
-            "final_tester": t_final,
-        },
-    )
-    return _finalize(report)

@@ -26,7 +26,7 @@ from math import ceil
 from .algebra import DEFAULT_BUDGET, VecSpace, kernel_complement_surjection, rank, row_reduce
 from .codes import Alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry, verify_witness
-from .constructions import FunctionFamily
+from .constructions import generalized_hadamard, generalized_long_code
 from .errors import CapacityError, DomainError, MismatchError
 from .testers import (
     Check,
@@ -34,8 +34,10 @@ from .testers import (
     classify_linear,
     coordinate_classes,
     encode_tuple,
+    factors_through,
     full_accept,
     pad_check,
+    pushforward,
 )
 
 
@@ -61,28 +63,6 @@ class SeparabilityFailure:
     required: int  # classes found (set case) or codimension (linear case)
 
 
-def _pushforward(check: Check, size: int, coord_maps, delta_size: int) -> int:
-    """Predicate on mapped tuples: accept exactly the images of accepted
-    inputs.  Tuples outside the factoring image reject, which keeps the
-    predicate a subspace image in the linear case; only in-image tuples are
-    reachable from properly encoded letters, so composed testers still
-    accept every codeword."""
-    accept = 0
-    for tup in itertools.product(range(size), repeat=check.arity):
-        if check.accepts(tup, size):
-            key = tuple(cm[sym] for cm, sym in zip(coord_maps, tup))
-            accept |= 1 << encode_tuple(key, delta_size)
-    return accept
-
-
-def _verify_factoring(check: Check, size: int, coord_maps, accept: int, delta_size: int) -> bool:
-    for tup in itertools.product(range(size), repeat=check.arity):
-        key = tuple(cm[sym] for cm, sym in zip(coord_maps, tup))
-        if check.accepts(tup, size) != bool((accept >> encode_tuple(key, delta_size)) & 1):
-            return False
-    return True
-
-
 def check_separable(
     tester: Tester, delta_size: int
 ) -> SeparabilityCertificate | SeparabilityFailure:
@@ -106,8 +86,8 @@ def check_separable(
                     table[sym] = idx
             partitions.append(tuple(tuple(cls) for cls in classes))
             coord_maps.append(tuple(table))
-        accept = _pushforward(check, size, coord_maps, delta_size)
-        assert _verify_factoring(check, size, coord_maps, accept, delta_size)
+        accept = pushforward(check, size, coord_maps, delta_size)
+        assert factors_through(check, size, coord_maps, accept, delta_size)
         certs.append(CheckCertificate(tuple(partitions), tuple(coord_maps), accept))
     return SeparabilityCertificate(delta_size, False, tuple(certs))
 
@@ -158,8 +138,8 @@ def check_linearly_separable(
             coord_maps.append(table)
             partitions.append(tuple(tuple(groups[v]) for v in order))
             subspaces.append(tuple(basis))
-        accept = _pushforward(check, size, coord_maps, delta_size)
-        assert _verify_factoring(check, size, coord_maps, accept, delta_size)
+        accept = pushforward(check, size, coord_maps, delta_size)
+        assert factors_through(check, size, coord_maps, accept, delta_size)
         certs.append(
             CheckCertificate(tuple(partitions), tuple(coord_maps), accept, tuple(subspaces))
         )
@@ -267,29 +247,20 @@ def compatibility_encoder(
     sigma: Alphabet, delta: Alphabet, linear: bool, budget: int = DEFAULT_BUDGET
 ) -> Encoder:
     """Encoder whose coordinates are all (linear) functions Sigma -> Delta,
-    in canonical order; its image is the generalized long (resp. Hadamard)
-    code, and it is injective because the family separates points."""
+    in canonical order: the family of the generalized long (resp. Hadamard)
+    code, injective because the family separates points."""
     if linear:
         if sigma.space is None or delta.space is None:
             raise DomainError("linear encoder needs vector-space alphabets")
         if sigma.space.field != delta.space.field:
             raise MismatchError("alphabets lie over different fields")
-        from .algebra import enumerate_linear_maps
-
-        maps = enumerate_linear_maps(sigma.space, delta.space, budget)
-        tables = tuple(
-            tuple(delta.space.index(m.apply(sigma.space.vector(s))) for s in range(sigma.size))
-            for m in maps
-        )
+        family, _ = generalized_hadamard(sigma.space, delta.space, budget)
     else:
         k = delta.size**sigma.size
         if k > budget:
             raise CapacityError(k, budget, "function enumeration")
-        tables = tuple(
-            tuple((m // delta.size**s) % delta.size for s in range(sigma.size))
-            for m in range(k)
-        )
-    return Encoder(FunctionFamily(sigma.size, delta, tables))
+        family, _ = generalized_long_code(sigma.size, delta, budget)
+    return Encoder(family)
 
 
 def witness_from_certificate(

@@ -21,7 +21,7 @@ from .constructions import FunctionFamily
 from .errors import SchemaError
 from .pipeline import REPORT_SCHEMA, PipelineReport
 from .separability import CheckCertificate, SeparabilityCertificate
-from .testers import Check, SoundnessReport, Tester, accept_from_tuples, tuples_from_accept
+from .testers import Check, SoundnessReport, Tester, tuples_from_accept
 
 SCHEMAS = {
     "code": "ltc-forge/code-v1",
@@ -50,9 +50,41 @@ def frac_to_json(f: Fraction) -> dict:
 
 
 def frac_from_json(d: Any) -> Fraction:
-    if not isinstance(d, dict) or set(d) != {"num", "den"}:
+    if not (
+        isinstance(d, dict)
+        and set(d) == {"num", "den"}
+        and isinstance(d["num"], int)
+        and isinstance(d["den"], int)
+        and d["den"] != 0
+    ):
         raise SchemaError(f"not a rational: {d!r}")
     return Fraction(d["num"], d["den"])
+
+
+def accept_to_json(accept: int, size: int, arity: int) -> list:
+    return [list(u) for u in tuples_from_accept(accept, size, arity)]
+
+
+def accept_from_json(tuples: Any, size: int, arity: int) -> int:
+    """Accept bitset of a list of arity-tuples over 0..size-1.  Each tuple
+    is checked in the same pass that encodes it (as encode_tuple does), so
+    the check adds no second walk over the symbols."""
+    if not isinstance(tuples, list):
+        raise SchemaError(f"accept set is not a list: {tuples!r}")
+    bits = 0
+    for u in tuples:
+        try:
+            if len(u) != arity:
+                raise SchemaError(f"accept tuple {u!r} does not have {arity} symbols")
+            idx = 0
+            for s in reversed(u):
+                if not 0 <= s < size:
+                    raise SchemaError(f"accept symbol {s!r} outside 0..{size - 1}")
+                idx = idx * size + s
+            bits |= 1 << idx
+        except TypeError:
+            raise SchemaError(f"accept tuple {u!r} is not a list of symbols") from None
+    return bits
 
 
 def alphabet_to_json(a: Alphabet) -> dict:
@@ -114,7 +146,7 @@ def tester_to_json(t: Tester) -> dict:
         "checks": [
             {
                 "queries": list(ch.queries),
-                "accept": [list(u) for u in tuples_from_accept(ch.accept, size, ch.arity)],
+                "accept": accept_to_json(ch.accept, size, ch.arity),
                 "weight": frac_to_json(ch.weight),
             }
             for ch in t.checks
@@ -128,7 +160,7 @@ def tester_from_json(doc: Any) -> Tester:
     checks = tuple(
         Check(
             tuple(c["queries"]),
-            accept_from_tuples([tuple(u) for u in c["accept"]], alphabet.size),
+            accept_from_json(c["accept"], alphabet.size, len(c["queries"])),
             frac_from_json(c["weight"]),
         )
         for c in doc["checks"]
@@ -176,10 +208,7 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
         "checks": [
             {
                 "b": list(e.positions),
-                "accept": [
-                    list(u)
-                    for u in tuples_from_accept(e.accept, target_size, len(e.positions))
-                ],
+                "accept": accept_to_json(e.accept, target_size, len(e.positions)),
             }
             for e in w.entries
         ],
@@ -191,10 +220,7 @@ def witness_from_json(doc: Any) -> CompatibilityWitness:
     size = doc["target_size"]
     return CompatibilityWitness(
         tuple(
-            WitnessEntry(
-                tuple(e["b"]),
-                accept_from_tuples([tuple(u) for u in e["accept"]], size),
-            )
+            WitnessEntry(tuple(e["b"]), accept_from_json(e["accept"], size, len(e["b"])))
             for e in doc["checks"]
         )
     )
@@ -209,12 +235,7 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
             {
                 "partitions": [[list(cls) for cls in coord] for coord in chk.partitions],
                 "maps": [list(m) for m in chk.coord_maps],
-                "accept": [
-                    list(u)
-                    for u in tuples_from_accept(
-                        chk.accept, c.delta_size, len(chk.coord_maps)
-                    )
-                ],
+                "accept": accept_to_json(chk.accept, c.delta_size, len(chk.coord_maps)),
                 "subspaces": None
                 if chk.subspaces is None
                 else [[list(v) for v in basis] for basis in chk.subspaces],
@@ -237,7 +258,7 @@ def certificate_from_json(doc: Any) -> SeparabilityCertificate:
             CheckCertificate(
                 tuple(tuple(tuple(cls) for cls in coord) for coord in chk["partitions"]),
                 tuple(tuple(m) for m in chk["maps"]),
-                accept_from_tuples([tuple(u) for u in chk["accept"]], doc["delta_size"]),
+                accept_from_json(chk["accept"], doc["delta_size"], len(chk["maps"])),
                 subspaces,
             )
         )
@@ -288,26 +309,11 @@ def rate_from_json(d: Any) -> Rate:
 # Tagged values for heterogeneous report dictionaries
 # ---------------------------------------------------------------------------
 
-_WITNESS_SIZE_KEY = "$witness_target_size"
-
 
 def value_to_json(v: Any) -> Any:
-    if isinstance(v, Fraction):
-        return {"$frac": frac_to_json(v)}
-    if isinstance(v, Rate):
-        return {"$rate": rate_to_json(v)}
-    if isinstance(v, SoundnessReport):
-        return {"$soundness": soundness_to_json(v)}
-    if isinstance(v, Code):
-        return {"$code": code_to_json(v)}
-    if isinstance(v, Tester):
-        return {"$tester": tester_to_json(v)}
-    if isinstance(v, Encoder):
-        return {"$encoder": encoder_to_json(v)}
-    if isinstance(v, Word):
-        return {"$word": word_to_json(v)}
-    if isinstance(v, SeparabilityCertificate):
-        return {"$certificate": certificate_to_json(v)}
+    for tag, (cls, to_json, _) in _TAGS.items():
+        if isinstance(v, cls):
+            return {tag: to_json(v)}
     if isinstance(v, dict):
         return {k: value_to_json(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -320,23 +326,9 @@ def value_to_json(v: Any) -> Any:
 def value_from_json(v: Any) -> Any:
     if isinstance(v, dict):
         if len(v) == 1:
-            key = next(iter(v))
-            if key == "$frac":
-                return frac_from_json(v[key])
-            if key == "$rate":
-                return rate_from_json(v[key])
-            if key == "$soundness":
-                return soundness_from_json(v[key])
-            if key == "$code":
-                return code_from_json(v[key])
-            if key == "$tester":
-                return tester_from_json(v[key])
-            if key == "$encoder":
-                return encoder_from_json(v[key])
-            if key == "$word":
-                return word_from_json(v[key])
-            if key == "$certificate":
-                return certificate_from_json(v[key])
+            ((tag, inner),) = v.items()
+            if tag in _TAGS:
+                return _TAGS[tag][2](inner)
         return {k: value_from_json(x) for k, x in v.items()}
     if isinstance(v, list):
         return [value_from_json(x) for x in v]
@@ -381,18 +373,24 @@ def report_from_json(doc: Any) -> PipelineReport:
     )
 
 
+# $tag -> (type, to_json, from_json) for every artifact that stands alone.
+_TAGS = {
+    "$frac": (Fraction, frac_to_json, frac_from_json),
+    "$rate": (Rate, rate_to_json, rate_from_json),
+    "$soundness": (SoundnessReport, soundness_to_json, soundness_from_json),
+    "$code": (Code, code_to_json, code_from_json),
+    "$tester": (Tester, tester_to_json, tester_from_json),
+    "$encoder": (Encoder, encoder_to_json, encoder_from_json),
+    "$word": (Word, word_to_json, word_from_json),
+    "$certificate": (SeparabilityCertificate, certificate_to_json, certificate_from_json),
+    "$family": (FunctionFamily, family_to_json, family_from_json),
+    "$report": (PipelineReport, report_to_json, report_from_json),
+}
+
+
 def roundtrip(obj):
     """parse(serialize(x)); used by tests to pin the identity contract."""
-    table = [
-        (Code, code_to_json, code_from_json),
-        (Tester, tester_to_json, tester_from_json),
-        (Encoder, encoder_to_json, encoder_from_json),
-        (FunctionFamily, family_to_json, family_from_json),
-        (SeparabilityCertificate, certificate_to_json, certificate_from_json),
-        (SoundnessReport, soundness_to_json, soundness_from_json),
-        (PipelineReport, report_to_json, report_from_json),
-    ]
-    for cls, enc, dec in table:
+    for cls, to_json, from_json in _TAGS.values():
         if isinstance(obj, cls):
-            return dec(json.loads(dumps(enc(obj))))
+            return from_json(json.loads(dumps(to_json(obj))))
     raise SchemaError(f"no serializer for {type(obj).__name__}")

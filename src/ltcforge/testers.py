@@ -6,11 +6,11 @@ sets are stored as int bitsets over alphabet^arity, with the tuple
 (t_0, ..., t_{q-1}) encoded as sum t_l * size**l.
 
 Exact soundness enumerates every word.  The scan runs vectorized over
-chunks of the word space with integerized weights (falling back to a pure
-Fraction path if the common denominator would overflow int64), so results
-are exact rationals regardless of path.  Words are scanned in lexicographic
-order, which makes the "lexicographically smallest witness" tie-break a
-first-hit rule.
+chunks of the word space with integerized weights: reject numerators are
+int64 when no score can reach 2**62 and Python ints in object arrays
+otherwise, through the same kernels, so results are exact rationals either
+way.  Words are scanned in lexicographic order, which makes the
+"lexicographically smallest witness" tie-break a first-hit rule.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import DEFAULT_BUDGET, rank, row_reduce, solve_functional
-from .codes import Alphabet, Code, Word, dist_to_code
+from .codes import Alphabet, Code, Word
 from .errors import CapacityError, DomainError, MismatchError
 
 ACCEPT_BITS_LIMIT = 1 << 24  # alphabet^arity per check
@@ -36,8 +36,8 @@ ACCEPT_BITS_LIMIT = 1 << 24  # alphabet^arity per check
 
 def encode_tuple(symbols: Sequence[int], size: int) -> int:
     idx = 0
-    for l, s in enumerate(symbols):
-        idx += s * size**l
+    for s in reversed(symbols):
+        idx = idx * size + s
     return idx
 
 
@@ -116,6 +116,32 @@ def pad_check(check: Check, q: int, size: int) -> Check:
     return Check(queries, accept, check.weight)
 
 
+def pushforward(check: Check, size: int, coord_maps, delta_size: int) -> int:
+    """Predicate on mapped tuples: accept exactly the images of accepted
+    inputs under the per-coordinate maps (symbol -> delta symbol tables).
+
+    Tuples outside the factoring image reject, which keeps the predicate a
+    subspace image in the linear case; only in-image tuples are reachable
+    from properly encoded letters, so composed testers still accept every
+    codeword."""
+    accept = 0
+    for tup in itertools.product(range(size), repeat=check.arity):
+        if check.accepts(tup, size):
+            key = tuple(cm[sym] for cm, sym in zip(coord_maps, tup))
+            accept |= 1 << encode_tuple(key, delta_size)
+    return accept
+
+
+def factors_through(check: Check, size: int, coord_maps, accept: int, delta_size: int) -> bool:
+    """Exhaustive check that `accept` read on the mapped letters gives the
+    check's verdict on every input tuple."""
+    for tup in itertools.product(range(size), repeat=check.arity):
+        key = tuple(cm[sym] for cm, sym in zip(coord_maps, tup))
+        if check.accepts(tup, size) != bool((accept >> encode_tuple(key, delta_size)) & 1):
+            return False
+    return True
+
+
 def uniform_checks(entries: Sequence[tuple[tuple[int, ...], int]]) -> list[Check]:
     w = Fraction(1, len(entries))
     return [Check(q, acc, w) for q, acc in entries]
@@ -182,21 +208,27 @@ class SoundnessReport:
 
 
 def _compiled_checks(tester: Tester):
+    """Per check: queries, place values and the reject LUT pre-multiplied by
+    the check's integerized weight; plus the common denominator and the
+    array dtype.  Scores are rej * mism products bounded by
+    sum(numerators) * n, so int64 holds them below 2**62 and Python ints
+    in object arrays take over above."""
     size = tester.alphabet.size
     dens = [ch.weight.denominator for ch in tester.checks]
     den = lcm(*dens) if dens else 1
+    wnums = [ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks]
+    dtype = np.int64 if sum(wnums) * tester.n < (1 << 62) else object
     compiled = []
-    for ch in tester.checks:
-        wnum = ch.weight.numerator * (den // ch.weight.denominator)
+    for ch, wnum in zip(tester.checks, wnums):
         table = size**ch.arity
         nbytes = (table + 7) // 8
         lut = np.unpackbits(
             np.frombuffer(ch.accept.to_bytes(nbytes, "little"), dtype=np.uint8),
             bitorder="little",
-        )[:table].astype(np.int64)
+        )[:table]
         powers = [size**l for l in range(ch.arity)]
-        compiled.append((ch.queries, powers, lut, wnum))
-    return compiled, den
+        compiled.append((ch.queries, powers, (1 - lut).astype(dtype) * wnum))
+    return compiled, den, dtype
 
 
 def _chunk_digits(size: int, n: int, start: int, count: int) -> list[np.ndarray]:
@@ -205,13 +237,13 @@ def _chunk_digits(size: int, n: int, start: int, count: int) -> list[np.ndarray]
     return [(idx // size ** (n - 1 - j)) % size for j in range(n)]
 
 
-def _reject_numerators(compiled, digits) -> np.ndarray:
-    rej = np.zeros(len(digits[0]), dtype=np.int64)
-    for queries, powers, lut, wnum in compiled:
+def _reject_numerators(compiled, digits, dtype) -> np.ndarray:
+    rej = np.zeros(len(digits[0]), dtype=dtype)
+    for queries, powers, wlut in compiled:
         tup = digits[queries[0]] * powers[0]
         for pos, pw in zip(queries[1:], powers[1:]):
             tup = tup + digits[pos] * pw
-        rej += wnum * (1 - lut[tup])
+        rej += wlut[tup]
     return rej
 
 
@@ -228,6 +260,7 @@ def _mismatch_counts(codewords, digits) -> np.ndarray:
 
 def _tournament(rej, mism, start, best):
     """Earliest strict minimizer of rej/mism among mism>0 entries."""
+    mism = mism.astype(rej.dtype, copy=False)  # brn * mism must not wrap either
     valid = mism > 0
     if not valid.any():
         return best
@@ -268,39 +301,14 @@ def soundness_exact(
         verdict = None if bound is None else "pass"
         return SoundnessReport("exact", None, True, None, bound, verdict)
 
-    compiled, den = _compiled_checks(tester)
+    compiled, den, dtype = _compiled_checks(tester)
     best = None
-    if den * n < (1 << 62):
-        chunk = 1 << 18
-        for start in range(0, total, chunk):
-            digits = _chunk_digits(size, n, start, min(chunk, total - start))
-            rej = _reject_numerators(compiled, digits)
-            mism = _mismatch_counts(code.codewords, digits)
-            best = _tournament(rej, mism, start, best)
-    else:
-        # Fraction fallback: same scan order, no integer packing.
-        members = frozenset(code.codewords)
-        idx = 0
-        for letters in itertools.product(range(size), repeat=n):
-            if letters not in members:
-                mm = min(
-                    sum(1 for a, b in zip(letters, cw) if a != b) for cw in code.codewords
-                )
-                rn = sum(
-                    ch.weight
-                    for ch in tester.checks
-                    if not ch.accepts([letters[i] for i in ch.queries], size)
-                )
-                cand = (rn, mm, idx)
-                if best is None or cand[0] * best[1] < Fraction(best[0]) * cand[1]:
-                    best = cand
-            idx += 1
-        rn, mm, widx = best
-        value = Fraction(rn) * n / mm
-        witness = Word(tester.alphabet, _word_from_index(widx, size, n))
-        verdict = None if bound is None else ("pass" if value >= bound else "fail")
-        return SoundnessReport("exact", value, False, witness, bound, verdict)
-
+    chunk = 1 << 18
+    for start in range(0, total, chunk):
+        digits = _chunk_digits(size, n, start, min(chunk, total - start))
+        rej = _reject_numerators(compiled, digits, dtype)
+        mism = _mismatch_counts(code.codewords, digits)
+        best = _tournament(rej, mism, start, best)
     rn, mm, widx = best
     value = Fraction(rn * n, den * mm)
     witness = Word(tester.alphabet, _word_from_index(widx, size, n))
@@ -444,24 +452,12 @@ def soundness_sampled(
         for j in range(n):
             digits[j][member] = fresh[j]
 
-    compiled, den = _compiled_checks(tester)
-    if den * n >= (1 << 62):
-        # Fraction fallback over the sampled words.
-        best = None
-        for t in range(trials):
-            letters = tuple(int(digits[j][t]) for j in range(n))
-            w = Word(tester.alphabet, letters)
-            ratio = reject_probability(tester, w) / dist_to_code(w, code)
-            if best is None or ratio < best[0]:
-                best = (ratio, w)
-        value, witness = best
-    else:
-        rej = _reject_numerators(compiled, digits)
-        mism = _mismatch_counts(code.codewords, digits)
-        best = _tournament(rej, mism, 0, best=None)
-        rn, mm, t = best
-        value = Fraction(rn * n, den * mm)
-        witness = Word(tester.alphabet, tuple(int(digits[j][t]) for j in range(n)))
+    compiled, den, dtype = _compiled_checks(tester)
+    rej = _reject_numerators(compiled, digits, dtype)
+    mism = _mismatch_counts(code.codewords, digits)
+    rn, mm, t = _tournament(rej, mism, 0, best=None)
+    value = Fraction(rn * n, den * mm)
+    witness = Word(tester.alphabet, tuple(int(digits[j][t]) for j in range(n)))
     verdict = None
     if bound is not None:
         verdict = "violated" if value < bound else "consistent"

@@ -149,3 +149,49 @@ def test_console_entry_point_subprocess():
 def test_usage_error_exit_2(capsys):
     assert main(["tester", "equality", "--n", "2"]) == 2  # no alphabet given
     capsys.readouterr()
+
+
+def _malformed_tester_exit(tmp_path, capsys, corrupt):
+    _, doc = run_cli(capsys, "tester", "equality", "--n", "2", "--size", "2")
+    tester = doc["tester"]
+    corrupt(tester["checks"][0])
+    tester_path = tmp_path / "t.json"
+    tester_path.write_text(json.dumps(tester))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(
+        json.dumps(
+            {
+                "schema": "ltc-forge/code-v1",
+                "alphabet": {"kind": "plain", "size": 2},
+                "n": 2,
+                "codewords": [[0, 0], [1, 1]],
+            }
+        )
+    )
+    code = main(["soundness", "exact", "--tester", str(tester_path), "--code", str(code_path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error:")
+    return code
+
+
+def test_zero_weight_denominator_exit_2(tmp_path, capsys):
+    def corrupt(check):
+        check["weight"]["den"] = 0
+
+    assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
+
+
+def test_negative_accept_symbol_exit_2(tmp_path, capsys):
+    def corrupt(check):
+        check["accept"][0] = [-1, 0]
+
+    assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
+
+
+def test_accept_symbol_outside_alphabet_exit_2(tmp_path, capsys):
+    # (2, 0) would encode to the index of (0, 1) and pass unnoticed
+    def corrupt(check):
+        check["accept"][0] = [2, 0]
+
+    assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2

@@ -64,13 +64,6 @@ def test_dependent_tuples_hadamard_all_pairs():
     assert len(deps) == 16  # every ordered pair: joint images have <= 2 < 16 tuples
 
 
-def test_dependent_tuples_distinct_sorted_flag():
-    fam, _ = generalized_hadamard(VecSpace(Field(2), 1), VecSpace(Field(2), 2))
-    deps = dependent_tuples(fam, 2, distinct_sorted=True)
-    assert len(deps) == 6
-    assert all(i < j for (i, j), _ in deps)
-
-
 def test_dependent_tuples_budget():
     fam, _ = generalized_long_code(2, TRI)
     with pytest.raises(CapacityError):

@@ -108,3 +108,22 @@ def test_schema_mismatch_raises():
 def test_dumps_deterministic():
     code = repetition_code(BIN, 2)
     assert dumps(code_to_json(code)) == dumps(code_to_json(code))
+
+
+@pytest.mark.parametrize(
+    "accept",
+    [[[0]], [[0, 0, 1]], [[2, 0]], [[-1, 0]], [["a", 0]], [[1.5, 0]], "00", [0, 1]],
+)
+def test_malformed_accept_set_raises(accept):
+    doc = tester_to_json(equality_tester(BIN, 2))
+    doc["checks"][0]["accept"] = accept
+    with pytest.raises(SchemaError):
+        tester_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "weight", [{"num": 1, "den": 0}, {"num": 0.5, "den": 1}, {"num": "1", "den": 2}]
+)
+def test_malformed_rational_raises(weight):
+    with pytest.raises(SchemaError):
+        frac_from_json(weight)

@@ -297,3 +297,88 @@ def test_accept_roundtrip():
 def test_accept_bitset_roundtrip_random(bits):
     got = accept_from_tuples(tuples_from_accept(bits, 3, 2), 3)
     assert got == bits
+
+
+_HANG_SCRIPT = """
+from fractions import Fraction
+from ltcforge.codes import Alphabet, repetition_code
+from ltcforge.testers import Check, Tester, accept_from_tuples, soundness_exact, soundness_sampled
+A = Alphabet.plain(5)
+diag = accept_from_tuples([(a, a) for a in range(5)], 5)
+t = Tester(A, 5, 2, tuple(Check((i, i + 1), diag, Fraction(2**61)) for i in range(4)))
+code = repetition_code(A, 5)
+exact = soundness_exact(t, code)
+sampled = soundness_sampled(t, code, 1000, 7)
+print(exact.value.numerator, exact.value.denominator, *exact.witness.letters)
+print(int(sampled.value >= exact.value))
+"""
+
+
+def test_soundness_large_numerators_terminate():
+    # Weights 2**61 with denominator 1: the scores reach 2**63, past int64.
+    # A guard on the denominator alone lets them wrap and the minimizer
+    # search loop forever, so both engines run in a child under a timeout.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ltcforge
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HANG_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exact_line, sampled_line = proc.stdout.split("\n")[:2]
+    assert exact_line.split() == [str(5 * 2**60), "1", "0", "0", "0", "1", "1"]
+    assert sampled_line == "1"
+
+
+@st.composite
+def _weighted_instances(draw):
+    size = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 4))
+    alphabet = Alphabet.plain(size)
+    words = st.tuples(*[st.integers(0, size - 1)] * n)
+    codewords = draw(st.sets(words, min_size=1, max_size=3))
+    checks = []
+    for _ in range(draw(st.integers(1, 4))):
+        arity = draw(st.integers(1, 2))
+        queries = tuple(draw(st.integers(0, n - 1)) for _ in range(arity))
+        accepted = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity)))
+        weight = Fraction(draw(st.integers(1, 2**70)), draw(st.integers(1, 2**66)))
+        checks.append(Check(queries, accept_from_tuples(accepted, size), weight))
+    tester = Tester(alphabet, n, 2, tuple(checks))
+    return tester, Code(alphabet, n, tuple(sorted(codewords)))
+
+
+@given(_weighted_instances())
+def test_soundness_exact_matches_reference_minimum(instance):
+    # Weights up to 2**70 over denominators up to 2**66 drive the object
+    # dtype branch as well as the int64 one.
+    tester, code = instance
+    ratios = [
+        (reject_probability(tester, w) / dist_to_code(w, code), w.letters)
+        for w in (
+            Word(tester.alphabet, letters)
+            for letters in itertools.product(range(tester.alphabet.size), repeat=tester.n)
+        )
+        if not code.contains(w.letters)
+    ]
+    report = soundness_exact(tester, code)
+    if not ratios:
+        assert report.infinite
+        return
+    best = min(r for r, _ in ratios)
+    assert report.value == best
+    assert report.witness.letters == min(letters for r, letters in ratios if r == best)
+    sampled = soundness_sampled(tester, code, 50, 1)
+    assert sampled.value >= best
+    assert sampled.value == reject_probability(tester, sampled.witness) / dist_to_code(
+        sampled.witness, code
+    )
