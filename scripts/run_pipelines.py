@@ -8,11 +8,9 @@ write the full reports to JSON files.
 import argparse
 import pathlib
 
-from ltcforge.algebra import DEFAULT_BUDGET, Field, VecSpace
-from ltcforge.codes import Alphabet, repetition_code, vector_alphabet
-from ltcforge.pipeline import general_reduction, linear_reduction, semilinear_reduction
+from ltcforge.algebra import DEFAULT_BUDGET
+from ltcforge.pipeline import DEMO_PARAMS, demo_inputs, run_reduction
 from ltcforge.serialize import dumps, report_to_json
-from ltcforge.testers import equality_tester, soundness_exact
 
 
 def main():
@@ -24,30 +22,11 @@ def main():
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    lin_code = repetition_code(vector_alphabet(2, 1), 2)
-    lin_tester = equality_tester(lin_code.alphabet, 2)
-    lin_mu = soundness_exact(lin_tester, lin_code, args.budget).value
-
-    plain_code = repetition_code(Alphabet.plain(2), 2)
-    plain_tester = equality_tester(plain_code.alphabet, 2)
-    plain_mu = soundness_exact(plain_tester, plain_code, args.budget).value
-
-    runs = {
-        "linear": lambda: linear_reduction(
-            lin_code, lin_tester, lin_mu, VecSpace(Field(2), 2), 2,
+    for name, params in DEMO_PARAMS.items():
+        report = run_reduction(
+            name, *demo_inputs(name, args.budget), params,
             budget=args.budget, seed=args.seed, trials=args.trials,
-        ),
-        "general": lambda: general_reduction(
-            plain_code, plain_tester, plain_mu, 3, 3,
-            budget=args.budget, seed=args.seed, trials=args.trials,
-        ),
-        "semilinear": lambda: semilinear_reduction(
-            lin_code, lin_tester, lin_mu,
-            budget=args.budget, seed=args.seed, trials=args.trials,
-        ),
-    }
-    for name, run in runs.items():
-        report = run()
+        )
         path = args.out_dir / f"{name}.json"
         path.write_text(dumps(report_to_json(report)))
         print(f"{name}: overall={report.overall}")

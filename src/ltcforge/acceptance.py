@@ -34,7 +34,7 @@ from .constructions import (
     majority_counterexample,
     ring_constraint_tester,
 )
-from .pipeline import general_reduction, linear_reduction, semilinear_reduction
+from .pipeline import DEMO_PARAMS, demo_inputs, run_reduction
 from .separability import (
     SeparabilityCertificate,
     check_linearly_separable,
@@ -372,19 +372,10 @@ def criterion_12(budget: int, seed: int) -> dict:
 
 def criterion_13(budget: int, seed: int) -> dict:
     """The three reduction pipelines on their desk instances."""
-    code = repetition_code(vector_alphabet(2, 1), 2)
-    tester = equality_tester(code.alphabet, 2)
-    mu = soundness_exact(tester, code, budget).value
-    lin = linear_reduction(
-        code, tester, mu, VecSpace(Field(2), 2), 2, budget=budget, seed=seed, trials=10**5
+    lin, gen, semi = (
+        run_reduction(kind, *demo_inputs(kind, budget), params, budget=budget, seed=seed)
+        for kind, params in DEMO_PARAMS.items()
     )
-    plain_code = repetition_code(Alphabet.plain(2), 2)
-    plain_tester = equality_tester(plain_code.alphabet, 2)
-    plain_mu = soundness_exact(plain_tester, plain_code, budget).value
-    gen = general_reduction(
-        plain_code, plain_tester, plain_mu, 3, 3, budget=budget, seed=seed, trials=10**5
-    )
-    semi = semilinear_reduction(code, tester, mu, budget=budget, seed=seed, trials=10**5)
 
     def clean(report):
         return not any(v in ("fail", "violated") for v in report.verdicts.values())
@@ -408,11 +399,9 @@ def criterion_14(budget: int, seed: int) -> dict:
     from .serialize import dumps, report_to_json
 
     def run():
-        code = repetition_code(Alphabet.plain(2), 2)
-        tester = equality_tester(code.alphabet, 2)
-        mu = soundness_exact(tester, code, budget).value
-        report = general_reduction(
-            code, tester, mu, 3, 3, budget=budget, seed=seed, trials=2000
+        inputs = demo_inputs("general", budget)
+        report = run_reduction(
+            "general", *inputs, DEMO_PARAMS["general"], budget=budget, seed=seed, trials=2000
         )
         return dumps(report_to_json(report))
 

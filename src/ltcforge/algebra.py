@@ -1,11 +1,13 @@
 """Prime-field arithmetic and small exhaustive linear algebra.
 
 Everything here works over GF(p) for prime p, with vectors represented as
-plain tuples of ints.  The canonical enumeration of GF(p)^dim is
-lexicographic with the least-significant coordinate first: the vector with
-index i has coordinate j equal to (i // p**j) % p, so index 0 is always the
-zero vector.  All downstream constructions inherit their determinism from
-this order.
+plain tuples of ints.  One codec numbers tuples over {0..size-1}:
+`encode_tuple` reads (t_0, ..., t_{m-1}) as sum t_l * size**l, least
+significant first, and `decode_tuple` inverts it.  It orders the vectors
+of GF(p)^dim (index 0 is the zero vector), the columns of enumerated
+linear maps, the value tables of function families, the accept-set bits
+of checks and, read backwards, the words of an exhaustive scan; every
+output inherits its determinism from that order.
 """
 
 from __future__ import annotations
@@ -18,6 +20,17 @@ from .errors import CapacityError, DomainError, MismatchError
 DEFAULT_BUDGET = 1 << 26
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def encode_tuple(symbols: Sequence[int], size: int) -> int:
+    idx = 0
+    for s in reversed(symbols):
+        idx = idx * size + s
+    return idx
+
+
+def decode_tuple(idx: int, size: int, arity: int) -> tuple[int, ...]:
+    return tuple((idx // size**l) % size for l in range(arity))
 
 
 @dataclass(frozen=True)
@@ -64,16 +77,15 @@ class VecSpace:
         return self.field.p ** self.dim
 
     def vector(self, index: int) -> tuple[int, ...]:
-        p = self.field.p
         if not 0 <= index < self.size:
             raise DomainError(f"vector index {index} out of range for {self}")
-        return tuple((index // p**j) % p for j in range(self.dim))
+        return decode_tuple(index, self.field.p, self.dim)
 
     def index(self, vec: Sequence[int]) -> int:
         p = self.field.p
         if len(vec) != self.dim:
             raise MismatchError(f"vector length {len(vec)} != dim {self.dim}")
-        return sum((v % p) * p**j for j, v in enumerate(vec))
+        return encode_tuple([v % p for v in vec], p)
 
     def add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
         p = self.field.p
@@ -85,6 +97,10 @@ class VecSpace:
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.dim
+
+    def flatten(self, symbols: Sequence[int]) -> tuple[int, ...]:
+        """The coordinates of a tuple of vector indices, concatenated."""
+        return tuple(x for s in symbols for x in self.vector(s))
 
 
 def enumerate_vectors(space: VecSpace, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
@@ -134,7 +150,7 @@ def enumerate_linear_maps(
         raise CapacityError(count, budget, "linear map enumeration")
     maps = []
     for m in range(count):
-        cols = [cod.vector((m // cod.size**j) % cod.size) for j in range(dom.dim)]
+        cols = [cod.vector(c) for c in decode_tuple(m, cod.size, dom.dim)]
         matrix = tuple(tuple(cols[j][i] for j in range(dom.dim)) for i in range(cod.dim))
         maps.append(LinearMap(dom, cod, matrix))
     return maps
@@ -217,24 +233,6 @@ def solve_functional(basis: Sequence[Sequence[int]], dim: int, p: int) -> tuple[
     return tuple(phi)
 
 
-def invert_matrix(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Inverse of a square matrix over GF(p) by Gauss-Jordan elimination."""
-    n = len(matrix)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col] % p != 0), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], p - 2, p)
-        work[col] = [(x * inv) % p for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] % p != 0:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
 def kernel_complement_surjection(
     domain: VecSpace, basis: Sequence[Sequence[int]], target: VecSpace
 ) -> LinearMap:
@@ -244,13 +242,15 @@ def kernel_complement_surjection(
     basis of the domain with the earliest admissible standard vectors, send
     the kernel part to zero and the j-th complement vector to the j-th
     standard basis vector of the target (remaining target coordinates stay
-    zero).
+    zero).  The matrix M comes from one more row reduction: the rows
+    [b | M b] over the full basis reduce to [e_j | M e_j], because the full
+    basis spans the domain, so the reduced rows' right halves are M^T.
     """
     p = domain.field.p
     if domain.field != target.field:
         raise MismatchError("domain and target fields differ")
     basis = [tuple(x % p for x in b) for b in basis]
-    rref, pivots = row_reduce(basis, p)
+    rref, _ = row_reduce(basis, p)
     if len(rref) != len(basis):
         raise DomainError("kernel basis vectors are linearly dependent")
     comp_needed = domain.dim - len(rref)
@@ -259,7 +259,6 @@ def kernel_complement_surjection(
             f"target dimension {target.dim} too small for complement of dimension {comp_needed}"
         )
     full = list(rref)
-    full_pivots = list(pivots)
     complement: list[tuple[int, ...]] = []
     for j in range(domain.dim):
         if len(full) == domain.dim:
@@ -268,19 +267,11 @@ def kernel_complement_surjection(
         if not in_span(e, *row_reduce(full, p), p):
             full.append(e)
             complement.append(e)
-    if domain.dim == 0:
-        return LinearMap(domain, target, tuple(() for _ in range(target.dim)))
     # Images in basis order: kernel rows -> 0, complement j -> e_j of target.
     images = [(0,) * target.dim for _ in rref]
     images += [tuple(int(i == j) for i in range(target.dim)) for j in range(len(complement))]
-    # M sends the full basis (as columns of B) to the image columns: M = I B^-1.
-    basis_matrix = [[full[r][c] for r in range(domain.dim)] for c in range(domain.dim)]
-    inv = invert_matrix(basis_matrix, p)
+    transposed, _ = row_reduce([b + m for b, m in zip(full, images)], p)
     matrix = tuple(
-        tuple(
-            sum(images[r][i] * inv[r][c] for r in range(domain.dim)) % p
-            for c in range(domain.dim)
-        )
-        for i in range(target.dim)
+        tuple(row[domain.dim + i] for row in transposed) for i in range(target.dim)
     )
     return LinearMap(domain, target, matrix)

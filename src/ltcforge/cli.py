@@ -26,12 +26,13 @@ from .constructions import (
     generalized_long_code,
     ring_constraint_tester,
 )
-from .errors import CapacityError, DomainError, ForgeError, MismatchError, SchemaError
-from .pipeline import general_reduction, linear_reduction, semilinear_reduction
+from .errors import DomainError, ForgeError
+from .pipeline import DEMO_PARAMS, demo_inputs, run_reduction
 from .separability import (
     SeparabilityFailure,
     check_linearly_separable,
     check_separable,
+    compatibility_encoder,
     linear_separable_replacement,
     separable_replacement,
 )
@@ -55,11 +56,6 @@ from .serialize import (
     witness_to_json,
 )
 from .testers import equality_tester, soundness_exact, soundness_sampled, validate
-from .codes import repetition_code
-
-
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _load(path: str) -> dict:
@@ -67,11 +63,30 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
+def _int_in(low: int, high: int):
+    """argparse type: an integer in [low, high)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{low}, {high})")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--seed", type=int, default=0, help="64-bit unsigned root seed")
+    # --budget bounds the int64 word indices of exhaustive scans
+    common.add_argument("--budget", type=_int_in(1, 2**63), default=DEFAULT_BUDGET)
+    seed_type = _int_in(0, 2**64)
+    common.add_argument("--seed", type=seed_type, default=0, help="64-bit unsigned root seed")
     common.add_argument("--out", type=str, default=None)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--delta-size", type=int)
+    target.add_argument("--linear", action="store_true")
+    target.add_argument("--p", type=int)
+    target.add_argument("--delta-dim", type=int)
 
     parser = argparse.ArgumentParser(
         prog="ltcforge", description="locally-testable-code workbench"
@@ -88,19 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
     b_long.add_argument("--delta-size", type=int, required=True)
     b_crit = build.add_parser("critical", parents=[common])
     b_crit.add_argument("--s", type=int, required=True)
-    b_enc = build.add_parser("encoder", parents=[common])
+    b_enc = build.add_parser("encoder", parents=[common, target])
     b_enc.add_argument("--sigma-size", type=int)
-    b_enc.add_argument("--delta-size", type=int)
-    b_enc.add_argument("--linear", action="store_true")
-    b_enc.add_argument("--p", type=int)
     b_enc.add_argument("--sigma-dim", type=int)
-    b_enc.add_argument("--delta-dim", type=int)
 
     tester = sub.add_parser("tester").add_subparsers(dest="what", required=True)
     t_dep = tester.add_parser("dependence", parents=[common])
-    t_dep.add_argument("--family", type=str, help="family JSON path")
-    t_dep.add_argument("--hadamard", nargs=3, type=int, metavar=("P", "DIMV", "DIMD"))
-    t_dep.add_argument("--longcode", nargs=2, type=int, metavar=("S", "DELTA"))
+    source = t_dep.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", type=str, help="family JSON path")
+    source.add_argument("--hadamard", nargs=3, type=int, metavar=("P", "DIMV", "DIMD"))
+    source.add_argument("--longcode", nargs=2, type=int, metavar=("S", "DELTA"))
     t_dep.add_argument("--q", type=int, default=2)
     t_ring = tester.add_parser("ring", parents=[common])
     t_ring.add_argument("--s", type=int, required=True)
@@ -111,53 +123,39 @@ def build_parser() -> argparse.ArgumentParser:
     t_eq.add_argument("--dim", type=int)
 
     sound = sub.add_parser("soundness").add_subparsers(dest="what", required=True)
-    s_ex = sound.add_parser("exact", parents=[common])
-    s_ex.add_argument("--tester", type=str, required=True)
-    s_ex.add_argument("--code", type=str, required=True)
-    s_ex.add_argument("--bound", type=_fraction, default=None)
-    s_sa = sound.add_parser("sample", parents=[common])
-    s_sa.add_argument("--tester", type=str, required=True)
-    s_sa.add_argument("--code", type=str, required=True)
-    s_sa.add_argument("--trials", type=int, required=True)
-    s_sa.add_argument("--bound", type=_fraction, default=None)
+    for what in ("exact", "sample"):
+        s_cmd = sound.add_parser(what, parents=[common])
+        s_cmd.add_argument("--tester", type=str, required=True)
+        s_cmd.add_argument("--code", type=str, required=True)
+        if what == "sample":
+            s_cmd.add_argument("--trials", type=int, required=True)
+        s_cmd.add_argument("--bound", type=Fraction, default=None)
 
     conc = sub.add_parser("concat", parents=[common])
     conc.add_argument("--code", type=str, required=True)
     conc.add_argument("--encoder", type=str, required=True)
     conc.add_argument("--outer-tester", type=str)
-    conc.add_argument("--mu", type=_fraction)
+    conc.add_argument("--mu", type=Fraction)
     conc.add_argument("--inner-tester", type=str)
-    conc.add_argument("--nu", type=_fraction)
+    conc.add_argument("--nu", type=Fraction)
 
     sep = sub.add_parser("separate").add_subparsers(dest="what", required=True)
-    sp_ck = sep.add_parser("check", parents=[common])
+    sp_ck = sep.add_parser("check", parents=[common, target])
     sp_ck.add_argument("--tester", type=str, required=True)
-    sp_ck.add_argument("--delta-size", type=int)
-    sp_ck.add_argument("--linear", action="store_true")
-    sp_ck.add_argument("--p", type=int)
-    sp_ck.add_argument("--delta-dim", type=int)
-    sp_rp = sep.add_parser("replace", parents=[common])
+    sp_rp = sep.add_parser("replace", parents=[common, target])
     sp_rp.add_argument("--tester", type=str, required=True)
-    sp_rp.add_argument("--mu", type=_fraction, required=True)
-    sp_rp.add_argument("--delta-size", type=int)
-    sp_rp.add_argument("--linear", action="store_true")
-    sp_rp.add_argument("--p", type=int)
-    sp_rp.add_argument("--delta-dim", type=int)
+    sp_rp.add_argument("--mu", type=Fraction, required=True)
 
     pipe = sub.add_parser("pipeline").add_subparsers(dest="what", required=True)
-    for kind in ("linear", "general", "semilinear"):
+    for kind, params in DEMO_PARAMS.items():
         pp = pipe.add_parser(kind, parents=[common])
         pp.add_argument("--demo", action="store_true")
         pp.add_argument("--code", type=str)
         pp.add_argument("--tester", type=str)
-        pp.add_argument("--mu", type=_fraction)
+        pp.add_argument("--mu", type=Fraction)
         pp.add_argument("--trials", type=int, default=10**5)
-        if kind == "linear":
-            pp.add_argument("--dimd", type=int)
-            pp.add_argument("--c", type=int)
-        if kind == "general":
-            pp.add_argument("--d", type=int)
-            pp.add_argument("--c", type=int)
+        for name in params:
+            pp.add_argument(f"--{name}", type=int)
 
     ver = sub.add_parser("verify").add_subparsers(dest="what", required=True)
     v_all = ver.add_parser("all", parents=[common])
@@ -166,14 +164,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _family(kind: str, nums, budget: int):
+    """Family and code of the generalized Hadamard code (P, DIMV, DIMD) or
+    long code (S, DELTA)."""
+    if kind == "hadamard":
+        p, dimv, dimd = nums
+        return generalized_hadamard(VecSpace(Field(p), dimv), VecSpace(Field(p), dimd), budget)
+    s, d = nums
+    return generalized_long_code(s, Alphabet.plain(d), budget)
+
+
+def _target(args) -> VecSpace | int:
+    """The GF(p) space of --linear --p --delta-dim, else --delta-size."""
+    if args.linear:
+        if args.p is None or args.delta_dim is None:
+            raise DomainError("--linear needs --p and --delta-dim")
+        return VecSpace(Field(args.p), args.delta_dim)
+    if args.delta_size is None:
+        raise DomainError("give --delta-size, or --linear with --p and --delta-dim")
+    return args.delta_size
+
+
 def _cmd_build(args) -> tuple[dict, int]:
     if args.what in ("hadamard", "longcode"):
-        if args.what == "hadamard":
-            fam, code = generalized_hadamard(
-                VecSpace(Field(args.p), args.dimv), VecSpace(Field(args.p), args.dimd), args.budget
-            )
-        else:
-            fam, code = generalized_long_code(args.s, Alphabet.plain(args.delta_size), args.budget)
+        hadamard = args.what == "hadamard"
+        nums = (args.p, args.dimv, args.dimd) if hadamard else (args.s, args.delta_size)
+        fam, code = _family(args.what, nums, args.budget)
         return {
             "code": code_to_json(code),
             "family": family_to_json(fam),
@@ -189,43 +205,25 @@ def _cmd_build(args) -> tuple[dict, int]:
             "code": code_to_json(code),
             "injective": injective,
         }, 0
-    if args.what == "encoder":
-        from .separability import compatibility_encoder
-
-        if args.linear:
-            if args.p is None or args.sigma_dim is None or args.delta_dim is None:
-                raise DomainError("linear encoder needs --p --sigma-dim --delta-dim")
-            enc = compatibility_encoder(
-                vector_alphabet(args.p, args.sigma_dim),
-                vector_alphabet(args.p, args.delta_dim),
-                True,
-                args.budget,
-            )
-        else:
-            if args.sigma_size is None or args.delta_size is None:
-                raise DomainError("encoder needs --sigma-size --delta-size")
-            enc = compatibility_encoder(
-                Alphabet.plain(args.sigma_size), Alphabet.plain(args.delta_size), False, args.budget
-            )
-        return {"encoder": encoder_to_json(enc)}, 0
-    raise DomainError(f"unknown build target {args.what}")
+    delta = _target(args)
+    if (args.sigma_dim if args.linear else args.sigma_size) is None:
+        raise DomainError("encoder needs --sigma-size, or --sigma-dim with --linear")
+    if args.linear:
+        sigma, delta = vector_alphabet(args.p, args.sigma_dim), Alphabet.vector(delta)
+    else:
+        sigma, delta = Alphabet.plain(args.sigma_size), Alphabet.plain(delta)
+    enc = compatibility_encoder(sigma, delta, args.linear, args.budget)
+    return {"encoder": encoder_to_json(enc)}, 0
 
 
 def _cmd_tester(args) -> tuple[dict, int]:
     if args.what == "dependence":
-        sources = [args.family is not None, args.hadamard is not None, args.longcode is not None]
-        if sum(sources) != 1:
-            raise DomainError("give exactly one of --family/--hadamard/--longcode")
-        if args.family:
+        if args.family is not None:
             fam = family_from_json(_load(args.family))
-        elif args.hadamard:
-            p, dimv, dimd = args.hadamard
-            fam, _ = generalized_hadamard(
-                VecSpace(Field(p), dimv), VecSpace(Field(p), dimd), args.budget
-            )
+        elif args.hadamard is not None:
+            fam, _ = _family("hadamard", args.hadamard, args.budget)
         else:
-            s, d = args.longcode
-            fam, _ = generalized_long_code(s, Alphabet.plain(d), args.budget)
+            fam, _ = _family("longcode", args.longcode, args.budget)
         tester = dependence_tester(fam, args.q, args.budget)
         return {
             "tester": tester_to_json(tester),
@@ -237,15 +235,13 @@ def _cmd_tester(args) -> tuple[dict, int]:
             "tester": tester_to_json(tester),
             "all_ones_index": tester.meta["all_ones_index"],
         }, 0
-    if args.what == "equality":
-        if args.size is not None:
-            alphabet = Alphabet.plain(args.size)
-        elif args.p is not None and args.dim is not None:
-            alphabet = vector_alphabet(args.p, args.dim)
-        else:
-            raise DomainError("equality tester needs --size or --p/--dim")
-        return {"tester": tester_to_json(equality_tester(alphabet, args.n))}, 0
-    raise DomainError(f"unknown tester {args.what}")
+    if args.size is not None:
+        alphabet = Alphabet.plain(args.size)
+    elif args.p is not None and args.dim is not None:
+        alphabet = vector_alphabet(args.p, args.dim)
+    else:
+        raise DomainError("equality tester needs --size or --p/--dim")
+    return {"tester": tester_to_json(equality_tester(alphabet, args.n))}, 0
 
 
 def _cmd_soundness(args) -> tuple[dict, int]:
@@ -284,15 +280,12 @@ def _cmd_concat(args) -> tuple[dict, int]:
 
 def _cmd_separate(args) -> tuple[dict, int]:
     tester = tester_from_json(_load(args.tester))
+    target = _target(args)
     if args.what == "check":
         if args.linear:
-            if args.p is None or args.delta_dim is None:
-                raise DomainError("linear check needs --p --delta-dim")
-            outcome = check_linearly_separable(tester, VecSpace(Field(args.p), args.delta_dim))
+            outcome = check_linearly_separable(tester, target)
         else:
-            if args.delta_size is None:
-                raise DomainError("check needs --delta-size")
-            outcome = check_separable(tester, args.delta_size)
+            outcome = check_separable(tester, target)
         if isinstance(outcome, SeparabilityFailure):
             return {
                 "separable": False,
@@ -303,72 +296,33 @@ def _cmd_separate(args) -> tuple[dict, int]:
                 },
             }, 1
         return {"separable": True, "certificate": certificate_to_json(outcome)}, 0
-    if args.what == "replace":
-        if args.linear:
-            if args.p is None or args.delta_dim is None:
-                raise DomainError("linear replace needs --p --delta-dim")
-            replaced = linear_separable_replacement(
-                tester, args.mu, VecSpace(Field(args.p), args.delta_dim)
-            )
-        else:
-            if args.delta_size is None:
-                raise DomainError("replace needs --delta-size")
-            replaced = separable_replacement(tester, args.mu, args.delta_size)
-        return {
-            "tester": tester_to_json(replaced),
-            "bound": frac_to_json(replaced.meta["bound"]),
-        }, 0
-    raise DomainError(f"unknown separate action {args.what}")
-
-
-def _demo_inputs(kind: str, budget: int):
-    if kind == "general":
-        code = repetition_code(Alphabet.plain(2), 2)
+    if args.linear:
+        replaced = linear_separable_replacement(tester, args.mu, target)
     else:
-        code = repetition_code(vector_alphabet(2, 1), 2)
-    tester = equality_tester(code.alphabet, 2)
-    mu = soundness_exact(tester, code, budget).value
-    return code, tester, mu
+        replaced = separable_replacement(tester, args.mu, target)
+    return {
+        "tester": tester_to_json(replaced),
+        "bound": frac_to_json(replaced.meta["bound"]),
+    }, 0
 
 
 def _cmd_pipeline(args) -> tuple[dict, int]:
-    kind = args.what
+    kind, defaults = args.what, DEMO_PARAMS[args.what]
+    given = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
     if args.demo:
-        code, tester, mu = _demo_inputs(kind, args.budget)
-        if kind == "linear":
-            c = args.c if args.c is not None else 2
-            dimd = args.dimd if args.dimd is not None else 2
-        if kind == "general":
-            c = args.c if args.c is not None else 3
-            d = args.d if args.d is not None else 3
+        code, tester, mu = demo_inputs(kind, args.budget)
+        params = {**defaults, **given}
     else:
         if args.code is None or args.tester is None or args.mu is None:
             raise DomainError("pipeline needs --demo or --code/--tester/--mu")
+        if len(given) < len(defaults):
+            raise DomainError(f"{kind} pipeline needs " + " and ".join(f"--{n}" for n in defaults))
         code = code_from_json(_load(args.code))
         tester = tester_from_json(_load(args.tester))
-        mu = args.mu
-        if kind == "linear":
-            if args.dimd is None or args.c is None:
-                raise DomainError("linear pipeline needs --dimd and --c")
-            c, dimd = args.c, args.dimd
-        if kind == "general":
-            if args.d is None or args.c is None:
-                raise DomainError("general pipeline needs --d and --c")
-            c, d = args.c, args.d
-    if kind == "linear":
-        p = code.alphabet.space.field.p
-        report = linear_reduction(
-            code, tester, mu, VecSpace(Field(p), dimd), c,
-            budget=args.budget, seed=args.seed, trials=args.trials,
-        )
-    elif kind == "general":
-        report = general_reduction(
-            code, tester, mu, d, c, budget=args.budget, seed=args.seed, trials=args.trials
-        )
-    else:
-        report = semilinear_reduction(
-            code, tester, mu, budget=args.budget, seed=args.seed, trials=args.trials
-        )
+        mu, params = args.mu, given
+    report = run_reduction(
+        kind, code, tester, mu, params, budget=args.budget, seed=args.seed, trials=args.trials
+    )
     return {"report": report_to_json(report)}, 0 if report.overall != "fail" else 1
 
 
@@ -409,14 +363,11 @@ def main(argv: list[str] | None = None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         payload, exit_code = handler(args)
-    except (CapacityError, DomainError, SchemaError, MismatchError) as exc:
+    except ForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"error: bad input ({exc})", file=sys.stderr)
-        return 2
-    except ForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = {"manifest": manifest, **payload}
     text = dumps(doc)

@@ -57,10 +57,6 @@ class Alphabet:
         return self.space.index(vec)
 
 
-def binary_alphabet() -> Alphabet:
-    return Alphabet.plain(2)
-
-
 def vector_alphabet(p: int, dim: int) -> Alphabet:
     return Alphabet.vector(VecSpace(Field(p), dim))
 
@@ -109,18 +105,11 @@ class Code:
         if space is None:
             raise DomainError("linear tag requires a vector-space alphabet")
         p = space.field.p
-        vecs = [self._flatten(w) for w in self.generator]
+        vecs = [space.flatten(w) for w in self.generator]
         spanned = {tuple(v) for v in span_vectors(vecs, self.n * space.dim, p)}
-        listed = {tuple(self._flatten(w)) for w in self.codewords}
+        listed = {space.flatten(w) for w in self.codewords}
         if spanned != listed:
             raise DomainError("generator span disagrees with codeword list")
-
-    def _flatten(self, word: Sequence[int]) -> tuple[int, ...]:
-        space = self.alphabet.space
-        out: list[int] = []
-        for sym in word:
-            out.extend(space.vector(sym))
-        return tuple(out)
 
     def contains(self, letters: Sequence[int]) -> bool:
         return tuple(letters) in self._member_set()
@@ -348,7 +337,7 @@ def is_linear_code(code: Code) -> tuple[bool, tuple[tuple[int, ...], ...] | None
     if space is None:
         raise DomainError("linearity is defined for vector-space alphabets only")
     p = space.field.p
-    flat = [code._flatten(w) for w in code.codewords]
+    flat = [space.flatten(w) for w in code.codewords]
     r = rank(flat, p)
     if p**r != len(code.codewords):
         return False, None

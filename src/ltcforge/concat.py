@@ -24,7 +24,6 @@ from .testers import (
     factors_through,
     pad_check,
     pushforward,
-    tuples_from_accept,
 )
 
 
@@ -102,9 +101,7 @@ def concatenate(code: Code, encoder: Encoder) -> Code:
         tuple(x for sym in w for x in blocks[sym]) for w in code.codewords
     )
     gen = None
-    if code.generator is not None and encoder.target.is_vector and _family_is_linear(
-        encoder.family, code.alphabet
-    ):
+    if code.generator is not None and _family_is_linear(encoder.family, code.alphabet):
         gen = tuple(tuple(x for sym in w for x in blocks[sym]) for w in code.generator)
     result = Code(encoder.target, code.n * k, words, gen)
     inner = encoder.image_code()
@@ -202,8 +199,7 @@ def concat_tester(
 
     The mixture weights are the soundness-optimizing closed form in the
     supplied lower bounds; the resulting certified soundness
-    mu_outer*mu_inner / ((q*k+1)*mu_outer + mu_inner) is stored in metadata
-    together with its post-alphabet-increase variant.
+    mu_outer*mu_inner / ((q*k+1)*mu_outer + mu_inner) is stored in metadata.
 
     Outer checks and witness entries are used as they are; routine 3 counts
     a check of arity below q as reading its first block again for each
@@ -248,11 +244,7 @@ def concat_tester(
                 )
     checks = [pad_check(ch, q_out, dsize) for ch in checks]
     bound = mu_outer * mu_inner / ((q * k + 1) * mu_outer + mu_inner)
-    meta = {
-        "bound": bound,
-        "bound_after_increase": bound / (bound + 1),
-    }
-    return Tester(encoder.target, n * k, q_out, tuple(checks), meta=meta)
+    return Tester(encoder.target, n * k, q_out, tuple(checks), meta={"bound": bound})
 
 
 def alphabet_increase_tester(
@@ -283,11 +275,8 @@ def alphabet_increase_tester(
     for pos in range(n):
         checks.append(Check((pos,), member, rho1 * Fraction(1, n)))
     for ch in tester.checks:
-        mapped = [
-            tuple(mapping[s] for s in tup)
-            for tup in tuples_from_accept(ch.accept, tester.alphabet.size, ch.arity)
-        ]
-        checks.append(Check(ch.queries, accept_from_tuples(mapped, target.size), rho2 * ch.weight))
+        accept = pushforward(ch, tester.alphabet.size, [mapping] * ch.arity, target.size)
+        checks.append(Check(ch.queries, accept, rho2 * ch.weight))
     checks = [pad_check(ch, tester.q, target.size) for ch in checks]
     return Tester(
         target, n, tester.q, tuple(checks), meta={"bound": mu / (mu + 1)}
@@ -298,18 +287,15 @@ def embed_word(letters, mapping: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(mapping[s] for s in letters)
 
 
-def embed_code(
-    code: Code,
-    mapping: tuple[int, ...],
-    target: Alphabet,
-    linear_embedding: bool = False,
-) -> Code:
+def embed_code(code: Code, mapping: tuple[int, ...], target: Alphabet) -> Code:
     """The same codewords over a larger alphabet via a symbol injection.
 
-    linear_embedding keeps the generator when the injection comes from a
-    linear inclusion of the symbol spaces (the caller asserts that)."""
+    The generator is kept when the injection is a linear map of the symbol
+    spaces, decided by the same test `concatenate` uses."""
     words = tuple(embed_word(w, mapping) for w in code.codewords)
     gen = None
-    if linear_embedding and code.generator is not None and target.is_vector:
+    if code.generator is not None and _family_is_linear(
+        FunctionFamily(code.alphabet.size, target, (tuple(mapping),)), code.alphabet
+    ):
         gen = tuple(embed_word(w, mapping) for w in code.generator)
     return Code(target, code.n, words, gen)

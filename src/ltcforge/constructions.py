@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DEFAULT_BUDGET, VecSpace, enumerate_linear_maps
+from .algebra import DEFAULT_BUDGET, VecSpace, decode_tuple, enumerate_linear_maps
 from .codes import Alphabet, Code, Word, distance
 from .errors import CapacityError, DomainError
-from .testers import Check, Tester, accept_from_tuples, full_accept
+from .testers import Check, Tester, accept_from_tuples, full_accept, uniform_checks
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,7 @@ def dependence_tester(
     if not deps:
         check = Check((0,) * q, full_accept(size, q), Fraction(1))
         return Tester(family.target, family.k, q, (check,), meta={"degenerate": True})
-    w = Fraction(1, len(deps))
-    checks = tuple(
-        Check(tup, accept_from_tuples(image, size), w) for tup, image in deps
-    )
+    checks = uniform_checks([(tup, accept_from_tuples(image, size)) for tup, image in deps])
     return Tester(family.target, family.k, q, checks)
 
 
@@ -141,9 +138,7 @@ def generalized_long_code(
     k = d**s_size
     if k > budget:
         raise CapacityError(k, budget, "function family enumeration")
-    tables = tuple(
-        tuple((m // d**s) % d for s in range(s_size)) for m in range(k)
-    )
+    tables = tuple(decode_tuple(m, d, s_size) for m in range(k))
     family = FunctionFamily(s_size, delta, tables)
     code, _ = code_from_family(family)
     if s_size >= 2:
@@ -178,8 +173,7 @@ def ring_constraint_tester(s_size: int) -> Tester:
         for j in range(n):
             entries.append(((i, j, i & j), mul_accept))
     entries.append(((mask,), accept_from_tuples([(1,)], 2)))
-    w = Fraction(1, len(entries))
-    checks = tuple(Check(qs, acc, w) for qs, acc in entries)
+    checks = uniform_checks(entries)
     return Tester(Alphabet.plain(2), n, 3, checks, meta={"all_ones_index": mask})
 
 
@@ -240,12 +234,6 @@ def majority_counterexample(s_size: int, budget: int = DEFAULT_BUDGET) -> Word:
         letters.append(1 if votes >= 2 else 0)
     word = tuple(letters)
     assert not code.contains(word)
-    full = 4
-    for i in range(family.k):
-        ti = family.tables[i]
-        for j in range(family.k):
-            tj = family.tables[j]
-            image = {(ti[s], tj[s]) for s in range(s_size)}
-            if len(image) < full:
-                assert (word[i], word[j]) in image
+    for (i, j), image in dependent_tuples(family, 2, budget):
+        assert (word[i], word[j]) in image
     return Word(Alphabet.plain(2), word)

@@ -15,8 +15,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import DEFAULT_BUDGET, VecSpace
-from .codes import Alphabet, Code, distance, is_linear_code, make_rate, rate
+from .algebra import DEFAULT_BUDGET, Field, VecSpace
+from .codes import Alphabet, Code, distance, is_linear_code, make_rate, rate, repetition_code
 from .concat import (
     CompatibilityWitness,
     Encoder,
@@ -48,12 +48,17 @@ from .testers import (
     SoundnessReport,
     Tester,
     classify_linear,
+    equality_tester,
     soundness_exact,
     soundness_sampled,
     validate,
 )
 
 REPORT_SCHEMA = "ltc-forge/report-v1"
+
+# The parameters each reduction takes after (code, tester, mu), at their
+# values on the desk instance of `demo_inputs`.
+DEMO_PARAMS = {"linear": {"dimd": 2, "c": 2}, "general": {"d": 3, "c": 3}, "semilinear": {}}
 
 
 class IncompleteReportError(ForgeError):
@@ -133,22 +138,22 @@ def _reduce(
     when target is None), then promised against achieved values.
 
     promise(nu) gives the reduction's closed forms; the closed-form
-    soundness is asserted equal to the bound composed from mu_prime and nu.
+    soundness is asserted equal to the bound the testers' constructions
+    composed from mu_prime and nu.
     """
     q, k = t_sep.q, encoder.k
     t_inner = dependence_tester(encoder.family, q_dep, budget)
     nu = soundness_exact(t_inner, inner_code, budget).value
     concat_code = concatenate(code, encoder)
     t_concat = concat_tester(t_sep, mu_prime, t_inner, nu, encoder, wit)
-    mu_mid = mu_prime * nu / ((q * k + 1) * mu_prime + nu)
     promised = {**promise(nu), "separable_bound": mu_prime}
-    final_code, t_final, bound = concat_code, t_concat, mu_mid
+    final_code, t_final = concat_code, t_concat
     if target is not None:
         mapping = tuple(range(encoder.target.size))
-        t_final = alphabet_increase_tester(t_concat, mu_mid, mapping, target)
-        final_code = embed_code(concat_code, mapping, target, linear_embedding=kind == "linear")
-        promised["soundness_before_increase"] = mu_mid
-        bound = mu_mid / (mu_mid + 1)
+        t_final = alphabet_increase_tester(t_concat, t_concat.meta["bound"], mapping, target)
+        final_code = embed_code(concat_code, mapping, target)
+        promised["soundness_before_increase"] = t_concat.meta["bound"]
+    bound = t_final.meta["bound"]
     assert promised["soundness"] == bound
     if final_code.alphabet.size**final_code.n <= budget:
         s_rep = soundness_exact(t_final, final_code, budget, bound=bound)
@@ -206,8 +211,6 @@ def linear_reduction(
         raise DomainError("linear reduction needs a vector-space alphabet")
     if delta_space.field != space.field:
         raise MismatchError("target space lies over a different field")
-    if mu <= 0:
-        raise DomainError("soundness lower bound must be positive")
     q = tester.q
     d = delta_space.dim
     if not 1 <= c <= d:
@@ -260,8 +263,6 @@ def general_reduction(
 ) -> PipelineReport:
     """Reduce any tester's alphabet to d symbols through the generalized
     long code over a c-symbol subset."""
-    if mu <= 0:
-        raise DomainError("soundness lower bound must be positive")
     q = tester.q
     if not 2 <= c <= d:
         raise DomainError("c must lie in 2..d; no valid c exists when q = 2 and d = 2")
@@ -311,8 +312,6 @@ def semilinear_reduction(
     space = code.alphabet.space
     if space is None or space.field.p != 2:
         raise DomainError("semilinear reduction needs a GF(2) vector alphabet")
-    if mu <= 0:
-        raise DomainError("soundness lower bound must be positive")
     if classify_linear(tester).kind == "nonlinear":
         raise DomainError("semilinear reduction needs a linear tester")
     q = tester.q
@@ -349,3 +348,25 @@ def semilinear_reduction(
         "semilinear", code, t_sep, mu / (q * space.dim), encoder, wit, inner_code, 2, promise,
         {"t": t_count, "mu": mu}, None, budget, seed, trials,
     )
+
+
+def demo_inputs(kind: str, budget: int = DEFAULT_BUDGET) -> tuple[Code, Tester, Fraction]:
+    """The desk instance of a reduction: the length-2 repetition code over
+    two letters (over GF(2) for the linear kinds), its equality tester and
+    that tester's exact soundness."""
+    alphabet = Alphabet.plain(2) if kind == "general" else Alphabet.vector(VecSpace(Field(2), 1))
+    code = repetition_code(alphabet, 2)
+    tester = equality_tester(alphabet, 2)
+    return code, tester, soundness_exact(tester, code, budget).value
+
+
+def run_reduction(kind: str, code: Code, tester: Tester, mu: Fraction, params: dict, **opts):
+    """The reduction `kind` with the parameters DEMO_PARAMS[kind] names;
+    opts are its budget, seed and trials."""
+    if kind == "linear":
+        space = code.alphabet.space  # None is refused by linear_reduction
+        delta = None if space is None else VecSpace(space.field, params["dimd"])
+        return linear_reduction(code, tester, mu, delta, params["c"], **opts)
+    if kind == "general":
+        return general_reduction(code, tester, mu, params["d"], params["c"], **opts)
+    return semilinear_reduction(code, tester, mu, **opts)

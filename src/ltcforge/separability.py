@@ -27,7 +27,7 @@ from .algebra import DEFAULT_BUDGET, VecSpace, kernel_complement_surjection, ran
 from .codes import Alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry, verify_witness
 from .constructions import generalized_hadamard, generalized_long_code
-from .errors import CapacityError, DomainError, MismatchError
+from .errors import DomainError, MismatchError
 from .testers import (
     Check,
     Tester,
@@ -63,6 +63,23 @@ class SeparabilityFailure:
     required: int  # classes found (set case) or codimension (linear case)
 
 
+def _certificate(
+    check: Check, size: int, coord_maps: list, delta_size: int, subspaces: tuple | None
+) -> CheckCertificate:
+    """Certificate of one check factoring through per-coordinate maps: the
+    partitions are the maps' fibers in order of their smallest symbol, the
+    accept set is the check's pushforward, asserted to factor it."""
+    partitions = []
+    for table in coord_maps:
+        fibers: dict[int, list[int]] = {}
+        for sym, image in enumerate(table):
+            fibers.setdefault(image, []).append(sym)
+        partitions.append(tuple(tuple(fiber) for fiber in fibers.values()))
+    accept = pushforward(check, size, coord_maps, delta_size)
+    assert factors_through(check, size, coord_maps, accept, delta_size)
+    return CheckCertificate(tuple(partitions), tuple(coord_maps), accept, subspaces)
+
+
 def check_separable(
     tester: Tester, delta_size: int
 ) -> SeparabilityCertificate | SeparabilityFailure:
@@ -74,7 +91,6 @@ def check_separable(
     size = tester.alphabet.size
     certs = []
     for ci, check in enumerate(tester.checks):
-        partitions = []
         coord_maps = []
         for coord in range(check.arity):
             classes = coordinate_classes(check.accept, size, check.arity, coord)
@@ -84,11 +100,8 @@ def check_separable(
             for idx, cls in enumerate(classes):
                 for sym in cls:
                     table[sym] = idx
-            partitions.append(tuple(tuple(cls) for cls in classes))
             coord_maps.append(tuple(table))
-        accept = pushforward(check, size, coord_maps, delta_size)
-        assert factors_through(check, size, coord_maps, accept, delta_size)
-        certs.append(CheckCertificate(tuple(partitions), tuple(coord_maps), accept))
+        certs.append(_certificate(check, size, coord_maps, delta_size, None))
     return SeparabilityCertificate(delta_size, False, tuple(certs))
 
 
@@ -105,11 +118,9 @@ def check_linearly_separable(
         raise DomainError("linear separability is defined for linear testers")
     p = space.field.p
     size = tester.alphabet.size
-    delta_size = delta_space.size
     certs = []
     for ci, check in enumerate(tester.checks):
         coord_maps = []
-        partitions = []
         subspaces = []
         for coord in range(check.arity):
             kernel_syms = [
@@ -125,25 +136,12 @@ def check_linearly_separable(
                 return SeparabilityFailure(ci, coord, codim)
             basis, _ = row_reduce(vecs, p)
             quotient = kernel_complement_surjection(space, basis, delta_space)
-            table = tuple(
-                delta_space.index(quotient.apply(space.vector(a))) for a in range(size)
+            coord_maps.append(
+                tuple(delta_space.index(quotient.apply(space.vector(a))) for a in range(size))
             )
-            groups: dict[int, list[int]] = {}
-            order = []
-            for a in range(size):
-                if table[a] not in groups:
-                    groups[table[a]] = []
-                    order.append(table[a])
-                groups[table[a]].append(a)
-            coord_maps.append(table)
-            partitions.append(tuple(tuple(groups[v]) for v in order))
             subspaces.append(tuple(basis))
-        accept = pushforward(check, size, coord_maps, delta_size)
-        assert factors_through(check, size, coord_maps, accept, delta_size)
-        certs.append(
-            CheckCertificate(tuple(partitions), tuple(coord_maps), accept, tuple(subspaces))
-        )
-    return SeparabilityCertificate(delta_size, True, tuple(certs))
+        certs.append(_certificate(check, size, coord_maps, delta_space.size, tuple(subspaces)))
+    return SeparabilityCertificate(delta_space.size, True, tuple(certs))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +223,7 @@ def linear_separable_replacement(
             rows = surj.matrix[j * delta_space.dim : (j + 1) * delta_space.dim]
             accept = 0
             for tup in itertools.product(range(size), repeat=q):
-                flat = [x for sym in tup for x in space.vector(sym)]
+                flat = space.flatten(tup)
                 if all(sum(r * v for r, v in zip(row, flat)) % p == 0 for row in rows):
                     accept |= 1 << encode_tuple(tup, size)
             checks.append(Check(ch.queries, accept, ch.weight / m))
@@ -256,9 +254,6 @@ def compatibility_encoder(
             raise MismatchError("alphabets lie over different fields")
         family, _ = generalized_hadamard(sigma.space, delta.space, budget)
     else:
-        k = delta.size**sigma.size
-        if k > budget:
-            raise CapacityError(k, budget, "function enumeration")
         family, _ = generalized_long_code(sigma.size, delta, budget)
     return Encoder(family)
 
@@ -290,7 +285,8 @@ def extend_compatibility(
     every source coordinate (same value tables, symbols embedded by index).
 
     The predicate is extended by accepting on tuples mentioning new symbols,
-    so the extension never rejects anything the source could not see.
+    so the extension never rejects anything the source could not see: it is
+    the complement of the pushforward of the rejected tuples.
     """
     if target.target.size < source.target.size:
         raise MismatchError("target encoder alphabet does not contain the source's")
@@ -306,12 +302,9 @@ def extend_compatibility(
     d_new = target.target.size
     entries = []
     for entry in witness.entries:
-        positions = tuple(remap[b] for b in entry.positions)
         arity = len(entry.positions)
-        accept = full_accept(d_new, arity)
-        for idx in range(d_old**arity):
-            if not (entry.accept >> idx) & 1:
-                key = tuple((idx // d_old**l) % d_old for l in range(arity))
-                accept &= ~(1 << encode_tuple(key, d_new))
-        entries.append(WitnessEntry(positions, accept))
+        rejected = Check(entry.positions, full_accept(d_old, arity) & ~entry.accept, Fraction(1))
+        pushed = pushforward(rejected, d_old, [range(d_old)] * arity, d_new)
+        accept = full_accept(d_new, arity) & ~pushed
+        entries.append(WitnessEntry(tuple(remap[b] for b in entry.positions), accept))
     return CompatibilityWitness(tuple(entries))

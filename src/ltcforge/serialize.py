@@ -5,13 +5,15 @@ form; nothing is ever converted through floating point.  Every document
 has a versioned "schema" field.  Dumping is canonical (sorted keys, fixed
 indentation), so identical artifacts serialize to identical bytes.
 
-Query positions are 0-based here and throughout the package.
+Query positions are 0-based here and throughout the package.  Readers
+raise SchemaError for a non-integer where an integer belongs.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import index
 from typing import Any
 
 from .algebra import Field, VecSpace
@@ -96,10 +98,13 @@ def alphabet_to_json(a: Alphabet) -> dict:
 def alphabet_from_json(d: Any) -> Alphabet:
     if not isinstance(d, dict) or "kind" not in d:
         raise SchemaError(f"not an alphabet: {d!r}")
-    if d["kind"] == "plain":
-        return Alphabet.plain(d["size"])
-    if d["kind"] == "vector":
-        return Alphabet.vector(VecSpace(Field(d["p"]), d["dim"]))
+    try:
+        if d["kind"] == "plain":
+            return Alphabet.plain(index(d["size"]))
+        if d["kind"] == "vector":
+            return Alphabet.vector(VecSpace(Field(index(d["p"])), index(d["dim"])))
+    except TypeError as exc:
+        raise SchemaError(f"malformed alphabet ({exc})") from None
     raise SchemaError(f"unknown alphabet kind {d['kind']!r}")
 
 
@@ -117,15 +122,16 @@ def code_to_json(c: Code) -> dict:
 
 def code_from_json(doc: Any) -> Code:
     _expect(doc, "code")
-    gen = None
-    if "linear" in doc:
-        gen = tuple(tuple(r) for r in doc["linear"]["gen"])
-    return Code(
-        alphabet_from_json(doc["alphabet"]),
-        doc["n"],
-        tuple(tuple(w) for w in doc["codewords"]),
-        gen,
-    )
+    alphabet = alphabet_from_json(doc["alphabet"])
+    try:
+        gen = None
+        if "linear" in doc:
+            gen = tuple(tuple(map(index, r)) for r in doc["linear"]["gen"])
+        words = tuple(tuple(map(index, w)) for w in doc["codewords"])
+        n = index(doc["n"])
+    except TypeError as exc:
+        raise SchemaError(f"malformed code ({exc})") from None
+    return Code(alphabet, n, words, gen)
 
 
 def word_to_json(w: Word) -> dict:
@@ -157,15 +163,19 @@ def tester_to_json(t: Tester) -> dict:
 def tester_from_json(doc: Any) -> Tester:
     _expect(doc, "tester")
     alphabet = alphabet_from_json(doc["alphabet"])
-    checks = tuple(
-        Check(
-            tuple(c["queries"]),
-            accept_from_json(c["accept"], alphabet.size, len(c["queries"])),
-            frac_from_json(c["weight"]),
+    try:
+        n, q = index(doc["n"]), index(doc["q"])
+        checks = tuple(
+            Check(
+                tuple(map(index, c["queries"])),
+                accept_from_json(c["accept"], alphabet.size, len(c["queries"])),
+                frac_from_json(c["weight"]),
+            )
+            for c in doc["checks"]
         )
-        for c in doc["checks"]
-    )
-    return Tester(alphabet, doc["n"], doc["q"], checks)
+    except TypeError as exc:
+        raise SchemaError(f"malformed tester ({exc})") from None
+    return Tester(alphabet, n, q, checks)
 
 
 def family_to_json(f: FunctionFamily) -> dict:
@@ -179,11 +189,13 @@ def family_to_json(f: FunctionFamily) -> dict:
 
 def family_from_json(doc: Any) -> FunctionFamily:
     _expect(doc, "family")
-    return FunctionFamily(
-        doc["domain_size"],
-        alphabet_from_json(doc["target"]),
-        tuple(tuple(t) for t in doc["tables"]),
-    )
+    target = alphabet_from_json(doc["target"])
+    try:
+        domain_size = index(doc["domain_size"])
+        tables = tuple(tuple(map(index, t)) for t in doc["tables"])
+    except TypeError as exc:
+        raise SchemaError(f"malformed family ({exc})") from None
+    return FunctionFamily(domain_size, target, tables)
 
 
 def encoder_to_json(e: Encoder) -> dict:

@@ -3,7 +3,7 @@
 A tester is a weighted list of checks; a check reads a tuple of positions
 and accepts when the observed symbol tuple lies in its accept set.  Accept
 sets are stored as int bitsets over alphabet^arity, with the tuple
-(t_0, ..., t_{q-1}) encoded as sum t_l * size**l.
+(t_0, ..., t_{q-1}) at bit encode_tuple(t, size) = sum t_l * size**l.
 
 Exact soundness enumerates every word.  The scan runs vectorized over
 chunks of the word space with integerized weights: reject numerators are
@@ -27,22 +27,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_BUDGET, rank, row_reduce, solve_functional
+from .algebra import DEFAULT_BUDGET, decode_tuple, encode_tuple, rank, row_reduce, solve_functional
 from .codes import Alphabet, Code, Word
 from .errors import CapacityError, DomainError, MismatchError
 
 ACCEPT_BITS_LIMIT = 1 << 24  # alphabet^arity per check
-
-
-def encode_tuple(symbols: Sequence[int], size: int) -> int:
-    idx = 0
-    for s in reversed(symbols):
-        idx = idx * size + s
-    return idx
-
-
-def decode_tuple(idx: int, size: int, arity: int) -> tuple[int, ...]:
-    return tuple((idx // size**l) % size for l in range(arity))
 
 
 def accept_from_tuples(tuples: Iterable[Sequence[int]], size: int) -> int:
@@ -90,16 +79,19 @@ class Tester:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        size = self.alphabet.size
+        size, n, q = self.alphabet.size, self.n, self.q
         for ch in self.checks:
-            if ch.arity == 0 or ch.arity > self.q:
+            queries = ch.queries
+            arity = len(queries)
+            if not 0 < arity <= q:
                 raise DomainError("check arity must be between 1 and q")
-            if any(not 0 <= pos < self.n for pos in ch.queries):
+            if min(queries) < 0 or max(queries) >= n:
                 raise DomainError("query position out of range")
             if ch.weight <= 0:
                 raise DomainError("check weights must be positive")
-            if size**ch.arity > ACCEPT_BITS_LIMIT:
-                raise CapacityError(size**ch.arity, ACCEPT_BITS_LIMIT, "accept bitset")
+            table = size**arity
+            if table > ACCEPT_BITS_LIMIT:
+                raise CapacityError(table, ACCEPT_BITS_LIMIT, "accept bitset")
 
 
 def pad_check(check: Check, q: int, size: int) -> Check:
@@ -125,10 +117,8 @@ def pushforward(check: Check, size: int, coord_maps, delta_size: int) -> int:
     from properly encoded letters, so composed testers still accept every
     codeword."""
     accept = 0
-    for tup in itertools.product(range(size), repeat=check.arity):
-        if check.accepts(tup, size):
-            key = tuple(cm[sym] for cm, sym in zip(coord_maps, tup))
-            accept |= 1 << encode_tuple(key, delta_size)
+    for tup in tuples_from_accept(check.accept, size, check.arity):
+        accept |= 1 << encode_tuple([cm[sym] for cm, sym in zip(coord_maps, tup)], delta_size)
     return accept
 
 
@@ -142,9 +132,10 @@ def factors_through(check: Check, size: int, coord_maps, accept: int, delta_size
     return True
 
 
-def uniform_checks(entries: Sequence[tuple[tuple[int, ...], int]]) -> list[Check]:
+def uniform_checks(entries: Sequence[tuple[tuple[int, ...], int]]) -> tuple[Check, ...]:
+    """Checks of equal weight from (queries, accept) pairs."""
     w = Fraction(1, len(entries))
-    return [Check(q, acc, w) for q, acc in entries]
+    return tuple(Check(q, acc, w) for q, acc in entries)
 
 
 def equality_tester(alphabet: Alphabet, n: int) -> Tester:
@@ -154,7 +145,7 @@ def equality_tester(alphabet: Alphabet, n: int) -> Tester:
     size = alphabet.size
     diag = accept_from_tuples([(a, a) for a in range(size)], size)
     checks = uniform_checks([((i, i + 1), diag) for i in range(n - 1)])
-    return Tester(alphabet, n, 2, tuple(checks))
+    return Tester(alphabet, n, 2, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +267,6 @@ def _tournament(rej, mism, start, best):
         best = (int(rej[i]), int(mism[i]), start + i)
 
 
-def _word_from_index(idx: int, size: int, n: int) -> tuple[int, ...]:
-    return tuple((idx // size ** (n - 1 - j)) % size for j in range(n))
-
-
 def soundness_exact(
     tester: Tester,
     code: Code,
@@ -311,7 +298,7 @@ def soundness_exact(
         best = _tournament(rej, mism, start, best)
     rn, mm, widx = best
     value = Fraction(rn * n, den * mm)
-    witness = Word(tester.alphabet, _word_from_index(widx, size, n))
+    witness = Word(tester.alphabet, decode_tuple(widx, size, n)[::-1])
     verdict = None if bound is None else ("pass" if value >= bound else "fail")
     return SoundnessReport("exact", value, False, witness, bound, verdict)
 
@@ -521,9 +508,7 @@ def classify_linear(tester: Tester) -> LinearClassification:
     elementary = True
     for ch in tester.checks:
         members = tuples_from_accept(ch.accept, size, ch.arity)
-        flat = [
-            tuple(x for sym in tup for x in space.vector(sym)) for tup in members
-        ]
+        flat = [space.flatten(tup) for tup in members]
         dim = ch.arity * space.dim
         r = rank(flat, p)
         if p**r != len(flat):

@@ -14,7 +14,6 @@ from ltcforge.algebra import (
     enumerate_linear_maps,
     enumerate_vectors,
     in_span,
-    invert_matrix,
     kernel_complement_surjection,
     rank,
     row_reduce,
@@ -195,12 +194,3 @@ def test_solve_functional_vanishes_on_span():
     for v in span_vectors(rows, 3, 2):
         assert sum(a * b for a, b in zip(phi, v)) % 2 == 0
 
-
-def test_invert_matrix_gf3():
-    m = [[1, 2], [0, 1]]
-    inv = invert_matrix(m, 3)
-    prod = [
-        [sum(m[i][k] * inv[k][j] for k in range(2)) % 3 for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod == [[1, 0], [0, 1]]

@@ -1,10 +1,13 @@
 """CLI surface: JSON outputs, exit codes, replay determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
 
-from ltcforge.cli import main
+import pytest
+
+from ltcforge.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +121,18 @@ def test_pipeline_semilinear_demo(capsys):
     assert report["overall"] == "conditional"
 
 
+def test_linear_pipeline_plain_code_exit_2(tmp_path, capsys):
+    _, doc = run_cli(capsys, "build", "longcode", "--s", "2", "--delta-size", "2")
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps(doc["code"]))
+    _, doc = run_cli(capsys, "tester", "equality", "--n", "4", "--size", "2")
+    tester_path = tmp_path / "t.json"
+    tester_path.write_text(json.dumps(doc["tester"]))
+    argv = ["pipeline", "linear", "--code", str(code_path), "--tester", str(tester_path)]
+    assert main(argv + ["--mu", "1", "--dimd", "2", "--c", "2"]) == 2
+    assert "vector-space alphabet" in capsys.readouterr().err
+
+
 def test_verify_subset_and_exit(capsys):
     code, doc = run_cli(capsys, "verify", "all", "--only", "1,4")
     assert code == 0
@@ -151,23 +166,25 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
-def _malformed_tester_exit(tmp_path, capsys, corrupt):
+def _malformed_tester_exit(tmp_path, capsys, corrupt, corrupt_code=None):
+    """Exit code of `soundness exact` on the equality tester and the
+    repetition code after corrupt(tester) and corrupt_code(code) edit the
+    two documents; asserts the error is reported without a traceback."""
     _, doc = run_cli(capsys, "tester", "equality", "--n", "2", "--size", "2")
     tester = doc["tester"]
-    corrupt(tester["checks"][0])
+    corrupt(tester)
     tester_path = tmp_path / "t.json"
     tester_path.write_text(json.dumps(tester))
+    code = {
+        "schema": "ltc-forge/code-v1",
+        "alphabet": {"kind": "plain", "size": 2},
+        "n": 2,
+        "codewords": [[0, 0], [1, 1]],
+    }
+    if corrupt_code is not None:
+        corrupt_code(code)
     code_path = tmp_path / "c.json"
-    code_path.write_text(
-        json.dumps(
-            {
-                "schema": "ltc-forge/code-v1",
-                "alphabet": {"kind": "plain", "size": 2},
-                "n": 2,
-                "codewords": [[0, 0], [1, 1]],
-            }
-        )
-    )
+    code_path.write_text(json.dumps(code))
     code = main(["soundness", "exact", "--tester", str(tester_path), "--code", str(code_path)])
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -176,22 +193,110 @@ def _malformed_tester_exit(tmp_path, capsys, corrupt):
 
 
 def test_zero_weight_denominator_exit_2(tmp_path, capsys):
-    def corrupt(check):
-        check["weight"]["den"] = 0
+    def corrupt(tester):
+        tester["checks"][0]["weight"]["den"] = 0
 
     assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
 
 
 def test_negative_accept_symbol_exit_2(tmp_path, capsys):
-    def corrupt(check):
-        check["accept"][0] = [-1, 0]
+    def corrupt(tester):
+        tester["checks"][0]["accept"][0] = [-1, 0]
 
     assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
 
 
 def test_accept_symbol_outside_alphabet_exit_2(tmp_path, capsys):
     # (2, 0) would encode to the index of (0, 1) and pass unnoticed
-    def corrupt(check):
-        check["accept"][0] = [2, 0]
+    def corrupt(tester):
+        tester["checks"][0]["accept"][0] = [2, 0]
 
     assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
+
+
+def _set(path, value):
+    """A corruption that sets doc[path[0]]...[path[-1]] to value."""
+
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_set(["n"], "2"), _set(["q"], 2.5), _set(["checks", 0, "queries"], ["a", 1])],
+    ids=["n-string", "q-float", "query-string"],
+)
+def test_non_integer_tester_field_exit_2(tmp_path, capsys, corrupt):
+    assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
+
+
+@pytest.mark.parametrize(
+    "corrupt_code",
+    [_set(["alphabet", "size"], "2"), _set(["codewords", 0, 0], "x")],
+    ids=["size-string", "letter-string"],
+)
+def test_non_integer_code_field_exit_2(tmp_path, capsys, corrupt_code):
+    assert _malformed_tester_exit(tmp_path, capsys, lambda tester: None, corrupt_code) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-5"), ("--seed", str(2**64)), ("--budget", "0"), ("--budget", str(2**63))],
+)
+def test_seed_and_budget_out_of_range_exit_2(capsys, flag, value):
+    assert main(["tester", "ring", "--s", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_seed_and_budget_range_ends_accepted(capsys):
+    code, doc = run_cli(
+        capsys, "tester", "ring", "--s", "2", "--seed", str(2**64 - 1), "--budget", str(2**63 - 1)
+    )
+    assert code == 0
+    assert (doc["manifest"]["seed"], doc["manifest"]["budget"]) == (2**64 - 1, 2**63 - 1)
+
+
+def _option_surface(parser, path=()):
+    """Sorted (subcommand path, option strings) pairs of a parser tree."""
+    pairs = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                pairs += _option_surface(child, path + (name,))
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            pairs.append((" ".join(path), " ".join(action.option_strings)))
+    return sorted(pairs)
+
+
+# Every flag of every subcommand; a change that adds, renames or drops a
+# flag updates this table in the same change.
+OPTION_SURFACE = {
+    "build critical": "--budget --out --s --seed",
+    "build encoder": "--budget --delta-dim --delta-size --linear --out --p --seed --sigma-dim --sigma-size",
+    "build hadamard": "--budget --dimd --dimv --out --p --seed",
+    "build longcode": "--budget --delta-size --out --s --seed",
+    "concat": "--budget --code --encoder --inner-tester --mu --nu --out --outer-tester --seed",
+    "pipeline general": "--budget --c --code --d --demo --mu --out --seed --tester --trials",
+    "pipeline linear": "--budget --c --code --demo --dimd --mu --out --seed --tester --trials",
+    "pipeline semilinear": "--budget --code --demo --mu --out --seed --tester --trials",
+    "separate check": "--budget --delta-dim --delta-size --linear --out --p --seed --tester",
+    "separate replace": "--budget --delta-dim --delta-size --linear --mu --out --p --seed --tester",
+    "soundness exact": "--bound --budget --code --out --seed --tester",
+    "soundness sample": "--bound --budget --code --out --seed --tester --trials",
+    "tester dependence": "--budget --family --hadamard --longcode --out --q --seed",
+    "tester equality": "--budget --dim --n --out --p --seed --size",
+    "tester ring": "--budget --out --s --seed",
+    "verify all": "--budget --only --out --seed",
+}
+
+
+def test_cli_option_surface():
+    surface = {}
+    for path, option in _option_surface(build_parser()):
+        surface.setdefault(path, []).append(option)
+    assert {path: " ".join(opts) for path, opts in surface.items()} == OPTION_SURFACE

@@ -200,10 +200,17 @@ def test_embedding_scales_rate_by_dimension_ratio():
     from ltcforge.codes import make_rate
 
     code = repetition_code(vector_alphabet(2, 1), 2)
-    widened = embed_code(code, (0, 1), vector_alphabet(2, 2), linear_embedding=True)
+    widened = embed_code(code, (0, 1), vector_alphabet(2, 2))
     assert rate(code) == make_rate(Fraction(1, 2))
     assert rate(widened) == make_rate(Fraction(1, 4))  # multiplied by c/d = 1/2
-    assert widened.generator is not None
+    assert widened.generator is not None  # the inclusion F2 -> F2^2 is linear
+
+
+def test_embedding_drops_generator_of_nonlinear_injection():
+    code = repetition_code(vector_alphabet(2, 1), 2)
+    swapped = embed_code(code, (1, 0), vector_alphabet(2, 2))  # 0 -> (1, 0) is not linear
+    assert swapped.generator is None
+    assert swapped.codewords == ((1, 1), (0, 0))
 
 
 def test_linearity_preserved_through_composition():
