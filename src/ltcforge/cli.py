@@ -75,6 +75,14 @@ def _int_in(low: int, high: int):
     return parse
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type: a rational such as 3/4 or 0.5, with a nonzero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # --budget bounds the int64 word indices of exhaustive scans
@@ -129,22 +137,22 @@ def build_parser() -> argparse.ArgumentParser:
         s_cmd.add_argument("--code", type=str, required=True)
         if what == "sample":
             s_cmd.add_argument("--trials", type=int, required=True)
-        s_cmd.add_argument("--bound", type=Fraction, default=None)
+        s_cmd.add_argument("--bound", type=_rational, default=None)
 
     conc = sub.add_parser("concat", parents=[common])
     conc.add_argument("--code", type=str, required=True)
     conc.add_argument("--encoder", type=str, required=True)
     conc.add_argument("--outer-tester", type=str)
-    conc.add_argument("--mu", type=Fraction)
+    conc.add_argument("--mu", type=_rational)
     conc.add_argument("--inner-tester", type=str)
-    conc.add_argument("--nu", type=Fraction)
+    conc.add_argument("--nu", type=_rational)
 
     sep = sub.add_parser("separate").add_subparsers(dest="what", required=True)
     sp_ck = sep.add_parser("check", parents=[common, target])
     sp_ck.add_argument("--tester", type=str, required=True)
     sp_rp = sep.add_parser("replace", parents=[common, target])
     sp_rp.add_argument("--tester", type=str, required=True)
-    sp_rp.add_argument("--mu", type=Fraction, required=True)
+    sp_rp.add_argument("--mu", type=_rational, required=True)
 
     pipe = sub.add_parser("pipeline").add_subparsers(dest="what", required=True)
     for kind, params in DEMO_PARAMS.items():
@@ -152,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--demo", action="store_true")
         pp.add_argument("--code", type=str)
         pp.add_argument("--tester", type=str)
-        pp.add_argument("--mu", type=Fraction)
+        pp.add_argument("--mu", type=_rational)
         pp.add_argument("--trials", type=int, default=10**5)
         for name in params:
             pp.add_argument(f"--{name}", type=int)

@@ -198,6 +198,8 @@ def linear_separable_replacement(
     """
     if mu <= 0:
         raise DomainError("soundness lower bound must be positive")
+    if delta_space.dim < 1:
+        raise DomainError("target dimension must be at least 1")
     space = tester.alphabet.space
     if space is None:
         raise DomainError("needs a vector-space alphabet")

@@ -5,12 +5,23 @@ and accepts when the observed symbol tuple lies in its accept set.  Accept
 sets are stored as int bitsets over alphabet^arity, with the tuple
 (t_0, ..., t_{q-1}) at bit encode_tuple(t, size) = sum t_l * size**l.
 
-Exact soundness enumerates every word.  The scan runs vectorized over
-chunks of the word space with integerized weights: reject numerators are
+Both soundness engines run on the tester compiled once: one weighted
+reject lookup table per query support (the sorted distinct positions a
+check reads), summing the integerized weights of the checks on that
+support that reject; always-accept checks vanish.  Reject numerators are
 int64 when no score can reach 2**62 and Python ints in object arrays
 otherwise, through the same kernels, so results are exact rationals either
-way.  Words are scanned in lexicographic order, which makes the
-"lexicographically smallest witness" tie-break a first-hit rule.
+way.
+
+Exact soundness enumerates every word in chunks of |alphabet|^k words that
+share their first n - k letters (the prefix) and run the last k over one
+digit grid.  What depends on the grid alone is computed once: the
+numerators of the supports inside it and each codeword's mismatches on it.
+A chunk then costs one gather per support part that reads the prefix and
+one scalar add per codeword.  Chunks run in lexicographic order of their
+prefix and each in grid order, so word indices only increase and only a
+strictly smaller ratio replaces the current minimizer: the
+"lexicographically smallest witness" tie-break stays a first-hit rule.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -20,6 +31,7 @@ the trial count never perturbs earlier draws.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -199,50 +211,53 @@ class SoundnessReport:
 
 
 def _compiled_checks(tester: Tester):
-    """Per check: queries, place values and the reject LUT pre-multiplied by
-    the check's integerized weight; plus the common denominator and the
-    array dtype.  Scores are rej * mism products bounded by
-    sum(numerators) * n, so int64 holds them below 2**62 and Python ints
-    in object arrays take over above."""
+    """(support, LUT) per distinct query support, the common denominator and
+    the array dtype.  LUT entry sum_m s_m * size**m sums the integerized
+    weights of the checks on the support that reject letters s_m at
+    support[m].  Scores are rej * mism products bounded by sum(numerators)
+    * n, so int64 holds them below 2**62 and object arrays take over above."""
     size = tester.alphabet.size
     dens = [ch.weight.denominator for ch in tester.checks]
     den = lcm(*dens) if dens else 1
-    wnums = [ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks]
-    dtype = np.int64 if sum(wnums) * tester.n < (1 << 62) else object
-    compiled = []
-    for ch, wnum in zip(tester.checks, wnums):
-        table = size**ch.arity
-        nbytes = (table + 7) // 8
-        lut = np.unpackbits(
-            np.frombuffer(ch.accept.to_bytes(nbytes, "little"), dtype=np.uint8),
-            bitorder="little",
-        )[:table]
-        powers = [size**l for l in range(ch.arity)]
-        compiled.append((ch.queries, powers, (1 - lut).astype(dtype) * wnum))
-    return compiled, den, dtype
+    weights: dict[tuple[tuple[int, ...], int], int] = {}
+    for ch in tester.checks:
+        key = (ch.queries, ch.accept)
+        weights[key] = weights.get(key, 0) + ch.weight.numerator * (den // ch.weight.denominator)
+    dtype = np.int64 if sum(weights.values()) * tester.n < (1 << 62) else object
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    for (queries, accept), wnum in weights.items():
+        support = tuple(sorted(set(queries)))
+        cells = np.arange(size ** len(support))
+        at = [cells // size**m % size for m in range(len(support))]  # letter at support[m]
+        index = sum(at[support.index(pos)] * size**l for l, pos in enumerate(queries))
+        nbytes = (size ** len(queries) + 7) // 8
+        bits = np.frombuffer(accept.to_bytes(nbytes, "little"), dtype=np.uint8)
+        reject = 1 - np.unpackbits(bits, bitorder="little")[index]
+        if reject.any():
+            reject = reject.astype(dtype) * wnum
+            tables[support] = tables[support] + reject if support in tables else reject
+    return list(tables.items()), den, dtype
 
 
-def _chunk_digits(size: int, n: int, start: int, count: int) -> list[np.ndarray]:
-    """Letters of words start..start+count-1 in lexicographic (big-endian) order."""
-    idx = np.arange(start, start + count, dtype=np.int64)
-    return [(idx // size ** (n - 1 - j)) % size for j in range(n)]
+def _lut_index(positions, digits, size: int) -> np.ndarray:
+    idx = digits[positions[0]]
+    for m, pos in enumerate(positions[1:], 1):
+        idx = idx + digits[pos] * size**m
+    return idx
 
 
-def _reject_numerators(compiled, digits, dtype) -> np.ndarray:
-    rej = np.zeros(len(digits[0]), dtype=dtype)
-    for queries, powers, wlut in compiled:
-        tup = digits[queries[0]] * powers[0]
-        for pos, pw in zip(queries[1:], powers[1:]):
-            tup = tup + digits[pos] * pw
-        rej += wlut[tup]
+def _reject_numerators(compiled, digits, size: int, dtype) -> np.ndarray:
+    rej = np.zeros(len(digits[-1]), dtype=dtype)
+    for support, lut in compiled:
+        rej += lut[_lut_index(support, digits, size)]
     return rej
 
 
 def _mismatch_counts(codewords, digits) -> np.ndarray:
-    count = len(digits[0])
-    best = np.full(count, len(digits), dtype=np.int64)
+    count, dtype = len(digits[0]), np.min_scalar_type(len(digits))
+    best = np.full(count, len(digits), dtype=dtype)
     for cw in codewords:
-        mm = np.zeros(count, dtype=np.int64)
+        mm = np.zeros(count, dtype=dtype)
         for j, sym in enumerate(cw):
             mm += digits[j] != sym
         np.minimum(best, mm, out=best)
@@ -267,6 +282,22 @@ def _tournament(rej, mism, start, best):
         best = (int(rej[i]), int(mism[i]), start + i)
 
 
+CHUNK = 1 << 18  # words per exact-scan chunk, unless one letter already exceeds it
+
+
+def _grid_width(size: int, n: int, supports, codewords) -> int:
+    """The largest k >= 1 with size**k <= CHUNK whose rows kept across
+    chunks (base numerators, one gather index per grid part of a support
+    reading the prefix, one mismatch row per codeword; each counted at 8
+    bytes) fit in n int64 rows of CHUNK words."""
+    for k in range(n, 1, -1):
+        head = n - k
+        parts = {s[bisect_left(s, head) :] for s in supports if s[0] < head}
+        if size**k <= CHUNK and size**k * (1 + len(parts) + len(codewords)) <= CHUNK * n:
+            return k
+    return 1
+
+
 def soundness_exact(
     tester: Tester,
     code: Code,
@@ -289,13 +320,42 @@ def soundness_exact(
         return SoundnessReport("exact", None, True, None, bound, verdict)
 
     compiled, den, dtype = _compiled_checks(tester)
+    supports = [s for s, _ in compiled]
+    head = n - _grid_width(size, n, supports, code.codewords)
+    width = size ** (n - head)
+    # Letters at positions head..n-1, in the smallest dtype holding every LUT index.
+    index_dtype = np.min_scalar_type(size ** max(map(len, supports), default=0) - 1)
+    grid = list(np.indices((size,) * (n - head), dtype=index_dtype).reshape(n - head, -1))
+    digits = [None] * head + grid
+    base = _reject_numerators([e for e in compiled if e[0][0] >= head], digits, size, dtype)
+    # A support reading the prefix splits its LUT index as (prefix part) +
+    # size**cut * (grid part): reshaped with the grid part as rows, a chunk
+    # picks one column per support and gathers once per distinct grid part
+    # (row 0 when the support lies wholly in the prefix).
+    parts: dict[tuple[int, ...], list] = {}
+    for support, lut in compiled:
+        cut = bisect_left(support, head)
+        if cut:
+            parts.setdefault(support[cut:], []).append((support[:cut], lut.reshape(-1, size**cut)))
+    gathers = [
+        (_lut_index(part, digits, size).astype(np.intp) if part else 0, cols)
+        for part, cols in parts.items()
+    ]
+    grid_mism = [(_mismatch_counts([cw[head:]], grid), cw[:head]) for cw in code.codewords]
+    del digits, grid
+
     best = None
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        digits = _chunk_digits(size, n, start, min(chunk, total - start))
-        rej = _reject_numerators(compiled, digits, dtype)
-        mism = _mismatch_counts(code.codewords, digits)
-        best = _tournament(rej, mism, start, best)
+    for c in range(size**head):  # chunks in lexicographic order of their prefix
+        prefix = decode_tuple(c, size, head)[::-1]
+        rej = base.copy()
+        for rows, cols in gathers:
+            col = sum(t[:, encode_tuple([prefix[pos] for pos in cut], size)] for cut, t in cols)
+            rej += col.take(rows)
+        mism = None
+        for row, pre in grid_mism:
+            near = row + sum(a != b for a, b in zip(prefix, pre))
+            mism = near if mism is None else np.minimum(mism, near, out=mism)
+        best = _tournament(rej, mism, c * width, best)
     rn, mm, widx = best
     value = Fraction(rn * n, den * mm)
     witness = Word(tester.alphabet, decode_tuple(widx, size, n)[::-1])
@@ -425,12 +485,7 @@ def soundness_sampled(
     digits = _sample_letters(seed, trial_idx, 0, n, size)
     attempt = 0
     while True:
-        member = np.zeros(trials, dtype=bool)
-        for cw in code.codewords:
-            hit = np.ones(trials, dtype=bool)
-            for j, sym in enumerate(cw):
-                hit &= digits[j] == sym
-            member |= hit
+        member = _mismatch_counts(code.codewords, digits) == 0
         if not member.any():
             break
         attempt += 1
@@ -440,7 +495,7 @@ def soundness_sampled(
             digits[j][member] = fresh[j]
 
     compiled, den, dtype = _compiled_checks(tester)
-    rej = _reject_numerators(compiled, digits, dtype)
+    rej = _reject_numerators(compiled, digits, size, dtype)
     mism = _mismatch_counts(code.codewords, digits)
     rn, mm, t = _tournament(rej, mism, 0, best=None)
     value = Fraction(rn * n, den * mm)

@@ -300,3 +300,45 @@ def test_cli_option_surface():
     for path, option in _option_surface(build_parser()):
         surface.setdefault(path, []).append(option)
     assert {path: " ".join(opts) for path, opts in surface.items()} == OPTION_SURFACE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["soundness", "exact", "--tester", "t.json", "--code", "c.json", "--bound", "1/0"],
+        ["separate", "replace", "--tester", "t.json", "--mu", "1/0", "--delta-size", "2"],
+        ["concat", "--code", "c.json", "--encoder", "e.json", "--nu", "1/0"],
+    ],
+)
+def test_zero_denominator_rational_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "invalid rational: '1/0'" in captured.err
+
+
+def test_linear_replacement_zero_target_dimension_exit_2(tmp_path, capsys):
+    _, doc = run_cli(capsys, "tester", "equality", "--n", "2", "--p", "2", "--dim", "1")
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc["tester"]))
+    argv = ["separate", "replace", "--tester", str(path), "--mu", "1/2", "--linear", "--p", "2"]
+    assert main(argv + ["--delta-dim", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "target dimension must be at least 1" in captured.err
+
+
+def test_package_main_matches_in_process_cli(capsys):
+    import os
+    from pathlib import Path
+
+    import ltcforge
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    argv = ["verify", "all", "--only", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltcforge", *argv], capture_output=True, text=True, env=env
+    )
+    code = main(list(argv))
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+    assert code == 0

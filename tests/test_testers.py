@@ -1,8 +1,12 @@
 """Tester evaluation, exact and sampled soundness, classification."""
 
 import itertools
+import random
+import time
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import Alphabet, Code, Word, dist_to_code, repetition_code, vector_alphabet
 from ltcforge.constructions import dependence_tester, generalized_long_code
+from ltcforge import testers
 from ltcforge.errors import CapacityError, DomainError
 from ltcforge.testers import (
     Check,
@@ -339,46 +344,149 @@ def test_soundness_large_numerators_terminate():
     assert sampled_line == "1"
 
 
+def _permuted(check: Check, size: int, perm: tuple[int, ...]) -> Check:
+    """The same predicate with its queries listed in another order."""
+    tuples = tuples_from_accept(check.accept, size, check.arity)
+    accept = accept_from_tuples([tuple(t[i] for i in perm) for t in tuples], size)
+    return Check(tuple(check.queries[i] for i in perm), accept, check.weight)
+
+
 @st.composite
 def _weighted_instances(draw):
+    """Arity up to 3 with repeated and permuted positions, pad_check-padded
+    and always-accept checks, weights up to 2**70, and a scan chunk of a
+    few words so that most scans hoist a prefix."""
     size = draw(st.integers(2, 3))
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 5))
     alphabet = Alphabet.plain(size)
     words = st.tuples(*[st.integers(0, size - 1)] * n)
-    codewords = draw(st.sets(words, min_size=1, max_size=3))
+    codewords = draw(st.sets(words, min_size=1, max_size=4))
     checks = []
-    for _ in range(draw(st.integers(1, 4))):
-        arity = draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(1, 6))):
+        arity = draw(st.integers(1, 3))
         queries = tuple(draw(st.integers(0, n - 1)) for _ in range(arity))
-        accepted = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity)))
+        kind = draw(st.sampled_from(["plain", "always", "padded", "permuted"]))
+        if kind == "always":
+            accept = full_accept(size, arity)
+        else:
+            accepted = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity)))
+            accept = accept_from_tuples(accepted, size)
         weight = Fraction(draw(st.integers(1, 2**70)), draw(st.integers(1, 2**66)))
-        checks.append(Check(queries, accept_from_tuples(accepted, size), weight))
-    tester = Tester(alphabet, n, 2, tuple(checks))
-    return tester, Code(alphabet, n, tuple(sorted(codewords)))
+        check = Check(queries, accept, weight)
+        if kind == "padded":
+            check = pad_check(check, 3, size)
+        elif kind == "permuted":
+            checks.append(check)
+            check = _permuted(check, size, tuple(draw(st.permutations(range(arity)))))
+        checks.append(check)
+    tester = Tester(alphabet, n, 3, tuple(checks))
+    return tester, Code(alphabet, n, tuple(sorted(codewords))), draw(st.integers(1, 30))
+
+
+def _ever_rejects(check: Check, size: int) -> bool:
+    """Whether some assignment of letters to the queried positions rejects."""
+    support = sorted(set(check.queries))
+    for letters in itertools.product(range(size), repeat=len(support)):
+        at = dict(zip(support, letters))
+        if not check.accepts([at[pos] for pos in check.queries], size):
+            return True
+    return False
 
 
 @given(_weighted_instances())
 def test_soundness_exact_matches_reference_minimum(instance):
     # Weights up to 2**70 over denominators up to 2**66 drive the object
     # dtype branch as well as the int64 one.
-    tester, code = instance
+    tester, code, chunk = instance
+    size = tester.alphabet.size
+    compiled, _, _ = testers._compiled_checks(tester)
+    live = {tuple(sorted(set(ch.queries))) for ch in tester.checks if _ever_rejects(ch, size)}
+    assert sorted(s for s, _ in compiled) == sorted(live)
     ratios = [
         (reject_probability(tester, w) / dist_to_code(w, code), w.letters)
-        for w in (
-            Word(tester.alphabet, letters)
-            for letters in itertools.product(range(tester.alphabet.size), repeat=tester.n)
-        )
+        for w in (Word(tester.alphabet, t) for t in itertools.product(range(size), repeat=tester.n))
         if not code.contains(w.letters)
     ]
-    report = soundness_exact(tester, code)
+    whole = soundness_exact(tester, code)
+    with mock.patch.object(testers, "CHUNK", chunk):
+        chunked = soundness_exact(tester, code)
+    assert chunked == whole
     if not ratios:
-        assert report.infinite
+        assert whole.infinite
         return
     best = min(r for r, _ in ratios)
-    assert report.value == best
-    assert report.witness.letters == min(letters for r, letters in ratios if r == best)
+    assert whole.value == best
+    assert whole.witness.letters == min(letters for r, letters in ratios if r == best)
     sampled = soundness_sampled(tester, code, 50, 1)
     assert sampled.value >= best
     assert sampled.value == reject_probability(tester, sampled.witness) / dist_to_code(
         sampled.witness, code
     )
+
+
+def test_compiled_checks_one_entry_per_support():
+    size = 3
+    diag = accept_from_tuples([(a, a) for a in range(size)], size)
+    odd = accept_from_tuples([(0, 1), (2, 2)], size)
+    checks = (
+        Check((0, 2), odd, Fraction(1, 8)),
+        _permuted(Check((0, 2), odd, Fraction(1, 8)), size, (1, 0)),  # same predicate, (2, 0)
+        pad_check(Check((1, 2), diag, Fraction(1, 4)), 3, size),  # (1, 2, 1)
+        Check((2, 1), diag, Fraction(1, 4)),
+        Check((1, 1), diag, Fraction(1, 8)),  # always accepts: reads one letter twice
+        Check((0, 1), full_accept(size, 2), Fraction(1, 8)),
+    )
+    tester = Tester(Alphabet.plain(size), 3, 3, checks)
+    compiled, den, dtype = testers._compiled_checks(tester)
+    assert [s for s, _ in compiled] == [(0, 2), (1, 2)]
+    assert (den, dtype) == (8, np.int64)
+    (_, lut02), (_, lut12) = compiled
+    # entry a + 3b: letters a at the first support position, b at the second
+    assert lut02.tolist() == [2 * (cell not in (0 + 3 * 1, 2 + 3 * 2)) for cell in range(9)]
+    assert lut12.tolist() == [4 * (cell % 3 != cell // 3) for cell in range(9)]
+
+
+def test_grid_width_keeps_hoisted_rows_within_a_chunk_of_digits():
+    # 2^18 words per chunk at n = 20; 200 codewords would keep 201 rows of
+    # 2^18 words, so the grid shrinks until 2^k * 201 <= 2^18 * 20.
+    assert testers._grid_width(2, 20, [], [(0,) * 20]) == 18
+    assert testers._grid_width(2, 20, [], [(0,) * 20] * 200) == 14
+    assert testers._grid_width(2, 20, [(0, 19)], [(0,) * 20] * 200) == 14
+    assert testers._grid_width(3, 5, [], [(0,) * 5]) == 5
+    assert testers._grid_width(2**18 + 1, 2, [], [(0, 0)]) == 1
+
+
+def _multichunk_instance():
+    """40 arity-3 checks on 12 random supports over {0,1,2}^12, each
+    accepting the repetition code."""
+    rng = random.Random(2029)
+    alphabet = Alphabet.plain(3)
+    supports = [tuple(rng.sample(range(12), 3)) for _ in range(12)]
+    checks = []
+    for _ in range(40):
+        accepted = {(a, a, a) for a in range(3)}
+        accepted |= {tuple(rng.randrange(3) for _ in range(3)) for _ in range(rng.randint(2, 8))}
+        checks.append(Check(rng.choice(supports), accept_from_tuples(accepted, 3), Fraction(1, 40)))
+    return Tester(alphabet, 12, 3, tuple(checks)), repetition_code(alphabet, 12)
+
+
+def test_soundness_exact_across_chunks():
+    # 3^12 = 531,441 words span three chunks of 3^11; value and witness
+    # were taken from the per-word digit scan this kernel replaced.
+    tester, code = _multichunk_instance()
+    assert 3**12 > testers.CHUNK
+    report = soundness_exact(tester, code)
+    assert report.value == Fraction(3, 5)
+    assert report.witness.letters == (2, 1, 2, 2, 1, 1, 0, 0, 1, 2, 0, 0)
+    again = reject_probability(tester, report.witness) / dist_to_code(report.witness, code)
+    assert again == report.value
+
+
+def test_soundness_exact_alphabet_wider_than_a_chunk():
+    # One letter already exceeds a chunk: the grid keeps one position.
+    alphabet = Alphabet.plain(2**18 + 1)
+    tester = Tester(alphabet, 1, 1, (Check((0,), 1, Fraction(1)),))
+    start = time.perf_counter()
+    report = soundness_exact(tester, Code(alphabet, 1, ((0,),)))
+    assert time.perf_counter() - start < 5
+    assert report.value == 1 and report.witness.letters == (1,)
