@@ -374,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except ForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (json.JSONDecodeError, OSError, KeyError) as exc:
         print(f"error: bad input ({exc})", file=sys.stderr)
         return 2
     doc = {"manifest": manifest, **payload}

@@ -20,10 +20,10 @@ from .algebra import Field, VecSpace
 from .codes import Alphabet, Code, Rate, Word
 from .concat import CompatibilityWitness, Encoder, WitnessEntry
 from .constructions import FunctionFamily
-from .errors import SchemaError
+from .errors import CapacityError, SchemaError
 from .pipeline import REPORT_SCHEMA, PipelineReport
 from .separability import CheckCertificate, SeparabilityCertificate
-from .testers import Check, SoundnessReport, Tester, tuples_from_accept
+from .testers import ACCEPT_BITS_LIMIT, Check, SoundnessReport, Tester, tuples_from_accept
 
 SCHEMAS = {
     "code": "ltc-forge/code-v1",
@@ -32,7 +32,7 @@ SCHEMAS = {
     "encoder": "ltc-forge/encoder-v1",
     "witness": "ltc-forge/witness-v1",
     "certificate": "ltc-forge/certificate-v1",
-    "soundness": "ltc-forge/soundness-v1",
+    "soundness": "ltc-forge/soundness-v2",
     "report": REPORT_SCHEMA,
     "verify": "ltc-forge/verify-v1",
 }
@@ -42,8 +42,10 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _expect(doc: dict, kind: str) -> None:
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMAS[kind]:
+def _expect(doc: Any, kind: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected a {SCHEMAS[kind]} object, got {type(doc).__name__}")
+    if doc.get("schema") != SCHEMAS[kind]:
         raise SchemaError(f"expected schema {SCHEMAS[kind]}, got {doc.get('schema')!r}")
 
 
@@ -102,7 +104,12 @@ def alphabet_from_json(d: Any) -> Alphabet:
         if d["kind"] == "plain":
             return Alphabet.plain(index(d["size"]))
         if d["kind"] == "vector":
-            return Alphabet.vector(VecSpace(Field(index(d["p"])), index(d["dim"])))
+            field, dim = Field(index(d["p"])), index(d["dim"])
+            # p >= 2, so a dimension of 63 or more already passes 2**63 letters;
+            # refuse it before p**dim is taken.
+            if dim >= 63 or field.p**dim >= 2**63:
+                raise CapacityError(field.p ** min(dim, 63), 2**63 - 1, "vector alphabet")
+            return Alphabet.vector(VecSpace(field, dim))
     except TypeError as exc:
         raise SchemaError(f"malformed alphabet ({exc})") from None
     raise SchemaError(f"unknown alphabet kind {d['kind']!r}")
@@ -165,17 +172,20 @@ def tester_from_json(doc: Any) -> Tester:
     alphabet = alphabet_from_json(doc["alphabet"])
     try:
         n, q = index(doc["n"]), index(doc["q"])
-        checks = tuple(
-            Check(
-                tuple(map(index, c["queries"])),
-                accept_from_json(c["accept"], alphabet.size, len(c["queries"])),
-                frac_from_json(c["weight"]),
-            )
-            for c in doc["checks"]
-        )
+        checks = []
+        for c in doc["checks"]:
+            queries = tuple(map(index, c["queries"]))
+            # Refuse an oversized accept set before decoding it.  Sizes are
+            # >= 2, so capping the exponent keeps the power small and exact
+            # wherever it decides.
+            table = alphabet.size ** min(len(queries), ACCEPT_BITS_LIMIT.bit_length())
+            if table > ACCEPT_BITS_LIMIT:
+                raise CapacityError(table, ACCEPT_BITS_LIMIT, "accept bitset")
+            accept = accept_from_json(c["accept"], alphabet.size, len(queries))
+            checks.append(Check(queries, accept, frac_from_json(c["weight"])))
     except TypeError as exc:
         raise SchemaError(f"malformed tester ({exc})") from None
-    return Tester(alphabet, n, q, checks)
+    return Tester(alphabet, n, q, tuple(checks))
 
 
 def family_to_json(f: FunctionFamily) -> dict:
@@ -288,6 +298,7 @@ def soundness_to_json(r: SoundnessReport) -> dict:
         "verdict": r.verdict,
         "trials": r.trials,
         "seed": r.seed,
+        "engine": r.engine,
     }
 
 
@@ -302,6 +313,7 @@ def soundness_from_json(doc: Any) -> SoundnessReport:
         doc["verdict"],
         doc["trials"],
         doc["seed"],
+        doc["engine"],
     )
 
 

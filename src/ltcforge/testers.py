@@ -5,7 +5,7 @@ and accepts when the observed symbol tuple lies in its accept set.  Accept
 sets are stored as int bitsets over alphabet^arity, with the tuple
 (t_0, ..., t_{q-1}) at bit encode_tuple(t, size) = sum t_l * size**l.
 
-Both soundness engines run on the tester compiled once: one weighted
+Every soundness engine runs on the tester compiled once: one weighted
 reject lookup table per query support (the sorted distinct positions a
 check reads), summing the integerized weights of the checks on that
 support that reject; always-accept checks vanish.  Reject numerators are
@@ -13,15 +13,27 @@ int64 when no score can reach 2**62 and Python ints in object arrays
 otherwise, through the same kernels, so results are exact rationals either
 way.
 
-Exact soundness enumerates every word in chunks of |alphabet|^k words that
-share their first n - k letters (the prefix) and run the last k over one
-digit grid.  What depends on the grid alone is computed once: the
-numerators of the supports inside it and each codeword's mismatches on it.
-A chunk then costs one gather per support part that reads the prefix and
-one scalar add per codeword.  Chunks run in lexicographic order of their
-prefix and each in grid order, so word indices only increase and only a
-strictly smaller ratio replaces the current minimizer: the
-"lexicographically smallest witness" tie-break stays a first-hit rule.
+Exact soundness has two engines, and `soundness_exact` is the one place
+that picks between them.  The scan enumerates every word when
+|alphabet|^n fits the budget, in chunks of |alphabet|^k words that share
+their first n - k letters (the prefix) and run the last k over one digit
+grid.  What depends on the grid alone is computed once: the numerators of
+the supports inside it and each codeword's mismatches on it.  A chunk then
+costs one gather per support part that reads the prefix and one scalar add
+per codeword.  Chunks run in lexicographic order of their prefix and each
+in grid order, so word indices only increase and only a strictly smaller
+ratio replaces the current minimizer: the "lexicographically smallest
+witness" tie-break stays a first-hit rule.
+
+Above the budget, the separator engine (bucket elimination, Dechter 1999,
+on the ratio objective) conditions on a few positions X that split the
+supports' primal graph into blocks, keeps per block, per assignment of X
+and per vector of mismatch counts against the codewords the least reject
+numerator, and merges the blocks by min-plus over those vectors.  It
+returns the scan's value and witness, at a cost of about
+|alphabet|^|X| * sum over blocks of |alphabet|^|block|; when that does not
+fit the budget either, CapacityError carries the smaller of the two costs.
+Reports name the engine that decided them.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -34,7 +46,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -208,6 +220,7 @@ class SoundnessReport:
     verdict: str | None = None  # exact: pass/fail; sampled: consistent/violated
     trials: int | None = None
     seed: int | None = None
+    engine: str | None = None  # "scan" | "separator" | "sampled"
 
 
 def _compiled_checks(tester: Tester):
@@ -246,8 +259,8 @@ def _lut_index(positions, digits, size: int) -> np.ndarray:
     return idx
 
 
-def _reject_numerators(compiled, digits, size: int, dtype) -> np.ndarray:
-    rej = np.zeros(len(digits[-1]), dtype=dtype)
+def _reject_numerators(compiled, digits, size: int, dtype, count: int) -> np.ndarray:
+    rej = np.zeros(count, dtype=dtype)
     for support, lut in compiled:
         rej += lut[_lut_index(support, digits, size)]
     return rej
@@ -298,36 +311,17 @@ def _grid_width(size: int, n: int, supports, codewords) -> int:
     return 1
 
 
-def soundness_exact(
-    tester: Tester,
-    code: Code,
-    budget: int = DEFAULT_BUDGET,
-    bound: Fraction | None = None,
-) -> SoundnessReport:
-    """Exact min over non-codewords of reject probability / distance to code.
-
-    Returns the infinite sentinel when the code fills the whole space, and a
-    zero value with the earliest never-rejected non-codeword when one exists.
-    """
-    if tester.alphabet != code.alphabet or tester.n != code.n:
-        raise MismatchError("tester incompatible with code")
-    size, n = tester.alphabet.size, tester.n
-    total = size**n
-    if total > budget:
-        raise CapacityError(total, budget, "exhaustive soundness scan")
-    if len(code.codewords) == total:
-        verdict = None if bound is None else "pass"
-        return SoundnessReport("exact", None, True, None, bound, verdict)
-
-    compiled, den, dtype = _compiled_checks(tester)
+def _scan(compiled, dtype, size: int, n: int, codewords):
+    """Brute force: the earliest word of least ratio as (rej, mism, word
+    index), or None when every word is a codeword."""
     supports = [s for s, _ in compiled]
-    head = n - _grid_width(size, n, supports, code.codewords)
+    head = n - _grid_width(size, n, supports, codewords)
     width = size ** (n - head)
     # Letters at positions head..n-1, in the smallest dtype holding every LUT index.
     index_dtype = np.min_scalar_type(size ** max(map(len, supports), default=0) - 1)
     grid = list(np.indices((size,) * (n - head), dtype=index_dtype).reshape(n - head, -1))
     digits = [None] * head + grid
-    base = _reject_numerators([e for e in compiled if e[0][0] >= head], digits, size, dtype)
+    base = _reject_numerators([e for e in compiled if e[0][0] >= head], digits, size, dtype, width)
     # A support reading the prefix splits its LUT index as (prefix part) +
     # size**cut * (grid part): reshaped with the grid part as rows, a chunk
     # picks one column per support and gathers once per distinct grid part
@@ -341,7 +335,7 @@ def soundness_exact(
         (_lut_index(part, digits, size).astype(np.intp) if part else 0, cols)
         for part, cols in parts.items()
     ]
-    grid_mism = [(_mismatch_counts([cw[head:]], grid), cw[:head]) for cw in code.codewords]
+    grid_mism = [(_mismatch_counts([cw[head:]], grid), cw[:head]) for cw in codewords]
     del digits, grid
 
     best = None
@@ -356,11 +350,229 @@ def soundness_exact(
             near = row + sum(a != b for a, b in zip(prefix, pre))
             mism = near if mism is None else np.minimum(mism, near, out=mism)
         best = _tournament(rej, mism, c * width, best)
+    return best
+
+
+SEPARATOR_MAX = 4  # positions a separator may hold
+SEPARATOR_CANDIDATES = 20_000  # separators tried, smallest first
+
+
+def _components(adj: list[int], alive: int) -> list[int]:
+    """Connected components, as bitmasks in order of their lowest position,
+    of the graph with neighbour bitmasks `adj` restricted to the bitmask
+    `alive`."""
+    out = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & alive & ~comp
+            comp |= new
+            frontier |= new
+        alive ^= comp
+        out.append(comp)
+    return out
+
+
+def _separator_cost(size: int, sep_size: int, block_sizes, ncodes: int) -> int | None:
+    """Cells the separator engine touches: each block's grid and each merged
+    pair of tables, once per separator assignment and once per codeword.
+    A block's table holds at most min(size**|B|, (|B|+1)**ncodes) mismatch
+    vectors (the exponent capped at 64, where both bounds pass any budget
+    below 2**63 anyway).  None when one separator assignment alone would
+    hold more than CHUNK cells of a block grid or of a merge."""
+    cells = pairs = 0
+    acc, covered = 1, 0
+    for length in block_sizes:
+        table = min(size**length, (length + 1) ** min(ncodes, 64))
+        if size**length > CHUNK or acc * table > CHUNK:
+            return None
+        covered += length
+        cells += size**length
+        pairs += acc * table
+        acc = min(acc * table, (covered + 1) ** min(ncodes, 64))
+    return (size**sep_size + ncodes) * (1 + cells + pairs)
+
+
+def _separator_plan(size: int, n: int, supports, ncodes: int):
+    """(cost, separator, blocks): the cheapest feasible set X of at most
+    SEPARATOR_MAX positions, the first found among equals, and the connected
+    components of the supports' primal graph once X is removed, as sorted
+    positions; None when no separator is feasible."""
+    adj = [0] * n
+    for support in supports:
+        mask = sum(1 << p for p in support)
+        for p in support:
+            adj[p] |= mask
+    best, tried = None, 0
+    for k in range(min(SEPARATOR_MAX, n) + 1):
+        tried += comb(n, k)
+        if tried > SEPARATOR_CANDIDATES:
+            break
+        for sep in itertools.combinations(range(n), k):
+            blocks = _components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
+            cost = _separator_cost(size, k, [b.bit_count() for b in blocks], ncodes)
+            if cost is not None and (best is None or cost < best[0]):
+                best = (cost, list(sep), blocks)
+    if best is None:
+        return None
+    cost, sep, blocks = best
+    return cost, sep, [[p for p in range(n) if b >> p & 1] for b in blocks]
+
+
+def _group_min(rej, tie, groups, top):
+    """Per row and per group of columns (column j lies in group groups[j],
+    and every group 0..G-1 is nonempty), the least (rej, tie) pair in
+    lexicographic order, as two (rows, G) arrays.  `top` exceeds every tie."""
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    rej, tie = rej[:, order], tie[:, order]
+    low = np.minimum.reduceat(rej, starts, axis=1)
+    tie = np.where(rej == np.repeat(low, counts, axis=1), tie, top)
+    return low, np.minimum.reduceat(tie, starts, axis=1)
+
+
+def _separator_scan(compiled, dtype, size: int, n: int, codewords, sep, blocks):
+    """Bucket elimination over a separator: the same result as `_scan`.
+
+    Every support lies inside sep + B for one block B or inside sep.  For
+    each assignment x of the separator and each vector of mismatch counts
+    against the codewords, a block keeps its least (reject numerator, word
+    index part) pair; a min-plus merge over vector sums combines the blocks.
+    Both parts add over disjoint positions and the lexicographic order on
+    pairs survives addition, so the least pair of a merged vector is that of
+    the best split, and the least word index among the words of least ratio
+    is brute force's first-hit witness.  Assignments x run in slices of
+    about CHUNK grid or merge cells."""
+    top = size**n
+    tie_dtype = np.int64 if top < 2**63 else object
+    vec_dtype = np.min_scalar_type(n)
+    index_dtype = np.min_scalar_type(size ** max(map(len, (s for s, _ in compiled)), default=0) - 1)
+
+    def grid(positions):
+        """Letters at `positions` over all their assignments (the first
+        position most significant), as a digits list indexed by position."""
+        cells = size ** len(positions)
+        axes = np.indices((size,) * len(positions), dtype=index_dtype).reshape(len(positions), cells)
+        digits = [None] * n
+        for pos, axis in zip(positions, axes):
+            digits[pos] = axis
+        return digits, cells
+
+    def tie_part(digits, positions, cells):
+        tie = np.zeros(cells, dtype=tie_dtype)
+        for pos in positions:
+            tie += digits[pos].astype(tie_dtype) * size ** (n - 1 - pos)
+        return tie
+
+    def mismatches(digits, positions, cells):
+        vec = np.zeros((cells, len(codewords)), dtype=vec_dtype)
+        for c, cw in enumerate(codewords):
+            for pos in positions:
+                vec[:, c] += digits[pos] != cw[pos]
+        return vec
+
+    inside = set(sep)
+    sep_digits, rows = grid(sep)
+    sep_rej = _reject_numerators(
+        [e for e in compiled if inside.issuperset(e[0])], sep_digits, size, dtype, rows
+    )
+    sep_tie = tie_part(sep_digits, sep, rows)
+    sep_vec = mismatches(sep_digits, sep, rows)
+    # What does not depend on x: per block its letters, the numerators of
+    # the supports inside it, its mismatch vectors and word index parts, and
+    # how its vectors merge into the running sums.
+    steps, acc_vec, width = [], np.zeros((1, len(codewords)), dtype=vec_dtype), 1
+    for block in blocks:
+        digits, cols = grid(block)
+        members = set(block)
+        local = _reject_numerators(
+            [e for e in compiled if members.issuperset(e[0])], digits, size, dtype, cols
+        )
+        cross = [e for e in compiled if members.intersection(e[0]) and inside.intersection(e[0])]
+        vec, groups = np.unique(mismatches(digits, block, cols), axis=0, return_inverse=True)
+        pairs = (acc_vec[:, None, :] + vec[None, :, :]).reshape(-1, len(codewords))
+        width = max(width, cols, len(pairs))
+        acc_vec, merge = np.unique(pairs, axis=0, return_inverse=True)
+        tie = tie_part(digits, block, cols)
+        steps.append((block, digits, cols, local, cross, groups.reshape(-1), tie, merge.reshape(-1)))
+
+    found = []
+    step = max(1, CHUNK // width)
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        acc_rej, acc_tie = sep_rej[lo:hi, None], sep_tie[lo:hi, None]
+        for block, digits, cols, local, cross, groups, tie, merge in steps:
+            rej = np.broadcast_to(local, (hi - lo, cols))
+            if cross:
+                both = [None] * n
+                for pos in sep:
+                    both[pos] = np.repeat(sep_digits[pos][lo:hi], cols)
+                for pos in block:
+                    both[pos] = np.tile(digits[pos], hi - lo)
+                rej = rej + _reject_numerators(cross, both, size, dtype, rej.size).reshape(rej.shape)
+            rej, blk_tie = _group_min(rej, np.broadcast_to(tie, rej.shape), groups, top)
+            acc_rej, acc_tie = _group_min(
+                (acc_rej[:, :, None] + rej[:, None, :]).reshape(hi - lo, -1),
+                (acc_tie[:, :, None] + blk_tie[:, None, :]).reshape(hi - lo, -1),
+                merge,
+                top,
+            )
+        mism = (acc_vec[None, :, :] + sep_vec[lo:hi, None, :]).min(axis=2).reshape(-1)
+        acc_tie = acc_tie.reshape(-1)
+        order = np.argsort(acc_tie, kind="stable")
+        best = _tournament(acc_rej.reshape(-1)[order], mism[order], 0, None)
+        if best is not None:
+            rn, mm, i = best
+            found.append((Fraction(rn, mm), int(acc_tie[order[i]]), rn, mm))
+    if not found:
+        return None
+    _, widx, rn, mm = min(found)
+    return rn, mm, widx
+
+
+def soundness_exact(
+    tester: Tester,
+    code: Code,
+    budget: int = DEFAULT_BUDGET,
+    bound: Fraction | None = None,
+) -> SoundnessReport:
+    """Exact min over non-codewords of reject probability / distance to code.
+
+    Returns the infinite sentinel when the code fills the whole space, and a
+    zero value with the earliest never-rejected non-codeword when one exists.
+    Brute force scans every word when |alphabet|^n fits the budget; above it
+    the separator engine runs when its cost fits, and CapacityError carries
+    the smaller of the two costs otherwise.
+    """
+    if tester.alphabet != code.alphabet or tester.n != code.n:
+        raise MismatchError("tester incompatible with code")
+    size, n = tester.alphabet.size, tester.n
+    total = size**n
+    if total <= budget:
+        engine = "scan"
+        if len(code.codewords) == total:
+            best = None
+        else:
+            compiled, den, dtype = _compiled_checks(tester)
+            best = _scan(compiled, dtype, size, n, code.codewords)
+    else:
+        engine = "separator"
+        compiled, den, dtype = _compiled_checks(tester)
+        plan = _separator_plan(size, n, [s for s, _ in compiled], len(code.codewords))
+        if plan is None or plan[0] > budget:
+            raise CapacityError(total if plan is None else min(total, plan[0]), budget, "exact soundness")
+        best = _separator_scan(compiled, dtype, size, n, code.codewords, *plan[1:])
+    if best is None:
+        verdict = None if bound is None else "pass"
+        return SoundnessReport("exact", None, True, None, bound, verdict, engine=engine)
     rn, mm, widx = best
     value = Fraction(rn * n, den * mm)
     witness = Word(tester.alphabet, decode_tuple(widx, size, n)[::-1])
     verdict = None if bound is None else ("pass" if value >= bound else "fail")
-    return SoundnessReport("exact", value, False, witness, bound, verdict)
+    return SoundnessReport("exact", value, False, witness, bound, verdict, engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +691,9 @@ def soundness_sampled(
     size, n = tester.alphabet.size, tester.n
     if len(code.codewords) == size**n:
         verdict = None if bound is None else "consistent"
-        return SoundnessReport("sampled", None, True, None, bound, verdict, trials, seed)
+        return SoundnessReport(
+            "sampled", None, True, None, bound, verdict, trials, seed, "sampled"
+        )
 
     trial_idx = np.arange(trials, dtype=np.int64)
     digits = _sample_letters(seed, trial_idx, 0, n, size)
@@ -495,7 +709,7 @@ def soundness_sampled(
             digits[j][member] = fresh[j]
 
     compiled, den, dtype = _compiled_checks(tester)
-    rej = _reject_numerators(compiled, digits, size, dtype)
+    rej = _reject_numerators(compiled, digits, size, dtype, trials)
     mism = _mismatch_counts(code.codewords, digits)
     rn, mm, t = _tournament(rej, mism, 0, best=None)
     value = Fraction(rn * n, den * mm)
@@ -503,7 +717,9 @@ def soundness_sampled(
     verdict = None
     if bound is not None:
         verdict = "violated" if value < bound else "consistent"
-    return SoundnessReport("sampled", value, False, witness, bound, verdict, trials, seed)
+    return SoundnessReport(
+        "sampled", value, False, witness, bound, verdict, trials, seed, "sampled"
+    )
 
 
 # ---------------------------------------------------------------------------

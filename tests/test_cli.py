@@ -1,11 +1,16 @@
 """CLI surface: JSON outputs, exit codes, replay determinism."""
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ltcforge.cli import build_parser, main
 
@@ -118,7 +123,7 @@ def test_pipeline_semilinear_demo(capsys):
     assert code == 0
     report = doc["report"]
     assert report["schema"] == "ltc-forge/report-v1"
-    assert report["overall"] == "conditional"
+    assert report["overall"] == "pass"
 
 
 def test_linear_pipeline_plain_code_exit_2(tmp_path, capsys):
@@ -234,6 +239,23 @@ def test_non_integer_tester_field_exit_2(tmp_path, capsys, corrupt):
     assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
 
 
+def test_huge_alphabet_size_exit_2(tmp_path, capsys):
+    # 10**30 letters: the accept sets would be 10**60-bit integers
+    assert _malformed_tester_exit(tmp_path, capsys, _set(["alphabet", "size"], 10**30)) == 2
+
+
+def test_artifact_not_an_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["soundness", "exact", "--tester", str(path), "--code", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_input_path_is_a_directory_exit_2(tmp_path, capsys):
+    assert main(["soundness", "exact", "--tester", str(tmp_path), "--code", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "corrupt_code",
     [_set(["alphabet", "size"], "2"), _set(["codewords", 0, 0], "x")],
@@ -342,3 +364,96 @@ def test_package_main_matches_in_process_cli(capsys):
     code = main(list(argv))
     assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
     assert code == 0
+
+
+# Valid artifact pairs to mutate: the commands writing a tester and the code it tests.
+_FUZZ_SOURCES = {
+    "longcode": ("tester dependence --longcode 2 3 --q 2", "build longcode --s 2 --delta-size 3"),
+    "hadamard": ("tester dependence --hadamard 2 1 2 --q 2", "build hadamard --p 2 --dimv 1 --dimd 2"),
+}
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([2**31, 2**64, 10**30, -(2**63)]),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_DESCEND = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one to three random edits: a node replaced by a random JSON
+    value (an integer node also by a neighbour of itself), a key or item
+    removed, or the whole document replaced."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3]))):
+        if not isinstance(doc, (dict, list)) or not doc or draw(st.sampled_from(range(20))) == 19:
+            doc = draw(_JSON_VALUES)
+            continue
+        parent = doc
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(_DESCEND):
+            parent = parent[key]
+            keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+            key = draw(st.sampled_from(keys))
+        old = parent[key]
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            del parent[key]
+        elif choice == 1 and isinstance(old, int) and not isinstance(old, bool):
+            parent[key] = old + draw(st.sampled_from([-1, 1, -2 * old, 2**40]))
+        else:
+            parent[key] = draw(_JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources():
+    docs = {}
+    for family, commands in _FUZZ_SOURCES.items():
+        for key, command in zip(("tester", "code"), commands):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(command.split()) == 0
+            docs[family, key] = json.loads(buf.getvalue())[key]
+    return docs
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_artifacts_keep_the_exit_contract(data, fuzz_sources, tmp_path, capsys):
+    # Exit 0, 1 or 2 and never a traceback on mutated artifacts; exit 1 only
+    # with a violation in the output: a fail/violated verdict, or a tester
+    # that is not separable.  In process, an exception escaping main fails
+    # the test as a traceback would.
+    family = data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))
+    docs = {key: fuzz_sources[family, key] for key in ("tester", "code")}
+    target = data.draw(st.sampled_from(sorted(docs)))
+    docs[target] = data.draw(_mutated(docs[target]))
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(["soundness", "separate"]))
+    if command == "soundness":
+        argv = ["soundness", "exact", "--tester", str(paths["tester"]), "--code", str(paths["code"])]
+        argv += data.draw(st.sampled_from([[], ["--budget", "1000"], ["--bound", "3/4"]]))
+    else:
+        argv = ["separate", "check", "--tester", str(paths["tester"]), "--delta-size", "3"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 1:
+        out = json.loads(captured.out)
+        verdict = out.get("soundness", {}).get("verdict")
+        assert verdict in ("fail", "violated") or out.get("separable") is False

@@ -11,10 +11,10 @@ import pytest
 from ltcforge.cli import main
 
 GOLDEN = {
-    "pipeline linear --demo": "d866cacfbb9ce3fd313587a417e0fe176ec71971d0007016c592bfb396e4b42e",
-    "pipeline general --demo": "20a1893f7e3a7b9ccbe14c61a497b5fa5e101f6738c45a54dddc6144b9220441",
-    "pipeline semilinear --demo": "0c304d50c4c86bd6cf6c2b4a93b8ba53c526f0732745b38f5cdc6773d70141b6",
-    "verify all": "9c6dfa94c139119edfa9033a455c4e27f64dd0de959e0472034686812c4fda0f",
+    "pipeline linear --demo": "c6b0262c7154d1d0da7b430148795da5d5b886fce6a448d6dd9efa9bdd2fc40d",
+    "pipeline general --demo": "f207ff55a9fb7ff31f9249afc52fb0489d6ebdf02617230a25c616e2f7990685",
+    "pipeline semilinear --demo": "ad0179517d16b48e2f2838030b30b9030a2f00598d956f85becb2d04c6b2917b",
+    "verify all": "aa1ecd3004b111347fe3b2c83ab1ba83ddde8b78682da521636e00e7f5965653",
 }
 
 # Artifacts the file-reading commands below need: (file, command, key of
@@ -43,15 +43,15 @@ GOLDEN_WITH_FILES = {
     "tester ring --s 2": "65a2e4ae1f55160a445e14659a4cd32d514f8ea69d20a6f23a22c38483fcc818",
     "tester equality --n 3 --size 3": "5229722dc273a7689990f601b624ccfd01dc22f2cc912c25467be873480e8902",
     "tester equality --n 2 --p 2 --dim 2": "4f27325af8e12369144eb26a2e347f2224895dbe3c7526d1d787909bc35d20d0",
-    "soundness exact --tester dep23.json --code lc23.json --bound 2/3": "d72dec953d9aec76c0aeba1d84e7f7bba799c1105033aebe3de0f007e47fd425",
-    "soundness sample --tester dep23.json --code lc23.json --trials 300 --seed 5 --bound 1/2": "84eef6dfbea07c7d5a5d1284d03af12b3eb03cadb326b6223418eb500f0c035c",
+    "soundness exact --tester dep23.json --code lc23.json --bound 2/3": "e53d10b7d5995d74a71d0389e5c7940e26b756781e6d393d4b34943a70cca0a5",
+    "soundness sample --tester dep23.json --code lc23.json --trials 300 --seed 5 --bound 1/2": "7a0ad1f8af497c2d19b0a9aaeda4a5d7a40929e2e16d3df62e843c66a4e32c21",
     "separate check --tester dep23.json --delta-size 3": "7cbdce005262f89e9e04e228c935b7f9568c9ec13610fc7085681875d31cc5cb",
     "separate check --tester eqv.json --linear --p 2 --delta-dim 2": "3892aee2e277d5ec57215918081bf3e6f576c8cb329885aa702368f82393b1f8",
     "separate replace --tester dep22.json --mu 1/2 --delta-size 2": "2bf20842b958b3c528273ad35d9f573b33eab8be318280dff837500656cf678d",
     "separate replace --tester eqv.json --mu 1/2 --linear --p 2 --delta-dim 1": "8be65b49738050959fdbaf45f0ae9dc3ca020fee9f14a3c0eca3b723ce687e44",
     "concat --code lc22.json --encoder enc22.json --outer-tester dep22.json --mu 1/2"
     " --inner-tester dep22.json --nu 1/2": "10e95d5240397c1025ad50e73d90a5e38875a9d05ad9381328d512bded2f6521",
-    "pipeline general --demo --trials 300 --seed 3": "f649c74fc642106d42679ae98b629d927756ecd5d8620da4df86689ea4133f90",
+    "pipeline general --demo --trials 300 --seed 3": "bc9671c72498072af69cc3ddf551bf9db893421adf602f69d108d6095029cf3c",
 }
 
 

@@ -9,7 +9,7 @@ from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import Alphabet, repetition_code, vector_alphabet
 from ltcforge.concat import check_f_compatible
 from ltcforge.constructions import dependence_tester, generalized_long_code
-from ltcforge.errors import SchemaError
+from ltcforge.errors import CapacityError, SchemaError
 from ltcforge.pipeline import linear_reduction, semilinear_reduction
 from ltcforge.separability import check_separable, compatibility_encoder, separable_replacement
 from ltcforge.serialize import (
@@ -19,6 +19,7 @@ from ltcforge.serialize import (
     frac_from_json,
     frac_to_json,
     roundtrip,
+    soundness_to_json,
     tester_from_json,
     tester_to_json,
     witness_from_json,
@@ -80,9 +81,14 @@ def test_soundness_report_roundtrip():
     code = repetition_code(BIN, 2)
     eq = equality_tester(BIN, 2)
     exact = soundness_exact(eq, code, bound=Fraction(1))
-    assert roundtrip(exact) == exact
+    assert roundtrip(exact) == exact and exact.engine == "scan"
     sampled = soundness_sampled(eq, code, trials=16, seed=5, bound=Fraction(1, 2))
-    assert roundtrip(sampled) == sampled
+    assert roundtrip(sampled) == sampled and sampled.engine == "sampled"
+    # 2^16 words over a budget of 2^14: the separator engine decides
+    wide = equality_tester(BIN, 16)
+    separated = soundness_exact(wide, repetition_code(BIN, 16), budget=2**14)
+    assert roundtrip(separated) == separated and separated.engine == "separator"
+    assert soundness_to_json(separated)["engine"] == "separator"
 
 
 def test_pipeline_report_roundtrip():
@@ -127,3 +133,21 @@ def test_malformed_accept_set_raises(accept):
 def test_malformed_rational_raises(weight):
     with pytest.raises(SchemaError):
         frac_from_json(weight)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "tester", 3, None])
+def test_artifact_not_an_object_raises(doc):
+    with pytest.raises(SchemaError):
+        tester_from_json(doc)
+    with pytest.raises(SchemaError):
+        code_from_json(doc)
+
+
+def test_huge_alphabet_refused_before_decoding_accept_sets():
+    doc = tester_to_json(equality_tester(BIN, 2))
+    doc["alphabet"]["size"] = 10**30
+    with pytest.raises(CapacityError):
+        tester_from_json(doc)
+    doc["alphabet"] = {"kind": "vector", "p": 2, "dim": 10**12}
+    with pytest.raises(CapacityError):
+        tester_from_json(doc)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ltcforge.algebra import Field, VecSpace
+from ltcforge.algebra import Field, VecSpace, decode_tuple
 from ltcforge.codes import Alphabet, Code, Word, dist_to_code, repetition_code, vector_alphabet
 from ltcforge.constructions import dependence_tester, generalized_long_code
 from ltcforge import testers
@@ -490,3 +490,70 @@ def test_soundness_exact_alphabet_wider_than_a_chunk():
     report = soundness_exact(tester, Code(alphabet, 1, ((0,),)))
     assert time.perf_counter() - start < 5
     assert report.value == 1 and report.witness.letters == (1,)
+
+
+@st.composite
+def _planted_separator_instances(draw):
+    """Checks that read the planted separator and at most one of the groups
+    the other positions fall into: plain, always-accept and padded checks,
+    weights up to 2**70, several codewords, and positions no check reads."""
+    size = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 7))
+    alphabet = Alphabet.plain(size)
+    positions = draw(st.permutations(range(n)))
+    cut = draw(st.integers(0, min(2, n)))
+    sep = sorted(positions[:cut])
+    groups = [[] for _ in range(draw(st.integers(1, 3)))]
+    for pos in positions[cut:]:
+        groups[draw(st.integers(0, len(groups) - 1))].append(pos)
+    checks = []
+    for _ in range(draw(st.integers(1, 6))):
+        scope = sep + draw(st.sampled_from(groups))
+        if not scope:
+            continue
+        arity = draw(st.integers(1, 3))
+        queries = [draw(st.sampled_from(scope)) for _ in range(arity)]
+        if arity > 1 and sep and len(scope) > len(sep) and draw(st.booleans()):
+            # reads the separator and a block, not always in that order
+            queries[0], queries[-1] = draw(st.sampled_from(scope[len(sep) :])), draw(st.sampled_from(sep))
+        queries = tuple(queries)
+        kind = draw(st.sampled_from(["plain", "always", "padded"]))
+        if kind == "always":
+            accept = full_accept(size, arity)
+        else:
+            accepted = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity)))
+            accept = accept_from_tuples(accepted, size)
+        huge = draw(st.booleans())
+        weight = Fraction(draw(st.integers(1, 2**70 if huge else 4)), draw(st.integers(1, 4)))
+        check = Check(queries, accept, weight)
+        checks.append(pad_check(check, 3, size) if kind == "padded" else check)
+    words = st.tuples(*[st.integers(0, size - 1)] * n)
+    codewords = draw(st.sets(words, min_size=1, max_size=4))
+    code = Code(alphabet, n, tuple(sorted(codewords)))
+    return Tester(alphabet, n, 3, tuple(checks)), code, sep, draw(st.integers(1, 40))
+
+
+@given(_planted_separator_instances())
+def test_separator_engine_matches_brute_force(instance):
+    # The separator engine on the planted separator and on the cheapest one
+    # found must give brute force's value and first-hit witness exactly,
+    # also when a chunk of a few cells slices the separator assignments.
+    tester, code, planted, chunk = instance
+    size, n = tester.alphabet.size, tester.n
+    compiled, den, dtype = testers._compiled_checks(tester)
+    supports = [s for s, _ in compiled]
+    brute = soundness_exact(tester, code)
+    assert brute.engine == "scan"
+    adj = [sum(1 << p for p in {p for s in supports if pos in s for p in s}) for pos in range(n)]
+    masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in planted))
+    blocks = [[p for p in range(n) if mask >> p & 1] for mask in masks]
+    _, sep, cheapest = testers._separator_plan(size, n, supports, len(code.codewords))
+    for plan, cells in itertools.product(((planted, blocks), (sep, cheapest)), (testers.CHUNK, chunk)):
+        with mock.patch.object(testers, "CHUNK", cells):
+            best = testers._separator_scan(compiled, dtype, size, n, code.codewords, *plan)
+        if brute.infinite:
+            assert best is None
+            continue
+        rn, mm, widx = best
+        assert Fraction(rn * n, den * mm) == brute.value
+        assert decode_tuple(widx, size, n)[::-1] == brute.witness.letters
