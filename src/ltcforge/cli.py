@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .acceptance import run_criteria
+from .acceptance import CRITERIA, run_criteria
 from .algebra import DEFAULT_BUDGET, Field, VecSpace
 from .codes import Alphabet, distance, rate, vector_alphabet
 from .concat import CompatFailure, check_f_compatible, concat_tester, concatenate
@@ -81,6 +81,20 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational: {text!r}") from None
+
+
+def _criterion_ids(text: str) -> list[int]:
+    """argparse type: one or more comma-separated ids of acceptance.CRITERIA."""
+    known = [cid for cid, _, _ in CRITERIA]
+    try:
+        ids = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        ids = []
+    if not ids or not set(ids) <= set(known):
+        raise argparse.ArgumentTypeError(
+            f"expected criterion ids among {known[0]}..{known[-1]}: {text!r}"
+        )
+    return ids
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify").add_subparsers(dest="what", required=True)
     v_all = ver.add_parser("all", parents=[common])
-    v_all.add_argument("--only", type=str, default=None, help="comma-separated ids")
+    v_all.add_argument("--only", type=_criterion_ids, default=None, help="comma-separated ids")
 
     return parser
 
@@ -335,10 +349,7 @@ def _cmd_pipeline(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    only = None
-    if args.only:
-        only = [int(x) for x in args.only.split(",") if x.strip()]
-    outcome = run_criteria(only=only, budget=args.budget, seed=args.seed)
+    outcome = run_criteria(only=args.only, budget=args.budget, seed=args.seed)
     doc = {
         "schema": SCHEMAS["verify"],
         "criteria": value_to_json(outcome["criteria"]),

@@ -26,14 +26,14 @@ ratio replaces the current minimizer: the "lexicographically smallest
 witness" tie-break stays a first-hit rule.
 
 Above the budget, the separator engine (bucket elimination, Dechter 1999,
-on the ratio objective) conditions on a few positions X that split the
-supports' primal graph into blocks, keeps per block, per assignment of X
-and per vector of mismatch counts against the codewords the least reject
-numerator, and merges the blocks by min-plus over those vectors.  It
-returns the scan's value and witness, at a cost of about
-|alphabet|^|X| * sum over blocks of |alphabet|^|block|; when that does not
-fit the budget either, CapacityError carries the smaller of the two costs.
-Reports name the engine that decided them.
+on the ratio objective) conditions on positions X that split the supports'
+primal graph into blocks, X grown greedily one position at a time.  Per
+block, per assignment of X and per vector of mismatch counts against the
+codewords it keeps the least reject numerator, and merges the blocks by
+min-plus over those vectors.  It returns the scan's value and witness at a
+cost of about |alphabet|^|X| * sum over blocks of |alphabet|^|block|; when
+that does not fit the budget either, CapacityError carries the smaller of
+the two costs.  Reports name the engine that decided them.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -46,7 +46,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,14 +66,18 @@ def accept_from_tuples(tuples: Iterable[Sequence[int]], size: int) -> int:
 
 
 def tuples_from_accept(accept: int, size: int, arity: int) -> list[tuple[int, ...]]:
-    out = []
-    x = accept
+    out, x = [], accept
     while x:
-        lsb = x & -x
-        idx = lsb.bit_length() - 1
-        out.append(decode_tuple(idx, size, arity))
-        x ^= lsb
+        out.append(decode_tuple((x & -x).bit_length() - 1, size, arity))
+        x &= x - 1
     return out
+
+
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def full_accept(size: int, arity: int) -> int:
@@ -105,8 +109,7 @@ class Tester:
     def __post_init__(self):
         size, n, q = self.alphabet.size, self.n, self.q
         for ch in self.checks:
-            queries = ch.queries
-            arity = len(queries)
+            queries, arity = ch.queries, len(ch.queries)
             if not 0 < arity <= q:
                 raise DomainError("check arity must be between 1 and q")
             if min(queries) < 0 or max(queries) >= n:
@@ -253,10 +256,8 @@ def _compiled_checks(tester: Tester):
 
 
 def _lut_index(positions, digits, size: int) -> np.ndarray:
-    idx = digits[positions[0]]
-    for m, pos in enumerate(positions[1:], 1):
-        idx = idx + digits[pos] * size**m
-    return idx
+    """LUT index part of the positions whose digits are given (not None)."""
+    return sum(digits[pos] * size**m for m, pos in enumerate(positions) if digits[pos] is not None)
 
 
 def _reject_numerators(compiled, digits, size: int, dtype, count: int) -> np.ndarray:
@@ -353,10 +354,6 @@ def _scan(compiled, dtype, size: int, n: int, codewords):
     return best
 
 
-SEPARATOR_MAX = 4  # positions a separator may hold
-SEPARATOR_CANDIDATES = 20_000  # separators tried, smallest first
-
-
 def _components(adj: list[int], alive: int) -> list[int]:
     """Connected components, as bitmasks in order of their lowest position,
     of the graph with neighbour bitmasks `adj` restricted to the bitmask
@@ -395,30 +392,69 @@ def _separator_cost(size: int, sep_size: int, block_sizes, ncodes: int) -> int |
     return (size**sep_size + ncodes) * (1 + cells + pairs)
 
 
-def _separator_plan(size: int, n: int, supports, ncodes: int):
-    """(cost, separator, blocks): the cheapest feasible set X of at most
-    SEPARATOR_MAX positions, the first found among equals, and the connected
-    components of the supports' primal graph once X is removed, as sorted
-    positions; None when no separator is feasible."""
+def _cut_pieces(adj: list[int], block: int) -> dict[int, list[int]]:
+    """Per position p of the connected bitmask `block`, the components (as
+    bitmasks) left once p is removed, all from one low-link DFS (Tarjan 1972)."""
+    root = (block & -block).bit_length() - 1
+    order, low, below, pieces = {root: 0}, {root: 0}, {root: 1 << root}, {root: []}
+    stack = [(root, _bits(adj[root] & block))]
+    while stack:
+        v, edges = stack[-1]
+        for w in edges:
+            if w not in order:
+                order[w] = low[w] = len(order)
+                below[w], pieces[w] = 1 << w, []
+                stack.append((w, _bits(adj[w] & block)))
+                break
+            low[v] = min(low[v], order[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                below[u] |= below[v]
+                if low[v] >= order[u]:  # v's subtree hangs on u alone
+                    pieces[u].append(below[v])
+    for p, ps in pieces.items():
+        rest = block ^ 1 << p ^ sum(ps)  # the pieces are disjoint
+        ps += [rest] if rest else []
+    return pieces
+
+
+def _separator_plan(size: int, n: int, supports, ncodes: int, budget: int = DEFAULT_BUDGET):
+    """(cost, separator, blocks): the cheapest feasible plan met while X grows
+    greedily on the supports' primal graph, blocks as sorted positions; None
+    when none is met.  Each step removes the position leaving the cheapest
+    plan; infeasible ones rank by largest block, then by the sum of
+    |alphabet|^|block| (toward balanced cuts), then by lowest position.
+    Growth stops once |alphabet|^|X| alone would reach the best cost or pass
+    the budget: no such plan can be used."""
     adj = [0] * n
     for support in supports:
         mask = sum(1 << p for p in support)
         for p in support:
             adj[p] |= mask
-    best, tried = None, 0
-    for k in range(min(SEPARATOR_MAX, n) + 1):
-        tried += comb(n, k)
-        if tried > SEPARATOR_CANDIDATES:
+
+    def rank(k, blocks):  # (infeasible, cost or else largest block, balance)
+        sizes = [b.bit_count() for b in blocks]
+        cost = _separator_cost(size, k, sizes, ncodes)
+        return (False, cost, 0) if cost is not None else (True, max(sizes), sum(size**s for s in sizes))
+
+    sep, blocks, best = [], _components(adj, (1 << n) - 1), None
+    while True:
+        infeasible, cost, _ = rank(len(sep), blocks)
+        if not infeasible and (best is None or cost < best[0]):
+            best = (cost, sorted(sep), blocks)
+        if not blocks or size ** (len(sep) + 1) > (budget if best is None else min(budget, best[0] - 1)):
             break
-        for sep in itertools.combinations(range(n), k):
-            blocks = _components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
-            cost = _separator_cost(size, k, [b.bit_count() for b in blocks], ncodes)
-            if cost is not None and (best is None or cost < best[0]):
-                best = (cost, list(sep), blocks)
-    if best is None:
-        return None
-    cost, sep, blocks = best
-    return cost, sep, [[p for p in range(n) if b >> p & 1] for b in blocks]
+        candidates = []
+        for i, block in enumerate(blocks):
+            for p, pieces in _cut_pieces(adj, block).items():
+                after = sorted(blocks[:i] + blocks[i + 1 :] + pieces, key=lambda b: b & -b)
+                candidates.append((rank(len(sep) + 1, after), p, after))
+        _, p, blocks = min(candidates)
+        sep.append(p)
+    return best and (best[0], best[1], [list(_bits(b)) for b in best[2]])
 
 
 def _group_min(rej, tie, groups, top):
@@ -481,9 +517,10 @@ def _separator_scan(compiled, dtype, size: int, n: int, codewords, sep, blocks):
     )
     sep_tie = tie_part(sep_digits, sep, rows)
     sep_vec = mismatches(sep_digits, sep, rows)
-    # What does not depend on x: per block its letters, the numerators of
-    # the supports inside it, its mismatch vectors and word index parts, and
-    # how its vectors merge into the running sums.
+    # What does not depend on x: per block the numerators of the supports
+    # inside it, the LUT index parts of the supports that read both X and the
+    # block, its mismatch vectors and word index parts, and how its vectors
+    # merge into the running sums.
     steps, acc_vec, width = [], np.zeros((1, len(codewords)), dtype=vec_dtype), 1
     for block in blocks:
         digits, cols = grid(block)
@@ -491,28 +528,27 @@ def _separator_scan(compiled, dtype, size: int, n: int, codewords, sep, blocks):
         local = _reject_numerators(
             [e for e in compiled if members.issuperset(e[0])], digits, size, dtype, cols
         )
-        cross = [e for e in compiled if members.intersection(e[0]) and inside.intersection(e[0])]
+        cross = [
+            (lut, _lut_index(s, sep_digits, size), _lut_index(s, digits, size))
+            for s, lut in compiled
+            if members.intersection(s) and inside.intersection(s)
+        ]
         vec, groups = np.unique(mismatches(digits, block, cols), axis=0, return_inverse=True)
         pairs = (acc_vec[:, None, :] + vec[None, :, :]).reshape(-1, len(codewords))
         width = max(width, cols, len(pairs))
         acc_vec, merge = np.unique(pairs, axis=0, return_inverse=True)
         tie = tie_part(digits, block, cols)
-        steps.append((block, digits, cols, local, cross, groups.reshape(-1), tie, merge.reshape(-1)))
+        steps.append((cols, local, cross, groups.reshape(-1), tie, merge.reshape(-1)))
 
     found = []
     step = max(1, CHUNK // width)
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
         acc_rej, acc_tie = sep_rej[lo:hi, None], sep_tie[lo:hi, None]
-        for block, digits, cols, local, cross, groups, tie, merge in steps:
+        for cols, local, cross, groups, tie, merge in steps:
             rej = np.broadcast_to(local, (hi - lo, cols))
-            if cross:
-                both = [None] * n
-                for pos in sep:
-                    both[pos] = np.repeat(sep_digits[pos][lo:hi], cols)
-                for pos in block:
-                    both[pos] = np.tile(digits[pos], hi - lo)
-                rej = rej + _reject_numerators(cross, both, size, dtype, rej.size).reshape(rej.shape)
+            for lut, at_sep, at_block in cross:
+                rej = rej + lut[at_sep[lo:hi, None] + at_block]
             rej, blk_tie = _group_min(rej, np.broadcast_to(tie, rej.shape), groups, top)
             acc_rej, acc_tie = _group_min(
                 (acc_rej[:, :, None] + rej[:, None, :]).reshape(hi - lo, -1),
@@ -551,17 +587,13 @@ def soundness_exact(
         raise MismatchError("tester incompatible with code")
     size, n = tester.alphabet.size, tester.n
     total = size**n
+    compiled, den, dtype = _compiled_checks(tester)
     if total <= budget:
         engine = "scan"
-        if len(code.codewords) == total:
-            best = None
-        else:
-            compiled, den, dtype = _compiled_checks(tester)
-            best = _scan(compiled, dtype, size, n, code.codewords)
+        best = None if len(code.codewords) == total else _scan(compiled, dtype, size, n, code.codewords)
     else:
         engine = "separator"
-        compiled, den, dtype = _compiled_checks(tester)
-        plan = _separator_plan(size, n, [s for s, _ in compiled], len(code.codewords))
+        plan = _separator_plan(size, n, [s for s, _ in compiled], len(code.codewords), budget)
         if plan is None or plan[0] > budget:
             raise CapacityError(total if plan is None else min(total, plan[0]), budget, "exact soundness")
         best = _separator_scan(compiled, dtype, size, n, code.codewords, *plan[1:])
@@ -603,15 +635,13 @@ def accepted_words(tester: Tester, budget: int = DEFAULT_BUDGET) -> list[tuple[i
             return
         for sym in range(size):
             prefix[depth] = sym
-            ok = True
             for queries, powers, accept in by_max[depth]:
                 idx = 0
                 for pos, pw in zip(queries, powers):
                     idx += prefix[pos] * pw
                 if not (accept >> idx) & 1:
-                    ok = False
                     break
-            if ok:
+            else:
                 extend(depth + 1)
 
     if n > 0:
@@ -623,13 +653,8 @@ def accepted_words(tester: Tester, budget: int = DEFAULT_BUDGET) -> list[tuple[i
 # Seeded sampling
 # ---------------------------------------------------------------------------
 
-_K = [
-    0x9E3779B97F4A7C15,
-    0xD1B54A32D192ED03,
-    0x8CB92BA72F3D8DD7,
-    0xABF5D3BC7B3E9C43,
-    0xC2B2AE3D27D4EB4F,
-]
+_K = [0x9E3779B97F4A7C15, 0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7, 0xABF5D3BC7B3E9C43, 0xC2B2AE3D27D4EB4F]
+_MASK64 = (1 << 64) - 1
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -642,15 +667,11 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-_MASK64 = (1 << 64) - 1
-
-
 def _stream(seed: int, trials: np.ndarray, attempt: int) -> np.ndarray:
     h = np.full(trials.shape, np.uint64(seed & _MASK64), dtype=np.uint64)
     h = _mix64(h + np.uint64(_K[0]))
     h = _mix64(h + trials.astype(np.uint64) * np.uint64(_K[1]))
-    h = _mix64(h + np.uint64((attempt * _K[2]) & _MASK64))
-    return h
+    return _mix64(h + np.uint64((attempt * _K[2]) & _MASK64))
 
 
 def _sample_letters(seed: int, trials: np.ndarray, attempt: int, n: int, size: int):
@@ -662,10 +683,7 @@ def _sample_letters(seed: int, trials: np.ndarray, attempt: int, n: int, size: i
         key = base + np.uint64((j * _K[3]) & _MASK64)
         val = _mix64(key)
         c = 0
-        while True:
-            bad = val > threshold
-            if not bad.any():
-                break
+        while (bad := val > threshold).any():
             c += 1
             val = np.where(bad, _mix64(key + np.uint64((c * _K[4]) & _MASK64)), val)
         digits.append((val % np.uint64(size)).astype(np.int64))
@@ -691,17 +709,12 @@ def soundness_sampled(
     size, n = tester.alphabet.size, tester.n
     if len(code.codewords) == size**n:
         verdict = None if bound is None else "consistent"
-        return SoundnessReport(
-            "sampled", None, True, None, bound, verdict, trials, seed, "sampled"
-        )
+        return SoundnessReport("sampled", None, True, None, bound, verdict, trials, seed, "sampled")
 
     trial_idx = np.arange(trials, dtype=np.int64)
     digits = _sample_letters(seed, trial_idx, 0, n, size)
     attempt = 0
-    while True:
-        member = _mismatch_counts(code.codewords, digits) == 0
-        if not member.any():
-            break
+    while (member := _mismatch_counts(code.codewords, digits) == 0).any():
         attempt += 1
         redo = trial_idx[member]
         fresh = _sample_letters(seed, redo, attempt, n, size)
@@ -714,12 +727,8 @@ def soundness_sampled(
     rn, mm, t = _tournament(rej, mism, 0, best=None)
     value = Fraction(rn * n, den * mm)
     witness = Word(tester.alphabet, tuple(int(digits[j][t]) for j in range(n)))
-    verdict = None
-    if bound is not None:
-        verdict = "violated" if value < bound else "consistent"
-    return SoundnessReport(
-        "sampled", value, False, witness, bound, verdict, trials, seed, "sampled"
-    )
+    verdict = None if bound is None else ("violated" if value < bound else "consistent")
+    return SoundnessReport("sampled", value, False, witness, bound, verdict, trials, seed, "sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -739,19 +748,14 @@ def coordinate_classes(accept: int, size: int, arity: int, coord: int) -> list[l
     factors the check (change one coordinate at a time).
     """
     contexts = list(itertools.product(range(size), repeat=arity - 1))
-    signatures: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
+    signatures: dict[tuple, list[int]] = {}  # in order of first appearance
     for sym in range(size):
         sig = []
         for ctx in contexts:
             tup = ctx[:coord] + (sym,) + ctx[coord:]
             sig.append((accept >> encode_tuple(tup, size)) & 1)
-        key = tuple(sig)
-        if key not in signatures:
-            signatures[key] = []
-            order.append(key)
-        signatures[key].append(sym)
-    return [signatures[key] for key in order]
+        signatures.setdefault(tuple(sig), []).append(sym)
+    return list(signatures.values())
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +778,7 @@ def classify_linear(tester: Tester) -> LinearClassification:
         raise DomainError("linearity classification needs a vector-space alphabet")
     p = space.field.p
     size = tester.alphabet.size
-    bases = []
-    functionals = []
-    elementary = True
+    bases, functionals, elementary = [], [], True
     for ch in tester.checks:
         members = tuples_from_accept(ch.accept, size, ch.arity)
         flat = [space.flatten(tup) for tup in members]
@@ -791,6 +793,4 @@ def classify_linear(tester: Tester) -> LinearClassification:
         else:
             elementary = False
     kind = "elementary" if elementary else "linear"
-    return LinearClassification(
-        kind, tuple(bases), tuple(functionals) if elementary else None
-    )
+    return LinearClassification(kind, tuple(bases), tuple(functionals) if elementary else None)

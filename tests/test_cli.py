@@ -145,6 +145,16 @@ def test_verify_subset_and_exit(capsys):
     assert doc["overall"] == "pass"
 
 
+@pytest.mark.parametrize("only", ["abc", "99", "1,99", ""])
+def test_verify_only_unknown_ids_exit_2(capsys, only):
+    # Not a number, or no criterion of that id: a usage error, not a
+    # traceback and not an empty "pass".
+    assert main(["verify", "all", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "expected criterion ids among 1..14" in captured.err
+
+
 def test_replay_byte_identical(capsys):
     argv = ["pipeline", "general", "--demo", "--trials", "300", "--seed", "42"]
     assert main(list(argv)) == 0
@@ -457,3 +467,26 @@ def test_fuzzed_artifacts_keep_the_exit_contract(data, fuzz_sources, tmp_path, c
         out = json.loads(captured.out)
         verdict = out.get("soundness", {}).get("verdict")
         assert verdict in ("fail", "violated") or out.get("separable") is False
+
+
+def test_long_binary_chain_exact_soundness_exits_2_quickly(tmp_path, capsys):
+    # 2**2000 words and no separator plan within the budget: a prompt
+    # CapacityError and exit 2, run in a child under a timeout.
+    import os
+    from pathlib import Path
+
+    import ltcforge
+    from ltcforge.codes import Alphabet, repetition_code
+    from ltcforge.serialize import code_to_json
+
+    code, doc = run_cli(capsys, "tester", "equality", "--size", "2", "--n", "2000")
+    assert code == 0
+    (tmp_path / "t.json").write_text(json.dumps(doc["tester"]))
+    (tmp_path / "c.json").write_text(json.dumps(code_to_json(repetition_code(Alphabet.plain(2), 2000))))
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    argv = ["soundness", "exact", "--tester", str(tmp_path / "t.json"), "--code", str(tmp_path / "c.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltcforge", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exact soundness requires" in proc.stderr and "Traceback" not in proc.stderr

@@ -159,3 +159,41 @@ def test_demo_final_soundness_exact_by_separator():
         "general exact separator pass 1/21 0 0 0 1 1 1 2 2 2 0 1 2 0 1 2 0 1 2",
         "semilinear exact separator pass 5/107 0 0 2 2 2 0 0 0 0 0 0 1 2 0 1 2 0 0 0 0",
     ]
+
+
+_REPETITION_SCRIPT = """
+from fractions import Fraction
+from ltcforge import testers
+from ltcforge.algebra import decode_tuple
+from ltcforge.codes import Alphabet, dist_to_code, repetition_code
+from ltcforge.pipeline import general_reduction
+from ltcforge.testers import equality_tester, reject_probability, soundness_exact
+code = repetition_code(Alphabet.plain(2), 4)
+tester = equality_tester(code.alphabet, 4)
+report = general_reduction(code, tester, soundness_exact(tester, code).value, 3, 3, trials=100)
+sound = report.achieved["soundness"]
+final, fcode = report.stages["final_tester"], report.stages["final_code"]
+print(sound.mode, sound.engine, sound.verdict, sound.value, *sound.witness.letters)
+print(reject_probability(final, sound.witness) / dist_to_code(sound.witness, fcode))
+compiled, den, dtype = testers._compiled_checks(final)
+n, sep = final.n, [0, 3, 12, 18, 30]
+adj = [sum(1 << p for p in {p for s, _ in compiled if pos in s for p in s}) for pos in range(n)]
+masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
+blocks = [[p for p in range(n) if m >> p & 1] for m in masks]
+rn, mm, widx = testers._separator_scan(compiled, dtype, 3, n, fcode.codewords, sep, blocks)
+print(Fraction(rn * n, den * mm), decode_tuple(widx, 3, n)[::-1] == sound.witness.letters)
+"""
+
+
+def test_repetition_length_4_general_reduction_exact():
+    # The general reduction (d = c = 3) of the length-4 repetition code ends
+    # on 3^36 words; the greedy separator plan certifies it exactly.  The
+    # witness is re-evaluated, and a second separator gives the same value
+    # and witness.  Run in a child under a timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPETITION_SCRIPT], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    witness = "0 0 0 1 1 1 2 2 2 0 0 0 1 1 1 2 2 2 0 1 2 0 1 2 0 1 2 0 1 2 0 1 2 0 1 2"
+    assert proc.stdout.splitlines() == [f"exact separator pass 3/71 {witness}", "3/71", "3/71 True"]

@@ -557,3 +557,64 @@ def test_separator_engine_matches_brute_force(instance):
         rn, mm, widx = best
         assert Fraction(rn * n, den * mm) == brute.value
         assert decode_tuple(widx, size, n)[::-1] == brute.witness.letters
+
+
+def test_separator_plan_on_demo_final_testers():
+    # One greedy pass plans each demo's final tester: the plans are pinned,
+    # and growing X computes components at most once per candidate position
+    # and step, n (n + 1) / 2 + 1 times in all (once, with the low-link cuts).
+    from ltcforge.pipeline import DEMO_PARAMS, demo_inputs, run_reduction
+
+    plans = {}
+    for kind, params in DEMO_PARAMS.items():
+        report = run_reduction(kind, *demo_inputs(kind), params, trials=100)
+        final, code = report.stages["final_tester"], report.stages["final_code"]
+        size, n = final.alphabet.size, final.n
+        supports = [s for s, _ in testers._compiled_checks(final)[0]]
+        with mock.patch.object(testers, "_components", wraps=testers._components) as spy:
+            plans[kind] = testers._separator_plan(size, n, supports, len(code.codewords))[:2]
+        assert spy.call_count <= n * (n + 1) // 2 + 1
+    assert plans == {"linear": (4422, [1]), "general": (217415, [0, 12]), "semilinear": (544137, [0, 11])}
+
+
+@st.composite
+def _plan_graphs(draw):
+    size, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 9))
+    positions = st.integers(0, n - 1)
+    supports = draw(st.lists(st.lists(positions, min_size=1, max_size=3, unique=True), max_size=12))
+    return size, n, [tuple(sorted(s)) for s in supports], draw(st.integers(1, 4)), draw(st.integers(1, 10**6))
+
+
+@given(_plan_graphs())
+def test_separator_plan_beats_every_plan_of_at_most_one_position(instance):
+    # Greedy growth tries every single position first, so it never misses a
+    # plan of at most one position that fits the budget; the plan it returns
+    # is the components of the graph without X, costed by _separator_cost.
+    # (Two-position plans are not guaranteed: greedy is not exhaustive.)
+    size, n, supports, ncodes, budget = instance
+    adj = [sum(1 << p for p in {p for s in supports if pos in s for p in s}) for pos in range(n)]
+
+    def plan_of(sep):
+        masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
+        blocks = [[p for p in range(n) if m >> p & 1] for m in masks]
+        return testers._separator_cost(size, len(sep), list(map(len, blocks)), ncodes), blocks
+
+    small = [c for sep in [[]] + [[p] for p in range(n)] if (c := plan_of(sep)[0]) is not None and c <= budget]
+    plan = testers._separator_plan(size, n, supports, ncodes, budget)
+    if small:
+        assert plan is not None and plan[0] <= min(small)
+    if plan is not None:
+        assert plan[1] == sorted(set(plan[1])) and plan_of(plan[1]) == (plan[0], plan[2])
+
+
+def test_separator_plan_on_long_binary_chains():
+    # The equality chain with two codewords: balanced cuts find a plan in
+    # budget at n = 40 and 60, and at n = 2000 growth stops at the budget
+    # instead of running through every position.
+    plans, start = {}, time.perf_counter()
+    for n in (40, 60, 2000):
+        supports = [s for s, _ in testers._compiled_checks(equality_tester(BIN, n))[0]]
+        plan = testers._separator_plan(2, n, supports, 2, 2**26)
+        plans[n] = plan and plan[:2]
+    assert time.perf_counter() - start < 20
+    assert plans == {40: (1436250, [9, 19, 29]), 60: (10060938, [14, 29, 44, 55]), 2000: None}
