@@ -26,7 +26,7 @@ from .constructions import (
     generalized_long_code,
     ring_constraint_tester,
 )
-from .errors import DomainError, ForgeError
+from .errors import DomainError, ForgeError, SchemaError
 from .pipeline import DEMO_PARAMS, demo_inputs, run_reduction
 from .separability import (
     SeparabilityFailure,
@@ -58,9 +58,30 @@ from .serialize import (
 from .testers import equality_tester, soundness_exact, soundness_sampled, validate
 
 
-def _load(path: str) -> dict:
+_READERS = {
+    "code": code_from_json,
+    "encoder": encoder_from_json,
+    "family": family_from_json,
+    "tester": tester_from_json,
+}
+
+
+def _load(path: str, kind: str):
+    """The `kind` artifact in the JSON file at path: the artifact itself, or
+    the output of another command holding exactly one artifact of that
+    schema among its top-level values (`build --out`, `tester ... --out`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    schema = SCHEMAS[kind]
+    if isinstance(doc, dict) and "schema" not in doc:
+        held = [v for v in doc.values() if isinstance(v, dict) and v.get("schema") == schema]
+        if len(held) != 1:
+            raise SchemaError(
+                f"{path}: expected a {schema} artifact or an output holding exactly one,"
+                f" found {len(held)}"
+            )
+        doc = held[0]
+    return _READERS[kind](doc)
 
 
 def _int_in(low: int, high: int):
@@ -241,7 +262,7 @@ def _cmd_build(args) -> tuple[dict, int]:
 def _cmd_tester(args) -> tuple[dict, int]:
     if args.what == "dependence":
         if args.family is not None:
-            fam = family_from_json(_load(args.family))
+            fam = _load(args.family, "family")
         elif args.hadamard is not None:
             fam, _ = _family("hadamard", args.hadamard, args.budget)
         else:
@@ -267,8 +288,8 @@ def _cmd_tester(args) -> tuple[dict, int]:
 
 
 def _cmd_soundness(args) -> tuple[dict, int]:
-    tester = tester_from_json(_load(args.tester))
-    code = code_from_json(_load(args.code))
+    tester = _load(args.tester, "tester")
+    code = _load(args.code, "code")
     if args.what == "exact":
         report = soundness_exact(tester, code, args.budget, bound=args.bound)
     else:
@@ -278,15 +299,15 @@ def _cmd_soundness(args) -> tuple[dict, int]:
 
 
 def _cmd_concat(args) -> tuple[dict, int]:
-    code = code_from_json(_load(args.code))
-    encoder = encoder_from_json(_load(args.encoder))
+    code = _load(args.code, "code")
+    encoder = _load(args.encoder, "encoder")
     joined = concatenate(code, encoder)
     payload: dict = {"code": code_to_json(joined)}
     if args.outer_tester:
         if args.mu is None or args.inner_tester is None or args.nu is None:
             raise DomainError("tester composition needs --mu, --inner-tester and --nu")
-        outer = tester_from_json(_load(args.outer_tester))
-        inner = tester_from_json(_load(args.inner_tester))
+        outer = _load(args.outer_tester, "tester")
+        inner = _load(args.inner_tester, "tester")
         wit = check_f_compatible(outer, encoder, args.budget)
         if isinstance(wit, CompatFailure):
             payload["incompatible"] = {"check": wit.check_index, "coordinate": wit.coordinate}
@@ -301,7 +322,7 @@ def _cmd_concat(args) -> tuple[dict, int]:
 
 
 def _cmd_separate(args) -> tuple[dict, int]:
-    tester = tester_from_json(_load(args.tester))
+    tester = _load(args.tester, "tester")
     target = _target(args)
     if args.what == "check":
         if args.linear:
@@ -339,8 +360,8 @@ def _cmd_pipeline(args) -> tuple[dict, int]:
             raise DomainError("pipeline needs --demo or --code/--tester/--mu")
         if len(given) < len(defaults):
             raise DomainError(f"{kind} pipeline needs " + " and ".join(f"--{n}" for n in defaults))
-        code = code_from_json(_load(args.code))
-        tester = tester_from_json(_load(args.tester))
+        code = _load(args.code, "code")
+        tester = _load(args.tester, "tester")
         mu, params = args.mu, given
     report = run_reduction(
         kind, code, tester, mu, params, budget=args.budget, seed=args.seed, trials=args.trials
@@ -391,8 +412,12 @@ def main(argv: list[str] | None = None) -> int:
     doc = {"manifest": manifest, **payload}
     text = dumps(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out} ({exc})", file=sys.stderr)
+            return 2
     sys.stdout.write(text)
     return exit_code
 

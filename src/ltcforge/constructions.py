@@ -10,14 +10,23 @@ proper subset of the full tuple space and accepts exactly that image.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .algebra import DEFAULT_BUDGET, VecSpace, decode_tuple, enumerate_linear_maps
 from .codes import Alphabet, Code, Word, distance
 from .errors import CapacityError, DomainError
-from .testers import Check, Tester, accept_from_tuples, full_accept, uniform_checks
+from .testers import (
+    ACCEPT_BITS_LIMIT,
+    Check,
+    Tester,
+    accept_from_tuples,
+    full_accept,
+    tuples_from_accept,
+    uniform_checks,
+)
 
 
 @dataclass(frozen=True)
@@ -59,21 +68,53 @@ def code_from_family(family: FunctionFamily) -> tuple[Code, bool]:
     return Code(family.target, family.k, words), injective
 
 
+IMAGE_CELLS = 1 << 20  # array elements per chunk of joint-image rows
+
+
+def _joint_images(
+    family: FunctionFamily, q: int, budget: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """(tuple, accept bitset of its joint image) for every dependent q-tuple
+    of coordinate indices, in lexicographic order of the tuples.
+
+    A chunk of tuples becomes one array of domain codes (the index of each
+    element's image tuple), one boolean image row per tuple and, for the
+    rows that miss some tuple, packed accept bits.  Chunks hold at most
+    IMAGE_CELLS elements per array, or one row when a row alone is larger,
+    so memory does not grow with k**q."""
+    if q < 1:
+        raise DomainError("tuple arity must be at least 1")
+    k, domain = family.k, family.domain_size
+    if k**q > budget:
+        raise CapacityError(k**q, budget, "dependent tuple enumeration")
+    cells = family.target.size**q
+    if cells > ACCEPT_BITS_LIMIT:
+        raise CapacityError(cells, ACCEPT_BITS_LIMIT, "accept bitset")
+    tables = np.array(family.tables, dtype=np.int64).reshape(k, domain)
+    place = family.target.size ** np.arange(q, dtype=np.int64)[:, None]
+    radix = k ** np.arange(q - 1, -1, -1, dtype=np.int64)
+    rows = max(1, IMAGE_CELLS // max(cells, q * domain))
+    out = []
+    for start in range(0, k**q, rows):
+        tups = np.arange(start, min(start + rows, k**q), dtype=np.int64)[:, None] // radix % k
+        codes = (tables[tups] * place).sum(axis=1)
+        image = np.zeros((len(tups), cells), dtype=bool)
+        image[np.arange(len(tups))[:, None], codes] = True
+        dep = np.flatnonzero(np.count_nonzero(image, axis=1) < cells)
+        packed = np.packbits(image[dep], axis=1, bitorder="little")
+        for tup, row in zip(tups[dep].tolist(), packed):
+            out.append((tuple(tup), int.from_bytes(row.tobytes(), "little")))
+    return out
+
+
 def dependent_tuples(family: FunctionFamily, q: int, budget: int = DEFAULT_BUDGET):
     """Ordered q-tuples of coordinate indices (repeats allowed) whose joint
     image is a proper subset of target^q, each paired with that image."""
-    if q < 1:
-        raise DomainError("tuple arity must be at least 1")
-    k = family.k
-    if k**q > budget:
-        raise CapacityError(k**q, budget, "dependent tuple enumeration")
-    full = family.target.size**q
-    out = []
-    for tup in itertools.product(range(k), repeat=q):
-        image = {tuple(family.tables[i][s] for i in tup) for s in range(family.domain_size)}
-        if len(image) < full:
-            out.append((tup, tuple(sorted(image))))
-    return out
+    size = family.target.size
+    return [
+        (tup, tuple(sorted(tuples_from_accept(accept, size, q))))
+        for tup, accept in _joint_images(family, q, budget)
+    ]
 
 
 def dependence_tester(
@@ -82,13 +123,11 @@ def dependence_tester(
     """Uniform tester over dependent tuples; each check accepts exactly the
     joint image.  Families with no dependent tuple get a degenerate
     always-accept tester flagged in metadata (its soundness is zero)."""
-    deps = dependent_tuples(family, q, budget)
-    size = family.target.size
+    deps = _joint_images(family, q, budget)
     if not deps:
-        check = Check((0,) * q, full_accept(size, q), Fraction(1))
+        check = Check((0,) * q, full_accept(family.target.size, q), Fraction(1))
         return Tester(family.target, family.k, q, (check,), meta={"degenerate": True})
-    checks = uniform_checks([(tup, accept_from_tuples(image, size)) for tup, image in deps])
-    return Tester(family.target, family.k, q, checks)
+    return Tester(family.target, family.k, q, uniform_checks(deps))
 
 
 # ---------------------------------------------------------------------------

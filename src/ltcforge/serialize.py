@@ -5,6 +5,14 @@ form; nothing is ever converted through floating point.  Every document
 has a versioned "schema" field.  Dumping is canonical (sorted keys, fixed
 indentation), so identical artifacts serialize to identical bytes.
 
+`dumps` is the one text encoder of the package.  Its output is byte for
+byte that of `json.dumps` with `sort_keys=True` and an indent of 2, plus a
+final newline, but it takes only the types artifacts are made of: dicts
+with str keys, lists, str, int, bool and None.  Anything else, a float
+included, raises TypeError, so "never through floating point" is enforced
+at the last step.  A list of ints, or of nonempty int lists, is laid out
+from its one `repr` by string replacement, the bulk of every tester.
+
 Query positions are 0-based here and throughout the package.  Readers
 raise SchemaError for a non-integer where an integer belongs.
 """
@@ -13,6 +21,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 from operator import index
 from typing import Any
 
@@ -39,7 +49,47 @@ SCHEMAS = {
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(v: Any, nl: str) -> str:
+    """The text of v at the nesting given by nl, a newline plus the
+    indentation of the line v starts on."""
+    t = type(v)
+    if t is str:
+        return _string(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    if t is list:
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        kinds = set(map(type, v))
+        if kinds == {int}:
+            return "[" + inner + repr(v)[1:-1].replace(", ", "," + inner) + nl + "]"
+        # Nonempty int lists: "[[" opens, "]]" closes, "], [" separates them.
+        if kinds == {list} and all(v) and set(map(type, chain.from_iterable(v))) == {int}:
+            deep = inner + "  "
+            body = repr(v)[2:-2].replace("], [", inner + "]," + inner + "[" + deep)
+            return "[" + inner + "[" + deep + body.replace(", ", "," + deep) + inner + "]" + nl + "]"
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in v]) + nl + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        for key, x in sorted(v.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            tx = type(x)
+            text = int.__repr__(x) if tx is int else _string(x) if tx is str else _encode(x, inner)
+            parts.append(_string(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    raise TypeError(f"{t.__name__} has no JSON form here")
 
 
 def _expect(doc: Any, kind: str) -> None:
@@ -151,17 +201,21 @@ def word_from_json(d: Any) -> Word:
 
 def tester_to_json(t: Tester) -> dict:
     size = t.alphabet.size
+    decoded: dict[tuple[int, int], list] = {}  # each distinct accept set once
+
+    def accept(ch: Check) -> list:
+        key = (ch.accept, ch.arity)
+        if key not in decoded:
+            decoded[key] = tuples_from_accept(ch.accept, size, ch.arity)
+        return list(map(list, decoded[key]))
+
     return {
         "schema": SCHEMAS["tester"],
         "alphabet": alphabet_to_json(t.alphabet),
         "n": t.n,
         "q": t.q,
         "checks": [
-            {
-                "queries": list(ch.queries),
-                "accept": accept_to_json(ch.accept, size, ch.arity),
-                "weight": frac_to_json(ch.weight),
-            }
+            {"queries": list(ch.queries), "accept": accept(ch), "weight": frac_to_json(ch.weight)}
             for ch in t.checks
         ],
     }

@@ -51,7 +51,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_BUDGET, decode_tuple, encode_tuple, rank, row_reduce, solve_functional
+from .algebra import (
+    DEFAULT_BUDGET,
+    TABLE_LIMIT,
+    decode_tuple,
+    encode_tuple,
+    rank,
+    row_reduce,
+    solve_functional,
+    tuple_table,
+)
 from .codes import Alphabet, Code, Word
 from .errors import CapacityError, DomainError, MismatchError
 
@@ -66,11 +75,12 @@ def accept_from_tuples(tuples: Iterable[Sequence[int]], size: int) -> int:
 
 
 def tuples_from_accept(accept: int, size: int, arity: int) -> list[tuple[int, ...]]:
-    out, x = [], accept
-    while x:
-        out.append(decode_tuple((x & -x).bit_length() - 1, size, arity))
-        x &= x - 1
-    return out
+    """The accepted tuples in index order, looked up in the decode table
+    unless size**arity is too large to tabulate."""
+    if size**arity > TABLE_LIMIT:
+        return [decode_tuple(i, size, arity) for i in _bits(accept)]
+    table = tuple_table(size, arity)
+    return [table[i] for i in _bits(accept)]
 
 
 def _bits(mask: int):

@@ -8,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ltcforge.algebra import (
+    TABLE_LIMIT,
     Field,
     LinearMap,
     VecSpace,
+    decode_tuple,
+    encode_tuple,
     enumerate_linear_maps,
     enumerate_vectors,
     in_span,
@@ -19,6 +22,7 @@ from ltcforge.algebra import (
     row_reduce,
     solve_functional,
     span_vectors,
+    tuple_table,
 )
 from ltcforge.errors import CapacityError, DomainError, MismatchError
 
@@ -194,3 +198,15 @@ def test_solve_functional_vanishes_on_span():
     for v in span_vectors(rows, 3, 2):
         assert sum(a * b for a, b in zip(phi, v)) % 2 == 0
 
+
+@pytest.mark.parametrize("size, arity", [(2, 1), (3, 3), (5, 2), (2, 12)])
+def test_tuple_table_is_the_codec(size, arity):
+    table = tuple_table(size, arity)
+    assert len(table) == size**arity
+    assert all(t == decode_tuple(i, size, arity) and encode_tuple(t, size) == i for i, t in enumerate(table))
+    assert tuple_table(size, arity) is table  # cached
+
+
+def test_tuple_table_capped():
+    with pytest.raises(CapacityError):
+        tuple_table(2, TABLE_LIMIT.bit_length())

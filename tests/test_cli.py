@@ -126,6 +126,32 @@ def test_pipeline_semilinear_demo(capsys):
     assert report["overall"] == "pass"
 
 
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.json"
+    assert main(["build", "longcode", "--s", "2", "--delta-size", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: cannot write {out}")
+
+
+def test_cli_outputs_chain_through_files(tmp_path, capsys):
+    # build -> tester dependence -> soundness exact, each reading the
+    # previous command's --out file as it was written
+    build, tester = tmp_path / "build.json", tmp_path / "tester.json"
+    assert main(["build", "longcode", "--s", "2", "--delta-size", "3", "--out", str(build)]) == 0
+    assert main(["tester", "dependence", "--family", str(build), "--q", "2", "--out", str(tester)]) == 0
+    argv = ["soundness", "exact", "--tester", str(tester), "--code", str(build), "--bound", "2/3"]
+    assert main(argv + ["--out", str(tmp_path / "sound.json")]) == 0
+    capsys.readouterr()
+    sound = json.loads((tmp_path / "sound.json").read_text())["soundness"]
+    assert (sound["value"], sound["verdict"]) == ({"num": 2, "den": 3}, "pass")
+    # an output holding no tester (here the soundness report) is refused
+    argv = ["soundness", "exact", "--tester", str(tmp_path / "sound.json"), "--code", str(build)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "holding exactly one, found 0" in captured.err
+
+
 def test_linear_pipeline_plain_code_exit_2(tmp_path, capsys):
     _, doc = run_cli(capsys, "build", "longcode", "--s", "2", "--delta-size", "2")
     code_path = tmp_path / "c.json"
@@ -428,13 +454,16 @@ def _mutated(draw, doc):
 
 @pytest.fixture(scope="module")
 def fuzz_sources():
+    """(family, key, wrapped) -> the artifact alone, or the whole output
+    of the command that wrote it."""
     docs = {}
     for family, commands in _FUZZ_SOURCES.items():
         for key, command in zip(("tester", "code"), commands):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 assert main(command.split()) == 0
-            docs[family, key] = json.loads(buf.getvalue())[key]
+            output = json.loads(buf.getvalue())
+            docs[family, key, False], docs[family, key, True] = output[key], output
     return docs
 
 
@@ -446,7 +475,7 @@ def test_fuzzed_artifacts_keep_the_exit_contract(data, fuzz_sources, tmp_path, c
     # that is not separable.  In process, an exception escaping main fails
     # the test as a traceback would.
     family = data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))
-    docs = {key: fuzz_sources[family, key] for key in ("tester", "code")}
+    docs = {key: fuzz_sources[family, key, data.draw(st.booleans())] for key in ("tester", "code")}
     target = data.draw(st.sampled_from(sorted(docs)))
     docs[target] = data.draw(_mutated(docs[target]))
     paths = {}

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltcforge.algebra import Field, VecSpace, enumerate_linear_maps
 from ltcforge.codes import Alphabet, Word, dist_to_code, distance
@@ -20,7 +23,16 @@ from ltcforge.constructions import (
     ring_constraint_tester,
 )
 from ltcforge.errors import CapacityError, DomainError
-from ltcforge.testers import accepted_words, reject_probability, soundness_exact, validate
+from ltcforge.testers import (
+    Tester,
+    accept_from_tuples,
+    accepted_words,
+    full_accept,
+    reject_probability,
+    soundness_exact,
+    uniform_checks,
+    validate,
+)
 
 BIN = Alphabet.plain(2)
 TRI = Alphabet.plain(3)
@@ -228,3 +240,69 @@ def test_universality_on_random_families():
         report = soundness_exact(tester, code)
         positive = (not report.infinite) and report.value > 0
         assert positive == (set(acc) == set(code.codewords)) or report.infinite
+
+
+def _reference_dependent_tuples(family, q):
+    """The loop the vectorised construction replaced: one image set per tuple."""
+    full = family.target.size**q
+    out = []
+    for tup in itertools.product(range(family.k), repeat=q):
+        image = {tuple(family.tables[i][s] for i in tup) for s in range(family.domain_size)}
+        if len(image) < full:
+            out.append((tup, tuple(sorted(image))))
+    return out
+
+
+@st.composite
+def _families(draw):
+    k, domain, size = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(2, 4))
+    cell = st.integers(0, size - 1)
+    if draw(st.booleans()):  # every table a distinct function: often no dependent tuple
+        tables = draw(st.lists(st.tuples(*[cell] * domain), min_size=k, max_size=k, unique=True))
+    else:
+        tables = draw(st.lists(st.tuples(*[cell] * domain), min_size=k, max_size=k))
+    return FunctionFamily(domain, Alphabet.plain(size), tuple(tables))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=_families(), q=st.integers(1, 3))
+@example(family=FunctionFamily(2, BIN, ((0, 1), (1, 0))), q=1)  # degenerate: both images full
+def test_dependence_construction_matches_brute_force(family, q):
+    deps = _reference_dependent_tuples(family, q)
+    assert dependent_tuples(family, q) == deps
+    tester = dependence_tester(family, q)
+    size = family.target.size
+    if deps:
+        entries = [(tup, accept_from_tuples(image, size)) for tup, image in deps]
+        assert tester == Tester(family.target, family.k, q, uniform_checks(entries))
+        assert "degenerate" not in tester.meta
+    else:
+        assert tester.meta == {"degenerate": True}
+        assert [(ch.queries, ch.accept) for ch in tester.checks] == [((0,) * q, full_accept(size, q))]
+
+
+@pytest.mark.parametrize("q, budget", [(2, 15), (3, 63), (1, 3)])
+def test_dependence_construction_budget(q, budget):
+    fam = FunctionFamily(2, BIN, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    for build in (dependent_tuples, dependence_tester):
+        with pytest.raises(CapacityError) as exc:
+            build(fam, q, budget)
+        assert exc.value.required == 4**q
+    assert len(dependent_tuples(fam, q, 4**q)) == len(_reference_dependent_tuples(fam, q))
+
+
+def test_dependence_construction_memory_is_chunked():
+    # 25 tuples of 4096**2 image cells: an unchunked boolean image table is
+    # 25 * 2**24 bytes = 400 MiB; chunked, one row (16 MiB) is live at a time
+    # beside the 25 accept bitsets (2 MiB each).
+    rng = random.Random(3)
+    tables = tuple(tuple(rng.randrange(4096) for _ in range(8)) for _ in range(5))
+    fam = FunctionFamily(8, Alphabet.plain(4096), tables)
+    tracemalloc.start()
+    try:
+        tester = dependence_tester(fam, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tester.checks) == 25
+    assert peak < 128 << 20

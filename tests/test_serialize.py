@@ -1,10 +1,15 @@
 """Round-trip identity for every serialized artifact."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ltcforge
 from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import Alphabet, repetition_code, vector_alphabet
 from ltcforge.concat import check_f_compatible
@@ -151,3 +156,41 @@ def test_huge_alphabet_refused_before_decoding_accept_sets():
     doc["alphabet"] = {"kind": "vector", "p": 2, "dim": 10**12}
     with pytest.raises(CapacityError):
         tester_from_json(doc)
+
+
+_TEXT = st.text(alphabet=st.sampled_from('aZ0 "\\/[],:{}\n\té€\u2028\U0001f600'), max_size=6)
+_INTS = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+_LEAVES = st.none() | st.booleans() | _INTS | _TEXT
+_INT_LISTS = st.lists(_INTS, max_size=4)
+_DOCS = st.recursive(
+    _LEAVES | _INT_LISTS | st.lists(_INT_LISTS, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_dumps_matches_the_reference_encoder(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc", [{"x": 0.5}, [1, 2.0], {1: "a"}, {"a": (1, 2)}, [[1, 2], (3,)], {"a": object()}]
+)
+def test_dumps_refuses_values_outside_the_artifact_types(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
+
+
+def test_no_module_calls_json_dumps():
+    # The text format has one home, serialize.dumps.
+    calls = []
+    for path in sorted(Path(ltcforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "dumps":
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "dumps"]
+    assert calls == []

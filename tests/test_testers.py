@@ -304,6 +304,13 @@ def test_accept_bitset_roundtrip_random(bits):
     assert got == bits
 
 
+@pytest.mark.parametrize("size, arity", [(3, 2), (2, 5), (300, 2)])  # 300**2 is past the decode table
+def test_tuples_from_accept_in_index_order(size, arity):
+    idx = sorted(random.Random(size).sample(range(size**arity), min(20, size**arity)))
+    accept = sum(1 << i for i in idx)
+    assert tuples_from_accept(accept, size, arity) == [decode_tuple(i, size, arity) for i in idx]
+
+
 _HANG_SCRIPT = """
 from fractions import Fraction
 from ltcforge.codes import Alphabet, repetition_code
