@@ -59,9 +59,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -103,10 +100,6 @@ class VecSpace:
     def add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
         p = self.field.p
         return tuple((a + b) % p for a, b in zip(u, v))
-
-    def scale(self, c: int, v: Sequence[int]) -> tuple[int, ...]:
-        p = self.field.p
-        return tuple((c * a) % p for a in v)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.dim

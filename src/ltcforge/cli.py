@@ -342,7 +342,7 @@ def _cmd_separate(args) -> tuple[dict, int]:
     if args.linear:
         replaced = linear_separable_replacement(tester, args.mu, target)
     else:
-        replaced = separable_replacement(tester, args.mu, target)
+        replaced = separable_replacement(tester, args.mu, target, args.budget)
     return {
         "tester": tester_to_json(replaced),
         "bound": frac_to_json(replaced.meta["bound"]),

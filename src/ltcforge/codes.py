@@ -122,9 +122,6 @@ class Code:
             object.__setattr__(self, "_members", ms)
         return ms
 
-    def word(self, letters: Sequence[int]) -> Word:
-        return Word(self.alphabet, tuple(letters))
-
 
 def repetition_code(alphabet: Alphabet, n: int) -> Code:
     """The n-fold repetition code {aa...a : a in the alphabet}."""

@@ -273,7 +273,7 @@ def general_reduction(
         raise DomainError("c = 2 requires a tester with at least 3 queries")
     sigma_size = code.alphabet.size
 
-    t_sep = separable_replacement(tester, mu, c)
+    t_sep = separable_replacement(tester, mu, c, budget)
     cert = check_separable(t_sep, c)
     assert not isinstance(cert, SeparabilityFailure)
     inner_family, inner_code = generalized_long_code(sigma_size, Alphabet.plain(c), budget)

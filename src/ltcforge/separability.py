@@ -27,7 +27,7 @@ from .algebra import DEFAULT_BUDGET, VecSpace, kernel_complement_surjection, ran
 from .codes import Alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry, verify_witness
 from .constructions import generalized_hadamard, generalized_long_code
-from .errors import DomainError, MismatchError
+from .errors import CapacityError, DomainError, MismatchError
 from .testers import (
     Check,
     Tester,
@@ -149,7 +149,9 @@ def check_linearly_separable(
 # ---------------------------------------------------------------------------
 
 
-def separable_replacement(tester: Tester, mu: Fraction, delta_size: int) -> Tester:
+def separable_replacement(
+    tester: Tester, mu: Fraction, delta_size: int, budget: int = DEFAULT_BUDGET
+) -> Tester:
     """One check per (original check, guessed tuple): fire the original
     predicate only when the read letters equal the guess, else accept.
 
@@ -157,7 +159,8 @@ def separable_replacement(tester: Tester, mu: Fraction, delta_size: int) -> Test
     by |Sigma|^q pointwise, so soundness mu/|Sigma|^q is certified; every
     check is separable for any target with at least two symbols (indicator
     maps per coordinate).  Always-accept checks are kept so weights pass
-    through unrenormalized.
+    through unrenormalized.  CapacityError when the accept bits of the result,
+    |checks| * |Sigma|^(2q), exceed the budget.
     """
     if mu <= 0:
         raise DomainError("soundness lower bound must be positive")
@@ -165,8 +168,10 @@ def separable_replacement(tester: Tester, mu: Fraction, delta_size: int) -> Test
         raise DomainError("target alphabets need at least two symbols")
     size = tester.alphabet.size
     q = tester.q
-    padded = [pad_check(ch, q, size) for ch in tester.checks]
     factor = size**q
+    if (bits := len(tester.checks) * factor**2) > budget:
+        raise CapacityError(bits, budget, "separable replacement")
+    padded = [pad_check(ch, q, size) for ch in tester.checks]
     checks = []
     for ch in padded:
         every = full_accept(size, q)

@@ -13,27 +13,27 @@ int64 when no score can reach 2**62 and Python ints in object arrays
 otherwise, through the same kernels, so results are exact rationals either
 way.
 
-Exact soundness has two engines, and `soundness_exact` is the one place
-that picks between them.  The scan enumerates every word when
-|alphabet|^n fits the budget, in chunks of |alphabet|^k words that share
-their first n - k letters (the prefix) and run the last k over one digit
-grid.  What depends on the grid alone is computed once: the numerators of
-the supports inside it and each codeword's mismatches on it.  A chunk then
-costs one gather per support part that reads the prefix and one scalar add
-per codeword.  Chunks run in lexicographic order of their prefix and each
-in grid order, so word indices only increase and only a strictly smaller
-ratio replaces the current minimizer: the "lexicographically smallest
-witness" tie-break stays a first-hit rule.
+Exact soundness has one engine, bucket elimination (Dechter 1999) on the
+ratio objective, run on a plan: positions X to enumerate and blocks to
+eliminate, every support lying inside X or inside X plus one block.  The
+scan is the plan with X = every position and no blocks, used when
+|alphabet|^n fits the budget; above it X grows greedily one position at a
+time on the supports' primal graph, at a cost of about |alphabet|^|X| *
+sum over blocks of |alphabet|^|block|, and when that does not fit the
+budget either, CapacityError carries the smaller of the two costs.
+Reports name the plan: "scan" without blocks, "separator" with them.
 
-Above the budget, the separator engine (bucket elimination, Dechter 1999,
-on the ratio objective) conditions on positions X that split the supports'
-primal graph into blocks, X grown greedily one position at a time.  Per
-block, per assignment of X and per vector of mismatch counts against the
-codewords it keeps the least reject numerator, and merges the blocks by
-min-plus over those vectors.  It returns the scan's value and witness at a
-cost of about |alphabet|^|X| * sum over blocks of |alphabet|^|block|; when
-that does not fit the budget either, CapacityError carries the smaller of
-the two costs.  Reports name the engine that decided them.
+X's assignments run in chunks of |alphabet|^k that share X's first |X| - k
+letters (the prefix) and run its last k over one digit grid.  What depends
+on the grid alone is computed once: the numerators of the supports inside
+it and each codeword's mismatches on it.  A chunk then costs one gather per
+support part that reads the prefix and one scalar add per codeword.  Per
+assignment of X, per block and per vector of mismatch counts against the
+codewords, the engine keeps the least (reject numerator, word index part)
+pair and merges the blocks by min-plus over those vectors.  One selection
+step keeps the least ratio, then the least word index (the
+lexicographically smallest witness); without blocks, word indices only
+increase, so that is a first-hit rule on strictly smaller ratios.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -288,22 +288,28 @@ def _mismatch_counts(codewords, digits) -> np.ndarray:
     return best
 
 
-def _tournament(rej, mism, start, best):
-    """Earliest strict minimizer of rej/mism among mism>0 entries."""
-    mism = mism.astype(rej.dtype, copy=False)  # brn * mism must not wrap either
-    valid = mism > 0
+def _select(best, rej, mism, index):
+    """The running best (rej, mism, word index) of least ratio rej/mism among
+    the mism > 0 entries, then of least word index.  `index` holds the
+    entries' word indices, or is the int index of the first entry when they
+    count up along the arrays and from call to call: the first strict
+    minimizer is then the earliest word, and an equal ratio never replaces
+    the best."""
+    mism = mism.astype(rej.dtype, copy=False)  # rn * mism must not wrap either
+    valid, first_hit = mism > 0, isinstance(index, int)
     if not valid.any():
         return best
-    if best is None:
-        i = int(np.argmax(valid))
-        best = (int(rej[i]), int(mism[i]), start + i)
-    while True:
-        brn, bmm, _ = best
-        better = valid & (rej * bmm < brn * mism)
-        if not better.any():
-            return best
-        i = int(np.argmax(better))
-        best = (int(rej[i]), int(mism[i]), start + i)
+
+    def entry(i):
+        return int(rej[i]), int(mism[i]), index + i if first_hit else int(index[i])
+
+    best = best or entry(int(np.argmax(valid)))
+    while (better := valid & (rej * best[1] < best[0] * mism)).any():
+        best = entry(int(np.argmax(better)))
+    ties = () if first_hit else np.flatnonzero(valid & (rej * best[1] == best[0] * mism))
+    if len(ties):
+        best = min(best, entry(ties[np.argmin(index[ties])]), key=lambda e: e[2])
+    return best
 
 
 CHUNK = 1 << 18  # words per exact-scan chunk, unless one letter already exceeds it
@@ -320,48 +326,6 @@ def _grid_width(size: int, n: int, supports, codewords) -> int:
         if size**k <= CHUNK and size**k * (1 + len(parts) + len(codewords)) <= CHUNK * n:
             return k
     return 1
-
-
-def _scan(compiled, dtype, size: int, n: int, codewords):
-    """Brute force: the earliest word of least ratio as (rej, mism, word
-    index), or None when every word is a codeword."""
-    supports = [s for s, _ in compiled]
-    head = n - _grid_width(size, n, supports, codewords)
-    width = size ** (n - head)
-    # Letters at positions head..n-1, in the smallest dtype holding every LUT index.
-    index_dtype = np.min_scalar_type(size ** max(map(len, supports), default=0) - 1)
-    grid = list(np.indices((size,) * (n - head), dtype=index_dtype).reshape(n - head, -1))
-    digits = [None] * head + grid
-    base = _reject_numerators([e for e in compiled if e[0][0] >= head], digits, size, dtype, width)
-    # A support reading the prefix splits its LUT index as (prefix part) +
-    # size**cut * (grid part): reshaped with the grid part as rows, a chunk
-    # picks one column per support and gathers once per distinct grid part
-    # (row 0 when the support lies wholly in the prefix).
-    parts: dict[tuple[int, ...], list] = {}
-    for support, lut in compiled:
-        cut = bisect_left(support, head)
-        if cut:
-            parts.setdefault(support[cut:], []).append((support[:cut], lut.reshape(-1, size**cut)))
-    gathers = [
-        (_lut_index(part, digits, size).astype(np.intp) if part else 0, cols)
-        for part, cols in parts.items()
-    ]
-    grid_mism = [(_mismatch_counts([cw[head:]], grid), cw[:head]) for cw in codewords]
-    del digits, grid
-
-    best = None
-    for c in range(size**head):  # chunks in lexicographic order of their prefix
-        prefix = decode_tuple(c, size, head)[::-1]
-        rej = base.copy()
-        for rows, cols in gathers:
-            col = sum(t[:, encode_tuple([prefix[pos] for pos in cut], size)] for cut, t in cols)
-            rej += col.take(rows)
-        mism = None
-        for row, pre in grid_mism:
-            near = row + sum(a != b for a, b in zip(prefix, pre))
-            mism = near if mism is None else np.minimum(mism, near, out=mism)
-        best = _tournament(rej, mism, c * width, best)
-    return best
 
 
 def _components(adj: list[int], alive: int) -> list[int]:
@@ -480,18 +444,19 @@ def _group_min(rej, tie, groups, top):
     return low, np.minimum.reduceat(tie, starts, axis=1)
 
 
-def _separator_scan(compiled, dtype, size: int, n: int, codewords, sep, blocks):
-    """Bucket elimination over a separator: the same result as `_scan`.
+def _least_ratio(compiled, dtype, size: int, n: int, codewords, sep, blocks):
+    """The word of least ratio, then of least index, as (rej, mism, word
+    index), or None when every word is a codeword.  Every support lies
+    inside sep or inside sep + B for one block B; the scan is sep = every
+    position and no blocks.
 
-    Every support lies inside sep + B for one block B or inside sep.  For
-    each assignment x of the separator and each vector of mismatch counts
-    against the codewords, a block keeps its least (reject numerator, word
-    index part) pair; a min-plus merge over vector sums combines the blocks.
-    Both parts add over disjoint positions and the lexicographic order on
-    pairs survives addition, so the least pair of a merged vector is that of
-    the best split, and the least word index among the words of least ratio
-    is brute force's first-hit witness.  Assignments x run in slices of
-    about CHUNK grid or merge cells."""
+    For each assignment x of sep and each vector of mismatch counts against
+    the codewords, a block keeps its least (reject numerator, word index
+    part) pair; a min-plus merge over vector sums combines the blocks.  Both
+    parts add over disjoint positions and the lexicographic order on pairs
+    survives addition, so the least pair of a merged vector is that of the
+    best split.  Each chunk of x runs in slices of about CHUNK grid or merge
+    cells."""
     top = size**n
     tie_dtype = np.int64 if top < 2**63 else object
     vec_dtype = np.min_scalar_type(n)
@@ -513,70 +478,94 @@ def _separator_scan(compiled, dtype, size: int, n: int, codewords, sep, blocks):
             tie += digits[pos].astype(tie_dtype) * size ** (n - 1 - pos)
         return tie
 
-    def mismatches(digits, positions, cells):
-        vec = np.zeros((cells, len(codewords)), dtype=vec_dtype)
-        for c, cw in enumerate(codewords):
+    def mismatches(digits, positions, cells):  # one row per codeword
+        rows = [np.zeros(cells, dtype=vec_dtype) for _ in codewords]
+        for row, cw in zip(rows, codewords):
             for pos in positions:
-                vec[:, c] += digits[pos] != cw[pos]
-        return vec
+                row += digits[pos] != cw[pos]
+        return rows
 
-    inside = set(sep)
-    sep_digits, rows = grid(sep)
-    sep_rej = _reject_numerators(
-        [e for e in compiled if inside.issuperset(e[0])], sep_digits, size, dtype, rows
-    )
-    sep_tie = tie_part(sep_digits, sep, rows)
-    sep_vec = mismatches(sep_digits, sep, rows)
+    inside, local = set(sep), {pos: i for i, pos in enumerate(sep)}
+    own = [e for e in compiled if inside.issuperset(e[0])]
+    k = _grid_width(size, len(sep), [tuple(local[p] for p in s) for s, _ in own], codewords)
+    head = max(0, len(sep) - k)
+    grid_at = sep[head:]
+    digits, cells = grid(grid_at)
+    start = grid_at[0] if grid_at else n
+    base = _reject_numerators([e for e in own if e[0][0] >= start], digits, size, dtype, cells)
+    # An own support reading the prefix splits its LUT index as (prefix
+    # part) + size**cut * (grid part): reshaped with the grid part as rows,
+    # a chunk picks one column per support and gathers once per distinct
+    # grid part (row 0 when the support lies wholly in the prefix).
+    parts: dict[tuple[int, ...], list] = {}
+    for support, lut in own:
+        cut = bisect_left(support, start)
+        if cut:
+            parts.setdefault(support[cut:], []).append((support[:cut], lut.reshape(-1, size**cut)))
+    gathers = [
+        (_lut_index(part, digits, size).astype(np.intp) if part else 0, cols)
+        for part, cols in parts.items()
+    ]
+    grid_mism = mismatches(digits, grid_at, cells)
+    grid_tie = tie_part(digits, grid_at, cells) if blocks else None
     # What does not depend on x: per block the numerators of the supports
-    # inside it, the LUT index parts of the supports that read both X and the
-    # block, its mismatch vectors and word index parts, and how its vectors
-    # merge into the running sums.
+    # inside it, the LUT index parts of the supports that read both sep and
+    # the block, its mismatch vectors and word index parts, and how its
+    # vectors merge into the running sums.
     steps, acc_vec, width = [], np.zeros((1, len(codewords)), dtype=vec_dtype), 1
     for block in blocks:
-        digits, cols = grid(block)
+        block_digits, cols = grid(block)
         members = set(block)
-        local = _reject_numerators(
-            [e for e in compiled if members.issuperset(e[0])], digits, size, dtype, cols
-        )
-        cross = [
-            (lut, _lut_index(s, sep_digits, size), _lut_index(s, digits, size))
+        inner = [e for e in compiled if members.issuperset(e[0])]
+        block_rej = _reject_numerators(inner, block_digits, size, dtype, cols)
+        cross = [  # (LUT, support, grid part, block part); the prefix part comes per chunk
+            (lut, s, np.broadcast_to(_lut_index(s, digits, size), cells), _lut_index(s, block_digits, size))
             for s, lut in compiled
             if members.intersection(s) and inside.intersection(s)
         ]
-        vec, groups = np.unique(mismatches(digits, block, cols), axis=0, return_inverse=True)
+        vec, groups = np.unique(np.stack(mismatches(block_digits, block, cols), 1), axis=0, return_inverse=True)
         pairs = (acc_vec[:, None, :] + vec[None, :, :]).reshape(-1, len(codewords))
         width = max(width, cols, len(pairs))
         acc_vec, merge = np.unique(pairs, axis=0, return_inverse=True)
-        tie = tie_part(digits, block, cols)
-        steps.append((cols, local, cross, groups.reshape(-1), tie, merge.reshape(-1)))
+        tie = tie_part(block_digits, block, cols)
+        steps.append((cols, block_rej, cross, groups.reshape(-1), tie, merge.reshape(-1)))
+    del digits
 
-    found = []
-    step = max(1, CHUNK // width)
-    for lo in range(0, rows, step):
-        hi = min(rows, lo + step)
-        acc_rej, acc_tie = sep_rej[lo:hi, None], sep_tie[lo:hi, None]
-        for cols, local, cross, groups, tie, merge in steps:
-            rej = np.broadcast_to(local, (hi - lo, cols))
-            for lut, at_sep, at_block in cross:
-                rej = rej + lut[at_sep[lo:hi, None] + at_block]
-            rej, blk_tie = _group_min(rej, np.broadcast_to(tie, rej.shape), groups, top)
-            acc_rej, acc_tie = _group_min(
-                (acc_rej[:, :, None] + rej[:, None, :]).reshape(hi - lo, -1),
-                (acc_tie[:, :, None] + blk_tie[:, None, :]).reshape(hi - lo, -1),
-                merge,
-                top,
-            )
-        mism = (acc_vec[None, :, :] + sep_vec[lo:hi, None, :]).min(axis=2).reshape(-1)
-        acc_tie = acc_tie.reshape(-1)
-        order = np.argsort(acc_tie, kind="stable")
-        best = _tournament(acc_rej.reshape(-1)[order], mism[order], 0, None)
-        if best is not None:
-            rn, mm, i = best
-            found.append((Fraction(rn, mm), int(acc_tie[order[i]]), rn, mm))
-    if not found:
-        return None
-    _, widx, rn, mm = min(found)
-    return rn, mm, widx
+    best, step = None, max(1, CHUNK // width)
+    for c in range(size**head):  # chunks in lexicographic order of their prefix
+        prefix = decode_tuple(c, size, head)[::-1]
+        letters = [None] * n
+        for pos, sym in zip(sep, prefix):
+            letters[pos] = sym
+        rej = base.copy()
+        for rows, cols in gathers:
+            col = sum(t[:, encode_tuple([letters[pos] for pos in cut], size)] for cut, t in cols)
+            rej += col.take(rows)
+        shifts = [sum(a != cw[pos] for pos, a in zip(sep, prefix)) for cw in codewords]
+        prefix_index = sum(a * size ** (n - 1 - pos) for pos, a in zip(sep, prefix))
+        for lo in range(0, cells, step):
+            hi = min(cells, lo + step)
+            acc_rej = rej[lo:hi, None]
+            acc_tie = grid_tie[lo:hi, None] + prefix_index if blocks else None
+            for cols, block_rej, cross, groups, tie, merge in steps:
+                blk = np.broadcast_to(block_rej, (hi - lo, cols))
+                for lut, s, at_grid, at_block in cross:
+                    at_sep = at_grid[lo:hi] + _lut_index(s, letters, size)
+                    blk = blk + lut[at_sep[:, None] + at_block]
+                blk, blk_tie = _group_min(blk, np.broadcast_to(tie, blk.shape), groups, top)
+                acc_rej, acc_tie = _group_min(
+                    (acc_rej[:, :, None] + blk[:, None, :]).reshape(hi - lo, -1),
+                    (acc_tie[:, :, None] + blk_tie[:, None, :]).reshape(hi - lo, -1),
+                    merge,
+                    top,
+                )
+            mism = None  # one live row per codeword at a time
+            for row, shift, vec in zip(grid_mism, shifts, acc_vec.T):
+                near = row[lo:hi, None] + (vec + shift)
+                mism = near if mism is None else np.minimum(mism, near, out=mism)
+            index = acc_tie.reshape(-1) if blocks else c * cells + lo
+            best = _select(best, acc_rej.reshape(-1), mism.reshape(-1), index)
+    return best
 
 
 def soundness_exact(
@@ -589,8 +578,8 @@ def soundness_exact(
 
     Returns the infinite sentinel when the code fills the whole space, and a
     zero value with the earliest never-rejected non-codeword when one exists.
-    Brute force scans every word when |alphabet|^n fits the budget; above it
-    the separator engine runs when its cost fits, and CapacityError carries
+    The scan enumerates every word when |alphabet|^n fits the budget; above
+    it the separator plan runs when its cost fits, and CapacityError carries
     the smaller of the two costs otherwise.
     """
     if tester.alphabet != code.alphabet or tester.n != code.n:
@@ -598,15 +587,15 @@ def soundness_exact(
     size, n = tester.alphabet.size, tester.n
     total = size**n
     compiled, den, dtype = _compiled_checks(tester)
-    if total <= budget:
-        engine = "scan"
-        best = None if len(code.codewords) == total else _scan(compiled, dtype, size, n, code.codewords)
-    else:
-        engine = "separator"
+    sep, blocks = list(range(n)), []  # the scan
+    if total > budget:
         plan = _separator_plan(size, n, [s for s, _ in compiled], len(code.codewords), budget)
         if plan is None or plan[0] > budget:
             raise CapacityError(total if plan is None else min(total, plan[0]), budget, "exact soundness")
-        best = _separator_scan(compiled, dtype, size, n, code.codewords, *plan[1:])
+        _, sep, blocks = plan
+    engine = "separator" if blocks else "scan"
+    codewords = code.codewords
+    best = None if len(codewords) == total else _least_ratio(compiled, dtype, size, n, codewords, sep, blocks)
     if best is None:
         verdict = None if bound is None else "pass"
         return SoundnessReport("exact", None, True, None, bound, verdict, engine=engine)
@@ -734,7 +723,7 @@ def soundness_sampled(
     compiled, den, dtype = _compiled_checks(tester)
     rej = _reject_numerators(compiled, digits, size, dtype, trials)
     mism = _mismatch_counts(code.codewords, digits)
-    rn, mm, t = _tournament(rej, mism, 0, best=None)
+    rn, mm, t = _select(None, rej, mism, 0)
     value = Fraction(rn * n, den * mm)
     witness = Word(tester.alphabet, tuple(int(digits[j][t]) for j in range(n)))
     verdict = None if bound is None else ("violated" if value < bound else "consistent")
@@ -757,14 +746,13 @@ def coordinate_classes(accept: int, size: int, arity: int, coord: int) -> list[l
     identify, and conversely mapping each class to its own symbol always
     factors the check (change one coordinate at a time).
     """
-    contexts = list(itertools.product(range(size), repeat=arity - 1))
-    signatures: dict[tuple, list[int]] = {}  # in order of first appearance
+    table, low = size**arity, size**coord
+    bits = format(accept, "b").zfill(table)[::-1][:table]  # bits[i]: tuple i accepted
+    signatures: dict[str, list[int]] = {}  # in order of first appearance
     for sym in range(size):
-        sig = []
-        for ctx in contexts:
-            tup = ctx[:coord] + (sym,) + ctx[coord:]
-            sig.append((accept >> encode_tuple(tup, size)) & 1)
-        signatures.setdefault(tuple(sig), []).append(sym)
+        # the tuples with `sym` at coord: o + sym * low + (higher coords) * low * size
+        sig = "".join(bits[o + sym * low :: low * size] for o in range(low))
+        signatures.setdefault(sig, []).append(sym)
     return list(signatures.values())
 
 

@@ -498,6 +498,35 @@ def test_fuzzed_artifacts_keep_the_exit_contract(data, fuzz_sources, tmp_path, c
         assert verdict in ("fail", "violated") or out.get("separable") is False
 
 
+@pytest.mark.parametrize(
+    "what, extra, status, expect",
+    [
+        ("check", [], 1, '"required": 1500'),
+        ("replace", ["--mu", "1"], 2, "error: separable replacement requires 5062500000000 items"),
+    ],
+)
+def test_separate_on_a_1500_letter_tester_exits_quickly(tmp_path, capsys, what, extra, status, expect):
+    # One equality check on 1,500 letters, 2.25M accept bits: check finds
+    # 1,500 classes at coordinate 0 and exits 1; replace would build 2.25M
+    # checks of 2.25M bits each and exits 2 at the budget.  Each runs in a
+    # child under a timeout.
+    import os
+    from pathlib import Path
+
+    import ltcforge
+
+    code, doc = run_cli(capsys, "tester", "equality", "--size", "1500", "--n", "2")
+    assert code == 0
+    (tmp_path / "t.json").write_text(json.dumps(doc["tester"]))
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    argv = ["separate", what, "--tester", str(tmp_path / "t.json"), "--delta-size", "3", *extra]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltcforge", *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == status, proc.stderr
+    assert expect in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_long_binary_chain_exact_soundness_exits_2_quickly(tmp_path, capsys):
     # 2**2000 words and no separator plan within the budget: a prompt
     # CapacityError and exit 2, run in a child under a timeout.

@@ -180,7 +180,7 @@ n, sep = final.n, [0, 3, 12, 18, 30]
 adj = [sum(1 << p for p in {p for s, _ in compiled if pos in s for p in s}) for pos in range(n)]
 masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
 blocks = [[p for p in range(n) if m >> p & 1] for m in masks]
-rn, mm, widx = testers._separator_scan(compiled, dtype, 3, n, fcode.codewords, sep, blocks)
+rn, mm, widx = testers._least_ratio(compiled, dtype, 3, n, fcode.codewords, sep, blocks)
 print(Fraction(rn * n, den * mm), decode_tuple(widx, 3, n)[::-1] == sound.witness.letters)
 """
 
@@ -197,3 +197,38 @@ def test_repetition_length_4_general_reduction_exact():
     assert proc.returncode == 0, proc.stderr
     witness = "0 0 0 1 1 1 2 2 2 0 0 0 1 1 1 2 2 2 0 1 2 0 1 2 0 1 2 0 1 2 0 1 2 0 1 2"
     assert proc.stdout.splitlines() == [f"exact separator pass 3/71 {witness}", "3/71", "3/71 True"]
+
+
+_CHUNKED_PLAN_SCRIPT = """
+from fractions import Fraction
+from unittest import mock
+from ltcforge import testers
+from ltcforge.algebra import decode_tuple
+from ltcforge.codes import Alphabet, repetition_code
+from ltcforge.pipeline import general_reduction
+from ltcforge.testers import equality_tester, soundness_exact
+code = repetition_code(Alphabet.plain(2), 4)
+tester = equality_tester(code.alphabet, 4)
+report = general_reduction(code, tester, soundness_exact(tester, code).value, 3, 3, trials=100)
+final, fcode = report.stages["final_tester"], report.stages["final_code"]
+compiled, den, dtype = testers._compiled_checks(final)
+_, sep, blocks = testers._separator_plan(3, final.n, [s for s, _ in compiled], len(fcode.codewords))
+print(*sep, "|", *map(len, blocks))
+with mock.patch.object(testers, "CHUNK", 3):
+    rn, mm, widx = testers._least_ratio(compiled, dtype, 3, final.n, fcode.codewords, sep, blocks)
+witness = decode_tuple(widx, 3, final.n)[::-1]
+print(Fraction(rn * final.n, den * mm), witness == report.achieved["soundness"].witness.letters)
+"""
+
+
+def test_repetition_length_4_plan_across_chunks():
+    # The unmocked plan of the length-4 repetition code's general reduction
+    # (X = {0,12,18,30}, four blocks) run with chunks of 3 cells: X's 81
+    # assignments span 27 chunks, each sliced one row at a time through the
+    # blocks, and the value and witness stay those of the unmocked run.
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHUNKED_PLAN_SCRIPT], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 12 18 30 | 8 8 8 8", "3/71 True"]

@@ -10,7 +10,7 @@ from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import Alphabet, Word, repetition_code, vector_alphabet
 from ltcforge.concat import CompatFailure, check_f_compatible, verify_witness
 from ltcforge.constructions import generalized_hadamard, generalized_long_code
-from ltcforge.errors import DomainError, MismatchError
+from ltcforge.errors import CapacityError, DomainError, MismatchError
 from ltcforge.separability import (
     SeparabilityCertificate,
     SeparabilityFailure,
@@ -98,6 +98,15 @@ def test_separable_replacement_pointwise_exact_factor():
     for letters in itertools.product(range(2), repeat=2):
         word = Word(BIN, letters)
         assert reject_probability(replaced, word) == reject_probability(eq, word) / 4
+
+
+def test_separable_replacement_budget():
+    # Two equality checks on 3 letters: 2 * 9 checks of 9 accept bits each.
+    eq = equality_tester(Alphabet.plain(3), 3)
+    with pytest.raises(CapacityError) as err:
+        separable_replacement(eq, Fraction(2), 2, budget=161)
+    assert (err.value.required, err.value.budget) == (162, 161)
+    assert len(separable_replacement(eq, Fraction(2), 2, budget=162).checks) == 18
 
 
 def test_separable_replacement_soundness_and_certificate():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ltcforge.algebra import Field, VecSpace, decode_tuple
+from ltcforge.algebra import Field, VecSpace, decode_tuple, encode_tuple
 from ltcforge.codes import Alphabet, Code, Word, dist_to_code, repetition_code, vector_alphabet
 from ltcforge.constructions import dependence_tester, generalized_long_code
 from ltcforge import testers
@@ -270,6 +270,37 @@ def test_coordinate_classes_equality_check():
 def test_coordinate_classes_ignored_coordinate():
     accept = accept_from_tuples([(0, b) for b in range(2)], 2)
     assert coordinate_classes(accept, 2, 2, 1) == [[0, 1]]
+
+
+def _classes_by_contexts(accept, size, arity, coord):
+    """coordinate_classes as one big-int shift per symbol and context: the
+    loop the bit-string slices replaced, kept as the reference."""
+    contexts = list(itertools.product(range(size), repeat=arity - 1))
+    signatures = {}
+    for sym in range(size):
+        sig = [(accept >> encode_tuple(ctx[:coord] + (sym,) + ctx[coord:], size)) & 1 for ctx in contexts]
+        signatures.setdefault(tuple(sig), []).append(sym)
+    return list(signatures.values())
+
+
+@st.composite
+def _accept_sets(draw):
+    """Random accept bits, or checks that only read a per-coordinate
+    labelling into at most three labels (so classes merge)."""
+    size, arity = draw(st.sampled_from([(3, 2), (2, 3), (5, 3), (9, 2), (3, 3), (4, 1)]))
+    if draw(st.booleans()):
+        accept = draw(st.integers(0, 2 ** (size**arity) - 1))
+    else:
+        labels = [draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)) for _ in range(arity)]
+        accepted = draw(st.sets(st.tuples(*[st.integers(0, 2)] * arity)))
+        tuples = itertools.product(range(size), repeat=arity)
+        accept = accept_from_tuples([t for t in tuples if tuple(lab[a] for lab, a in zip(labels, t)) in accepted], size)
+    return accept, size, arity, draw(st.integers(0, arity - 1))
+
+
+@given(_accept_sets())
+def test_coordinate_classes_match_the_contexts_loop(instance):
+    assert coordinate_classes(*instance) == _classes_by_contexts(*instance)
 
 
 def test_pad_check_semantics():
@@ -542,8 +573,9 @@ def _planted_separator_instances(draw):
 
 @given(_planted_separator_instances())
 def test_separator_engine_matches_brute_force(instance):
-    # The separator engine on the planted separator and on the cheapest one
-    # found must give brute force's value and first-hit witness exactly,
+    # The scan soundness_exact runs must give the least ratio over all words
+    # and the first word of that ratio; the engine on the planted separator
+    # and on the cheapest one found must give the same value and witness,
     # also when a chunk of a few cells slices the separator assignments.
     tester, code, planted, chunk = instance
     size, n = tester.alphabet.size, tester.n
@@ -551,13 +583,22 @@ def test_separator_engine_matches_brute_force(instance):
     supports = [s for s, _ in compiled]
     brute = soundness_exact(tester, code)
     assert brute.engine == "scan"
+    ratios = [
+        (reject_probability(tester, w) / dist_to_code(w, code), w.letters)
+        for w in (Word(tester.alphabet, t) for t in itertools.product(range(size), repeat=n))
+        if not code.contains(w.letters)
+    ]
+    assert brute.infinite == (not ratios)
+    if ratios:
+        least = min(r for r, _ in ratios)
+        assert (brute.value, brute.witness.letters) == (least, min(w for r, w in ratios if r == least))
     adj = [sum(1 << p for p in {p for s in supports if pos in s for p in s}) for pos in range(n)]
     masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in planted))
     blocks = [[p for p in range(n) if mask >> p & 1] for mask in masks]
     _, sep, cheapest = testers._separator_plan(size, n, supports, len(code.codewords))
     for plan, cells in itertools.product(((planted, blocks), (sep, cheapest)), (testers.CHUNK, chunk)):
         with mock.patch.object(testers, "CHUNK", cells):
-            best = testers._separator_scan(compiled, dtype, size, n, code.codewords, *plan)
+            best = testers._least_ratio(compiled, dtype, size, n, code.codewords, *plan)
         if brute.infinite:
             assert best is None
             continue
