@@ -215,7 +215,7 @@ def criterion_8(budget: int, seed: int) -> dict:
     encoder = Encoder(fam)
     inner = dependence_tester(fam, 2, budget)
     mu_inner = soundness_exact(inner, inner_code, budget).value
-    wit = check_f_compatible(outer, encoder, budget)
+    wit = check_f_compatible(outer, encoder)
     joined = concatenate(code, encoder)
     tester = concat_tester(outer, mu_outer, inner, mu_inner, encoder, wit)
     q, k = outer.q, encoder.k
@@ -345,7 +345,7 @@ def criterion_12(budget: int, seed: int) -> dict:
         tester = _random_tester(rng, alphabet, n, 2)
         sep = check_separable(tester, delta_size)
         enc = compatibility_encoder(alphabet, Alphabet.plain(delta_size), False, budget)
-        compat = check_f_compatible(tester, enc, budget)
+        compat = check_f_compatible(tester, enc)
         s_ok = isinstance(sep, SeparabilityCertificate)
         c_ok = not isinstance(compat, CompatFailure)
         ok &= s_ok == c_ok
@@ -358,7 +358,7 @@ def criterion_12(budget: int, seed: int) -> dict:
         tester = _random_linear_tester(rng, dim, n, 2)
         sep = check_linearly_separable(tester, target)
         enc = compatibility_encoder(tester.alphabet, vector_alphabet(2, 1), True, budget)
-        compat = check_f_compatible(tester, enc, budget)
+        compat = check_f_compatible(tester, enc)
         s_ok = isinstance(sep, SeparabilityCertificate)
         c_ok = not isinstance(compat, CompatFailure)
         ok &= s_ok == c_ok
@@ -380,9 +380,9 @@ def criterion_13(budget: int, seed: int) -> dict:
     def clean(report):
         return not any(v in ("fail", "violated") for v in report.verdicts.values())
 
-    # exhaustible stages must pass exactly; under the default budget the
-    # separator engine certifies the two big pipelines exactly ("pass"),
-    # while a budget too small for either exact engine samples their final
+    # exhaustible stages must pass exactly; under the default budget a
+    # separator plan certifies the two big pipelines exactly ("pass"), while
+    # a budget too small for both the scan and the plan samples their final
     # soundness ("conditional"), which is equally acceptable
     ok = lin.overall == "pass"
     ok &= clean(gen) and gen.overall in ("conditional", "pass")

@@ -218,27 +218,6 @@ def span_vectors(basis: Sequence[Sequence[int]], dim: int, p: int) -> list[tuple
     return out
 
 
-def solve_functional(basis: Sequence[Sequence[int]], dim: int, p: int) -> tuple[int, ...]:
-    """A nonzero functional vanishing on span(basis); requires codimension >= 1.
-
-    Deterministic: returns the solution whose free coordinate is the earliest
-    non-pivot column, set to 1.
-    """
-    rref, pivots = row_reduce(basis, p)
-    free = [c for c in range(dim) if c not in pivots]
-    if not free:
-        raise DomainError("basis spans the whole space; no nonzero functional vanishes on it")
-    # Solve basis . phi = 0 by expressing pivot coordinates of phi in terms of
-    # the first free coordinate.
-    f0 = free[0]
-    phi = [0] * dim
-    phi[f0] = 1
-    # rref rows r: sum_j r[j] phi[j] = 0  =>  phi[pivot] = -r[f0] (row has 1 at pivot)
-    for row, col in zip(rref, pivots):
-        phi[col] = (-row[f0]) % p
-    return tuple(phi)
-
-
 def kernel_complement_surjection(
     domain: VecSpace, basis: Sequence[Sequence[int]], target: VecSpace
 ) -> LinearMap:

@@ -120,7 +120,9 @@ def _criterion_ids(text: str) -> list[int]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    # --budget bounds the int64 word indices of exhaustive scans
+    # --budget caps what a command enumerates (words, plan cells, family
+    # tables, replacement bits and tuple tests); where nothing is enumerated
+    # it is only recorded in the manifest
     common.add_argument("--budget", type=_int_in(1, 2**63), default=DEFAULT_BUDGET)
     seed_type = _int_in(0, 2**64)
     common.add_argument("--seed", type=seed_type, default=0, help="64-bit unsigned root seed")
@@ -308,7 +310,7 @@ def _cmd_concat(args) -> tuple[dict, int]:
             raise DomainError("tester composition needs --mu, --inner-tester and --nu")
         outer = _load(args.outer_tester, "tester")
         inner = _load(args.inner_tester, "tester")
-        wit = check_f_compatible(outer, encoder, args.budget)
+        wit = check_f_compatible(outer, encoder)
         if isinstance(wit, CompatFailure):
             payload["incompatible"] = {"check": wit.check_index, "coordinate": wit.coordinate}
             return payload, 1
@@ -340,7 +342,7 @@ def _cmd_separate(args) -> tuple[dict, int]:
             }, 1
         return {"separable": True, "certificate": certificate_to_json(outcome)}, 0
     if args.linear:
-        replaced = linear_separable_replacement(tester, args.mu, target)
+        replaced = linear_separable_replacement(tester, args.mu, target, args.budget)
     else:
         replaced = separable_replacement(tester, args.mu, target, args.budget)
     return {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Field, VecSpace, rank, row_reduce, span_vectors
+from .algebra import Field, VecSpace, row_reduce, span_vectors
 from .errors import DomainError, MismatchError
 
 
@@ -335,12 +335,9 @@ def is_linear_code(code: Code) -> tuple[bool, tuple[tuple[int, ...], ...] | None
         raise DomainError("linearity is defined for vector-space alphabets only")
     p = space.field.p
     flat = [space.flatten(w) for w in code.codewords]
-    r = rank(flat, p)
-    if p**r != len(code.codewords):
-        return False, None
-    if (0,) * (code.n * space.dim) not in {tuple(v) for v in flat}:
-        return False, None
     rref, _ = row_reduce(flat, p)
+    if p ** len(rref) != len(code.codewords):  # distinct words filling their span
+        return False, None
     basis = tuple(
         tuple(space.index(row[i * space.dim : (i + 1) * space.dim]) for i in range(code.n))
         for row in rref

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DEFAULT_BUDGET
 from .codes import Alphabet, Code, distance, rate
 from .constructions import FunctionFamily, code_from_family
-from .errors import CapacityError, DomainError, MismatchError
+from .errors import DomainError, MismatchError
 from .testers import (
     Check,
     Tester,
@@ -115,50 +114,31 @@ def concatenate(code: Code, encoder: Encoder) -> Code:
 # ---------------------------------------------------------------------------
 
 
-def check_f_compatible(
-    tester: Tester, encoder: Encoder, budget: int = DEFAULT_BUDGET
-) -> CompatibilityWitness | CompatFailure:
+def check_f_compatible(tester: Tester, encoder: Encoder) -> CompatibilityWitness | CompatFailure:
     """Find, per check, block offsets whose coordinate functions factor the
     check; returns the first failing (check, coordinate) when none exist.
 
     A coordinate function is a valid choice at position l exactly when its
-    fibers refine the check's swap-invariance classes at l, so candidates
-    are filtered per coordinate before the product search; the synthesized
-    predicate is the pushforward of the check (rejecting tuples outside
-    the factoring image).
+    fibers refine the check's swap-invariance classes at l (each value of
+    the table meets one class), and the coordinates choose independently,
+    so each takes the first valid table; the synthesized predicate is the
+    pushforward of the check (rejecting tuples outside the factoring image).
     """
     if tester.alphabet.size != encoder.domain_size:
         raise MismatchError("tester alphabet disagrees with encoder domain")
-    size = tester.alphabet.size
-    dsize = encoder.target.size
+    size, tables = tester.alphabet.size, encoder.family.tables
     entries = []
     for ci, check in enumerate(tester.checks):
-        arity = check.arity
-        cand_per_coord: list[list[int]] = []
-        for coord in range(arity):
-            classes = coordinate_classes(check.accept, size, arity, coord)
-            class_of = {}
-            for idx, cls in enumerate(classes):
-                for sym in cls:
-                    class_of[sym] = idx
-            cands = []
-            for b, table in enumerate(encoder.family.tables):
-                fibers: dict[int, set[int]] = {}
-                for sym in range(size):
-                    fibers.setdefault(table[sym], set()).add(class_of[sym])
-                if all(len(v) == 1 for v in fibers.values()):
-                    cands.append(b)
-            if not cands:
+        positions = []
+        for coord in range(check.arity):
+            classes = coordinate_classes(check.accept, size, check.arity, coord)
+            labels = [(sym, idx) for idx, cls in enumerate(classes) for sym in cls]
+            valid = (b for b, t in enumerate(tables) if len({(t[s], i) for s, i in labels}) == len(set(t)))
+            if (b := next(valid, None)) is None:
                 return CompatFailure(ci, coord)
-            cand_per_coord.append(cands)
-        combos = 1
-        for c in cand_per_coord:
-            combos *= len(c)
-        if combos > budget:
-            raise CapacityError(combos, budget, "compatibility search")
-        positions = tuple(c[0] for c in cand_per_coord)
-        maps = [encoder.family.tables[b] for b in positions]
-        entries.append(WitnessEntry(positions, pushforward(check, size, maps, dsize)))
+            positions.append(b)
+        maps = [tables[b] for b in positions]
+        entries.append(WitnessEntry(tuple(positions), pushforward(check, size, maps, encoder.target.size)))
     wit = CompatibilityWitness(tuple(entries))
     assert verify_witness(tester, encoder, wit)
     return wit

@@ -5,7 +5,7 @@ compatibility encoder, inner dependence tester, tester concatenation and,
 where needed, the alphabet-increase step) and returns a report comparing
 promised distance/rate/soundness formulas against achieved values.  All
 comparisons are exact rationals.  The final soundness is exact whenever
-one of `soundness_exact`'s engines fits the budget (the separator engine
+`soundness_exact`'s scan or its separator plan fits the budget (a plan
 certifies the 3^18 and 3^20 demo spaces); only when neither does is it
 checked by seeded sampling, and the overall verdict degrades from "pass"
 to "conditional".
@@ -226,7 +226,7 @@ def linear_reduction(
     sigma_size = space.size
     delta_prime = VecSpace(space.field, c)
 
-    t_sep = linear_separable_replacement(tester, mu, delta_prime)
+    t_sep = linear_separable_replacement(tester, mu, delta_prime, budget)
     cert = check_linearly_separable(t_sep, delta_prime)
     assert not isinstance(cert, SeparabilityFailure)
     inner_family, inner_code = generalized_hadamard(space, delta_prime, budget)
@@ -307,7 +307,7 @@ def semilinear_reduction(
     trials: int = 10**5,
 ) -> PipelineReport:
     """Reduce a binary-field linear tester to the three-symbol alphabet
-    through the derived two-letter family of the binary functionals.
+    through the derived two-letter family of the linear maps onto GF(2).
 
     Ends without an alphabet-increase step: the target alphabet {0,1,2}
     is already the construction's alphabet.
@@ -320,7 +320,7 @@ def semilinear_reduction(
     q = tester.q
     f2 = VecSpace(space.field, 1)
 
-    t_sep = linear_separable_replacement(tester, mu, f2)
+    t_sep = linear_separable_replacement(tester, mu, f2, budget)
     cert = check_linearly_separable(t_sep, f2)
     assert not isinstance(cert, SeparabilityFailure)
     g_encoder = compatibility_encoder(code.alphabet, Alphabet.vector(f2), True, budget)

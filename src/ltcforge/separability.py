@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .algebra import DEFAULT_BUDGET, VecSpace, kernel_complement_surjection, rank, row_reduce
+from .algebra import DEFAULT_BUDGET, VecSpace, kernel_complement_surjection, row_reduce
 from .codes import Alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry, verify_witness
 from .constructions import generalized_hadamard, generalized_long_code
@@ -123,18 +123,13 @@ def check_linearly_separable(
         coord_maps = []
         subspaces = []
         for coord in range(check.arity):
-            kernel_syms = [
-                a
-                for a in range(size)
-                if check.accepts(
-                    tuple(a if l == coord else 0 for l in range(check.arity)), size
-                )
-            ]
-            vecs = [space.vector(a) for a in kernel_syms]
-            codim = space.dim - rank(vecs, p)
+            # U_l: the symbols a whose tuple (a at coordinate l, zeros elsewhere;
+            # index a * size**l) is accepted
+            kernel = [space.vector(a) for a in range(size) if (check.accept >> a * size**coord) & 1]
+            basis, _ = row_reduce(kernel, p)
+            codim = space.dim - len(basis)
             if codim > delta_space.dim:
                 return SeparabilityFailure(ci, coord, codim)
-            basis, _ = row_reduce(vecs, p)
             quotient = kernel_complement_surjection(space, basis, delta_space)
             coord_maps.append(
                 tuple(delta_space.index(quotient.apply(space.vector(a))) for a in range(size))
@@ -168,9 +163,10 @@ def separable_replacement(
         raise DomainError("target alphabets need at least two symbols")
     size = tester.alphabet.size
     q = tester.q
-    factor = size**q
-    if (bits := len(tester.checks) * factor**2) > budget:
+    # exponents capped at 64: past it every budget (below 2**63) is exceeded
+    if (bits := len(tester.checks) * size ** (2 * min(q, 64))) > budget:
         raise CapacityError(bits, budget, "separable replacement")
+    factor = size**q
     padded = [pad_check(ch, q, size) for ch in tester.checks]
     checks = []
     for ch in padded:
@@ -191,7 +187,7 @@ def separable_replacement(
 
 
 def linear_separable_replacement(
-    tester: Tester, mu: Fraction, delta_space: VecSpace
+    tester: Tester, mu: Fraction, delta_space: VecSpace, budget: int = DEFAULT_BUDGET
 ) -> Tester:
     """Split each subspace check into m = ceil(q dim Sigma / dim Delta)
     kernel conditions of a surjection onto Delta^m.
@@ -200,6 +196,8 @@ def linear_separable_replacement(
     the reject probability drops by at most a factor m pointwise and
     soundness mu/m is certified; every component's accept set is a subspace
     of codimension at most dim Delta, hence linearly separable.
+    CapacityError when the tuple tests, |checks| * m * |Sigma|^q, exceed the
+    budget.
     """
     if mu <= 0:
         raise DomainError("soundness lower bound must be positive")
@@ -210,37 +208,28 @@ def linear_separable_replacement(
         raise DomainError("needs a vector-space alphabet")
     size = tester.alphabet.size
     q = tester.q
-    padded_tester = Tester(
-        tester.alphabet,
-        tester.n,
-        q,
-        tuple(pad_check(ch, q, size) for ch in tester.checks),
-    )
-    classification = classify_linear(padded_tester)
+    d = delta_space.dim
+    m = ceil(q * space.dim / d)
+    if (tests := len(tester.checks) * m * size ** min(q, 64)) > budget:  # capped as above
+        raise CapacityError(tests, budget, "linear separable replacement")
+    padded = Tester(tester.alphabet, tester.n, q, tuple(pad_check(ch, q, size) for ch in tester.checks))
+    classification = classify_linear(padded)
     if classification.kind == "nonlinear":
         raise DomainError("linear replacement is defined for linear testers")
-    p = space.field.p
-    m = ceil(q * space.dim / delta_space.dim)
     flat_space = VecSpace(space.field, q * space.dim)
-    target = VecSpace(space.field, m * delta_space.dim)
+    target = VecSpace(space.field, m * d)
     checks = []
-    for ch, basis in zip(padded_tester.checks, classification.subspace_bases):
+    for ch, basis in zip(padded.checks, classification.subspace_bases):
         surj = kernel_complement_surjection(flat_space, list(basis), target)
-        for j in range(m):
-            rows = surj.matrix[j * delta_space.dim : (j + 1) * delta_space.dim]
-            accept = 0
-            for tup in itertools.product(range(size), repeat=q):
-                flat = space.flatten(tup)
-                if all(sum(r * v for r, v in zip(row, flat)) % p == 0 for row in rows):
-                    accept |= 1 << encode_tuple(tup, size)
-            checks.append(Check(ch.queries, accept, ch.weight / m))
-    return Tester(
-        tester.alphabet,
-        tester.n,
-        q,
-        tuple(checks),
-        meta={"bound": mu / m, "m": m},
-    )
+        accepts = [0] * m  # component j: the tuples whose image is 0 on rows j*d..(j+1)*d
+        for tup in itertools.product(range(size), repeat=q):
+            image = surj.apply(space.flatten(tup))
+            bit = 1 << encode_tuple(tup, size)
+            for j in range(m):
+                if not any(image[j * d : (j + 1) * d]):
+                    accepts[j] |= bit
+        checks += [Check(ch.queries, accept, ch.weight / m) for accept in accepts]
+    return Tester(tester.alphabet, tester.n, q, tuple(checks), meta={"bound": mu / m, "m": m})
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,11 @@ def alphabet_from_json(d: Any) -> Alphabet:
     if not isinstance(d, dict) or "kind" not in d:
         raise SchemaError(f"not an alphabet: {d!r}")
     try:
+        # letters are int64 in the soundness kernels: 2**63 or more are refused
         if d["kind"] == "plain":
-            return Alphabet.plain(index(d["size"]))
+            if (size := index(d["size"])) >= 2**63:
+                raise CapacityError(size, 2**63 - 1, "plain alphabet")
+            return Alphabet.plain(size)
         if d["kind"] == "vector":
             field, dim = Field(index(d["p"])), index(d["dim"])
             # p >= 2, so a dimension of 63 or more already passes 2**63 letters;

@@ -56,9 +56,7 @@ from .algebra import (
     TABLE_LIMIT,
     decode_tuple,
     encode_tuple,
-    rank,
     row_reduce,
-    solve_functional,
     tuple_table,
 )
 from .codes import Alphabet, Code, Word
@@ -132,16 +130,18 @@ class Tester:
 
 
 def pad_check(check: Check, q: int, size: int) -> Check:
-    """Pad to arity q by repeating the first position; pads are ignored."""
+    """Pad to arity q by repeating the first position; pads are ignored, so
+    the accept block repeats once per assignment of the pads.  CapacityError
+    when the padded accept set, size**q bits, passes ACCEPT_BITS_LIMIT."""
     a = check.arity
     if a == q:
         return check
+    table = size ** min(q, ACCEPT_BITS_LIMIT.bit_length())
+    if table > ACCEPT_BITS_LIMIT:
+        raise CapacityError(table, ACCEPT_BITS_LIMIT, "accept bitset")
     queries = check.queries + (check.queries[0],) * (q - a)
-    block = check.accept
     width = size**a
-    accept = 0
-    for high in range(size ** (q - a)):
-        accept |= block << (high * width)
+    accept = check.accept * ((1 << width * size ** (q - a)) - 1) // ((1 << width) - 1)
     return Check(queries, accept, check.weight)
 
 
@@ -763,32 +763,25 @@ def coordinate_classes(accept: int, size: int, arity: int, coord: int) -> list[l
 
 @dataclass(frozen=True)
 class LinearClassification:
-    kind: str  # "nonlinear" | "linear" | "elementary"
+    kind: str  # "nonlinear" | "linear"
     subspace_bases: tuple[tuple[tuple[int, ...], ...], ...] | None
-    functionals: tuple[tuple[int, ...], ...] | None
 
 
 def classify_linear(tester: Tester) -> LinearClassification:
     """linear: every accept set is a subspace of Sigma^arity (flattened over
-    GF(p)); elementary: additionally every subspace has codimension 1."""
+    GF(p)), with its reduced basis per check.  An accept set is a subspace
+    exactly when it has p**rank elements: distinct vectors that many fill
+    their span."""
     space = tester.alphabet.space
     if space is None:
         raise DomainError("linearity classification needs a vector-space alphabet")
     p = space.field.p
     size = tester.alphabet.size
-    bases, functionals, elementary = [], [], True
+    bases = []
     for ch in tester.checks:
-        members = tuples_from_accept(ch.accept, size, ch.arity)
-        flat = [space.flatten(tup) for tup in members]
-        dim = ch.arity * space.dim
-        r = rank(flat, p)
-        if p**r != len(flat):
-            return LinearClassification("nonlinear", None, None)
+        flat = [space.flatten(tup) for tup in tuples_from_accept(ch.accept, size, ch.arity)]
         rref, _ = row_reduce(flat, p)
+        if p ** len(rref) != len(flat):
+            return LinearClassification("nonlinear", None)
         bases.append(tuple(rref))
-        if r == dim - 1:
-            functionals.append(solve_functional(rref, dim, p))
-        else:
-            elementary = False
-    kind = "elementary" if elementary else "linear"
-    return LinearClassification(kind, tuple(bases), tuple(functionals) if elementary else None)
+    return LinearClassification("linear", tuple(bases))

@@ -20,7 +20,6 @@ from ltcforge.algebra import (
     kernel_complement_surjection,
     rank,
     row_reduce,
-    solve_functional,
     span_vectors,
     tuple_table,
 )
@@ -189,14 +188,6 @@ def test_row_reduce_and_rank():
     assert rank(rows, 2) == 2
     rref, pivots = row_reduce(rows, 2)
     assert len(rref) == 2 and pivots == [0, 1]
-
-
-def test_solve_functional_vanishes_on_span():
-    rows = [(1, 1, 0)]
-    phi = solve_functional(rows, 3, 2)
-    assert phi != (0, 0, 0)
-    for v in span_vectors(rows, 3, 2):
-        assert sum(a * b for a, b in zip(phi, v)) % 2 == 0
 
 
 @pytest.mark.parametrize("size, arity", [(2, 1), (3, 3), (5, 2), (2, 12)])

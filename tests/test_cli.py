@@ -280,6 +280,44 @@ def test_huge_alphabet_size_exit_2(tmp_path, capsys):
     assert _malformed_tester_exit(tmp_path, capsys, _set(["alphabet", "size"], 10**30)) == 2
 
 
+@pytest.mark.parametrize("size, status", [(2**63 - 1, 0), (2**63, 2), (2**65, 2)])
+def test_plain_alphabets_of_2_63_letters_or_more_exit_2(tmp_path, capsys, size, status):
+    # Letters are int64 in the sampler: from 2**63 on they would wrap, and
+    # at 2**65 its uint64 rejection threshold overflows.  A tester without
+    # checks reaches the sampler.
+    alphabet = {"kind": "plain", "size": size}
+    tester = {"schema": "ltc-forge/tester-v1", "alphabet": alphabet, "n": 2, "q": 1, "checks": []}
+    code = {"schema": "ltc-forge/code-v1", "alphabet": alphabet, "n": 2, "codewords": [[0, 0]]}
+    (tmp_path / "t.json").write_text(json.dumps(tester))
+    (tmp_path / "c.json").write_text(json.dumps(code))
+    argv = ["soundness", "sample", "--tester", str(tmp_path / "t.json"), "--code", str(tmp_path / "c.json")]
+    assert main(argv + ["--trials", "10"]) == status
+    err = capsys.readouterr().err
+    assert (f"plain alphabet requires {size} items, budget is {2**63 - 1}" in err) == (status == 2)
+
+
+def test_concat_budget_is_recorded_not_charged(tmp_path, capsys):
+    # Compatibility takes the first valid table per coordinate and charges
+    # nothing to --budget: at --budget 30 concat gives the default budget's
+    # payload, and only the manifest records the difference.
+    from ltcforge.codes import Alphabet, repetition_code
+    from ltcforge.serialize import code_to_json
+
+    path = {name: str(tmp_path / f"{name}.json") for name in ("code", "enc", "outer", "inner")}
+    (tmp_path / "code.json").write_text(json.dumps(code_to_json(repetition_code(Alphabet.plain(3), 2))))
+    assert main(["build", "encoder", "--sigma-size", "3", "--delta-size", "3", "--out", path["enc"]]) == 0
+    assert main(["tester", "equality", "--n", "2", "--size", "3", "--out", path["outer"]]) == 0
+    assert main(["tester", "dependence", "--longcode", "3", "3", "--q", "2", "--out", path["inner"]]) == 0
+    capsys.readouterr()
+    argv = ["concat", "--code", path["code"], "--encoder", path["enc"], "--outer-tester", path["outer"]]
+    argv += ["--mu", "1/2", "--inner-tester", path["inner"], "--nu", "1/2"]
+    status, default = run_cli(capsys, *argv)
+    status_30, low = run_cli(capsys, *argv, "--budget", "30")
+    assert (status, status_30) == (0, 0) and default["validation_ok"]
+    assert (default.pop("manifest")["budget"], low.pop("manifest")["budget"]) == (2**26, 30)
+    assert low == default
+
+
 def test_artifact_not_an_object_exit_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -525,6 +563,47 @@ def test_separate_on_a_1500_letter_tester_exits_quickly(tmp_path, capsys, what, 
     )
     assert proc.returncode == status, proc.stderr
     assert expect in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
+
+
+_LINEAR = ["--linear", "--p", "2", "--delta-dim", "1"]
+
+
+@pytest.mark.parametrize(
+    "q, extra, expect",
+    [
+        (40, _LINEAR, f"linear separable replacement requires {40 * 2**40} items"),
+        (40, _LINEAR + ["--budget", str(2**63 - 1)], "accept bitset requires 33554432 items"),
+        (10**5, _LINEAR, f"linear separable replacement requires {10**5 * 2**64} items"),
+        (10**5, ["--delta-size", "2"], f"separable replacement requires {2**128} items"),
+    ],
+)
+def test_replacement_far_above_the_check_arity_exits_2_quickly(tmp_path, q, extra, expect):
+    # One arity-2 check on two letters declared at q = 40: 40 * 2**40 tuple
+    # tests pass the default budget, and padding the check to 2**40 bits
+    # passes the accept bitset limit under any budget.  At q = 10**5 the
+    # counts are capped at exponent 64, so the message stays printable.
+    # Run in a child under a timeout.
+    import os
+    from pathlib import Path
+
+    import ltcforge
+
+    tester = {
+        "schema": "ltc-forge/tester-v1",
+        "alphabet": {"kind": "vector", "p": 2, "dim": 1},
+        "n": 2,
+        "q": q,
+        "checks": [{"queries": [0, 1], "accept": [[0, 0], [1, 1]], "weight": {"num": 1, "den": 1}}],
+    }
+    (tmp_path / "t.json").write_text(json.dumps(tester))
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    argv = ["separate", "replace", "--mu", "1", *extra]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltcforge", *argv, "--tester", str(tmp_path / "t.json")],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert expect in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_long_binary_chain_exact_soundness_exits_2_quickly(tmp_path, capsys):

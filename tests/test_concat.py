@@ -101,6 +101,19 @@ def test_check_f_compatible_identity_coordinates():
     assert verify_witness(EQ2, enc, wit)
 
 
+def test_check_f_compatible_takes_the_first_valid_table_per_coordinate():
+    # Equality over five letters through all 3,125 tables onto five letters:
+    # a coordinate needs an injective table (120 of them, 14,400 pairs per
+    # check), and each takes the first one, with no search over the pairs.
+    five = Alphabet.plain(5)
+    tester = equality_tester(five, 3)
+    enc = compatibility_encoder(five, five, False)
+    wit = check_f_compatible(tester, enc)
+    first = next(b for b, t in enumerate(enc.family.tables) if len(set(t)) == 5)
+    assert [e.positions for e in wit.entries] == [(first, first)] * 2
+    assert verify_witness(tester, enc, wit)
+
+
 def test_check_f_compatible_failure():
     # equality over three symbols cannot factor through a binary alphabet:
     # every symbol sits in its own swap class but binary fibers must merge two

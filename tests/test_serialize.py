@@ -194,3 +194,42 @@ def test_no_module_calls_json_dumps():
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 calls += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "dumps"]
     assert calls == []
+
+
+def _package_trees():
+    paths = sorted(Path(ltcforge.__file__).parent.glob("*.py"))
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def test_no_module_imports_an_unused_name():
+    # Every name a module imports is read in that module.
+    unused = []
+    for name, tree in _package_trees().items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in read]
+    assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    # A module-level function named with a leading underscore is called,
+    # passed or imported somewhere in the package, or it is dead.
+    trees = _package_trees()
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name[0] == "_" and node.name not in referenced
+    ]
+    assert dead == []

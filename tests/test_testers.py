@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ltcforge.algebra import Field, VecSpace, decode_tuple, encode_tuple
@@ -222,8 +222,8 @@ def test_classify_linear_equality_elementary():
     alphabet = vector_alphabet(2, 1)
     tester = equality_tester(alphabet, 2)
     result = classify_linear(tester)
-    assert result.kind == "elementary"
-    assert result.functionals == ((1, 1),)
+    assert result.kind == "linear"
+    assert result.subspace_bases == (((1, 1),),)
 
 
 def test_classify_linear_not_elementary():
@@ -310,6 +310,17 @@ def test_pad_check_semantics():
     for tup in itertools.product(range(2), repeat=3):
         want = tup[0] == 1
         assert padded.accepts(tup, 2) == want
+
+
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_pad_check_repeats_the_accept_block_per_pad_assignment(size, arity, pads, data):
+    accept = data.draw(st.integers(0, full_accept(size, arity)))
+    base = Check(tuple(range(arity)), accept, Fraction(1))
+    padded = pad_check(base, arity + pads, size)
+    assert padded.queries == base.queries + (0,) * pads
+    for tup in itertools.product(range(size), repeat=arity + pads):
+        assert padded.accepts(tup, size) == base.accepts(tup[:arity], size)
+    assert padded.accept < 1 << size ** (arity + pads)
 
 
 def test_check_rejects_out_of_range_position():
@@ -534,12 +545,15 @@ def test_soundness_exact_alphabet_wider_than_a_chunk():
 def _planted_separator_instances(draw):
     """Checks that read the planted separator and at most one of the groups
     the other positions fall into: plain, always-accept and padded checks,
-    weights up to 2**70, several codewords, and positions no check reads."""
+    weights up to 2**70, several codewords, and positions no check reads.
+    Some cross checks read the separator's first position, and some chunk
+    sizes fall below |alphabet|^|separator|, so that position lies in the
+    prefix the chunks share."""
     size = draw(st.integers(2, 3))
     n = draw(st.integers(2, 7))
     alphabet = Alphabet.plain(size)
     positions = draw(st.permutations(range(n)))
-    cut = draw(st.integers(0, min(2, n)))
+    cut = draw(st.integers(0, min(3, n)))
     sep = sorted(positions[:cut])
     groups = [[] for _ in range(draw(st.integers(1, 3)))]
     for pos in positions[cut:]:
@@ -553,7 +567,8 @@ def _planted_separator_instances(draw):
         queries = [draw(st.sampled_from(scope)) for _ in range(arity)]
         if arity > 1 and sep and len(scope) > len(sep) and draw(st.booleans()):
             # reads the separator and a block, not always in that order
-            queries[0], queries[-1] = draw(st.sampled_from(scope[len(sep) :])), draw(st.sampled_from(sep))
+            at_sep = sep[0] if draw(st.booleans()) else draw(st.sampled_from(sep))
+            queries[0], queries[-1] = draw(st.sampled_from(scope[len(sep) :])), at_sep
         queries = tuple(queries)
         kind = draw(st.sampled_from(["plain", "always", "padded"]))
         if kind == "always":
@@ -568,10 +583,25 @@ def _planted_separator_instances(draw):
     words = st.tuples(*[st.integers(0, size - 1)] * n)
     codewords = draw(st.sets(words, min_size=1, max_size=4))
     code = Code(alphabet, n, tuple(sorted(codewords)))
-    return Tester(alphabet, n, 3, tuple(checks)), code, sep, draw(st.integers(1, 40))
+    cells = size ** len(sep)
+    chunk = st.integers(1, cells - 1) if cells > 2 and draw(st.booleans()) else st.integers(1, 40)
+    return Tester(alphabet, n, 3, tuple(checks)), code, sep, draw(chunk)
+
+
+# X = {0, 1} in chunks of one grid letter, so position 0 is the prefix, and
+# the one check reads it across to the block {2}: outside the code, 101 is
+# the first word it accepts, while a chunk reading the prefix as 0 would
+# accept 100.
+_PREFIX_CROSS = (
+    Tester(BIN, 3, 3, (Check((2, 0), accept_from_tuples([(0, 0), (1, 1)], 2), Fraction(1)),)),
+    Code(BIN, 3, ((0, 0, 0), (0, 1, 0))),
+    [0, 1],
+    2,
+)
 
 
 @given(_planted_separator_instances())
+@example(_PREFIX_CROSS)
 def test_separator_engine_matches_brute_force(instance):
     # The scan soundness_exact runs must give the least ratio over all words
     # and the first word of that ratio; the engine on the planted separator
