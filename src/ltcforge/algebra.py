@@ -151,8 +151,8 @@ def enumerate_linear_maps(
     """
     if dom.field != cod.field:
         raise MismatchError("spaces lie over different fields")
-    count = cod.size ** dom.dim
-    if count > budget:
+    # the exponent capped at 64: p >= 2, so past it every budget (below 2**63) is exceeded
+    if (count := cod.field.p ** min(cod.dim * dom.dim, 64)) > budget:
         raise CapacityError(count, budget, "linear map enumeration")
     maps = []
     for m in range(count):
@@ -191,10 +191,6 @@ def row_reduce(rows: Iterable[Sequence[int]], p: int) -> tuple[list[tuple[int, .
         if r == len(work):
             break
     return [tuple(row) for row in work[:r]], pivots
-
-
-def rank(rows: Iterable[Sequence[int]], p: int) -> int:
-    return len(row_reduce(rows, p)[0])
 
 
 def in_span(vec: Sequence[int], rref_rows: list[tuple[int, ...]], pivots: list[int], p: int) -> bool:

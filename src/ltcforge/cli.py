@@ -275,7 +275,7 @@ def _cmd_tester(args) -> tuple[dict, int]:
             "degenerate": bool(tester.meta.get("degenerate", False)),
         }, 0
     if args.what == "ring":
-        tester = ring_constraint_tester(args.s)
+        tester = ring_constraint_tester(args.s, args.budget)
         return {
             "tester": tester_to_json(tester),
             "all_ones_index": tester.meta["all_ones_index"],

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Field, VecSpace, row_reduce, span_vectors
-from .errors import DomainError, MismatchError
+from .errors import CapacityError, DomainError, MismatchError
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,13 @@ class Alphabet:
 
 
 def vector_alphabet(p: int, dim: int) -> Alphabet:
-    return Alphabet.vector(VecSpace(Field(p), dim))
+    """GF(p)^dim as an alphabet.  Letters are int64 in the soundness kernels,
+    so 2**63 letters or more are refused; p >= 2, so a dimension of 63 or
+    more already passes, and it is refused before p**dim is taken."""
+    field = Field(p)
+    if dim >= 63 or p**dim >= 2**63:
+        raise CapacityError(p ** min(dim, 63), 2**63 - 1, "vector alphabet")
+    return Alphabet.vector(VecSpace(field, dim))
 
 
 @dataclass(frozen=True)

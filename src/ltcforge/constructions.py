@@ -19,9 +19,9 @@ from .algebra import DEFAULT_BUDGET, VecSpace, decode_tuple, enumerate_linear_ma
 from .codes import Alphabet, Code, Word, distance
 from .errors import CapacityError, DomainError
 from .testers import (
-    ACCEPT_BITS_LIMIT,
     Check,
     Tester,
+    accept_bits,
     accept_from_tuples,
     full_accept,
     tuples_from_accept,
@@ -85,11 +85,10 @@ def _joint_images(
     if q < 1:
         raise DomainError("tuple arity must be at least 1")
     k, domain = family.k, family.domain_size
-    if k**q > budget:
-        raise CapacityError(k**q, budget, "dependent tuple enumeration")
-    cells = family.target.size**q
-    if cells > ACCEPT_BITS_LIMIT:
-        raise CapacityError(cells, ACCEPT_BITS_LIMIT, "accept bitset")
+    # exponents capped at 64: past it every budget (below 2**63) is exceeded
+    if (tuples := k ** min(q, 64)) > budget:
+        raise CapacityError(tuples, budget, "dependent tuple enumeration")
+    cells = accept_bits(family.target.size, q)
     tables = np.array(family.tables, dtype=np.int64).reshape(k, domain)
     place = family.target.size ** np.arange(q, dtype=np.int64)[:, None]
     radix = k ** np.arange(q - 1, -1, -1, dtype=np.int64)
@@ -144,8 +143,8 @@ def generalized_hadamard(
     1 - 1/|Delta| (each nonzero input is sent to zero by exactly a 1/|Delta|
     fraction of the maps); both are asserted.
     """
-    maps = enumerate_linear_maps(v_space, delta_space, budget)
     delta = Alphabet.vector(delta_space)
+    maps = enumerate_linear_maps(v_space, delta_space, budget)
     if v_space.size > budget:
         raise CapacityError(v_space.size, budget, "domain enumeration")
     tables = tuple(
@@ -174,8 +173,7 @@ def generalized_long_code(
     if s_size < 1:
         raise DomainError("domain must be nonempty")
     d = delta.size
-    k = d**s_size
-    if k > budget:
+    if (k := d ** min(s_size, 64)) > budget:  # capped as in _joint_images
         raise CapacityError(k, budget, "function family enumeration")
     tables = tuple(decode_tuple(m, d, s_size) for m in range(k))
     family = FunctionFamily(s_size, delta, tables)
@@ -185,17 +183,22 @@ def generalized_long_code(
     return family, code
 
 
-def ring_constraint_tester(s_size: int) -> Tester:
+def ring_constraint_tester(s_size: int, budget: int = DEFAULT_BUDGET) -> Tester:
     """Three-query tester for the binary long code: uniform over the checks
     w_i + w_j = w_k for all pointwise sums f_i + f_j = f_k, w_i * w_j = w_k
     for all pointwise products, and the unary check that the all-ones
-    coordinate reads 1.
+    coordinate reads 1.  CapacityError when its 2 * 4**s + 1 checks exceed
+    the budget.
 
     Coordinates follow the canonical function order, where the table of
     function i is the base-2 digit expansion of i; sums are index XORs and
     products index ANDs, and the all-ones function sits at the last index
     (recorded in metadata).
     """
+    if s_size < 0:
+        raise DomainError("domain size must be non-negative")
+    if (count := 2 * 4 ** min(s_size, 64) + 1) > budget:  # capped as in _joint_images
+        raise CapacityError(count, budget, "ring constraint checks")
     n = 2**s_size
     mask = n - 1
     add_accept = accept_from_tuples(

@@ -34,10 +34,9 @@ from .testers import (
     classify_linear,
     coordinate_classes,
     encode_tuple,
-    factors_through,
     full_accept,
+    images,
     pad_check,
-    pushforward,
 )
 
 
@@ -45,7 +44,7 @@ from .testers import (
 class CheckCertificate:
     partitions: tuple[tuple[tuple[int, ...], ...], ...]  # per coordinate
     coord_maps: tuple[tuple[int, ...], ...]  # per coordinate: symbol -> delta symbol
-    accept: int  # pushforward predicate over delta^arity
+    accept: int  # image of the accepted tuples, over delta^arity
     subspaces: tuple[tuple[tuple[int, ...], ...], ...] | None = None  # linear case
 
 
@@ -68,15 +67,16 @@ def _certificate(
 ) -> CheckCertificate:
     """Certificate of one check factoring through per-coordinate maps: the
     partitions are the maps' fibers in order of their smallest symbol, the
-    accept set is the check's pushforward, asserted to factor it."""
+    accept set is the image of the check's accepted tuples, asserted
+    disjoint from the image of its rejected ones."""
     partitions = []
     for table in coord_maps:
         fibers: dict[int, list[int]] = {}
         for sym, image in enumerate(table):
             fibers.setdefault(image, []).append(sym)
         partitions.append(tuple(tuple(fiber) for fiber in fibers.values()))
-    accept = pushforward(check, size, coord_maps, delta_size)
-    assert factors_through(check, size, coord_maps, accept, delta_size)
+    accept, rejected = images(check, size, coord_maps, delta_size)
+    assert not accept & rejected
     return CheckCertificate(tuple(partitions), tuple(coord_maps), accept, subspaces)
 
 
@@ -163,8 +163,9 @@ def separable_replacement(
         raise DomainError("target alphabets need at least two symbols")
     size = tester.alphabet.size
     q = tester.q
-    # exponents capped at 64: past it every budget (below 2**63) is exceeded
-    if (bits := len(tester.checks) * size ** (2 * min(q, 64))) > budget:
+    # exponents capped at 64: past it every budget (below 2**63) is exceeded;
+    # at least one check is charged, so a tester without checks pays too
+    if (bits := max(1, len(tester.checks)) * size ** (2 * min(q, 64))) > budget:
         raise CapacityError(bits, budget, "separable replacement")
     factor = size**q
     padded = [pad_check(ch, q, size) for ch in tester.checks]
@@ -210,7 +211,7 @@ def linear_separable_replacement(
     q = tester.q
     d = delta_space.dim
     m = ceil(q * space.dim / d)
-    if (tests := len(tester.checks) * m * size ** min(q, 64)) > budget:  # capped as above
+    if (tests := max(1, len(tester.checks)) * m * size ** min(q, 64)) > budget:  # charged as above
         raise CapacityError(tests, budget, "linear separable replacement")
     padded = Tester(tester.alphabet, tester.n, q, tuple(pad_check(ch, q, size) for ch in tester.checks))
     classification = classify_linear(padded)
@@ -281,8 +282,8 @@ def extend_compatibility(
     every source coordinate (same value tables, symbols embedded by index).
 
     The predicate is extended by accepting on tuples mentioning new symbols,
-    so the extension never rejects anything the source could not see: it is
-    the complement of the pushforward of the rejected tuples.
+    so the extension never rejects anything the source could not see: it
+    rejects exactly the image of the tuples the source predicate rejects.
     """
     if target.target.size < source.target.size:
         raise MismatchError("target encoder alphabet does not contain the source's")
@@ -299,8 +300,8 @@ def extend_compatibility(
     entries = []
     for entry in witness.entries:
         arity = len(entry.positions)
-        rejected = Check(entry.positions, full_accept(d_old, arity) & ~entry.accept, Fraction(1))
-        pushed = pushforward(rejected, d_old, [range(d_old)] * arity, d_new)
-        accept = full_accept(d_new, arity) & ~pushed
+        own = Check(entry.positions, entry.accept, Fraction(1))
+        _, rejected = images(own, d_old, [range(d_old)] * arity, d_new)
+        accept = full_accept(d_new, arity) & ~rejected
         entries.append(WitnessEntry(tuple(remap[b] for b in entry.positions), accept))
     return CompatibilityWitness(tuple(entries))

@@ -26,14 +26,13 @@ from json.encoder import encode_basestring_ascii as _string
 from operator import index
 from typing import Any
 
-from .algebra import Field, VecSpace
-from .codes import Alphabet, Code, Rate, Word
+from .codes import Alphabet, Code, Rate, Word, vector_alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry
 from .constructions import FunctionFamily
 from .errors import CapacityError, SchemaError
 from .pipeline import REPORT_SCHEMA, PipelineReport
 from .separability import CheckCertificate, SeparabilityCertificate
-from .testers import ACCEPT_BITS_LIMIT, Check, SoundnessReport, Tester, tuples_from_accept
+from .testers import Check, SoundnessReport, Tester, accept_bits, tuples_from_accept
 
 SCHEMAS = {
     "code": "ltc-forge/code-v1",
@@ -157,12 +156,7 @@ def alphabet_from_json(d: Any) -> Alphabet:
                 raise CapacityError(size, 2**63 - 1, "plain alphabet")
             return Alphabet.plain(size)
         if d["kind"] == "vector":
-            field, dim = Field(index(d["p"])), index(d["dim"])
-            # p >= 2, so a dimension of 63 or more already passes 2**63 letters;
-            # refuse it before p**dim is taken.
-            if dim >= 63 or field.p**dim >= 2**63:
-                raise CapacityError(field.p ** min(dim, 63), 2**63 - 1, "vector alphabet")
-            return Alphabet.vector(VecSpace(field, dim))
+            return vector_alphabet(index(d["p"]), index(d["dim"]))
     except TypeError as exc:
         raise SchemaError(f"malformed alphabet ({exc})") from None
     raise SchemaError(f"unknown alphabet kind {d['kind']!r}")
@@ -232,12 +226,7 @@ def tester_from_json(doc: Any) -> Tester:
         checks = []
         for c in doc["checks"]:
             queries = tuple(map(index, c["queries"]))
-            # Refuse an oversized accept set before decoding it.  Sizes are
-            # >= 2, so capping the exponent keeps the power small and exact
-            # wherever it decides.
-            table = alphabet.size ** min(len(queries), ACCEPT_BITS_LIMIT.bit_length())
-            if table > ACCEPT_BITS_LIMIT:
-                raise CapacityError(table, ACCEPT_BITS_LIMIT, "accept bitset")
+            accept_bits(alphabet.size, len(queries))  # refuse an oversized accept set before decoding it
             accept = accept_from_json(c["accept"], alphabet.size, len(queries))
             checks.append(Check(queries, accept, frac_from_json(c["weight"])))
     except TypeError as exc:

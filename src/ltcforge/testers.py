@@ -42,7 +42,6 @@ the trial count never perturbs earlier draws.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,6 +115,8 @@ class Tester:
 
     def __post_init__(self):
         size, n, q = self.alphabet.size, self.n, self.q
+        if q < 1:
+            raise DomainError("tester arity q must be at least 1")
         for ch in self.checks:
             queries, arity = ch.queries, len(ch.queries)
             if not 0 < arity <= q:
@@ -124,9 +125,18 @@ class Tester:
                 raise DomainError("query position out of range")
             if ch.weight <= 0:
                 raise DomainError("check weights must be positive")
-            table = size**arity
-            if table > ACCEPT_BITS_LIMIT:
-                raise CapacityError(table, ACCEPT_BITS_LIMIT, "accept bitset")
+        for arity in {len(ch.queries) for ch in self.checks}:
+            accept_bits(size, arity)
+
+
+def accept_bits(size: int, arity: int) -> int:
+    """size**arity, the bits of an accept set over alphabet^arity, or
+    CapacityError past ACCEPT_BITS_LIMIT.  Sizes are >= 2, so capping the
+    exponent keeps the power small and exact wherever it decides."""
+    table = size ** min(arity, ACCEPT_BITS_LIMIT.bit_length())
+    if table > ACCEPT_BITS_LIMIT:
+        raise CapacityError(table, ACCEPT_BITS_LIMIT, "accept bitset")
+    return table
 
 
 def pad_check(check: Check, q: int, size: int) -> Check:
@@ -136,37 +146,29 @@ def pad_check(check: Check, q: int, size: int) -> Check:
     a = check.arity
     if a == q:
         return check
-    table = size ** min(q, ACCEPT_BITS_LIMIT.bit_length())
-    if table > ACCEPT_BITS_LIMIT:
-        raise CapacityError(table, ACCEPT_BITS_LIMIT, "accept bitset")
+    table = accept_bits(size, q)
     queries = check.queries + (check.queries[0],) * (q - a)
     width = size**a
-    accept = check.accept * ((1 << width * size ** (q - a)) - 1) // ((1 << width) - 1)
+    accept = check.accept * ((1 << table) - 1) // ((1 << width) - 1)
     return Check(queries, accept, check.weight)
 
 
-def pushforward(check: Check, size: int, coord_maps, delta_size: int) -> int:
-    """Predicate on mapped tuples: accept exactly the images of accepted
-    inputs under the per-coordinate maps (symbol -> delta symbol tables).
-
-    Tuples outside the factoring image reject, which keeps the predicate a
-    subspace image in the linear case; only in-image tuples are reachable
-    from properly encoded letters, so composed testers still accept every
-    codeword."""
-    accept = 0
-    for tup in tuples_from_accept(check.accept, size, check.arity):
-        accept |= 1 << encode_tuple([cm[sym] for cm, sym in zip(coord_maps, tup)], delta_size)
-    return accept
-
-
-def factors_through(check: Check, size: int, coord_maps, accept: int, delta_size: int) -> bool:
-    """Exhaustive check that `accept` read on the mapped letters gives the
-    check's verdict on every input tuple."""
-    for tup in itertools.product(range(size), repeat=check.arity):
-        key = tuple(cm[sym] for cm, sym in zip(coord_maps, tup))
-        if check.accepts(tup, size) != bool((accept >> encode_tuple(key, delta_size)) & 1):
-            return False
-    return True
+def images(check: Check, size: int, coord_maps, delta_size: int) -> tuple[int, int]:
+    """(accepted, rejected): bitsets over delta^arity of the images of the
+    check's accepted and rejected tuples under per-coordinate maps (symbol ->
+    delta symbol tables), from one pass over the tuples in index order.  The
+    maps factor the check exactly when the two are disjoint; `accepted` is
+    then its predicate, rejecting outside the image (a subspace image in the
+    linear case; encoded letters only reach in-image tuples)."""
+    mapped = [0]  # mapped[i]: the image index of input tuple i
+    for l, table in enumerate(coord_maps):
+        place = delta_size**l
+        mapped = [m + table[sym] * place for sym in range(size) for m in mapped]
+    bits = format(check.accept, "b").zfill(len(mapped))[::-1]  # bits[i]: tuple i accepted
+    out = {"0": bytearray(max(mapped) // 8 + 1), "1": bytearray(max(mapped) // 8 + 1)}
+    for m, bit in zip(mapped, bits):
+        out[bit][m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(out["1"], "little"), int.from_bytes(out["0"], "little")
 
 
 def uniform_checks(entries: Sequence[tuple[tuple[int, ...], int]]) -> tuple[Check, ...]:
@@ -180,6 +182,7 @@ def equality_tester(alphabet: Alphabet, n: int) -> Tester:
     if n < 2:
         raise DomainError("equality tester needs block length >= 2")
     size = alphabet.size
+    accept_bits(size, 2)
     diag = accept_from_tuples([(a, a) for a in range(size)], size)
     checks = uniform_checks([((i, i + 1), diag) for i in range(n - 1)])
     return Tester(alphabet, n, 2, checks)

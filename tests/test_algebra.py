@@ -18,7 +18,6 @@ from ltcforge.algebra import (
     enumerate_vectors,
     in_span,
     kernel_complement_surjection,
-    rank,
     row_reduce,
     span_vectors,
     tuple_table,
@@ -185,7 +184,6 @@ def test_kernel_surjection_dimension_too_small():
 
 def test_row_reduce_and_rank():
     rows = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
-    assert rank(rows, 2) == 2
     rref, pivots = row_reduce(rows, 2)
     assert len(rref) == 2 and pivots == [0, 1]
 

@@ -440,6 +440,8 @@ def test_package_main_matches_in_process_cli(capsys):
     assert code == 0
 
 
+_LINEAR = ["--linear", "--p", "2", "--delta-dim", "1"]
+
 # Valid artifact pairs to mutate: the commands writing a tester and the code it tests.
 _FUZZ_SOURCES = {
     "longcode": ("tester dependence --longcode 2 3 --q 2", "build longcode --s 2 --delta-size 3"),
@@ -520,12 +522,18 @@ def test_fuzzed_artifacts_keep_the_exit_contract(data, fuzz_sources, tmp_path, c
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    command = data.draw(st.sampled_from(["soundness", "separate"]))
-    if command == "soundness":
-        argv = ["soundness", "exact", "--tester", str(paths["tester"]), "--code", str(paths["code"])]
+    command = data.draw(st.sampled_from(["exact", "sample", "check", "replace", "replace-linear"]))
+    inputs = ["--tester", str(paths["tester"]), "--code", str(paths["code"])]
+    if command in ("exact", "sample"):
+        argv = ["soundness", command, *inputs, *(["--trials", "50"] if command == "sample" else [])]
         argv += data.draw(st.sampled_from([[], ["--budget", "1000"], ["--bound", "3/4"]]))
+    elif command == "check":
+        argv = ["separate", "check", *inputs[:2], "--delta-size", "3"]
     else:
-        argv = ["separate", "check", "--tester", str(paths["tester"]), "--delta-size", "3"]
+        # The budget bounds the output: at the default one a declared q of 6
+        # passes with 81 * 3**12 accept bits and writes gigabytes of JSON.
+        form = ["--delta-size", "3"] if command == "replace" else _LINEAR
+        argv = ["separate", "replace", *inputs[:2], *form, "--mu", "1/2", "--budget", "100000"]
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
@@ -565,9 +573,6 @@ def test_separate_on_a_1500_letter_tester_exits_quickly(tmp_path, capsys, what, 
     assert expect in proc.stdout + proc.stderr and "Traceback" not in proc.stderr
 
 
-_LINEAR = ["--linear", "--p", "2", "--delta-dim", "1"]
-
-
 @pytest.mark.parametrize(
     "q, extra, expect",
     [
@@ -604,6 +609,54 @@ def test_replacement_far_above_the_check_arity_exits_2_quickly(tmp_path, q, extr
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert expect in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "build longcode --s 20000 --delta-size 2",
+        "build longcode --s 1000000000 --delta-size 2",
+        "build hadamard --p 2 --dimv 20000 --dimd 1",
+        "build hadamard --p 2 --dimv 1 --dimd 20000",
+        "build hadamard --p 2 --dimv 1000000000 --dimd 0",
+        "build critical --s 20000",
+        "build encoder --linear --p 2 --sigma-dim 1000000000 --delta-dim 1",
+        "tester dependence --longcode 2 2 --q 10000",
+        "tester dependence --longcode 2 2 --q 1000000000000",
+        "tester ring --s 30",
+        "tester ring --s -1",
+        "tester equality --n 3 --size 100000",
+        "tester equality --n 3 --p 2 --dim 100000",
+        "separate replace --mu 1 --delta-size 2 --tester q=100000",
+        f"separate replace --mu 1 --delta-size 2 --tester q={10**30}",
+        "separate replace --mu 1 --delta-size 2 --tester q=-1",
+        "separate replace --mu 1 --delta-size 2 --tester q=0",
+        "separate replace --mu 1 --linear --p 2 --delta-dim 1 --tester q=100000",
+    ],
+)
+def test_huge_or_degenerate_sizes_exit_2_quickly(tmp_path, argv):
+    # Sizes whose counts would not print (more than 4,300 digits), would take
+    # unbounded memory, or are degenerate: each is refused with exit 2 before
+    # any power of it is taken in full.  "q=..." stands for a tester without
+    # checks declared at that q (over three letters, or GF(2) when linear).
+    # Run in a child under a timeout.
+    import os
+    from pathlib import Path
+
+    import ltcforge
+
+    argv = argv.split()
+    if argv[-1].startswith("q="):
+        alphabet = {"kind": "vector", "p": 2, "dim": 1} if "--linear" in argv else {"kind": "plain", "size": 3}
+        tester = {"schema": "ltc-forge/tester-v1", "alphabet": alphabet, "n": 2, "q": int(argv[-1][2:]), "checks": []}
+        (tmp_path / "t.json").write_text(json.dumps(tester))
+        argv[-1] = str(tmp_path / "t.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltcforge", *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_long_binary_chain_exact_soundness_exits_2_quickly(tmp_path, capsys):

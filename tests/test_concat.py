@@ -36,6 +36,7 @@ from ltcforge.constructions import (
 from ltcforge.errors import DomainError, MismatchError
 from ltcforge.separability import compatibility_encoder
 from ltcforge.testers import (
+    accept_from_tuples,
     classify_linear,
     equality_tester,
     reject_probability,
@@ -112,6 +113,23 @@ def test_check_f_compatible_takes_the_first_valid_table_per_coordinate():
     first = next(b for b, t in enumerate(enc.family.tables) if len(set(t)) == 5)
     assert [e.positions for e in wit.entries] == [(first, first)] * 2
     assert verify_witness(tester, enc, wit)
+
+
+def test_verify_witness_checks_each_entry_against_the_images():
+    # EQ2 through the table (0, 1) into three letters: an entry must accept
+    # the images (0, 0) and (1, 1) and neither (0, 1) nor (1, 0); tuples
+    # reading the unused letter 2 are free.
+    enc = Encoder(FunctionFamily(2, Alphabet.plain(3), ((0, 1),)))
+    diag = accept_from_tuples([(0, 0), (1, 1)], 3)
+
+    def verifies(positions, accept):
+        return verify_witness(EQ2, enc, CompatibilityWitness((WitnessEntry(positions, accept),)))
+
+    assert verifies((0, 0), diag)
+    assert verifies((0, 0), diag | accept_from_tuples([(2, 2), (0, 2)], 3))
+    assert not verifies((0, 0), diag ^ accept_from_tuples([(1, 1)], 3))  # an in-image accept bit flipped
+    assert not verifies((0, 0), diag | accept_from_tuples([(1, 0)], 3))  # a rejected image accepted
+    assert not verifies((0,), diag)  # arity mismatch
 
 
 def test_check_f_compatible_failure():

@@ -14,6 +14,7 @@ from ltcforge.codes import Alphabet, make_rate, repetition_code, vector_alphabet
 from ltcforge.errors import DomainError
 from ltcforge.pipeline import (
     IncompleteReportError,
+    PipelineReport,
     certify,
     general_reduction,
     linear_reduction,
@@ -117,6 +118,35 @@ def test_certify_detects_violation():
     summary = certify(report)
     assert summary["verdicts"]["distance"] == "fail"
     assert summary["overall"] == "fail"
+
+
+@pytest.fixture(scope="module")
+def desk_reports():
+    code, tester, mu = desk_linear_inputs()
+    return {
+        "linear": linear_reduction(code, tester, mu, VecSpace(Field(2), 2), 2, seed=3),
+        "semilinear": semilinear_reduction(code, tester, mu, seed=3, trials=4000),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, part, key, value, verdict, expect",
+    [
+        ("linear", "achieved", "separable_soundness", None, "separable_soundness", None),
+        ("linear", "promised", "separable_bound", Fraction(99), "separable_soundness", "fail"),
+        ("semilinear", "promised", "inner_distance_floor", Fraction(99, 100), "inner_distance", "fail"),
+        ("linear", "achieved", "tester_linear", False, "linearity", "fail"),
+    ],
+)
+def test_certify_optional_verdicts(desk_reports, kind, part, key, value, verdict, expect):
+    # The verdicts only some reports carry: absent without their value, and
+    # "fail" below their floor or for a nonlinear tester.
+    report = desk_reports[kind]
+    assert report.verdicts[verdict] == "pass"
+    changed = PipelineReport(**{**vars(report), part: {**getattr(report, part), key: value}})
+    summary = certify(changed)
+    assert summary["verdicts"].get(verdict) == expect
+    assert summary["overall"] == ("fail" if expect else report.overall)
 
 
 def test_pipeline_exact_when_budget_allows():

@@ -233,3 +233,26 @@ def test_every_private_function_is_referenced():
         if isinstance(node, ast.FunctionDef) and node.name[0] == "_" and node.name not in referenced
     ]
     assert dead == []
+
+
+def test_every_public_function_is_referenced():
+    # A module-level public function of the package is named, read as an
+    # attribute or imported somewhere in the package, its tests, the
+    # benchmark or the scripts, besides its own definition; else it is dead.
+    root = Path(ltcforge.__file__).parents[2]
+    referenced = set()
+    for path in [p for d in ("src", "tests", "perfbench", "scripts") for p in sorted((root / d).rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in _package_trees().items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name[0] != "_" and node.name not in referenced
+    ]
+    assert dead == []

@@ -25,6 +25,7 @@ from ltcforge.testers import (
     coordinate_classes,
     equality_tester,
     full_accept,
+    images,
     pad_check,
     reject_probability,
     soundness_exact,
@@ -321,6 +322,25 @@ def test_pad_check_repeats_the_accept_block_per_pad_assignment(size, arity, pads
     for tup in itertools.product(range(size), repeat=arity + pads):
         assert padded.accepts(tup, size) == base.accepts(tup[:arity], size)
     assert padded.accept < 1 << size ** (arity + pads)
+
+
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(2, 4), st.data())
+def test_images_are_the_brute_force_image_sets(size, arity, delta_size, data):
+    # Both images against the mapped tuples one by one, and disjointness
+    # against a brute-force factoring test: some predicate on the mapped
+    # tuples gives the check's verdict on every tuple.
+    accept = data.draw(st.integers(0, full_accept(size, arity)))
+    table = st.lists(st.integers(0, delta_size - 1), min_size=size, max_size=size)
+    maps = [tuple(data.draw(table)) for _ in range(arity)]
+    check = Check(tuple(range(arity)), accept, Fraction(1))
+    verdicts: dict[tuple[int, ...], set[bool]] = {}
+    for tup in itertools.product(range(size), repeat=arity):
+        key = tuple(m[s] for m, s in zip(maps, tup))
+        verdicts.setdefault(key, set()).add(check.accepts(tup, size))
+    accepted, rejected = images(check, size, maps, delta_size)
+    assert accepted == accept_from_tuples([k for k, v in verdicts.items() if True in v], delta_size)
+    assert rejected == accept_from_tuples([k for k, v in verdicts.items() if False in v], delta_size)
+    assert (accepted & rejected == 0) == all(len(v) == 1 for v in verdicts.values())
 
 
 def test_check_rejects_out_of_range_position():
