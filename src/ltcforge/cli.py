@@ -26,7 +26,7 @@ from .constructions import (
     generalized_long_code,
     ring_constraint_tester,
 )
-from .errors import DomainError, ForgeError, SchemaError
+from .errors import DomainError, ForgeError, MismatchError, SchemaError
 from .pipeline import DEMO_PARAMS, demo_inputs, run_reduction
 from .separability import (
     SeparabilityFailure,
@@ -309,6 +309,8 @@ def _cmd_concat(args) -> tuple[dict, int]:
         if args.mu is None or args.inner_tester is None or args.nu is None:
             raise DomainError("tester composition needs --mu, --inner-tester and --nu")
         outer = _load(args.outer_tester, "tester")
+        if outer.n != code.n:
+            raise MismatchError("outer tester does not match the code")
         inner = _load(args.inner_tester, "tester")
         wit = check_f_compatible(outer, encoder)
         if isinstance(wit, CompatFailure):

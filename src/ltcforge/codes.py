@@ -82,7 +82,7 @@ class Word:
 
 @dataclass(frozen=True)
 class Code:
-    """Explicit nonempty list of distinct codewords, optionally tagged linear.
+    """Explicit nonempty list of distinct codewords of length n >= 1, optionally tagged linear.
 
     The generator, when present, holds basis codewords (as letter tuples) of
     the code viewed as a subspace; the codeword list stays canonical.
@@ -94,6 +94,8 @@ class Code:
     generator: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError("block length must be positive")
         if not self.codewords:
             raise DomainError("codes are nonempty")
         if len(set(self.codewords)) != len(self.codewords):
@@ -131,8 +133,6 @@ class Code:
 
 def repetition_code(alphabet: Alphabet, n: int) -> Code:
     """The n-fold repetition code {aa...a : a in the alphabet}."""
-    if n < 1:
-        raise DomainError("block length must be positive")
     words = tuple((a,) * n for a in range(alphabet.size))
     gen = None
     if alphabet.is_vector:

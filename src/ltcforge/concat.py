@@ -21,7 +21,7 @@ from .testers import (
     accept_from_tuples,
     coordinate_classes,
     images,
-    pad_check,
+    merged_checks,
 )
 
 
@@ -184,10 +184,11 @@ def concat_tester(
     supplied lower bounds; the resulting certified soundness
     mu_outer*mu_inner / ((q*k+1)*mu_outer + mu_inner) is stored in metadata.
 
-    Outer checks and witness entries are used as they are; routine 3 counts
-    a check of arity below q as reading its first block again for each
-    missing query, and every output check is padded to the output arity
-    once, at the end.
+    Routines 1 and 3 are one block distribution: block b weighs rho1/n +
+    rho3/q * reads[b], reads[b] being the outer weight of the queries on b
+    (a check below arity q reads its first block again per missing query).
+    Outer checks and witness entries are used as they are; the output has
+    one check per distinct (queries, accept), padded to the output arity.
     """
     if mu_outer <= 0 or mu_inner <= 0:
         raise DomainError("soundness lower bounds must be positive")
@@ -197,7 +198,6 @@ def concat_tester(
         raise MismatchError("outer tester does not match the encoder domain")
     if not verify_witness(outer, encoder, witness):
         raise MismatchError("witness does not verify against the outer tester")
-    dsize = encoder.target.size
     q = outer.q
     k = encoder.k
     n = outer.n
@@ -210,24 +210,23 @@ def concat_tester(
     assert rho1 + rho2 + rho3 == 1
 
     q_out = max(q, inner.q)
+    reads = [Fraction(0)] * n
+    for ch in outer.checks:
+        for block in ch.queries:
+            reads[block] += ch.weight
+        reads[ch.queries[0]] += (q - ch.arity) * ch.weight
     checks: list[Check] = []
     for block in range(n):
+        share = rho1 / n + rho3 / q * reads[block]
         for ch in inner.checks:
             queries = tuple(block * k + pos for pos in ch.queries)
-            checks.append(Check(queries, ch.accept, rho1 * Fraction(1, n) * ch.weight))
+            checks.append(Check(queries, ch.accept, share * ch.weight))
     for ch, entry in zip(outer.checks, witness.entries):
         queries = tuple(a * k + b for a, b in zip(ch.queries, entry.positions))
         checks.append(Check(queries, entry.accept, rho2 * ch.weight))
-    for ch in outer.checks:
-        for block in ch.queries + (ch.queries[0],) * (q - ch.arity):
-            for ich in inner.checks:
-                queries = tuple(block * k + pos for pos in ich.queries)
-                checks.append(
-                    Check(queries, ich.accept, rho3 * ch.weight * Fraction(1, q) * ich.weight)
-                )
-    checks = [pad_check(ch, q_out, dsize) for ch in checks]
+    checks = merged_checks(checks, q_out, encoder.target.size)
     bound = mu_outer * mu_inner / ((q * k + 1) * mu_outer + mu_inner)
-    return Tester(encoder.target, n * k, q_out, tuple(checks), meta={"bound": bound})
+    return Tester(encoder.target, n * k, q_out, checks, meta={"bound": bound})
 
 
 def alphabet_increase_tester(
@@ -240,7 +239,8 @@ def alphabet_increase_tester(
 
     Mixes a membership routine (a random position must hold an old-alphabet
     symbol) with the original tester rejecting any out-of-range letter; the
-    certified soundness mu/(mu+1) is stored in metadata.
+    certified soundness mu/(mu+1) is stored in metadata.  The output is
+    padded to the tester's arity, one check per distinct (queries, accept).
     """
     if mu <= 0:
         raise DomainError("soundness lower bound must be positive")
@@ -260,10 +260,8 @@ def alphabet_increase_tester(
     for ch in tester.checks:
         accept, _ = images(ch, tester.alphabet.size, [mapping] * ch.arity, target.size)
         checks.append(Check(ch.queries, accept, rho2 * ch.weight))
-    checks = [pad_check(ch, tester.q, target.size) for ch in checks]
-    return Tester(
-        target, n, tester.q, tuple(checks), meta={"bound": mu / (mu + 1)}
-    )
+    checks = merged_checks(checks, tester.q, target.size)
+    return Tester(target, n, tester.q, checks, meta={"bound": mu / (mu + 1)})
 
 
 def embed_word(letters, mapping: tuple[int, ...]) -> tuple[int, ...]:

@@ -56,7 +56,7 @@ from .testers import (
     validate,
 )
 
-REPORT_SCHEMA = "ltc-forge/report-v1"
+REPORT_SCHEMA = "ltc-forge/report-v2"
 
 # The parameters each reduction takes after (code, tester, mu), at their
 # values on the desk instance of `demo_inputs`.
@@ -185,11 +185,10 @@ def _reduce(
         "inner_code": inner_code,
         "inner_tester": t_inner,
         "witness": wit,
-        "concatenated_code": concat_code,
-        "concatenated_tester": t_concat,
-        "final_code": final_code,
-        "final_tester": t_final,
     }
+    if target is not None:  # without an increase step they are the final stages
+        stages.update(concatenated_code=concat_code, concatenated_tester=t_concat)
+    stages.update(final_code=final_code, final_tester=t_final)
     report = PipelineReport(kind, params, promised, achieved, stages)
     summary = certify(report)
     report.verdicts, report.overall = summary["verdicts"], summary["overall"]

@@ -153,6 +153,17 @@ def pad_check(check: Check, q: int, size: int) -> Check:
     return Check(queries, accept, check.weight)
 
 
+def merged_checks(checks: Iterable[Check], q: int, size: int) -> tuple[Check, ...]:
+    """The checks padded to arity q, equal (queries, accept) pairs merged
+    into one check of their summed weight, in order of first appearance: a
+    tester is a distribution over checks, so no reject probability changes."""
+    weights: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    for ch in checks:
+        ch = pad_check(ch, q, size)
+        weights[ch.queries, ch.accept] = weights.get((ch.queries, ch.accept), 0) + ch.weight
+    return tuple(Check(queries, accept, w) for (queries, accept), w in weights.items())
+
+
 def images(check: Check, size: int, coord_maps, delta_size: int) -> tuple[int, int]:
     """(accepted, rejected): bitsets over delta^arity of the images of the
     check's accepted and rejected tuples under per-coordinate maps (symbol ->
@@ -243,24 +254,20 @@ def _compiled_checks(tester: Tester):
     """(support, LUT) per distinct query support, the common denominator and
     the array dtype.  LUT entry sum_m s_m * size**m sums the integerized
     weights of the checks on the support that reject letters s_m at
-    support[m].  Scores are rej * mism products bounded by sum(numerators)
-    * n, so int64 holds them below 2**62 and object arrays take over above."""
+    support[m] (equal checks add up like any two).  Scores (rej * mism) are
+    at most sum(numerators) * n: int64 below 2**62, object arrays above."""
     size = tester.alphabet.size
-    dens = [ch.weight.denominator for ch in tester.checks]
-    den = lcm(*dens) if dens else 1
-    weights: dict[tuple[tuple[int, ...], int], int] = {}
-    for ch in tester.checks:
-        key = (ch.queries, ch.accept)
-        weights[key] = weights.get(key, 0) + ch.weight.numerator * (den // ch.weight.denominator)
-    dtype = np.int64 if sum(weights.values()) * tester.n < (1 << 62) else object
+    den = lcm(*(ch.weight.denominator for ch in tester.checks))  # 1 without checks
+    nums = [ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks]
+    dtype = np.int64 if sum(nums) * tester.n < (1 << 62) else object
     tables: dict[tuple[int, ...], np.ndarray] = {}
-    for (queries, accept), wnum in weights.items():
-        support = tuple(sorted(set(queries)))
+    for ch, wnum in zip(tester.checks, nums):
+        support = tuple(sorted(set(ch.queries)))
         cells = np.arange(size ** len(support))
         at = [cells // size**m % size for m in range(len(support))]  # letter at support[m]
-        index = sum(at[support.index(pos)] * size**l for l, pos in enumerate(queries))
-        nbytes = (size ** len(queries) + 7) // 8
-        bits = np.frombuffer(accept.to_bytes(nbytes, "little"), dtype=np.uint8)
+        index = sum(at[support.index(pos)] * size**l for l, pos in enumerate(ch.queries))
+        nbytes = (size**ch.arity + 7) // 8
+        bits = np.frombuffer(ch.accept.to_bytes(nbytes, "little"), dtype=np.uint8)
         reject = 1 - np.unpackbits(bits, bitorder="little")[index]
         if reject.any():
             reject = reject.astype(dtype) * wnum

@@ -122,7 +122,7 @@ def test_pipeline_semilinear_demo(capsys):
     code, doc = run_cli(capsys, "pipeline", "semilinear", "--demo", "--trials", "500")
     assert code == 0
     report = doc["report"]
-    assert report["schema"] == "ltc-forge/report-v1"
+    assert report["schema"] == "ltc-forge/report-v2"
     assert report["overall"] == "pass"
 
 
@@ -448,6 +448,18 @@ _FUZZ_SOURCES = {
     "hadamard": ("tester dependence --hadamard 2 1 2 --q 2", "build hadamard --p 2 --dimv 1 --dimd 2"),
 }
 
+# The fixed `concat` inputs of each source: an encoder of its letters and the
+# dependence tester of the encoder's image.  The encoder keeps the letters
+# apart in one coordinate, so the unmutated tester factors through it and
+# the composition is built.
+_FUZZ_ENCODERS = {
+    "longcode": ("build encoder --sigma-size 3 --delta-size 3", "tester dependence --longcode 3 3 --q 2"),
+    "hadamard": (
+        "build encoder --linear --p 2 --sigma-dim 2 --delta-dim 2",
+        "tester dependence --hadamard 2 2 2 --q 2",
+    ),
+}
+
 _JSON_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -495,15 +507,17 @@ def _mutated(draw, doc):
 @pytest.fixture(scope="module")
 def fuzz_sources():
     """(family, key, wrapped) -> the artifact alone, or the whole output
-    of the command that wrote it."""
+    of the command that wrote it; keys "encoder" and "inner" are the
+    fixed `concat` inputs."""
     docs = {}
-    for family, commands in _FUZZ_SOURCES.items():
-        for key, command in zip(("tester", "code"), commands):
+    for family in _FUZZ_SOURCES:
+        commands = zip(("tester", "code", "encoder", "inner"), _FUZZ_SOURCES[family] + _FUZZ_ENCODERS[family])
+        for key, command in commands:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 assert main(command.split()) == 0
             output = json.loads(buf.getvalue())
-            docs[family, key, False], docs[family, key, True] = output[key], output
+            docs[family, key, False], docs[family, key, True] = output[{"inner": "tester"}.get(key, key)], output
     return docs
 
 
@@ -511,20 +525,28 @@ def fuzz_sources():
 @given(data=st.data())
 def test_fuzzed_artifacts_keep_the_exit_contract(data, fuzz_sources, tmp_path, capsys):
     # Exit 0, 1 or 2 and never a traceback on mutated artifacts; exit 1 only
-    # with a violation in the output: a fail/violated verdict, or a tester
-    # that is not separable.  In process, an exception escaping main fails
-    # the test as a traceback would.
+    # with a violation in the output: a fail/violated verdict, a tester that
+    # is not separable, an outer tester that does not factor through the
+    # encoder, or a composed tester that does not validate.  In process, an
+    # exception escaping main fails the test as a traceback would.  `concat`
+    # alone reads no tester, so it mutates the code.
     family = data.draw(st.sampled_from(sorted(_FUZZ_SOURCES)))
-    docs = {key: fuzz_sources[family, key, data.draw(st.booleans())] for key in ("tester", "code")}
-    target = data.draw(st.sampled_from(sorted(docs)))
+    commands = ["exact", "sample", "check", "replace", "replace-linear", "concat", "concat-tester"]
+    command = data.draw(st.sampled_from(commands))
+    docs = {key: fuzz_sources[family, key, data.draw(st.booleans())] for key in ("tester", "code", "encoder", "inner")}
+    target = "code" if command == "concat" else data.draw(st.sampled_from(["code", "tester"]))
     docs[target] = data.draw(_mutated(docs[target]))
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    command = data.draw(st.sampled_from(["exact", "sample", "check", "replace", "replace-linear"]))
     inputs = ["--tester", str(paths["tester"]), "--code", str(paths["code"])]
-    if command in ("exact", "sample"):
+    if command.startswith("concat"):
+        argv = ["concat", *inputs[2:], "--encoder", str(paths["encoder"])]
+        if command == "concat-tester":
+            argv += ["--outer-tester", str(paths["tester"]), "--mu", "1/2"]
+            argv += ["--inner-tester", str(paths["inner"]), "--nu", "1/2"]
+    elif command in ("exact", "sample"):
         argv = ["soundness", command, *inputs, *(["--trials", "50"] if command == "sample" else [])]
         argv += data.draw(st.sampled_from([[], ["--budget", "1000"], ["--bound", "3/4"]]))
     elif command == "check":
@@ -541,7 +563,8 @@ def test_fuzzed_artifacts_keep_the_exit_contract(data, fuzz_sources, tmp_path, c
     if code == 1:
         out = json.loads(captured.out)
         verdict = out.get("soundness", {}).get("verdict")
-        assert verdict in ("fail", "violated") or out.get("separable") is False
+        violation = out.get("separable") is False or "incompatible" in out or out.get("validation_ok") is False
+        assert verdict in ("fail", "violated") or violation
 
 
 @pytest.mark.parametrize(
@@ -632,14 +655,21 @@ def test_replacement_far_above_the_check_arity_exits_2_quickly(tmp_path, q, extr
         "separate replace --mu 1 --delta-size 2 --tester q=-1",
         "separate replace --mu 1 --delta-size 2 --tester q=0",
         "separate replace --mu 1 --linear --p 2 --delta-dim 1 --tester q=100000",
+        "concat --code c0.json --encoder enc22.json",
+        "pipeline general --code c0.json --tester t0.json --mu 1/2 --d 3 --c 3",
+        "soundness exact --tester t0.json --code c0.json",
+        "soundness sample --tester t0.json --code c0.json --trials 10",
     ],
 )
 def test_huge_or_degenerate_sizes_exit_2_quickly(tmp_path, argv):
     # Sizes whose counts would not print (more than 4,300 digits), would take
     # unbounded memory, or are degenerate: each is refused with exit 2 before
     # any power of it is taken in full.  "q=..." stands for a tester without
-    # checks declared at that q (over three letters, or GF(2) when linear).
-    # Run in a child under a timeout.
+    # checks declared at that q (over three letters, or GF(2) when linear);
+    # c0.json and t0.json are a code (one empty codeword) and a tester
+    # (without checks) on no positions over two letters, and enc22.json is
+    # `build encoder --sigma-size 2 --delta-size 2`.  Run in a child under a
+    # timeout.
     import os
     from pathlib import Path
 
@@ -651,9 +681,17 @@ def test_huge_or_degenerate_sizes_exit_2_quickly(tmp_path, argv):
         tester = {"schema": "ltc-forge/tester-v1", "alphabet": alphabet, "n": 2, "q": int(argv[-1][2:]), "checks": []}
         (tmp_path / "t.json").write_text(json.dumps(tester))
         argv[-1] = str(tmp_path / "t.json")
+    two = {"kind": "plain", "size": 2}
+    empty = {
+        "c0.json": {"schema": "ltc-forge/code-v1", "alphabet": two, "n": 0, "codewords": [[]]},
+        "t0.json": {"schema": "ltc-forge/tester-v1", "alphabet": two, "n": 0, "q": 1, "checks": []},
+    }
+    for name, doc in empty.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert main(f"build encoder --sigma-size 2 --delta-size 2 --out {tmp_path / 'enc22.json'}".split()) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "ltcforge", *argv], capture_output=True, text=True, env=env, timeout=30
+        [sys.executable, "-m", "ltcforge", *argv], capture_output=True, text=True, env=env, timeout=30, cwd=tmp_path
     )
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
@@ -680,3 +718,75 @@ def test_long_binary_chain_exact_soundness_exits_2_quickly(tmp_path, capsys):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exact soundness requires" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("field, expect", [("n", "outer tester does not match the code"), ("q", "accept bitset")])
+def test_concat_outer_tester_of_huge_n_or_q_exits_2_quickly(tmp_path, capsys, field, expect):
+    # An outer tester declaring 2**40 more positions or queries than it has:
+    # composing used to loop over every declared block (n), or to build a
+    # tuple of 2**40 padding queries per check (q).  Run in a child under a
+    # timeout.
+    import os
+    from pathlib import Path
+
+    import ltcforge
+
+    for name, command, key in [
+        ("lc22.json", "build longcode --s 2 --delta-size 2", "code"),
+        ("enc22.json", "build encoder --sigma-size 2 --delta-size 2", "encoder"),
+        ("dep22.json", "tester dependence --longcode 2 2 --q 2", "tester"),
+    ]:
+        assert main(command.split()) == 0
+        (tmp_path / name).write_text(json.dumps(json.loads(capsys.readouterr().out)[key]))
+    outer = json.loads((tmp_path / "dep22.json").read_text())
+    outer[field] += 2**40
+    (tmp_path / "outer.json").write_text(json.dumps(outer))
+    argv = "concat --code lc22.json --encoder enc22.json --outer-tester outer.json --mu 1/2"
+    argv += " --inner-tester dep22.json --nu 1/2"
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltcforge", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=30, cwd=tmp_path,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert expect in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_hadamard_outer_reductions_stay_small(tmp_path, capsys):
+    # The three reductions of the binary Hadamard code (n = 4) under its
+    # 64-check dependence tester at mu = 3/8.  One check per distinct
+    # (queries, accept) keeps the final testers at 208, 725 and 550 checks
+    # (6,352, 125,288 and 58,192 unmerged) and each report under 3 MB (13,
+    # 209 and 89 MB unmerged), with the sampled values the unmerged testers
+    # gave.  Run in children under one 60 s deadline.
+    import os
+    import time
+    from pathlib import Path
+
+    import ltcforge
+
+    for name, command, key in [
+        ("had.json", "build hadamard --p 2 --dimv 2 --dimd 1", "code"),
+        ("dep.json", "tester dependence --hadamard 2 2 1 --q 3", "tester"),
+    ]:
+        assert main(command.split()) == 0
+        (tmp_path / name).write_text(json.dumps(json.loads(capsys.readouterr().out)[key]))
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    inputs = ["--code", str(tmp_path / "had.json"), "--tester", str(tmp_path / "dep.json"), "--mu", "3/8"]
+    deadline = time.monotonic() + 60
+    for kind, extra, checks, value in [
+        ("linear", ["--dimd", "2", "--c", "2"], 208, {"num": 83, "den": 124}),
+        ("general", ["--d", "3", "--c", "3"], 725, {"num": 5093, "den": 8106}),
+        ("semilinear", [], 550, {"num": 5249, "den": 5472}),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ltcforge", "pipeline", kind, *inputs, *extra],
+            capture_output=True, text=True, env=env, timeout=max(deadline - time.monotonic(), 1),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.encode()) < 3 * 10**6
+        report = json.loads(proc.stdout)["report"]
+        assert report["overall"] == "conditional"
+        assert len(report["stages"]["final_tester"]["$tester"]["checks"]) == checks
+        soundness = report["achieved"]["soundness"]["$soundness"]
+        assert (soundness["mode"], soundness["value"]) == ("sampled", value)

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import (
@@ -36,9 +38,12 @@ from ltcforge.constructions import (
 from ltcforge.errors import DomainError, MismatchError
 from ltcforge.separability import compatibility_encoder
 from ltcforge.testers import (
+    Check,
+    Tester,
     accept_from_tuples,
     classify_linear,
     equality_tester,
+    pad_check,
     reject_probability,
     soundness_exact,
     validate,
@@ -262,3 +267,114 @@ def test_linearity_preserved_through_composition():
         composed, composed.meta["bound"], tuple(range(4)), Alphabet.vector(v3)
     )
     assert classify_linear(widened).kind != "nonlinear"
+
+
+def _three_routines(outer, mu_outer, inner, mu_inner, encoder, witness):
+    """concat_tester before routines 1 and 3 became one block distribution:
+    one inner copy per block and one per (outer check, queried block), all
+    padded at the end and none merged; kept as the reference."""
+    dsize, q, k, n = encoder.target.size, outer.q, encoder.k, outer.n
+    scale = Fraction(1, q * k)
+    total = mu_outer * mu_inner * scale + mu_inner**2 * scale + mu_inner * mu_outer
+    rho1 = mu_outer * mu_inner * scale / total
+    rho2 = mu_inner**2 * scale / total
+    rho3 = mu_outer * mu_inner / total
+    q_out = max(q, inner.q)
+    checks = []
+    for block in range(n):
+        for ch in inner.checks:
+            queries = tuple(block * k + pos for pos in ch.queries)
+            checks.append(Check(queries, ch.accept, rho1 * Fraction(1, n) * ch.weight))
+    for ch, entry in zip(outer.checks, witness.entries):
+        queries = tuple(a * k + b for a, b in zip(ch.queries, entry.positions))
+        checks.append(Check(queries, entry.accept, rho2 * ch.weight))
+    for ch in outer.checks:
+        for block in ch.queries + (ch.queries[0],) * (q - ch.arity):
+            for ich in inner.checks:
+                queries = tuple(block * k + pos for pos in ich.queries)
+                checks.append(Check(queries, ich.accept, rho3 * ch.weight * Fraction(1, q) * ich.weight))
+    checks = [pad_check(ch, q_out, dsize) for ch in checks]
+    return Tester(encoder.target, n * k, q_out, tuple(checks))
+
+
+def _unmerged_increase(tester, mu, mapping, target):
+    """alphabet_increase_tester padded but not merged: the reference."""
+    from ltcforge.testers import images
+
+    n = tester.n
+    member = accept_from_tuples([(m,) for m in mapping], target.size)
+    checks = [Check((pos,), member, mu / (mu + 1) * Fraction(1, n)) for pos in range(n)]
+    for ch in tester.checks:
+        accept, _ = images(ch, tester.alphabet.size, [mapping] * ch.arity, target.size)
+        checks.append(Check(ch.queries, accept, 1 / (mu + 1) * ch.weight))
+    return Tester(target, n, tester.q, tuple(pad_check(ch, tester.q, target.size) for ch in checks))
+
+
+@st.composite
+def _random_tester(draw, size, n, q, min_repeats):
+    """Checks of mixed arity up to q on repeated or permuted positions with
+    random accept sets, some repeated verbatim, and weights summing to 1."""
+    def check():
+        queries = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=q)))
+        return queries, draw(st.integers(0, 2 ** (size ** len(queries)) - 1))
+
+    entries = [check() for _ in range(draw(st.integers(1, 4)))]
+    entries += [draw(st.sampled_from(entries)) for _ in range(draw(st.integers(min_repeats, 2)))]
+    weights = [draw(st.integers(1, 5)) for _ in entries]
+    checks = tuple(Check(qs, acc, Fraction(w, sum(weights))) for (qs, acc), w in zip(entries, weights))
+    return Tester(Alphabet.plain(size), n, q, checks)
+
+
+@st.composite
+def _composition_instances(draw):
+    """An outer tester and code over 2-3 letters, an injective encoder into
+    the same letters (the identity table among random ones), a witness, and
+    an inner tester with repeated checks; at most 729 concatenated words."""
+    size = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, (9 if size == 2 else 6) // n))
+    tables = [tuple(draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))) for _ in range(k - 1)]
+    tables.insert(draw(st.integers(0, k - 1)), tuple(range(size)))
+    encoder = Encoder(FunctionFamily(size, Alphabet.plain(size), tuple(tables)))
+    outer = draw(_random_tester(size, n, draw(st.integers(1, 3)), 0))
+    inner = draw(_random_tester(size, k, draw(st.integers(1, 3)), 1))
+    words = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * n), min_size=1, max_size=4))
+    mus = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in range(3)]
+    return outer, inner, encoder, Code(outer.alphabet, n, tuple(sorted(words))), mus
+
+
+def _weight_map(tester):
+    out = {}
+    for ch in tester.checks:
+        out[ch.queries, ch.accept] = out.get((ch.queries, ch.accept), 0) + ch.weight
+    return out
+
+
+def _assert_merged_equivalent(merged, reference, code):
+    pairs = [((ch.queries, ch.accept), ch.weight) for ch in merged.checks]
+    assert len({key for key, _ in pairs}) == len(pairs)
+    assert pairs == list(_weight_map(reference).items())  # summed, in order of first appearance
+    assert sum(ch.weight for ch in merged.checks) == 1
+    for letters in itertools.product(range(merged.alphabet.size), repeat=merged.n):
+        word = Word(merged.alphabet, letters)
+        assert reject_probability(merged, word) == reject_probability(reference, word)
+    got, want = soundness_exact(merged, code), soundness_exact(reference, code)
+    assert (got.value, got.infinite, got.witness, got.engine) == (want.value, want.infinite, want.witness, want.engine)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_composition_instances())
+def test_composed_testers_equal_the_unmerged_constructions(instance):
+    # Merged composed testers are the old constructions as distributions:
+    # the same padded (queries, accept) -> summed weight map in the same
+    # first-appearance order, each pair once, the same reject probability
+    # on every word and the same exact value and witness.
+    outer, inner, encoder, code, (mu_outer, mu_inner, mu) = instance
+    wit = check_f_compatible(outer, encoder)
+    merged = concat_tester(outer, mu_outer, inner, mu_inner, encoder, wit)
+    reference = _three_routines(outer, mu_outer, inner, mu_inner, encoder, wit)
+    _assert_merged_equivalent(merged, reference, concatenate(code, encoder))
+    target = Alphabet.plain(outer.alphabet.size + 1)
+    mapping = tuple(reversed(range(1, target.size)))
+    widened = alphabet_increase_tester(outer, mu, mapping, target)
+    _assert_merged_equivalent(widened, _unmerged_increase(outer, mu, mapping, target), embed_code(code, mapping, target))

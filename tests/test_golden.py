@@ -11,10 +11,10 @@ import pytest
 from ltcforge.cli import main
 
 GOLDEN = {
-    "pipeline linear --demo": "c6b0262c7154d1d0da7b430148795da5d5b886fce6a448d6dd9efa9bdd2fc40d",
-    "pipeline general --demo": "f207ff55a9fb7ff31f9249afc52fb0489d6ebdf02617230a25c616e2f7990685",
-    "pipeline semilinear --demo": "ad0179517d16b48e2f2838030b30b9030a2f00598d956f85becb2d04c6b2917b",
-    "verify all": "aa1ecd3004b111347fe3b2c83ab1ba83ddde8b78682da521636e00e7f5965653",
+    "pipeline linear --demo": "5d55a78e42c77e35d99b34ca89cc6a11c939eb4bd854f7c6a259ee9d5da27b8f",
+    "pipeline general --demo": "9a4b1dfdeaed816471b3e23f0e3de32baab3e9ea3c97dd4fa9d62a19cc94464d",
+    "pipeline semilinear --demo": "7b4fd6398c121bf907a6d3cad1efa7ad33f78f930917ee1b5b8f9a9a26f58533",
+    "verify all": "0cdfaece8827526fd86ea296b6cc99588bf91c02c6566a8135065d4b220adb81",
 }
 
 # Artifacts the file-reading commands below need: (file, command, key of
@@ -50,8 +50,8 @@ GOLDEN_WITH_FILES = {
     "separate replace --tester dep22.json --mu 1/2 --delta-size 2": "2bf20842b958b3c528273ad35d9f573b33eab8be318280dff837500656cf678d",
     "separate replace --tester eqv.json --mu 1/2 --linear --p 2 --delta-dim 1": "8be65b49738050959fdbaf45f0ae9dc3ca020fee9f14a3c0eca3b723ce687e44",
     "concat --code lc22.json --encoder enc22.json --outer-tester dep22.json --mu 1/2"
-    " --inner-tester dep22.json --nu 1/2": "10e95d5240397c1025ad50e73d90a5e38875a9d05ad9381328d512bded2f6521",
-    "pipeline general --demo --trials 300 --seed 3": "bc9671c72498072af69cc3ddf551bf9db893421adf602f69d108d6095029cf3c",
+    " --inner-tester dep22.json --nu 1/2": "b6ed1205abdd30d08d275ee98a59833b45d9f2111a4921bd91ba43b7915eaaa3",
+    "pipeline general --demo --trials 300 --seed 3": "690e41a87837180a6bd0faef12482f8432060fb19a1e802be6c999f0d91b9112",
 }
 
 
