@@ -7,22 +7,17 @@ significant first, and `decode_tuple` inverts it.  It orders the vectors
 of GF(p)^dim (index 0 is the zero vector), the columns of enumerated
 linear maps, the value tables of function families, the accept-set bits
 of checks and, read backwards, the words of an exhaustive scan; every
-output inherits its determinism from that order.  `tuple_table` is the
-decoder at table speed: all size**arity tuples in index order, built once
-per (size, arity) and cached, for tables of at most TABLE_LIMIT tuples.
+output inherits its determinism from that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DomainError, MismatchError
 
 DEFAULT_BUDGET = 1 << 26
-TABLE_LIMIT = 1 << 12  # tuples per decode table
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -36,14 +31,6 @@ def encode_tuple(symbols: Sequence[int], size: int) -> int:
 
 def decode_tuple(idx: int, size: int, arity: int) -> tuple[int, ...]:
     return tuple((idx // size**l) % size for l in range(arity))
-
-
-@lru_cache(maxsize=16)
-def tuple_table(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    """Every tuple over {0..size-1} of the given arity, at its index."""
-    if size**arity > TABLE_LIMIT:
-        raise CapacityError(size**arity, TABLE_LIMIT, "tuple decode table")
-    return tuple(t[::-1] for t in product(range(size), repeat=arity))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,13 @@ byte that of `json.dumps` with `sort_keys=True` and an indent of 2, plus a
 final newline, but it takes only the types artifacts are made of: dicts
 with str keys, lists, str, int, bool and None.  Anything else, a float
 included, raises TypeError, so "never through floating point" is enforced
-at the last step.  A list of ints, or of nonempty int lists, is laid out
-from its one `repr` by string replacement, the bulk of every tester.
+at the last step.  A list of ints is laid out from its one `repr` by
+string replacement: accept sets are such lists, the bulk of every tester.
+
+An accept set (of a tester check, a witness entry or a certificate check)
+is the strictly ascending list of its accepted tuple indices, the index of
+(t_0, ..., t_{q-1}) being sum t_l * size**l: the bit order of the bitsets
+in `testers`, which hold them.
 
 Query positions are 0-based here and throughout the package.  Readers
 raise SchemaError for a non-integer where an integer belongs.
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from operator import index
 from typing import Any
@@ -32,15 +36,22 @@ from .constructions import FunctionFamily
 from .errors import CapacityError, SchemaError
 from .pipeline import REPORT_SCHEMA, PipelineReport
 from .separability import CheckCertificate, SeparabilityCertificate
-from .testers import Check, SoundnessReport, Tester, accept_bits, tuples_from_accept
+from .testers import (
+    Check,
+    SoundnessReport,
+    Tester,
+    accept_bits,
+    accept_from_indices,
+    indices_from_accept,
+)
 
 SCHEMAS = {
     "code": "ltc-forge/code-v1",
-    "tester": "ltc-forge/tester-v1",
+    "tester": "ltc-forge/tester-v2",
     "family": "ltc-forge/family-v1",
     "encoder": "ltc-forge/encoder-v1",
-    "witness": "ltc-forge/witness-v1",
-    "certificate": "ltc-forge/certificate-v1",
+    "witness": "ltc-forge/witness-v2",
+    "certificate": "ltc-forge/certificate-v2",
     "soundness": "ltc-forge/soundness-v2",
     "report": REPORT_SCHEMA,
     "verify": "ltc-forge/verify-v1",
@@ -67,14 +78,8 @@ def _encode(v: Any, nl: str) -> str:
         if not v:
             return "[]"
         inner = nl + "  "
-        kinds = set(map(type, v))
-        if kinds == {int}:
+        if set(map(type, v)) == {int}:
             return "[" + inner + repr(v)[1:-1].replace(", ", "," + inner) + nl + "]"
-        # Nonempty int lists: "[[" opens, "]]" closes, "], [" separates them.
-        if kinds == {list} and all(v) and set(map(type, chain.from_iterable(v))) == {int}:
-            deep = inner + "  "
-            body = repr(v)[2:-2].replace("], [", inner + "]," + inner + "[" + deep)
-            return "[" + inner + "[" + deep + body.replace(", ", "," + deep) + inner + "]" + nl + "]"
         return "[" + inner + ("," + inner).join([_encode(x, inner) for x in v]) + nl + "]"
     if t is dict:
         if not v:
@@ -114,30 +119,23 @@ def frac_from_json(d: Any) -> Fraction:
     return Fraction(d["num"], d["den"])
 
 
-def accept_to_json(accept: int, size: int, arity: int) -> list:
-    return [list(u) for u in tuples_from_accept(accept, size, arity)]
-
-
-def accept_from_json(tuples: Any, size: int, arity: int) -> int:
-    """Accept bitset of a list of arity-tuples over 0..size-1.  Each tuple
-    is checked in the same pass that encodes it (as encode_tuple does), so
-    the check adds no second walk over the symbols."""
-    if not isinstance(tuples, list):
-        raise SchemaError(f"accept set is not a list: {tuples!r}")
-    bits = 0
-    for u in tuples:
-        try:
-            if len(u) != arity:
-                raise SchemaError(f"accept tuple {u!r} does not have {arity} symbols")
-            idx = 0
-            for s in reversed(u):
-                if not 0 <= s < size:
-                    raise SchemaError(f"accept symbol {s!r} outside 0..{size - 1}")
-                idx = idx * size + s
-            bits |= 1 << idx
-        except TypeError:
-            raise SchemaError(f"accept tuple {u!r} is not a list of symbols") from None
-    return bits
+def accept_from_json(indices: Any, size: int, arity: int) -> int:
+    """Accept bitset of a strictly ascending list of tuple indices below
+    size**arity.  An oversized table is refused before anything is built."""
+    try:
+        table = accept_bits(size, arity)
+    except CapacityError as exc:
+        raise SchemaError(f"accept set too large: {exc}") from None
+    if not isinstance(indices, list):
+        raise SchemaError(f"accept set is not a list: {indices!r}")
+    if indices and not (
+        set(map(type, indices)) == {int}
+        and 0 <= indices[0]
+        and indices[-1] < table
+        and all(map(int.__lt__, indices, indices[1:]))
+    ):
+        raise SchemaError(f"accept set is not a strictly ascending list of indices in 0..{table - 1}")
+    return accept_from_indices(indices)
 
 
 def alphabet_to_json(a: Alphabet) -> dict:
@@ -197,22 +195,17 @@ def word_from_json(d: Any) -> Word:
 
 
 def tester_to_json(t: Tester) -> dict:
-    size = t.alphabet.size
-    decoded: dict[tuple[int, int], list] = {}  # each distinct accept set once
-
-    def accept(ch: Check) -> list:
-        key = (ch.accept, ch.arity)
-        if key not in decoded:
-            decoded[key] = tuples_from_accept(ch.accept, size, ch.arity)
-        return list(map(list, decoded[key]))
-
     return {
         "schema": SCHEMAS["tester"],
         "alphabet": alphabet_to_json(t.alphabet),
         "n": t.n,
         "q": t.q,
         "checks": [
-            {"queries": list(ch.queries), "accept": accept(ch), "weight": frac_to_json(ch.weight)}
+            {
+                "queries": list(ch.queries),
+                "accept": indices_from_accept(ch.accept),
+                "weight": frac_to_json(ch.weight),
+            }
             for ch in t.checks
         ],
     }
@@ -226,7 +219,6 @@ def tester_from_json(doc: Any) -> Tester:
         checks = []
         for c in doc["checks"]:
             queries = tuple(map(index, c["queries"]))
-            accept_bits(alphabet.size, len(queries))  # refuse an oversized accept set before decoding it
             accept = accept_from_json(c["accept"], alphabet.size, len(queries))
             checks.append(Check(queries, accept, frac_from_json(c["weight"])))
     except TypeError as exc:
@@ -276,7 +268,7 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
         "checks": [
             {
                 "b": list(e.positions),
-                "accept": accept_to_json(e.accept, target_size, len(e.positions)),
+                "accept": indices_from_accept(e.accept),
             }
             for e in w.entries
         ],
@@ -303,7 +295,7 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
             {
                 "partitions": [[list(cls) for cls in coord] for coord in chk.partitions],
                 "maps": [list(m) for m in chk.coord_maps],
-                "accept": accept_to_json(chk.accept, c.delta_size, len(chk.coord_maps)),
+                "accept": indices_from_accept(chk.accept),
                 "subspaces": None
                 if chk.subspaces is None
                 else [[list(v) for v in basis] for basis in chk.subspaces],

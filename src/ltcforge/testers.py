@@ -50,38 +50,48 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_BUDGET,
-    TABLE_LIMIT,
-    decode_tuple,
-    encode_tuple,
-    row_reduce,
-    tuple_table,
-)
+from .algebra import DEFAULT_BUDGET, decode_tuple, encode_tuple, row_reduce
 from .codes import Alphabet, Code, Word
 from .errors import CapacityError, DomainError, MismatchError
 
 ACCEPT_BITS_LIMIT = 1 << 24  # alphabet^arity per check
 
 
+def accept_from_indices(indices: Sequence[int]) -> int:
+    """The bitset with exactly the given bits set, indices >= 0 in any
+    order, repeats allowed.  One pass writes the binary text, most
+    significant bit first, so bit i is the i-th character from the end;
+    parsing it is linear in the largest index, with no shift per index."""
+    text = bytearray(b"0") * (max(indices, default=0) + 1)
+    for i in indices:
+        text[~i] = 49  # ord("1")
+    return int(text, 2)
+
+
+def indices_from_accept(accept: int) -> list[int]:
+    """The set bits of a bitset, ascending: its accepted tuple indices.
+    Inverse of accept_from_indices, one forward scan of its binary text."""
+    text = format(accept, "b")[::-1]
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
+
+
 def accept_from_tuples(tuples: Iterable[Sequence[int]], size: int) -> int:
-    bits = 0
-    for t in tuples:
-        bits |= 1 << encode_tuple(t, size)
-    return bits
+    return accept_from_indices([encode_tuple(t, size) for t in tuples])
 
 
 def tuples_from_accept(accept: int, size: int, arity: int) -> list[tuple[int, ...]]:
-    """The accepted tuples in index order, looked up in the decode table
-    unless size**arity is too large to tabulate."""
-    if size**arity > TABLE_LIMIT:
-        return [decode_tuple(i, size, arity) for i in _bits(accept)]
-    table = tuple_table(size, arity)
-    return [table[i] for i in _bits(accept)]
+    """The accepted tuples in index order."""
+    return [decode_tuple(i, size, arity) for i in indices_from_accept(accept)]
 
 
 def _bits(mask: int):
-    """The positions of the set bits of `mask`, ascending."""
+    """The positions of the set bits of `mask`, ascending, one at a time:
+    for the planner's position masks, a few words long."""
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
@@ -123,7 +133,7 @@ class Tester:
                 raise DomainError("check arity must be between 1 and q")
             if min(queries) < 0 or max(queries) >= n:
                 raise DomainError("query position out of range")
-            if ch.weight <= 0:
+            if ch.weight.numerator <= 0:  # Fraction denominators are positive
                 raise DomainError("check weights must be positive")
         for arity in {len(ch.queries) for ch in self.checks}:
             accept_bits(size, arity)

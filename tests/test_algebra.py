@@ -8,19 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ltcforge.algebra import (
-    TABLE_LIMIT,
     Field,
     LinearMap,
     VecSpace,
-    decode_tuple,
-    encode_tuple,
     enumerate_linear_maps,
     enumerate_vectors,
     in_span,
     kernel_complement_surjection,
     row_reduce,
     span_vectors,
-    tuple_table,
 )
 from ltcforge.errors import CapacityError, DomainError, MismatchError
 
@@ -186,16 +182,3 @@ def test_row_reduce_and_rank():
     rows = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
     rref, pivots = row_reduce(rows, 2)
     assert len(rref) == 2 and pivots == [0, 1]
-
-
-@pytest.mark.parametrize("size, arity", [(2, 1), (3, 3), (5, 2), (2, 12)])
-def test_tuple_table_is_the_codec(size, arity):
-    table = tuple_table(size, arity)
-    assert len(table) == size**arity
-    assert all(t == decode_tuple(i, size, arity) and encode_tuple(t, size) == i for i, t in enumerate(table))
-    assert tuple_table(size, arity) is table  # cached
-
-
-def test_tuple_table_capped():
-    with pytest.raises(CapacityError):
-        tuple_table(2, TABLE_LIMIT.bit_length())

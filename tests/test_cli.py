@@ -242,17 +242,30 @@ def test_zero_weight_denominator_exit_2(tmp_path, capsys):
 
 def test_negative_accept_symbol_exit_2(tmp_path, capsys):
     def corrupt(tester):
-        tester["checks"][0]["accept"][0] = [-1, 0]
+        tester["checks"][0]["accept"][0] = -1
 
     assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
 
 
 def test_accept_symbol_outside_alphabet_exit_2(tmp_path, capsys):
-    # (2, 0) would encode to the index of (0, 1) and pass unnoticed
+    # index 4 names no tuple of two binary letters: it would set a bit
+    # past the accept set and pass unnoticed by every check
     def corrupt(tester):
-        tester["checks"][0]["accept"][0] = [2, 0]
+        tester["checks"][0]["accept"][-1] = 4
 
     assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
+
+
+def test_v1_tester_exit_2_with_the_schema_message(tmp_path, capsys):
+    # v1 wrote each accepted tuple as a list of its symbols; it is not read.
+    check = {"queries": [0, 1], "accept": [[0, 0], [1, 1]], "weight": {"num": 1, "den": 1}}
+    alphabet = {"kind": "plain", "size": 2}
+    tester = {"schema": "ltc-forge/tester-v1", "alphabet": alphabet, "n": 2, "q": 2, "checks": [check]}
+    (tmp_path / "t.json").write_text(json.dumps(tester))
+    assert main(["separate", "check", "--tester", str(tmp_path / "t.json"), "--delta-size", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "expected schema ltc-forge/tester-v2, got 'ltc-forge/tester-v1'" in captured.err
 
 
 def _set(path, value):
@@ -275,6 +288,24 @@ def test_non_integer_tester_field_exit_2(tmp_path, capsys, corrupt):
     assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _set(["checks", 0, "accept"], [[0, 0], [1, 1]]),
+        _set(["checks", 0, "accept"], [True]),
+        _set(["checks", 0, "accept"], [1.0]),
+        _set(["checks", 0, "accept"], [0, 0]),
+        _set(["checks", 0, "accept"], [3, 0]),
+        _set(["checks", 0, "accept"], "03"),
+        _set(["alphabet", "size"], 2**13),
+    ],
+    ids=["tuple-form", "bool", "float", "duplicate", "descending", "not-a-list", "oversized-table"],
+)
+def test_malformed_accept_indices_exit_2(tmp_path, capsys, corrupt):
+    # 2**13 letters at arity 2 make 2**26 tuples, past the accept bitset cap
+    assert _malformed_tester_exit(tmp_path, capsys, corrupt) == 2
+
+
 def test_huge_alphabet_size_exit_2(tmp_path, capsys):
     # 10**30 letters: the accept sets would be 10**60-bit integers
     assert _malformed_tester_exit(tmp_path, capsys, _set(["alphabet", "size"], 10**30)) == 2
@@ -286,7 +317,7 @@ def test_plain_alphabets_of_2_63_letters_or_more_exit_2(tmp_path, capsys, size, 
     # at 2**65 its uint64 rejection threshold overflows.  A tester without
     # checks reaches the sampler.
     alphabet = {"kind": "plain", "size": size}
-    tester = {"schema": "ltc-forge/tester-v1", "alphabet": alphabet, "n": 2, "q": 1, "checks": []}
+    tester = {"schema": "ltc-forge/tester-v2", "alphabet": alphabet, "n": 2, "q": 1, "checks": []}
     code = {"schema": "ltc-forge/code-v1", "alphabet": alphabet, "n": 2, "codewords": [[0, 0]]}
     (tmp_path / "t.json").write_text(json.dumps(tester))
     (tmp_path / "c.json").write_text(json.dumps(code))
@@ -617,11 +648,11 @@ def test_replacement_far_above_the_check_arity_exits_2_quickly(tmp_path, q, extr
     import ltcforge
 
     tester = {
-        "schema": "ltc-forge/tester-v1",
+        "schema": "ltc-forge/tester-v2",
         "alphabet": {"kind": "vector", "p": 2, "dim": 1},
         "n": 2,
         "q": q,
-        "checks": [{"queries": [0, 1], "accept": [[0, 0], [1, 1]], "weight": {"num": 1, "den": 1}}],
+        "checks": [{"queries": [0, 1], "accept": [0, 3], "weight": {"num": 1, "den": 1}}],
     }
     (tmp_path / "t.json").write_text(json.dumps(tester))
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
@@ -632,6 +663,33 @@ def test_replacement_far_above_the_check_arity_exits_2_quickly(tmp_path, q, extr
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert expect in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_large_accept_sets_are_written_small_and_fast(tmp_path, capsys):
+    # An accept set costs one line per accepted tuple index.  The separable
+    # replacement of the 81-check long-code tester declared at q = 4 has
+    # 6,561 checks of 80 or 81 accepted tuples and stays under 10 MB; the equality
+    # check on 4,096 letters is a 2**24-bit set, written in linear time.
+    # Run in children under a timeout.
+    import os
+    from pathlib import Path
+
+    import ltcforge
+
+    assert main("tester dependence --longcode 2 3 --q 2".split()) == 0
+    tester = json.loads(capsys.readouterr().out)["tester"]
+    tester["q"] = 4
+    (tmp_path / "t.json").write_text(json.dumps(tester))
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    for argv, limit in [
+        (["separate", "replace", "--delta-size", "3", "--mu", "1/2", "--tester", str(tmp_path / "t.json")], 10**7),
+        (["tester", "equality", "--n", "2", "--p", "2", "--dim", "12"], None),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ltcforge", *argv], capture_output=True, env=env, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert limit is None or len(proc.stdout) < limit
 
 
 @pytest.mark.parametrize(
@@ -678,13 +736,13 @@ def test_huge_or_degenerate_sizes_exit_2_quickly(tmp_path, argv):
     argv = argv.split()
     if argv[-1].startswith("q="):
         alphabet = {"kind": "vector", "p": 2, "dim": 1} if "--linear" in argv else {"kind": "plain", "size": 3}
-        tester = {"schema": "ltc-forge/tester-v1", "alphabet": alphabet, "n": 2, "q": int(argv[-1][2:]), "checks": []}
+        tester = {"schema": "ltc-forge/tester-v2", "alphabet": alphabet, "n": 2, "q": int(argv[-1][2:]), "checks": []}
         (tmp_path / "t.json").write_text(json.dumps(tester))
         argv[-1] = str(tmp_path / "t.json")
     two = {"kind": "plain", "size": 2}
     empty = {
         "c0.json": {"schema": "ltc-forge/code-v1", "alphabet": two, "n": 0, "codewords": [[]]},
-        "t0.json": {"schema": "ltc-forge/tester-v1", "alphabet": two, "n": 0, "q": 1, "checks": []},
+        "t0.json": {"schema": "ltc-forge/tester-v2", "alphabet": two, "n": 0, "q": 1, "checks": []},
     }
     for name, doc in empty.items():
         (tmp_path / name).write_text(json.dumps(doc))

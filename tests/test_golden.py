@@ -11,10 +11,10 @@ import pytest
 from ltcforge.cli import main
 
 GOLDEN = {
-    "pipeline linear --demo": "5d55a78e42c77e35d99b34ca89cc6a11c939eb4bd854f7c6a259ee9d5da27b8f",
-    "pipeline general --demo": "9a4b1dfdeaed816471b3e23f0e3de32baab3e9ea3c97dd4fa9d62a19cc94464d",
-    "pipeline semilinear --demo": "7b4fd6398c121bf907a6d3cad1efa7ad33f78f930917ee1b5b8f9a9a26f58533",
-    "verify all": "0cdfaece8827526fd86ea296b6cc99588bf91c02c6566a8135065d4b220adb81",
+    "pipeline linear --demo": "586d2ff1e5313423408b969641dbdc0f65b89e9a28af6891f6f01d3b6ab6883f",
+    "pipeline general --demo": "bf9d377b5c86b5a8380d467a19e6862f211e5b5d0451f454b5ee6a6abf2c9199",
+    "pipeline semilinear --demo": "795124ccd07c93bfffafa75127c75802b10ed854a149fdb29100e20468336a90",
+    "verify all": "b37d921962152da0c91d7fa469048039f98a0221871c074bf2583a3c1f0fb677",
 }
 
 # Artifacts the file-reading commands below need: (file, command, key of
@@ -37,21 +37,21 @@ GOLDEN_WITH_FILES = {
     "build critical --s 2": "be06246982b3f39f73eff16fad632a553df0002092098f35376adddadb34ae6b",
     "build encoder --sigma-size 2 --delta-size 3": "58dbb8a6c5f80ff73ae802821e4b438b5223ac80546aedd9e87d503446a5cafa",
     "build encoder --linear --p 2 --sigma-dim 2 --delta-dim 1": "419cd0f7270a404751c4b750f26233e2fa0605ddc1f6cb1912e4e0754b233581",
-    "tester dependence --longcode 2 3 --q 2": "42b665c087e773638f146925ec73e01972c78fa2af00e12a2674fa82acd4dab6",
-    "tester dependence --hadamard 2 1 2 --q 2": "3f9c27fe71e36d362a936b2d8efe21bc9ce5f66c890ff32dfaef30ccb545396b",
-    "tester dependence --family fam22.json --q 3": "6e1b691e2e608bdaa04259dc286592e118ccfe5b6b01281304ed9cc88996c89f",
-    "tester ring --s 2": "65a2e4ae1f55160a445e14659a4cd32d514f8ea69d20a6f23a22c38483fcc818",
-    "tester equality --n 3 --size 3": "5229722dc273a7689990f601b624ccfd01dc22f2cc912c25467be873480e8902",
-    "tester equality --n 2 --p 2 --dim 2": "4f27325af8e12369144eb26a2e347f2224895dbe3c7526d1d787909bc35d20d0",
+    "tester dependence --longcode 2 3 --q 2": "498bf7665f3d651e4b3cb63d3201f2e3c606d9e7b380a346b1b580efb0691f0f",
+    "tester dependence --hadamard 2 1 2 --q 2": "1472c1099dd6982aaa192ba39072615c04779f95dd1021945414eea8870aa6f8",
+    "tester dependence --family fam22.json --q 3": "69a1f2ac7566aa9c2a188f131fa0cb21ec6a97bdd7cad6fe140cb86d645ea5d1",
+    "tester ring --s 2": "5e03b92565bac3dae76e80d5beb0776919f99cd1c6599e7ccceb4c3b3391d5c8",
+    "tester equality --n 3 --size 3": "34c13aac7d6be2d9151188f5f93ec2285edf62741de5416c12d4612c1461e58d",
+    "tester equality --n 2 --p 2 --dim 2": "7b7de83bbd26357404f01fb0642e6b2993d98e073083254f4989a90d59a14a58",
     "soundness exact --tester dep23.json --code lc23.json --bound 2/3": "e53d10b7d5995d74a71d0389e5c7940e26b756781e6d393d4b34943a70cca0a5",
     "soundness sample --tester dep23.json --code lc23.json --trials 300 --seed 5 --bound 1/2": "7a0ad1f8af497c2d19b0a9aaeda4a5d7a40929e2e16d3df62e843c66a4e32c21",
-    "separate check --tester dep23.json --delta-size 3": "7cbdce005262f89e9e04e228c935b7f9568c9ec13610fc7085681875d31cc5cb",
-    "separate check --tester eqv.json --linear --p 2 --delta-dim 2": "3892aee2e277d5ec57215918081bf3e6f576c8cb329885aa702368f82393b1f8",
-    "separate replace --tester dep22.json --mu 1/2 --delta-size 2": "2bf20842b958b3c528273ad35d9f573b33eab8be318280dff837500656cf678d",
-    "separate replace --tester eqv.json --mu 1/2 --linear --p 2 --delta-dim 1": "8be65b49738050959fdbaf45f0ae9dc3ca020fee9f14a3c0eca3b723ce687e44",
+    "separate check --tester dep23.json --delta-size 3": "5c525fc04b69404c5b471661421535469aff76ecfdf89bf8d83687596c107037",
+    "separate check --tester eqv.json --linear --p 2 --delta-dim 2": "a8c995ea7e6b063bef8fc76720c782a57a5dcd7c987ed8a908aa5dfcb73551c4",
+    "separate replace --tester dep22.json --mu 1/2 --delta-size 2": "784ac231a2512ac5e989afbeabab6931f32034399c2cfc534d97f14735644c55",
+    "separate replace --tester eqv.json --mu 1/2 --linear --p 2 --delta-dim 1": "3b3ee5c171ba2df80763e38ecc02d55c93d34e8722c036edb0f44f66b4b696fa",
     "concat --code lc22.json --encoder enc22.json --outer-tester dep22.json --mu 1/2"
-    " --inner-tester dep22.json --nu 1/2": "b6ed1205abdd30d08d275ee98a59833b45d9f2111a4921bd91ba43b7915eaaa3",
-    "pipeline general --demo --trials 300 --seed 3": "690e41a87837180a6bd0faef12482f8432060fb19a1e802be6c999f0d91b9112",
+    " --inner-tester dep22.json --nu 1/2": "2da44dc2f045cdbb9ea21fab4f7a43ad4f9aafca89f53ed57bf6269145206925",
+    "pipeline general --demo --trials 300 --seed 3": "b7fb7e52a4daffa8fc3e17e5c2134947dda1e14000d19877340950aeec189623",
 }
 
 

@@ -4,6 +4,7 @@ import ast
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from ltcforge.errors import CapacityError, SchemaError
 from ltcforge.pipeline import linear_reduction, semilinear_reduction
 from ltcforge.separability import check_separable, compatibility_encoder, separable_replacement
 from ltcforge.serialize import (
+    certificate_from_json,
+    certificate_to_json,
     code_from_json,
     code_to_json,
     dumps,
@@ -114,6 +117,8 @@ def test_schema_mismatch_raises():
         code_from_json(doc)
     with pytest.raises(SchemaError):
         tester_from_json({"schema": "ltc-forge/code-v1"})
+    with pytest.raises(SchemaError, match="expected schema ltc-forge/tester-v2"):
+        tester_from_json(dict(tester_to_json(equality_tester(BIN, 2)), schema="ltc-forge/tester-v1"))
 
 
 def test_dumps_deterministic():
@@ -121,15 +126,44 @@ def test_dumps_deterministic():
     assert dumps(code_to_json(code)) == dumps(code_to_json(code))
 
 
+def _accept_set_docs():
+    """(document, reader) for a tester, a witness and a certificate, each
+    with a first accept set over the 2**2 pairs of binary letters."""
+    eq = equality_tester(BIN, 2)
+    witness = check_f_compatible(eq, compatibility_encoder(BIN, BIN, False))
+    return [
+        (tester_to_json(eq), tester_from_json),
+        (witness_to_json(witness, 2), witness_from_json),
+        (certificate_to_json(check_separable(eq, 2)), certificate_from_json),
+    ]
+
+
 @pytest.mark.parametrize(
     "accept",
-    [[[0]], [[0, 0, 1]], [[2, 0]], [[-1, 0]], [["a", 0]], [[1.5, 0]], "00", [0, 1]],
+    [[[0, 0], [1, 1]], [True], [1.0], [-1], [4], [0, 0], "00", [3, 0], ["a"], {"0": 3}, 3],
 )
 def test_malformed_accept_set_raises(accept):
-    doc = tester_to_json(equality_tester(BIN, 2))
-    doc["checks"][0]["accept"] = accept
-    with pytest.raises(SchemaError):
-        tester_from_json(doc)
+    # a tuple list, a bool, a float, a negative index, an index past the
+    # 2**2 tuples, a repeat, a non-list, descending order, a string, ...
+    for doc, from_json in _accept_set_docs():
+        assert from_json(json.loads(dumps(doc))) is not None
+        doc["checks"][0]["accept"] = accept
+        with pytest.raises(SchemaError):
+            from_json(doc)
+
+
+def test_oversized_accept_table_refused_before_decoding():
+    # 2**13 letters at arity 2 are 2**26 tuples, past the accept bitset cap:
+    # refused before the indices are read or a bitset is built.
+    docs = _accept_set_docs()
+    docs[0][0]["alphabet"]["size"] = 2**13
+    docs[1][0]["target_size"] = 2**13
+    docs[2][0]["delta_size"] = 2**13
+    for doc, from_json in docs:
+        doc["checks"][0]["accept"] = [0, 2**26 - 1]
+        with mock.patch("ltcforge.serialize.accept_from_indices", side_effect=AssertionError):
+            with pytest.raises(SchemaError, match="accept bitset requires 67108864 items"):
+                from_json(doc)
 
 
 @pytest.mark.parametrize(

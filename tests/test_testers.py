@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltcforge.algebra import Field, VecSpace, decode_tuple, encode_tuple
@@ -19,6 +19,7 @@ from ltcforge.errors import CapacityError, DomainError
 from ltcforge.testers import (
     Check,
     Tester,
+    accept_from_indices,
     accept_from_tuples,
     accepted_words,
     classify_linear,
@@ -26,6 +27,7 @@ from ltcforge.testers import (
     equality_tester,
     full_accept,
     images,
+    indices_from_accept,
     pad_check,
     reject_probability,
     soundness_exact,
@@ -366,11 +368,52 @@ def test_accept_bitset_roundtrip_random(bits):
     assert got == bits
 
 
-@pytest.mark.parametrize("size, arity", [(3, 2), (2, 5), (300, 2)])  # 300**2 is past the decode table
+@pytest.mark.parametrize("size, arity", [(3, 2), (2, 5), (300, 2)])
 def test_tuples_from_accept_in_index_order(size, arity):
     idx = sorted(random.Random(size).sample(range(size**arity), min(20, size**arity)))
     accept = sum(1 << i for i in idx)
     assert tuples_from_accept(accept, size, arity) == [decode_tuple(i, size, arity) for i in idx]
+
+
+@pytest.mark.parametrize("size, arity", [(2, 1), (3, 3), (5, 2), (2, 12)])
+def test_tuples_from_accept_is_the_codec(size, arity):
+    # The full accept set decodes to every tuple at its index.
+    table = tuples_from_accept(full_accept(size, arity), size, arity)
+    assert len(table) == size**arity
+    assert all(t == decode_tuple(i, size, arity) and encode_tuple(t, size) == i for i, t in enumerate(table))
+
+
+@st.composite
+def _accept_sets(draw):
+    """(size, arity, accept): any bitset over size**arity tuples, the empty
+    and the full set among them."""
+    size, arity = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    table = size**arity
+    accept = draw(st.sampled_from([0, (1 << table) - 1]) | st.integers(0, (1 << table) - 1))
+    return size, arity, accept
+
+
+@settings(max_examples=200, deadline=None)
+@given(_accept_sets())
+@example((2, 1, 0))
+@example((5, 4, (1 << 625) - 1))
+def test_accept_index_codec_roundtrip(case):
+    size, arity, accept = case
+    indices = indices_from_accept(accept)
+    assert indices == [i for i in range(size**arity) if accept >> i & 1]
+    assert accept_from_indices(indices) == accept
+    tuples = tuples_from_accept(accept, size, arity)
+    assert tuples == [decode_tuple(i, size, arity) for i in indices]
+    assert accept_from_tuples(tuples, size) == accept
+
+
+@given(st.lists(st.integers(0, 700), max_size=40))
+def test_accept_from_indices_takes_any_order_and_repeats(indices):
+    reference = 0
+    for i in indices:
+        reference |= 1 << i
+    assert accept_from_indices(indices) == reference
+    assert indices_from_accept(reference) == sorted(set(indices))
 
 
 _HANG_SCRIPT = """
