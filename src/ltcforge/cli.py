@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .acceptance import CRITERIA, run_criteria
@@ -118,6 +119,7 @@ def _criterion_ids(text: str) -> list[int]:
     return ids
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # --budget caps what a command enumerates (words, plan cells, family
@@ -385,9 +387,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     manifest = {

@@ -19,13 +19,15 @@ is the strictly ascending list of its accepted tuple indices, the index of
 in `testers`, which hold them.
 
 Query positions are 0-based here and throughout the package.  Readers
-raise SchemaError for a non-integer where an integer belongs.
+raise SchemaError for a non-integer where an integer belongs, and `_reader`
+turns every missing key or value of the wrong type or shape into one.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import wraps
 from json.encoder import encode_basestring_ascii as _string
 from operator import index
 from typing import Any
@@ -96,6 +98,20 @@ def _encode(v: Any, nl: str) -> str:
     raise TypeError(f"{t.__name__} has no JSON form here")
 
 
+def _reader(read):
+    """The reader `read`, with KeyError, TypeError and ValueError raised as SchemaError."""
+    what = read.__name__.removesuffix("_from_json")
+
+    @wraps(read)
+    def checked(doc: Any):
+        try:
+            return read(doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed {what} ({exc!r})") from None
+
+    return checked
+
+
 def _expect(doc: Any, kind: str) -> None:
     if not isinstance(doc, dict):
         raise SchemaError(f"expected a {SCHEMAS[kind]} object, got {type(doc).__name__}")
@@ -144,19 +160,15 @@ def alphabet_to_json(a: Alphabet) -> dict:
     return {"kind": "plain", "size": a.size}
 
 
+@_reader
 def alphabet_from_json(d: Any) -> Alphabet:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise SchemaError(f"not an alphabet: {d!r}")
-    try:
-        # letters are int64 in the soundness kernels: 2**63 or more are refused
-        if d["kind"] == "plain":
-            if (size := index(d["size"])) >= 2**63:
-                raise CapacityError(size, 2**63 - 1, "plain alphabet")
-            return Alphabet.plain(size)
-        if d["kind"] == "vector":
-            return vector_alphabet(index(d["p"]), index(d["dim"]))
-    except TypeError as exc:
-        raise SchemaError(f"malformed alphabet ({exc})") from None
+    # letters are int64 in the soundness kernels: 2**63 or more are refused
+    if d["kind"] == "plain":
+        if (size := index(d["size"])) >= 2**63:
+            raise CapacityError(size, 2**63 - 1, "plain alphabet")
+        return Alphabet.plain(size)
+    if d["kind"] == "vector":
+        return vector_alphabet(index(d["p"]), index(d["dim"]))
     raise SchemaError(f"unknown alphabet kind {d['kind']!r}")
 
 
@@ -172,24 +184,22 @@ def code_to_json(c: Code) -> dict:
     return doc
 
 
+@_reader
 def code_from_json(doc: Any) -> Code:
     _expect(doc, "code")
     alphabet = alphabet_from_json(doc["alphabet"])
-    try:
-        gen = None
-        if "linear" in doc:
-            gen = tuple(tuple(map(index, r)) for r in doc["linear"]["gen"])
-        words = tuple(tuple(map(index, w)) for w in doc["codewords"])
-        n = index(doc["n"])
-    except TypeError as exc:
-        raise SchemaError(f"malformed code ({exc})") from None
-    return Code(alphabet, n, words, gen)
+    gen = None
+    if "linear" in doc:
+        gen = tuple(tuple(map(index, r)) for r in doc["linear"]["gen"])
+    words = tuple(tuple(map(index, w)) for w in doc["codewords"])
+    return Code(alphabet, index(doc["n"]), words, gen)
 
 
 def word_to_json(w: Word) -> dict:
     return {"alphabet": alphabet_to_json(w.alphabet), "letters": list(w.letters)}
 
 
+@_reader
 def word_from_json(d: Any) -> Word:
     return Word(alphabet_from_json(d["alphabet"]), tuple(d["letters"]))
 
@@ -211,18 +221,16 @@ def tester_to_json(t: Tester) -> dict:
     }
 
 
+@_reader
 def tester_from_json(doc: Any) -> Tester:
     _expect(doc, "tester")
     alphabet = alphabet_from_json(doc["alphabet"])
-    try:
-        n, q = index(doc["n"]), index(doc["q"])
-        checks = []
-        for c in doc["checks"]:
-            queries = tuple(map(index, c["queries"]))
-            accept = accept_from_json(c["accept"], alphabet.size, len(queries))
-            checks.append(Check(queries, accept, frac_from_json(c["weight"])))
-    except TypeError as exc:
-        raise SchemaError(f"malformed tester ({exc})") from None
+    n, q = index(doc["n"]), index(doc["q"])
+    checks = []
+    for c in doc["checks"]:
+        queries = tuple(map(index, c["queries"]))
+        accept = accept_from_json(c["accept"], alphabet.size, len(queries))
+        checks.append(Check(queries, accept, frac_from_json(c["weight"])))
     return Tester(alphabet, n, q, tuple(checks))
 
 
@@ -235,15 +243,12 @@ def family_to_json(f: FunctionFamily) -> dict:
     }
 
 
+@_reader
 def family_from_json(doc: Any) -> FunctionFamily:
     _expect(doc, "family")
     target = alphabet_from_json(doc["target"])
-    try:
-        domain_size = index(doc["domain_size"])
-        tables = tuple(tuple(map(index, t)) for t in doc["tables"])
-    except TypeError as exc:
-        raise SchemaError(f"malformed family ({exc})") from None
-    return FunctionFamily(domain_size, target, tables)
+    tables = tuple(tuple(map(index, t)) for t in doc["tables"])
+    return FunctionFamily(index(doc["domain_size"]), target, tables)
 
 
 def encoder_to_json(e: Encoder) -> dict:
@@ -255,10 +260,7 @@ def encoder_to_json(e: Encoder) -> dict:
 
 def encoder_from_json(doc: Any) -> Encoder:
     _expect(doc, "encoder")
-    inner = dict(doc)
-    inner["schema"] = SCHEMAS["family"]
-    inner.pop("injective", None)
-    return Encoder(family_from_json(inner))
+    return Encoder(family_from_json({**doc, "schema": SCHEMAS["family"]}))
 
 
 def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
@@ -275,15 +277,12 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
     }
 
 
+@_reader
 def witness_from_json(doc: Any) -> CompatibilityWitness:
     _expect(doc, "witness")
-    size = doc["target_size"]
-    return CompatibilityWitness(
-        tuple(
-            WitnessEntry(tuple(e["b"]), accept_from_json(e["accept"], size, len(e["b"])))
-            for e in doc["checks"]
-        )
-    )
+    size, checks = doc["target_size"], doc["checks"]
+    entries = (WitnessEntry(tuple(e["b"]), accept_from_json(e["accept"], size, len(e["b"]))) for e in checks)
+    return CompatibilityWitness(tuple(entries))
 
 
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
@@ -305,21 +304,18 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
     }
 
 
+@_reader
 def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     _expect(doc, "certificate")
     checks = []
     for chk in doc["checks"]:
-        subspaces = None
-        if chk["subspaces"] is not None:
-            subspaces = tuple(
-                tuple(tuple(v) for v in basis) for basis in chk["subspaces"]
-            )
+        bases = chk["subspaces"]
         checks.append(
             CheckCertificate(
                 tuple(tuple(tuple(cls) for cls in coord) for coord in chk["partitions"]),
                 tuple(tuple(m) for m in chk["maps"]),
                 accept_from_json(chk["accept"], doc["delta_size"], len(chk["maps"])),
-                subspaces,
+                None if bases is None else tuple(tuple(tuple(v) for v in basis) for basis in bases),
             )
         )
     return SeparabilityCertificate(doc["delta_size"], doc["linear"], tuple(checks))
@@ -340,6 +336,7 @@ def soundness_to_json(r: SoundnessReport) -> dict:
     }
 
 
+@_reader
 def soundness_from_json(doc: Any) -> SoundnessReport:
     _expect(doc, "soundness")
     return SoundnessReport(
@@ -363,6 +360,7 @@ def rate_to_json(r: Rate) -> dict:
     }
 
 
+@_reader
 def rate_from_json(d: Any) -> Rate:
     return Rate(frac_from_json(d["scalar"]), d["log_num"], d["log_base"])
 
@@ -416,6 +414,7 @@ def report_to_json(r: PipelineReport) -> dict:
     return doc
 
 
+@_reader
 def report_from_json(doc: Any) -> PipelineReport:
     _expect(doc, "report")
     stages_doc = dict(doc["stages"])

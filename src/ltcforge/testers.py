@@ -15,12 +15,12 @@ way.
 
 Exact soundness has one engine, bucket elimination (Dechter 1999) on the
 ratio objective, run on a plan: positions X to enumerate and blocks to
-eliminate, every support lying inside X or inside X plus one block.  The
-scan is the plan with X = every position and no blocks, used when
-|alphabet|^n fits the budget; above it X grows greedily one position at a
-time on the supports' primal graph, at a cost of about |alphabet|^|X| *
-sum over blocks of |alphabet|^|block|, and when that does not fit the
-budget either, CapacityError carries the smaller of the two costs.
+eliminate, every support lying inside X or inside X plus one block.  X
+grows greedily one position at a time on the supports' primal graph, at a
+cost of about |alphabet|^|X| * sum over blocks of |alphabet|^|block|, and
+the cheapest plan met runs; the last one is the scan, X = every position
+with no blocks.  The budget only refuses: when the cheapest plan and
+|alphabet|^n both pass it, CapacityError carries the smaller of the two.
 Reports name the plan: "scan" without blocks, "separator" with them.
 
 X's assignments run in chunks of |alphabet|^k that share X's first |X| - k
@@ -417,10 +417,11 @@ def _cut_pieces(adj: list[int], block: int) -> dict[int, list[int]]:
 
 def _separator_plan(size: int, n: int, supports, ncodes: int, budget: int = DEFAULT_BUDGET):
     """(cost, separator, blocks): the cheapest feasible plan met while X grows
-    greedily on the supports' primal graph, blocks as sorted positions; None
-    when none is met.  Each step removes the position leaving the cheapest
-    plan; infeasible ones rank by largest block, then by the sum of
-    |alphabet|^|block| (toward balanced cuts), then by lowest position.
+    greedily on the supports' primal graph up to the scan (X = every
+    position, no blocks, cost |alphabet|^n + #codewords); blocks as sorted
+    positions, None when none is met.  Each step removes the position leaving
+    the cheapest plan; infeasible ones rank by largest block, then by the sum
+    of |alphabet|^|block| (toward balanced cuts), then by lowest position.
     Growth stops once |alphabet|^|X| alone would reach the best cost or pass
     the budget: no such plan can be used."""
     adj = [0] * n
@@ -598,21 +599,19 @@ def soundness_exact(
 
     Returns the infinite sentinel when the code fills the whole space, and a
     zero value with the earliest never-rejected non-codeword when one exists.
-    The scan enumerates every word when |alphabet|^n fits the budget; above
-    it the separator plan runs when its cost fits, and CapacityError carries
-    the smaller of the two costs otherwise.
+    The cheapest plan `_separator_plan` meets runs, the scan only when it is
+    the cheapest; when that plan's cost and |alphabet|^n both pass the
+    budget, CapacityError carries the smaller of the two.
     """
     if tester.alphabet != code.alphabet or tester.n != code.n:
         raise MismatchError("tester incompatible with code")
     size, n = tester.alphabet.size, tester.n
     total = size**n
     compiled, den, dtype = _compiled_checks(tester)
-    sep, blocks = list(range(n)), []  # the scan
-    if total > budget:
-        plan = _separator_plan(size, n, [s for s, _ in compiled], len(code.codewords), budget)
-        if plan is None or plan[0] > budget:
-            raise CapacityError(total if plan is None else min(total, plan[0]), budget, "exact soundness")
-        _, sep, blocks = plan
+    plan = _separator_plan(size, n, [s for s, _ in compiled], len(code.codewords), budget)
+    if plan is None or min(total, plan[0]) > budget:
+        raise CapacityError(total if plan is None else min(total, plan[0]), budget, "exact soundness")
+    _, sep, blocks = plan
     engine = "separator" if blocks else "scan"
     codewords = code.codewords
     best = None if len(codewords) == total else _least_ratio(compiled, dtype, size, n, codewords, sep, blocks)

@@ -11,7 +11,7 @@ import pytest
 from ltcforge.cli import main
 
 GOLDEN = {
-    "pipeline linear --demo": "586d2ff1e5313423408b969641dbdc0f65b89e9a28af6891f6f01d3b6ab6883f",
+    "pipeline linear --demo": "b022704b540f7076338b451c57664e49c3d61051c50932cb1e8aaf6c3aa68080",
     "pipeline general --demo": "bf9d377b5c86b5a8380d467a19e6862f211e5b5d0451f454b5ee6a6abf2c9199",
     "pipeline semilinear --demo": "795124ccd07c93bfffafa75127c75802b10ed854a149fdb29100e20468336a90",
     "verify all": "b37d921962152da0c91d7fa469048039f98a0221871c074bf2583a3c1f0fb677",

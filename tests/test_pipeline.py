@@ -1,5 +1,6 @@
 """End-to-end reductions and their certificates."""
 
+import json
 import os
 import subprocess
 import sys
@@ -150,7 +151,7 @@ def test_certify_optional_verdicts(desk_reports, kind, part, key, value, verdict
 
 
 def test_pipeline_exact_when_budget_allows():
-    # tiny final space: linear demo scans 4^8 words exactly
+    # tiny final space: the linear demo's 4^8 words are certified exactly
     code, tester, mu = desk_linear_inputs()
     report = linear_reduction(code, tester, mu, VecSpace(Field(2), 2), 2)
     assert report.achieved["soundness"].mode == "exact"
@@ -189,6 +190,40 @@ def test_demo_final_soundness_exact_by_separator():
         "general exact separator pass 1/21 0 0 0 1 1 1 2 2 2 0 1 2 0 1 2 0 1 2",
         "semilinear exact separator pass 5/107 0 0 2 2 2 0 0 0 0 0 0 1 2 0 1 2 0 0 0 0",
     ]
+
+
+def test_linear_demo_final_soundness_by_its_cheapest_plan():
+    # 4^8 words fit the default budget, but the separator plan costs less
+    # than the scan, so it runs; value and witness are the explicit scan's.
+    from ltcforge import testers
+    from ltcforge.algebra import decode_tuple
+    from ltcforge.pipeline import DEMO_PARAMS, demo_inputs, run_reduction
+
+    report = run_reduction("linear", *demo_inputs("linear"), DEMO_PARAMS["linear"])
+    final, code = report.stages["final_tester"], report.stages["final_code"]
+    sound = soundness_exact(final, code)
+    assert (sound.engine, sound.value) == ("separator", Fraction(8, 33))
+    compiled, _, dtype = testers._compiled_checks(final)
+    size, n = final.alphabet.size, final.n
+    _, _, widx = testers._least_ratio(compiled, dtype, size, n, code.codewords, list(range(n)), [])
+    assert sound.witness.letters == decode_tuple(widx, size, n)[::-1]
+
+
+def test_raised_budget_keeps_the_general_demo_on_its_plan():
+    # 3^18 words fit a budget of 4*10^8, but the scan is not the cheapest
+    # plan, so the raised budget changes only the recorded budget and
+    # command, and the run stays well under the scan's time.
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    argv = [sys.executable, "-m", "ltcforge", "pipeline", "general", "--demo"]
+    raised = subprocess.run(argv + ["--budget", "400000000"], capture_output=True, text=True, timeout=10, env=env)
+    assert raised.returncode == 0, raised.stderr
+    default = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    docs = [json.loads(default.stdout), json.loads(raised.stdout)]
+    for doc in docs:
+        doc["manifest"]["budget"] = doc["report"]["params"]["budget"] = None
+        doc["manifest"]["command"] = None
+    assert docs[0] == docs[1]
+    assert docs[1]["report"]["achieved"]["soundness"]["$soundness"]["engine"] == "separator"
 
 
 _REPETITION_SCRIPT = """

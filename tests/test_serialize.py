@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ltcforge
 from ltcforge.algebra import Field, VecSpace
-from ltcforge.codes import Alphabet, repetition_code, vector_alphabet
+from ltcforge.codes import Alphabet, Word, repetition_code, vector_alphabet
 from ltcforge.concat import check_f_compatible
 from ltcforge.constructions import dependence_tester, generalized_long_code
 from ltcforge.errors import CapacityError, SchemaError
@@ -26,12 +26,17 @@ from ltcforge.serialize import (
     dumps,
     frac_from_json,
     frac_to_json,
+    report_from_json,
+    report_to_json,
     roundtrip,
+    soundness_from_json,
     soundness_to_json,
     tester_from_json,
     tester_to_json,
     witness_from_json,
     witness_to_json,
+    word_from_json,
+    word_to_json,
 )
 from ltcforge.testers import equality_tester, soundness_exact, soundness_sampled
 
@@ -119,6 +124,51 @@ def test_schema_mismatch_raises():
         tester_from_json({"schema": "ltc-forge/code-v1"})
     with pytest.raises(SchemaError, match="expected schema ltc-forge/tester-v2"):
         tester_from_json(dict(tester_to_json(equality_tester(BIN, 2)), schema="ltc-forge/tester-v1"))
+
+
+def _valid_doc(kind):
+    """A well-formed document of `kind` and its reader."""
+    eq, code = equality_tester(BIN, 2), repetition_code(BIN, 2)
+    if kind == "witness":
+        return witness_to_json(check_f_compatible(eq, compatibility_encoder(BIN, BIN, False)), 2), witness_from_json
+    if kind == "certificate":
+        return certificate_to_json(check_separable(eq, 2)), certificate_from_json
+    if kind == "soundness":
+        return soundness_to_json(soundness_exact(eq, code)), soundness_from_json
+    if kind == "word":
+        return word_to_json(Word(BIN, (0, 1))), word_from_json
+    lin = repetition_code(vector_alphabet(2, 1), 2)
+    lin_eq = equality_tester(lin.alphabet, 2)
+    report = linear_reduction(lin, lin_eq, soundness_exact(lin_eq, lin).value, VecSpace(Field(2), 2), 2)
+    return report_to_json(report), report_from_json
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("witness", lambda doc: doc.update(target_size="2")),
+        ("witness", lambda doc: doc.pop("checks")),
+        ("certificate", lambda doc: doc["checks"][0].update(maps=5)),
+        ("soundness", lambda doc: doc.pop("mode")),
+        ("word", lambda doc: doc.update(letters=5)),
+        ("report", lambda doc: doc.pop("kind")),
+    ],
+    ids=[
+        "witness-target-size-str",
+        "witness-no-checks",
+        "certificate-maps-int",
+        "soundness-no-mode",
+        "word-letters-int",
+        "report-no-kind",
+    ],
+)
+def test_malformed_document_raises_schema_error(kind, corrupt):
+    # Each of these once escaped its reader as a KeyError or a TypeError.
+    doc, from_json = _valid_doc(kind)
+    assert from_json(json.loads(dumps(doc))) is not None
+    corrupt(doc)
+    with pytest.raises(SchemaError, match=f"malformed {kind}"):
+        from_json(doc)
 
 
 def test_dumps_deterministic():
