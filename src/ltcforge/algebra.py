@@ -35,27 +35,13 @@ def decode_tuple(idx: int, size: int, arity: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Field:
-    """GF(p) for prime p, arithmetic by direct modular computation."""
+    """GF(p) for a supported prime p; arithmetic is plain `% p` and `pow`."""
 
     p: int
 
     def __post_init__(self):
         if self.p not in SUPPORTED_PRIMES:
             raise DomainError(f"unsupported field size {self.p}; primes {SUPPORTED_PRIMES}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
 
 
 @dataclass(frozen=True)
@@ -83,13 +69,6 @@ class VecSpace:
         if len(vec) != self.dim:
             raise MismatchError(f"vector length {len(vec)} != dim {self.dim}")
         return encode_tuple([v % p for v in vec], p)
-
-    def add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        p = self.field.p
-        return tuple((a + b) % p for a, b in zip(u, v))
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.dim
 
     def flatten(self, symbols: Sequence[int]) -> tuple[int, ...]:
         """The coordinates of a tuple of vector indices, concatenated."""

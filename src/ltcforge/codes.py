@@ -1,10 +1,12 @@
 """Words, codes, Hamming metrics, exact distance and rate.
 
-All probabilities and distances are fractions.Fraction values; rates get
+A code is its list of codewords; whether it is linear is decided from
+that list (`is_linear_code`), never carried alongside it.  All
+probabilities and distances are fractions.Fraction values; rates get
 their own exact representation (`Rate`) because code sizes are not always
 perfect powers of the alphabet size, in which case the rate is an
-irrational multiple of a log ratio.  Rate comparisons reduce to integer
-power comparisons and never touch floating point.
+irrational multiple of a log ratio.  Rates are compared only for
+equality, and never through floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Field, VecSpace, row_reduce, span_vectors
+from .algebra import Field, VecSpace, row_reduce
 from .errors import CapacityError, DomainError, MismatchError
 
 
@@ -22,7 +24,7 @@ class Alphabet:
     """A symbol set {0..size-1}, optionally structured as GF(p)^dim.
 
     Vector alphabets index into the canonical vector enumeration of their
-    space, so symbol <-> vector conversion is a fixed bijection.
+    space: symbol s is the vector `space.vector(s)`.
     """
 
     size: int
@@ -45,16 +47,6 @@ class Alphabet:
     @property
     def is_vector(self) -> bool:
         return self.space is not None
-
-    def to_vector(self, symbol: int) -> tuple[int, ...]:
-        if self.space is None:
-            raise DomainError("plain alphabet has no vector structure")
-        return self.space.vector(symbol)
-
-    def from_vector(self, vec: Sequence[int]) -> int:
-        if self.space is None:
-            raise DomainError("plain alphabet has no vector structure")
-        return self.space.index(vec)
 
 
 def vector_alphabet(p: int, dim: int) -> Alphabet:
@@ -82,16 +74,11 @@ class Word:
 
 @dataclass(frozen=True)
 class Code:
-    """Explicit nonempty list of distinct codewords of length n >= 1, optionally tagged linear.
-
-    The generator, when present, holds basis codewords (as letter tuples) of
-    the code viewed as a subspace; the codeword list stays canonical.
-    """
+    """Explicit nonempty list of distinct codewords of length n >= 1."""
 
     alphabet: Alphabet
     n: int
     codewords: tuple[tuple[int, ...], ...]
-    generator: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -105,19 +92,6 @@ class Code:
                 raise MismatchError("codeword length differs from block length")
             if any(not 0 <= x < self.alphabet.size for x in w):
                 raise DomainError("codeword letter out of range")
-        if self.generator is not None:
-            self._check_linear_tag()
-
-    def _check_linear_tag(self) -> None:
-        space = self.alphabet.space
-        if space is None:
-            raise DomainError("linear tag requires a vector-space alphabet")
-        p = space.field.p
-        vecs = [space.flatten(w) for w in self.generator]
-        spanned = {tuple(v) for v in span_vectors(vecs, self.n * space.dim, p)}
-        listed = {space.flatten(w) for w in self.codewords}
-        if spanned != listed:
-            raise DomainError("generator span disagrees with codeword list")
 
     def contains(self, letters: Sequence[int]) -> bool:
         return tuple(letters) in self._member_set()
@@ -133,15 +107,7 @@ class Code:
 
 def repetition_code(alphabet: Alphabet, n: int) -> Code:
     """The n-fold repetition code {aa...a : a in the alphabet}."""
-    words = tuple((a,) * n for a in range(alphabet.size))
-    gen = None
-    if alphabet.is_vector:
-        space = alphabet.space
-        gen = tuple(
-            (alphabet.from_vector(tuple(int(i == j) for i in range(space.dim))),) * n
-            for j in range(space.dim)
-        )
-    return Code(alphabet, n, words, gen)
+    return Code(alphabet, n, tuple((a,) * n for a in range(alphabet.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,48 +231,6 @@ class Rate:
         raise DomainError("product of these rates has no supported exact form")
 
     __rmul__ = __mul__
-
-    def _cmp(self, other: "Rate") -> int:
-        a, b = self, other
-        if a.is_rational and b.is_rational:
-            return (a.scalar > b.scalar) - (a.scalar < b.scalar)
-        if b.is_rational:
-            return -b._cmp(a)
-        if a.is_rational:
-            # a.scalar vs s*log(m)/log(bb):  a.scalar*log(bb) vs s*log(m)
-            q, s = a.scalar, b.scalar
-            lhs = b.log_base ** (q.numerator * s.denominator)
-            rhs = b.log_num ** (s.numerator * q.denominator)
-            return (lhs > rhs) - (lhs < rhs)
-        if a.log_base == b.log_base:
-            sa, sb = a.scalar, b.scalar
-            lhs = a.log_num ** (sa.numerator * sb.denominator)
-            rhs = b.log_num ** (sb.numerator * sa.denominator)
-            return (lhs > rhs) - (lhs < rhs)
-        if a.log_num == b.log_num:
-            sa, sb = a.scalar, b.scalar
-            lhs = b.log_base ** (sa.numerator * sb.denominator)
-            rhs = a.log_base ** (sb.numerator * sa.denominator)
-            return (lhs > rhs) - (lhs < rhs)
-        raise DomainError("rates with unrelated log bases are not comparable exactly")
-
-    def __lt__(self, other):
-        return self._cmp(_as_rate(other)) < 0
-
-    def __le__(self, other):
-        return self._cmp(_as_rate(other)) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(_as_rate(other)) > 0
-
-    def __ge__(self, other):
-        return self._cmp(_as_rate(other)) >= 0
-
-
-def _as_rate(x) -> Rate:
-    if isinstance(x, Rate):
-        return x
-    return Rate(Fraction(x))
 
 
 def make_rate(scalar: Fraction, log_num: int = 0, log_base: int = 0) -> Rate:

@@ -71,23 +71,6 @@ class CompatFailure:
     coordinate: int
 
 
-def _family_is_linear(family: FunctionFamily, sigma: Alphabet) -> bool:
-    """Every table additive on the symbol vectors (prime field, so additivity
-    implies linearity)."""
-    space = sigma.space
-    if space is None or family.target.space is None:
-        return False
-    for table in family.tables:
-        for a in range(sigma.size):
-            for b in range(sigma.size):
-                s = sigma.from_vector(space.add(space.vector(a), space.vector(b)))
-                va = family.target.to_vector(table[a])
-                vb = family.target.to_vector(table[b])
-                if family.target.space.add(va, vb) != family.target.to_vector(table[s]):
-                    return False
-    return True
-
-
 def concatenate(code: Code, encoder: Encoder) -> Code:
     """Blockwise encoding of every codeword; distance and rate behave as
     products (distance at least, rate exactly), asserted on construction."""
@@ -98,10 +81,7 @@ def concatenate(code: Code, encoder: Encoder) -> Code:
     words = tuple(
         tuple(x for sym in w for x in blocks[sym]) for w in code.codewords
     )
-    gen = None
-    if code.generator is not None and _family_is_linear(encoder.family, code.alphabet):
-        gen = tuple(tuple(x for sym in w for x in blocks[sym]) for w in code.generator)
-    result = Code(encoder.target, code.n * k, words, gen)
+    result = Code(encoder.target, code.n * k, words)
     inner = encoder.image_code()
     assert distance(result) >= distance(code) * distance(inner)
     assert rate(result) == rate(code) * rate(inner)
@@ -269,14 +249,5 @@ def embed_word(letters, mapping: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def embed_code(code: Code, mapping: tuple[int, ...], target: Alphabet) -> Code:
-    """The same codewords over a larger alphabet via a symbol injection.
-
-    The generator is kept when the injection is a linear map of the symbol
-    spaces, decided by the same test `concatenate` uses."""
-    words = tuple(embed_word(w, mapping) for w in code.codewords)
-    gen = None
-    if code.generator is not None and _family_is_linear(
-        FunctionFamily(code.alphabet.size, target, (tuple(mapping),)), code.alphabet
-    ):
-        gen = tuple(embed_word(w, mapping) for w in code.generator)
-    return Code(target, code.n, words, gen)
+    """The same codewords over a larger alphabet via a symbol injection."""
+    return Code(target, code.n, tuple(embed_word(w, mapping) for w in code.codewords))

@@ -153,11 +153,6 @@ def generalized_hadamard(
     family = FunctionFamily(v_space.size, delta, tables)
     code, _ = code_from_family(family)
     assert code.n == delta.size**v_space.dim
-    gen = tuple(
-        family.evaluate(v_space.index(tuple(int(i == j) for i in range(v_space.dim))))
-        for j in range(v_space.dim)
-    )
-    code = Code(delta, code.n, code.codewords, gen)
     if v_space.size >= 2:
         assert distance(code) == 1 - Fraction(1, delta.size)
     return family, code

@@ -123,7 +123,9 @@ def frac_to_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-def frac_from_json(d: Any) -> Fraction:
+def frac_from_json(d: Any, built: dict | None = None) -> Fraction:
+    """The rational d.  Given `built`, a dict from (num, den) to the
+    Fractions read so far, a pair read again returns the same Fraction."""
     if not (
         isinstance(d, dict)
         and set(d) == {"num", "den"}
@@ -132,7 +134,12 @@ def frac_from_json(d: Any) -> Fraction:
         and d["den"] != 0
     ):
         raise SchemaError(f"not a rational: {d!r}")
-    return Fraction(d["num"], d["den"])
+    if built is None:
+        return Fraction(d["num"], d["den"])
+    key = d["num"], d["den"]
+    if key not in built:
+        built[key] = Fraction(*key)
+    return built[key]
 
 
 def accept_from_json(indices: Any, size: int, arity: int) -> int:
@@ -173,26 +180,20 @@ def alphabet_from_json(d: Any) -> Alphabet:
 
 
 def code_to_json(c: Code) -> dict:
-    doc = {
+    return {
         "schema": SCHEMAS["code"],
         "alphabet": alphabet_to_json(c.alphabet),
         "n": c.n,
         "codewords": [list(w) for w in c.codewords],
     }
-    if c.generator is not None:
-        doc["linear"] = {"gen": [list(r) for r in c.generator]}
-    return doc
 
 
 @_reader
 def code_from_json(doc: Any) -> Code:
     _expect(doc, "code")
     alphabet = alphabet_from_json(doc["alphabet"])
-    gen = None
-    if "linear" in doc:
-        gen = tuple(tuple(map(index, r)) for r in doc["linear"]["gen"])
     words = tuple(tuple(map(index, w)) for w in doc["codewords"])
-    return Code(alphabet, index(doc["n"]), words, gen)
+    return Code(alphabet, index(doc["n"]), words)
 
 
 def word_to_json(w: Word) -> dict:
@@ -201,7 +202,7 @@ def word_to_json(w: Word) -> dict:
 
 @_reader
 def word_from_json(d: Any) -> Word:
-    return Word(alphabet_from_json(d["alphabet"]), tuple(d["letters"]))
+    return Word(alphabet_from_json(d["alphabet"]), tuple(map(index, d["letters"])))
 
 
 def tester_to_json(t: Tester) -> dict:
@@ -226,11 +227,11 @@ def tester_from_json(doc: Any) -> Tester:
     _expect(doc, "tester")
     alphabet = alphabet_from_json(doc["alphabet"])
     n, q = index(doc["n"]), index(doc["q"])
-    checks = []
+    checks, weights = [], {}  # one Fraction per distinct weight
     for c in doc["checks"]:
         queries = tuple(map(index, c["queries"]))
         accept = accept_from_json(c["accept"], alphabet.size, len(queries))
-        checks.append(Check(queries, accept, frac_from_json(c["weight"])))
+        checks.append(Check(queries, accept, frac_from_json(c["weight"], weights)))
     return Tester(alphabet, n, q, tuple(checks))
 
 
@@ -280,8 +281,10 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
 @_reader
 def witness_from_json(doc: Any) -> CompatibilityWitness:
     _expect(doc, "witness")
-    size, checks = doc["target_size"], doc["checks"]
-    entries = (WitnessEntry(tuple(e["b"]), accept_from_json(e["accept"], size, len(e["b"]))) for e in checks)
+    size, entries = index(doc["target_size"]), []
+    for e in doc["checks"]:
+        b = tuple(map(index, e["b"]))
+        entries.append(WitnessEntry(b, accept_from_json(e["accept"], size, len(b))))
     return CompatibilityWitness(tuple(entries))
 
 
@@ -307,18 +310,18 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
 @_reader
 def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     _expect(doc, "certificate")
-    checks = []
+    size, checks = index(doc["delta_size"]), []
     for chk in doc["checks"]:
-        bases = chk["subspaces"]
+        bases, maps = chk["subspaces"], tuple(tuple(map(index, m)) for m in chk["maps"])
         checks.append(
             CheckCertificate(
-                tuple(tuple(tuple(cls) for cls in coord) for coord in chk["partitions"]),
-                tuple(tuple(m) for m in chk["maps"]),
-                accept_from_json(chk["accept"], doc["delta_size"], len(chk["maps"])),
-                None if bases is None else tuple(tuple(tuple(v) for v in basis) for basis in bases),
+                tuple(tuple(tuple(map(index, cls)) for cls in coord) for coord in chk["partitions"]),
+                maps,
+                accept_from_json(chk["accept"], size, len(maps)),
+                None if bases is None else tuple(tuple(tuple(map(index, v)) for v in basis) for basis in bases),
             )
         )
-    return SeparabilityCertificate(doc["delta_size"], doc["linear"], tuple(checks))
+    return SeparabilityCertificate(size, doc["linear"], tuple(checks))
 
 
 def soundness_to_json(r: SoundnessReport) -> dict:
@@ -346,8 +349,8 @@ def soundness_from_json(doc: Any) -> SoundnessReport:
         None if doc["witness"] is None else word_from_json(doc["witness"]),
         None if doc["bound"] is None else frac_from_json(doc["bound"]),
         doc["verdict"],
-        doc["trials"],
-        doc["seed"],
+        None if doc["trials"] is None else index(doc["trials"]),
+        None if doc["seed"] is None else index(doc["seed"]),
         doc["engine"],
     )
 
@@ -362,7 +365,7 @@ def rate_to_json(r: Rate) -> dict:
 
 @_reader
 def rate_from_json(d: Any) -> Rate:
-    return Rate(frac_from_json(d["scalar"]), d["log_num"], d["log_base"])
+    return Rate(frac_from_json(d["scalar"]), index(d["log_num"]), index(d["log_base"]))
 
 
 # ---------------------------------------------------------------------------

@@ -297,15 +297,15 @@ def _reject_numerators(compiled, digits, size: int, dtype, count: int) -> np.nda
     return rej
 
 
-def _mismatch_counts(codewords, digits) -> np.ndarray:
-    count, dtype = len(digits[0]), np.min_scalar_type(len(digits))
-    best = np.full(count, len(digits), dtype=dtype)
+def _mismatch_rows(codewords, digits, positions, count: int, dtype):
+    """Per codeword, in order, the row of each word's mismatches with it at
+    `positions` (digits as in `_lut_index`, `count` words); a row is built
+    only when the previous one is taken."""
     for cw in codewords:
-        mm = np.zeros(count, dtype=dtype)
-        for j, sym in enumerate(cw):
-            mm += digits[j] != sym
-        np.minimum(best, mm, out=best)
-    return best
+        row = np.zeros(count, dtype=dtype)
+        for pos in positions:
+            row += digits[pos] != cw[pos]
+        yield row
 
 
 def _select(best, rej, mism, index):
@@ -499,13 +499,6 @@ def _least_ratio(compiled, dtype, size: int, n: int, codewords, sep, blocks):
             tie += digits[pos].astype(tie_dtype) * size ** (n - 1 - pos)
         return tie
 
-    def mismatches(digits, positions, cells):  # one row per codeword
-        rows = [np.zeros(cells, dtype=vec_dtype) for _ in codewords]
-        for row, cw in zip(rows, codewords):
-            for pos in positions:
-                row += digits[pos] != cw[pos]
-        return rows
-
     inside, local = set(sep), {pos: i for i, pos in enumerate(sep)}
     own = [e for e in compiled if inside.issuperset(e[0])]
     k = _grid_width(size, len(sep), [tuple(local[p] for p in s) for s, _ in own], codewords)
@@ -527,7 +520,7 @@ def _least_ratio(compiled, dtype, size: int, n: int, codewords, sep, blocks):
         (_lut_index(part, digits, size).astype(np.intp) if part else 0, cols)
         for part, cols in parts.items()
     ]
-    grid_mism = mismatches(digits, grid_at, cells)
+    grid_mism = list(_mismatch_rows(codewords, digits, grid_at, cells, vec_dtype))
     grid_tie = tie_part(digits, grid_at, cells) if blocks else None
     # What does not depend on x: per block the numerators of the supports
     # inside it, the LUT index parts of the supports that read both sep and
@@ -544,7 +537,8 @@ def _least_ratio(compiled, dtype, size: int, n: int, codewords, sep, blocks):
             for s, lut in compiled
             if members.intersection(s) and inside.intersection(s)
         ]
-        vec, groups = np.unique(np.stack(mismatches(block_digits, block, cols), 1), axis=0, return_inverse=True)
+        rows = _mismatch_rows(codewords, block_digits, block, cols, vec_dtype)
+        vec, groups = np.unique(np.stack(list(rows), 1), axis=0, return_inverse=True)
         pairs = (acc_vec[:, None, :] + vec[None, :, :]).reshape(-1, len(codewords))
         width = max(width, cols, len(pairs))
         acc_vec, merge = np.unique(pairs, axis=0, return_inverse=True)
@@ -729,10 +723,17 @@ def soundness_sampled(
         verdict = None if bound is None else "consistent"
         return SoundnessReport("sampled", None, True, None, bound, verdict, trials, seed, "sampled")
 
+    def distances():  # least mismatch count per trial, one codeword row at a time
+        rows = _mismatch_rows(code.codewords, digits, range(n), trials, np.min_scalar_type(n))
+        best = next(rows)
+        for row in rows:
+            np.minimum(best, row, out=best)
+        return best
+
     trial_idx = np.arange(trials, dtype=np.int64)
     digits = _sample_letters(seed, trial_idx, 0, n, size)
     attempt = 0
-    while (member := _mismatch_counts(code.codewords, digits) == 0).any():
+    while (member := distances() == 0).any():
         attempt += 1
         redo = trial_idx[member]
         fresh = _sample_letters(seed, redo, attempt, n, size)
@@ -741,8 +742,7 @@ def soundness_sampled(
 
     compiled, den, dtype = _compiled_checks(tester)
     rej = _reject_numerators(compiled, digits, size, dtype, trials)
-    mism = _mismatch_counts(code.codewords, digits)
-    rn, mm, t = _select(None, rej, mism, 0)
+    rn, mm, t = _select(None, rej, distances(), 0)
     value = Fraction(rn * n, den * mm)
     witness = Word(tester.alphabet, tuple(int(digits[j][t]) for j in range(n)))
     verdict = None if bound is None else ("violated" if value < bound else "consistent")

@@ -11,7 +11,7 @@ import pytest
 from ltcforge.cli import main
 
 GOLDEN = {
-    "pipeline linear --demo": "b022704b540f7076338b451c57664e49c3d61051c50932cb1e8aaf6c3aa68080",
+    "pipeline linear --demo": "03e88136f9d2bad37630c5005ef5749c3c14437e4a8d49aead19155b68744b79",
     "pipeline general --demo": "bf9d377b5c86b5a8380d467a19e6862f211e5b5d0451f454b5ee6a6abf2c9199",
     "pipeline semilinear --demo": "795124ccd07c93bfffafa75127c75802b10ed854a149fdb29100e20468336a90",
     "verify all": "b37d921962152da0c91d7fa469048039f98a0221871c074bf2583a3c1f0fb677",
@@ -32,7 +32,7 @@ ARTIFACTS = [
 # Run in a directory holding ARTIFACTS under relative names, because the
 # manifest records the command line.
 GOLDEN_WITH_FILES = {
-    "build hadamard --p 2 --dimv 1 --dimd 2": "e3a2818dfafacbad988a2e9e69b6b33cb7c0fe2adca09b55941b102c2c45c664",
+    "build hadamard --p 2 --dimv 1 --dimd 2": "a859f528cd5c1b3c4846626c1393f41042795a7922ead36222737e07da074406",
     "build longcode --s 2 --delta-size 3": "957826506c840cdde0cf8cb7f0fc5e56dfa422994ca1d283c71b85c5896f6c2b",
     "build critical --s 2": "be06246982b3f39f73eff16fad632a553df0002092098f35376adddadb34ae6b",
     "build encoder --sigma-size 2 --delta-size 3": "58dbb8a6c5f80ff73ae802821e4b438b5223ac80546aedd9e87d503446a5cafa",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ltcforge
 from ltcforge.algebra import Field, VecSpace
-from ltcforge.codes import Alphabet, Word, repetition_code, vector_alphabet
+from ltcforge.codes import Alphabet, Word, rate, repetition_code, vector_alphabet
 from ltcforge.concat import check_f_compatible
 from ltcforge.constructions import dependence_tester, generalized_long_code
 from ltcforge.errors import CapacityError, SchemaError
@@ -26,6 +26,8 @@ from ltcforge.serialize import (
     dumps,
     frac_from_json,
     frac_to_json,
+    rate_from_json,
+    rate_to_json,
     report_from_json,
     report_to_json,
     roundtrip,
@@ -48,7 +50,28 @@ def test_code_roundtrip_plain_and_linear():
     assert roundtrip(plain) == plain
     linear = repetition_code(vector_alphabet(2, 1), 2)
     assert roundtrip(linear) == linear
-    assert linear.generator is not None
+
+
+def test_code_reader_ignores_an_old_linear_member():
+    # `build hadamard --p 2 --dimv 1 --dimd 2` wrote this member while codes
+    # carried a generator basis; linearity is decided from the codewords.
+    doc = {
+        "alphabet": {"dim": 2, "kind": "vector", "p": 2},
+        "codewords": [[0, 0, 0, 0], [0, 1, 2, 3]],
+        "n": 4,
+        "schema": "ltc-forge/code-v1",
+    }
+    code = code_from_json(doc)
+    assert code_from_json({**doc, "linear": {"gen": [[0, 1, 2, 3]]}}) == code
+    assert code_to_json(code) == doc
+
+
+def test_tester_reader_builds_one_fraction_per_distinct_weight():
+    fam, _ = generalized_long_code(2, Alphabet.plain(3))
+    tester = dependence_tester(fam, 2)
+    read = tester_from_json(json.loads(dumps(tester_to_json(tester))))
+    assert read == tester
+    assert len({id(ch.weight) for ch in read.checks}) == len({ch.weight for ch in tester.checks}) == 1
 
 
 def test_tester_roundtrip_preserves_rationals():
@@ -129,6 +152,8 @@ def test_schema_mismatch_raises():
 def _valid_doc(kind):
     """A well-formed document of `kind` and its reader."""
     eq, code = equality_tester(BIN, 2), repetition_code(BIN, 2)
+    if kind == "rate":
+        return rate_to_json(rate(code)), rate_from_json
     if kind == "witness":
         return witness_to_json(check_f_compatible(eq, compatibility_encoder(BIN, BIN, False)), 2), witness_from_json
     if kind == "certificate":
@@ -152,6 +177,15 @@ def _valid_doc(kind):
         ("soundness", lambda doc: doc.pop("mode")),
         ("word", lambda doc: doc.update(letters=5)),
         ("report", lambda doc: doc.pop("kind")),
+        ("witness", lambda doc: doc.update(target_size=2.0)),
+        ("witness", lambda doc: doc["checks"][0].update(b=[0.0, 1])),
+        ("certificate", lambda doc: doc.update(delta_size=2.0)),
+        ("certificate", lambda doc: doc["checks"][0]["maps"][0].__setitem__(0, 0.0)),
+        ("certificate", lambda doc: doc["checks"][0]["partitions"][0][0].__setitem__(0, 0.0)),
+        ("rate", lambda doc: doc.update(log_num="x")),
+        ("word", lambda doc: doc.update(letters=[1.0, 0])),
+        ("soundness", lambda doc: doc.update(trials=2.5)),
+        ("soundness", lambda doc: doc.update(seed="x")),
     ],
     ids=[
         "witness-target-size-str",
@@ -160,10 +194,20 @@ def _valid_doc(kind):
         "soundness-no-mode",
         "word-letters-int",
         "report-no-kind",
+        "witness-target-size-float",
+        "witness-b-float",
+        "certificate-delta-size-float",
+        "certificate-map-entry-float",
+        "certificate-partition-symbol-float",
+        "rate-log-num-str",
+        "word-letter-float",
+        "soundness-trials-float",
+        "soundness-seed-str",
     ],
 )
 def test_malformed_document_raises_schema_error(kind, corrupt):
-    # Each of these once escaped its reader as a KeyError or a TypeError.
+    # The first six once escaped their reader as a KeyError or a TypeError;
+    # the others, a non-integer where an integer belongs, were read as valid.
     doc, from_json = _valid_doc(kind)
     assert from_json(json.loads(dumps(doc))) is not None
     corrupt(doc)
