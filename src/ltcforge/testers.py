@@ -24,16 +24,20 @@ with no blocks.  The budget only refuses: when the cheapest plan and
 Reports name the plan: "scan" without blocks, "separator" with them.
 
 X's assignments run in chunks of |alphabet|^k that share X's first |X| - k
-letters (the prefix) and run its last k over one digit grid.  What depends
-on the grid alone is computed once: the numerators of the supports inside
-it and each codeword's mismatches on it.  A chunk then costs one gather per
-support part that reads the prefix and one scalar add per codeword.  Per
-assignment of X, per block and per vector of mismatch counts against the
-codewords, the engine keeps the least (reject numerator, word index part)
-pair and merges the blocks by min-plus over those vectors.  One selection
-step keeps the least ratio, then the least word index (the
-lexicographically smallest witness); without blocks, word indices only
-increase, so that is a first-hit rule on strictly smaller ratios.
+letters (the prefix) and run its last k over one digit grid, a tensor with
+one axis of length |alphabet| per position.  Reject numerators, mismatch
+counts and word index parts are broadcast sums of small tensors over it,
+with no per-word index arrays: each support's LUT (sliced at the prefix
+letters when it reads the prefix) and each position's mismatch and place
+value vectors, added along the axes they read.  What depends on the grid
+alone is computed once: the numerators of the supports inside it and each
+codeword's mismatches on it.  Per assignment of X, per block and per vector
+of mismatch counts against the codewords, the engine keeps the least
+(reject numerator, word index part) pair and merges the blocks by min-plus
+over those vectors.  One selection step keeps the least ratio, then the
+least word index (the lexicographically smallest witness); without blocks,
+word indices only increase, so that is a first-hit rule on strictly smaller
+ratios.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -42,7 +46,6 @@ the trial count never perturbs earlier draws.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -261,51 +264,85 @@ class SoundnessReport:
 
 
 def _compiled_checks(tester: Tester):
-    """(support, LUT) per distinct query support, the common denominator and
-    the array dtype.  LUT entry sum_m s_m * size**m sums the integerized
-    weights of the checks on the support that reject letters s_m at
-    support[m] (equal checks add up like any two).  Scores (rej * mism) are
-    at most sum(numerators) * n: int64 below 2**62, object arrays above."""
+    """(support, LUT) per distinct query support, in order of the first check
+    on it that can reject, the common denominator and the array dtype.  LUT
+    entry sum_m s_m * size**m sums the integerized weights of the checks on
+    the support that reject letters s_m at support[m] (equal checks add up
+    like any two); checks reading their supports alike share one unpacking
+    and one permutation to support order.  Scores (rej * mism) are at most
+    sum(numerators) * n: int64 below 2**62, object arrays above."""
     size = tester.alphabet.size
     den = lcm(*(ch.weight.denominator for ch in tester.checks))  # 1 without checks
     nums = [ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks]
     dtype = np.int64 if sum(nums) * tester.n < (1 << 62) else object
+    nums = np.array(nums, dtype=dtype)
+    supports, alike = [], {}  # alike: (support length, queries as support indices): checks
+    for i, ch in enumerate(tester.checks):
+        supports.append(tuple(sorted(set(ch.queries))))
+        alike.setdefault((len(supports[i]), tuple(map(supports[i].index, ch.queries))), []).append(i)
+    found = []  # (check, its LUT part) for the checks that can reject
+    for (length, reads), members in alike.items():
+        cells = np.arange(size**length)
+        index = sum(cells // size**m % size * size**l for l, m in enumerate(reads))
+        width = size ** len(reads)
+        raw = b"".join(tester.checks[i].accept.to_bytes((width + 7) // 8, "little") for i in members)
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(members), -1), 1, width, "little")
+        reject = (1 - bits[:, index]).astype(dtype) * nums[members, None]
+        found += [(i, row) for i, row, can in zip(members, reject, reject.any(axis=1)) if can]
     tables: dict[tuple[int, ...], np.ndarray] = {}
-    for ch, wnum in zip(tester.checks, nums):
-        support = tuple(sorted(set(ch.queries)))
-        cells = np.arange(size ** len(support))
-        at = [cells // size**m % size for m in range(len(support))]  # letter at support[m]
-        index = sum(at[support.index(pos)] * size**l for l, pos in enumerate(ch.queries))
-        nbytes = (size**ch.arity + 7) // 8
-        bits = np.frombuffer(ch.accept.to_bytes(nbytes, "little"), dtype=np.uint8)
-        reject = 1 - np.unpackbits(bits, bitorder="little")[index]
-        if reject.any():
-            reject = reject.astype(dtype) * wnum
-            tables[support] = tables[support] + reject if support in tables else reject
+    for i, row in sorted(found, key=lambda f: f[0]):
+        tables[supports[i]] = tables[supports[i]] + row if supports[i] in tables else row
     return list(tables.items()), den, dtype
 
 
-def _lut_index(positions, digits, size: int) -> np.ndarray:
-    """LUT index part of the positions whose digits are given (not None)."""
-    return sum(digits[pos] * size**m for m, pos in enumerate(positions) if digits[pos] is not None)
-
-
 def _reject_numerators(compiled, digits, size: int, dtype, count: int) -> np.ndarray:
+    """The reject numerators of `count` words given as one digit array per
+    position, each support's LUT read at sum_m digits[support[m]] * size**m."""
     rej = np.zeros(count, dtype=dtype)
     for support, lut in compiled:
-        rej += lut[_lut_index(support, digits, size)]
+        rej += lut[sum(digits[pos] * size**m for m, pos in enumerate(support))]
     return rej
 
 
 def _mismatch_rows(codewords, digits, positions, count: int, dtype):
     """Per codeword, in order, the row of each word's mismatches with it at
-    `positions` (digits as in `_lut_index`, `count` words); a row is built
-    only when the previous one is taken."""
+    `positions` (digits as in `_reject_numerators`, `count` words); a row is
+    built only when the previous one is taken."""
     for cw in codewords:
         row = np.zeros(count, dtype=dtype)
         for pos in positions:
             row += digits[pos] != cw[pos]
         yield row
+
+
+def _grid_sum(entries, size: int, axes, fixed: dict, dtype) -> np.ndarray:
+    """The sum of the (support, LUT) entries over the grid of the positions
+    `axes`, the first most significant, with the letters elsewhere read from
+    `fixed`: a tensor of shape (size,) * len(axes), perhaps a read-only
+    broadcast view.  Each LUT becomes a tensor with one axis per support
+    position, reversed (support[0] is its least significant digit), sliced
+    at the fixed letters and given length-1 axes where it reads none.  The
+    tensors first reading axis j are summed over their own axes, and that
+    sum joins the running one as it grows from the last axis out."""
+    at = {pos: i for i, pos in enumerate(axes)}
+    levels = [[] for _ in range(len(axes) + 1)]  # per first axis read, tensors up to the last
+    for support, lut in entries:
+        cut = tuple(fixed.get(pos, slice(None)) for pos in support) + (...,)  # ...: an array, even 0-d
+        read = [at[pos] for pos in support if pos not in fixed]
+        t = lut.reshape((size,) * len(support)).T[cut].transpose(np.argsort(read))
+        span = range(min(read), max(read) + 1) if read else ()
+        levels[min(read, default=len(axes))].append(t.reshape([size if i in read else 1 for i in span]))
+    acc = np.zeros((), dtype=dtype)
+    for t in levels[-1]:  # supports that read no axis
+        acc += t
+    for j in range(len(axes) - 1, -1, -1):
+        acc = np.broadcast_to(acc, (size,) + acc.shape)
+        if levels[j]:
+            part = np.zeros((), dtype=dtype)  # the level's sum, its last axis growing
+            for t in sorted(levels[j], key=np.ndim):
+                part = part.reshape(part.shape + (1,) * (t.ndim - part.ndim)) + t
+            acc = acc + part.reshape(part.shape + (1,) * (acc.ndim - part.ndim))
+    return acc
 
 
 def _select(best, rej, mism, index):
@@ -314,19 +351,28 @@ def _select(best, rej, mism, index):
     entries' word indices, or is the int index of the first entry when they
     count up along the arrays and from call to call: the first strict
     minimizer is then the earliest word, and an equal ratio never replaces
-    the best."""
-    mism = mism.astype(rej.dtype, copy=False)  # rn * mism must not wrap either
+    the best.  In int64 one float64 pass first keeps the entries within a
+    factor 1 + 2**-40 of the least float ratio: the float ratios of scores
+    below 2**62 are within 2**-50 of the exact ones, so every exact minimizer
+    stays."""
     valid, first_hit = mism > 0, isinstance(index, int)
     if not valid.any():
         return best
+    if rej.dtype == object:
+        at = np.flatnonzero(valid)
+    else:
+        ratio = np.divide(rej, mism, out=np.full(len(rej), np.inf), where=valid)
+        at = np.flatnonzero(ratio <= ratio.min() * (1 + 2.0**-40))
+    rej, index = rej[at], at + index if first_hit else index[at]
+    mism = mism[at].astype(rej.dtype)  # rn * mism must not wrap either
 
     def entry(i):
-        return int(rej[i]), int(mism[i]), index + i if first_hit else int(index[i])
+        return int(rej[i]), int(mism[i]), int(index[i])
 
-    best = best or entry(int(np.argmax(valid)))
-    while (better := valid & (rej * best[1] < best[0] * mism)).any():
+    best = best or entry(0)
+    while (better := rej * best[1] < best[0] * mism).any():
         best = entry(int(np.argmax(better)))
-    ties = () if first_hit else np.flatnonzero(valid & (rej * best[1] == best[0] * mism))
+    ties = () if first_hit else np.flatnonzero(rej * best[1] == best[0] * mism)
     if len(ties):
         best = min(best, entry(ties[np.argmin(index[ties])]), key=lambda e: e[2])
     return best
@@ -335,15 +381,13 @@ def _select(best, rej, mism, index):
 CHUNK = 1 << 18  # words per exact-scan chunk, unless one letter already exceeds it
 
 
-def _grid_width(size: int, n: int, supports, codewords) -> int:
-    """The largest k >= 1 with size**k <= CHUNK whose rows kept across
-    chunks (base numerators, one gather index per grid part of a support
-    reading the prefix, one mismatch row per codeword; each counted at 8
-    bytes) fit in n int64 rows of CHUNK words."""
+def _grid_width(size: int, n: int, rows: int) -> int:
+    """The largest k >= 1 with size**k <= CHUNK whose `rows` rows alive over
+    a chunk (the numerators of the supports inside the grid and the chunk's,
+    one mismatch row per codeword and, with blocks, the word index parts;
+    each counted at 8 bytes) fit in n int64 rows of CHUNK words."""
     for k in range(n, 1, -1):
-        head = n - k
-        parts = {s[bisect_left(s, head) :] for s in supports if s[0] < head}
-        if size**k <= CHUNK and size**k * (1 + len(parts) + len(codewords)) <= CHUNK * n:
+        if size**k <= CHUNK and size**k * rows <= CHUNK * n:
             return k
     return 1
 
@@ -452,14 +496,23 @@ def _separator_plan(size: int, n: int, supports, ncodes: int, budget: int = DEFA
     return best and (best[0], best[1], [list(_bits(b)) for b in best[2]])
 
 
-def _group_min(rej, tie, groups, top):
-    """Per row and per group of columns (column j lies in group groups[j],
-    and every group 0..G-1 is nonempty), the least (rej, tie) pair in
-    lexicographic order, as two (rows, G) arrays.  `top` exceeds every tie."""
-    order = np.argsort(groups, kind="stable")
-    counts = np.bincount(groups)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rej, tie = rej[:, order], tie[:, order]
+def _grouped_rows(rows):
+    """The distinct rows of a 2-d array in lexicographic order, and the
+    grouping by them that `_group_min` takes: (order, starts, counts), the
+    row indices sorted by row and each distinct row's run in that order.
+    One stable lexsort; np.unique(axis=0) sorts opaque bytes, ten times slower."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
+    return rows[starts], (order, starts, np.diff(starts, append=len(order)))
+
+
+def _group_min(rej, tie, grouping, top):
+    """Per row and per group of columns (as `_grouped_rows` gives them), the
+    least (rej, tie) pair in lexicographic order, as two (rows, groups)
+    arrays; one row of ties may serve every row.  `top` exceeds every tie."""
+    order, starts, counts = grouping
+    rej, tie = rej[:, order], tie[..., order]
     low = np.minimum.reduceat(rej, starts, axis=1)
     tie = np.where(rej == np.repeat(low, counts, axis=1), tie, top)
     return low, np.minimum.reduceat(tie, starts, axis=1)
@@ -476,107 +529,68 @@ def _least_ratio(compiled, dtype, size: int, n: int, codewords, sep, blocks):
     part) pair; a min-plus merge over vector sums combines the blocks.  Both
     parts add over disjoint positions and the lexicographic order on pairs
     survives addition, so the least pair of a merged vector is that of the
-    best split.  Each chunk of x runs in slices of about CHUNK grid or merge
-    cells."""
+    best split.  Each chunk of x runs in slices of a power of |alphabet|
+    grid cells, about CHUNK grid or merge cells each: a slice is the grid of
+    sep's last positions, its first ones fixed like the prefix."""
     top = size**n
-    tie_dtype = np.int64 if top < 2**63 else object
+    tie_dtype = np.uint64 if top < 2**64 else object  # word indices
     vec_dtype = np.min_scalar_type(n)
-    index_dtype = np.min_scalar_type(size ** max(map(len, (s for s, _ in compiled)), default=0) - 1)
+    letters = np.arange(size)
 
-    def grid(positions):
-        """Letters at `positions` over all their assignments (the first
-        position most significant), as a digits list indexed by position."""
-        cells = size ** len(positions)
-        axes = np.indices((size,) * len(positions), dtype=index_dtype).reshape(len(positions), cells)
-        digits = [None] * n
-        for pos, axis in zip(positions, axes):
-            digits[pos] = axis
-        return digits, cells
+    def mismatch_rows(axes):  # per codeword, its mismatches over the grid of `axes`
+        vectors = [[((pos,), letters != cw[pos]) for pos in axes] for cw in codewords]
+        return [_grid_sum(v, size, axes, {}, vec_dtype).reshape(-1) for v in vectors]
 
-    def tie_part(digits, positions, cells):
-        tie = np.zeros(cells, dtype=tie_dtype)
-        for pos in positions:
-            tie += digits[pos].astype(tie_dtype) * size ** (n - 1 - pos)
-        return tie
+    def tie_part(axes):  # the word index part of the grid of `axes`
+        places = [((pos,), letters.astype(tie_dtype) * size ** (n - 1 - pos)) for pos in axes]
+        return _grid_sum(places, size, axes, {}, tie_dtype).reshape(-1)
 
-    inside, local = set(sep), {pos: i for i, pos in enumerate(sep)}
-    own = [e for e in compiled if inside.issuperset(e[0])]
-    k = _grid_width(size, len(sep), [tuple(local[p] for p in s) for s, _ in own], codewords)
-    head = max(0, len(sep) - k)
-    grid_at = sep[head:]
-    digits, cells = grid(grid_at)
-    start = grid_at[0] if grid_at else n
-    base = _reject_numerators([e for e in own if e[0][0] >= start], digits, size, dtype, cells)
-    # An own support reading the prefix splits its LUT index as (prefix
-    # part) + size**cut * (grid part): reshaped with the grid part as rows,
-    # a chunk picks one column per support and gathers once per distinct
-    # grid part (row 0 when the support lies wholly in the prefix).
-    parts: dict[tuple[int, ...], list] = {}
-    for support, lut in own:
-        cut = bisect_left(support, start)
-        if cut:
-            parts.setdefault(support[cut:], []).append((support[:cut], lut.reshape(-1, size**cut)))
-    gathers = [
-        (_lut_index(part, digits, size).astype(np.intp) if part else 0, cols)
-        for part, cols in parts.items()
-    ]
-    grid_mism = list(_mismatch_rows(codewords, digits, grid_at, cells, vec_dtype))
-    grid_tie = tie_part(digits, grid_at, cells) if blocks else None
-    # What does not depend on x: per block the numerators of the supports
-    # inside it, the LUT index parts of the supports that read both sep and
-    # the block, its mismatch vectors and word index parts, and how its
-    # vectors merge into the running sums.
+    own = [e for e in compiled if set(sep).issuperset(e[0])]
+    k = min(len(sep), _grid_width(size, len(sep), 2 + len(codewords) + bool(blocks)))
+    head = len(sep) - k
+    grid_at, cells = sep[head:], size**k
+    crossing = [e for e in own if e[0][0] in sep[:head]]  # supports that read the prefix
+    base = _grid_sum([e for e in own if e[0][0] not in sep[:head]], size, grid_at, {}, dtype).reshape(-1)
+    grid_mism = mismatch_rows(grid_at)
+    grid_tie = tie_part(grid_at) if blocks else None
+    # What does not depend on x: per block its supports (those inside it and
+    # those reading both sep and it), its word index parts, how its mismatch
+    # vectors group its cells and how they merge into the running sums.
     steps, acc_vec, width = [], np.zeros((1, len(codewords)), dtype=vec_dtype), 1
     for block in blocks:
-        block_digits, cols = grid(block)
-        members = set(block)
-        inner = [e for e in compiled if members.issuperset(e[0])]
-        block_rej = _reject_numerators(inner, block_digits, size, dtype, cols)
-        cross = [  # (LUT, support, grid part, block part); the prefix part comes per chunk
-            (lut, s, np.broadcast_to(_lut_index(s, digits, size), cells), _lut_index(s, block_digits, size))
-            for s, lut in compiled
-            if members.intersection(s) and inside.intersection(s)
-        ]
-        rows = _mismatch_rows(codewords, block_digits, block, cols, vec_dtype)
-        vec, groups = np.unique(np.stack(list(rows), 1), axis=0, return_inverse=True)
+        vec, by_vec = _grouped_rows(np.stack(mismatch_rows(block), 1))
         pairs = (acc_vec[:, None, :] + vec[None, :, :]).reshape(-1, len(codewords))
-        width = max(width, cols, len(pairs))
-        acc_vec, merge = np.unique(pairs, axis=0, return_inverse=True)
-        tie = tie_part(block_digits, block, cols)
-        steps.append((cols, block_rej, cross, groups.reshape(-1), tie, merge.reshape(-1)))
-    del digits
+        width = max(width, size ** len(block), len(pairs))
+        acc_vec, by_merge = _grouped_rows(pairs)
+        entries = [e for e in compiled if set(block).intersection(e[0])]
+        steps.append((block, entries, tie_part(block), by_vec, by_merge))
 
-    best, step = None, max(1, CHUNK // width)
+    free = k  # slices are the grids of sep's last `free` positions
+    while blocks and free and size**free > CHUNK // width:
+        free -= 1
+    step, best = size**free, None
     for c in range(size**head):  # chunks in lexicographic order of their prefix
         prefix = decode_tuple(c, size, head)[::-1]
-        letters = [None] * n
-        for pos, sym in zip(sep, prefix):
-            letters[pos] = sym
-        rej = base.copy()
-        for rows, cols in gathers:
-            col = sum(t[:, encode_tuple([letters[pos] for pos in cut], size)] for cut, t in cols)
-            rej += col.take(rows)
-        shifts = [sum(a != cw[pos] for pos, a in zip(sep, prefix)) for cw in codewords]
-        prefix_index = sum(a * size ** (n - 1 - pos) for pos, a in zip(sep, prefix))
+        fixed = dict(zip(sep, prefix))
+        rej = base + _grid_sum(crossing, size, grid_at, fixed, dtype).reshape(-1)
+        shifts = [sum(a != cw[pos] for pos, a in fixed.items()) for cw in codewords]
+        prefix_index = sum(a * size ** (n - 1 - pos) for pos, a in fixed.items())
         for lo in range(0, cells, step):
-            hi = min(cells, lo + step)
-            acc_rej = rej[lo:hi, None]
-            acc_tie = grid_tie[lo:hi, None] + prefix_index if blocks else None
-            for cols, block_rej, cross, groups, tie, merge in steps:
-                blk = np.broadcast_to(block_rej, (hi - lo, cols))
-                for lut, s, at_grid, at_block in cross:
-                    at_sep = at_grid[lo:hi] + _lut_index(s, letters, size)
-                    blk = blk + lut[at_sep[:, None] + at_block]
-                blk, blk_tie = _group_min(blk, np.broadcast_to(tie, blk.shape), groups, top)
+            acc_rej = rej[lo : lo + step, None]
+            acc_tie = grid_tie[lo : lo + step, None] + prefix_index if blocks else None
+            fixed.update(zip(grid_at, decode_tuple(lo // step, size, k - free)[::-1]))
+            for block, entries, tie, by_vec, by_merge in steps:
+                blk = _grid_sum(entries, size, sep[len(sep) - free :] + block, fixed, dtype).reshape(step, -1)
+                blk, blk_tie = _group_min(blk, tie, by_vec, top)
                 acc_rej, acc_tie = _group_min(
-                    (acc_rej[:, :, None] + blk[:, None, :]).reshape(hi - lo, -1),
-                    (acc_tie[:, :, None] + blk_tie[:, None, :]).reshape(hi - lo, -1),
-                    merge,
+                    (acc_rej[:, :, None] + blk[:, None, :]).reshape(step, -1),
+                    (acc_tie[:, :, None] + blk_tie[:, None, :]).reshape(step, -1),
+                    by_merge,
                     top,
                 )
             mism = None  # one live row per codeword at a time
             for row, shift, vec in zip(grid_mism, shifts, acc_vec.T):
-                near = row[lo:hi, None] + (vec + shift)
+                near = row[lo : lo + step, None] + (vec + shift)
                 mism = near if mism is None else np.minimum(mism, near, out=mism)
             index = acc_tie.reshape(-1) if blocks else c * cells + lo
             best = _select(best, acc_rej.reshape(-1), mism.reshape(-1), index)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ltcforge.algebra import (
     Field,
-    LinearMap,
     VecSpace,
     enumerate_linear_maps,
     enumerate_vectors,

@@ -330,9 +330,13 @@ def _package_trees():
 
 
 def test_no_module_imports_an_unused_name():
-    # Every name a module imports is read in that module.
+    # Every name a module of the package or of its tests imports is read in
+    # that module.
+    trees = _package_trees()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        trees[f"tests/{path.name}"] = ast.parse(path.read_text(encoding="utf-8"))
     unused = []
-    for name, tree in _package_trees().items():
+    for name, tree in trees.items():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):

@@ -561,14 +561,76 @@ def test_compiled_checks_one_entry_per_support():
     assert lut12.tolist() == [4 * (cell % 3 != cell // 3) for cell in range(9)]
 
 
+@given(_weighted_instances(), st.data())
+def test_grid_sum_matches_gathered_numerators(instance, data):
+    # The broadcast numerators over the grid of some positions, in any axis
+    # order, the others fixed, equal the per-word LUT gathers the sampler
+    # makes; short grids leave supports wholly among the fixed positions.
+    tester, _, _ = instance
+    if data.draw(st.booleans()):  # small equal weights: the int64 dtype
+        weight = Fraction(1, len(tester.checks))
+        tester = replace(tester, checks=tuple(replace(ch, weight=weight) for ch in tester.checks))
+    size, n = tester.alphabet.size, tester.n
+    compiled, _, dtype = testers._compiled_checks(tester)
+    axes = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    fixed = {pos: data.draw(st.integers(0, size - 1)) for pos in range(n) if pos not in axes}
+    cells = size ** len(axes)
+    grid = np.indices((size,) * len(axes)).reshape(len(axes), cells)
+    digits = [grid[axes.index(pos)] if pos in axes else np.full(cells, fixed[pos]) for pos in range(n)]
+    want = testers._reject_numerators(compiled, digits, size, dtype, cells)
+    got = testers._grid_sum(compiled, size, axes, fixed, dtype)
+    assert got.dtype == dtype and got.shape == (size,) * len(axes)
+    assert got.reshape(-1).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_select_decides_equal_float_ratios_exactly(dtype):
+    # Both ratios round to 2**59 in float64, but (2**60 + 1) / 2 is the
+    # smaller; every score stays below 2**62, as the int64 dtype rule keeps it.
+    rej, mism = np.array([2**59 + 1, 2**60 + 1], dtype=dtype), np.array([1, 2], dtype=np.uint8)
+    assert float(rej[0]) / 1 == float(rej[1]) / 2
+    assert testers._select(None, rej, mism, 0) == (2**60 + 1, 2, 1)
+    assert testers._select(None, rej, mism, np.array([5, 9])) == (2**60 + 1, 2, 9)
+    # across chunks in first-hit mode, a strictly smaller ratio replaces
+    first = testers._select(None, rej[:1], mism[:1], 0)
+    assert testers._select(first, rej[1:], mism[1:], 1) == (2**60 + 1, 2, 1)
+
+
+def test_select_first_hit_keeps_the_earliest_equal_ratio_across_chunks():
+    # Ratios -, 2, 2: the first hit is word 1; a later chunk's equal ratio
+    # never replaces it, a smaller one does.
+    first = testers._select(None, np.array([3, 2, 6]), np.array([0, 1, 3]), 0)
+    assert first == (2, 1, 1)
+    assert testers._select(first, np.array([4, 4]), np.array([2, 2]), 3) == (2, 1, 1)
+    assert testers._select(first, np.array([4, 3]), np.array([2, 2]), 3) == (3, 2, 4)
+
+
+def test_select_separator_mode_takes_the_least_index_among_ties():
+    # Ratios 2, 2, 2 at word indices 9, 4, 7; word 1 is a codeword (mism 0).
+    rej, mism, index = np.array([2, 4, 6, 1]), np.array([1, 2, 3, 0]), np.array([9, 4, 7, 1])
+    assert testers._select(None, rej, mism, index) == (4, 2, 4)
+    assert testers._select((8, 4, 3), rej, mism, index) == (8, 4, 3)
+    assert testers._select((8, 4, 5), rej, mism, index) == (4, 2, 4)
+    assert testers._select((1, 1, 0), rej, mism, index) == (1, 1, 0)
+
+
+def test_grouped_rows_match_numpy_unique():
+    rows = np.random.default_rng(7).integers(0, 4, size=(500, 3)).astype(np.uint8)
+    distinct, (order, starts, counts) = testers._grouped_rows(rows)
+    want, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert distinct.tolist() == want.tolist()
+    assert starts.tolist() == np.concatenate(([0], np.cumsum(counts)[:-1])).tolist()
+    # each group's row indices, ascending, in group order
+    assert order.tolist() == np.argsort(inverse.reshape(-1), kind="stable").tolist()
+
+
 def test_grid_width_keeps_hoisted_rows_within_a_chunk_of_digits():
-    # 2^18 words per chunk at n = 20; 200 codewords would keep 201 rows of
-    # 2^18 words, so the grid shrinks until 2^k * 201 <= 2^18 * 20.
-    assert testers._grid_width(2, 20, [], [(0,) * 20]) == 18
-    assert testers._grid_width(2, 20, [], [(0,) * 20] * 200) == 14
-    assert testers._grid_width(2, 20, [(0, 19)], [(0,) * 20] * 200) == 14
-    assert testers._grid_width(3, 5, [], [(0,) * 5]) == 5
-    assert testers._grid_width(2**18 + 1, 2, [], [(0, 0)]) == 1
+    # 2^18 words per chunk at n = 20: two rows alive fit a grid of 2^18,
+    # 201 rows shrink it until 2^k * 201 <= 2^18 * 20.
+    assert testers._grid_width(2, 20, 2) == 18
+    assert testers._grid_width(2, 20, 201) == 14
+    assert testers._grid_width(3, 5, 2) == 5
+    assert testers._grid_width(2**18 + 1, 2, 2) == 1
 
 
 def _multichunk_instance():
@@ -752,6 +814,18 @@ def test_separator_plan_beats_every_plan_of_at_most_one_position(instance):
         assert plan is not None and plan[0] <= min(small)
     if plan is not None:
         assert plan[1] == sorted(set(plan[1])) and plan_of(plan[1]) == (plan[0], plan[2])
+
+
+def test_separator_word_indices_at_the_uint64_edge():
+    # 2^63 words keep word indices in uint64, 2^64 and 2^65 in Python ints;
+    # one cut of the equality chain at its middle is least, and the earliest
+    # such word has the longer run of zeros.
+    for n in (63, 64, 65):
+        report = soundness_exact(equality_tester(BIN, n), repetition_code(BIN, n))
+        half = n // 2
+        assert report.engine == "separator"
+        assert report.value == Fraction(n, (n - 1) * half)
+        assert report.witness.letters == (0,) * (n - half) + (1,) * half
 
 
 def test_separator_plan_on_long_binary_chains():
