@@ -5,10 +5,10 @@ compatibility encoder, inner dependence tester, tester concatenation and,
 where needed, the alphabet-increase step) and returns a report comparing
 promised distance/rate/soundness formulas against achieved values.  All
 comparisons are exact rationals.  The final soundness is exact whenever
-`soundness_exact` does not refuse it at the budget (a separator plan
-certifies the 3^18 and 3^20 demo spaces); only when it does is it checked
-by seeded sampling, and the overall verdict degrades from "pass" to
-"conditional".
+`soundness_exact` does not refuse it at the budget (the prune ladder,
+started at the composed bound, certifies the 3^18 and 3^20 demo spaces);
+only when it does is it checked by seeded sampling, and the overall
+verdict degrades from "pass" to "conditional".
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ import pytest
 from ltcforge.cli import main
 
 GOLDEN = {
-    "pipeline linear --demo": "03e88136f9d2bad37630c5005ef5749c3c14437e4a8d49aead19155b68744b79",
-    "pipeline general --demo": "bf9d377b5c86b5a8380d467a19e6862f211e5b5d0451f454b5ee6a6abf2c9199",
-    "pipeline semilinear --demo": "795124ccd07c93bfffafa75127c75802b10ed854a149fdb29100e20468336a90",
-    "verify all": "b37d921962152da0c91d7fa469048039f98a0221871c074bf2583a3c1f0fb677",
+    "pipeline linear --demo": "50d4c6ec031bd6d391e2a47b9ab232dd25145b5de5f9a599d7b35f5bb04eaeb5",
+    "pipeline general --demo": "2ce177b262eb208a739769bd56527358ad3e37b5b4a0ca3a19a6ae7fafe92fee",
+    "pipeline semilinear --demo": "47c8c434e935433ebafd0a564b3543b34e1f9d1bbc220ed6849549f7691efb22",
+    "verify all": "fdc7fd9b8503438f746b7b51b4ef9692235aec9b47f7b46d45daa199ac200e8e",
 }
 
 # Artifacts the file-reading commands below need: (file, command, key of
@@ -43,7 +43,7 @@ GOLDEN_WITH_FILES = {
     "tester ring --s 2": "5e03b92565bac3dae76e80d5beb0776919f99cd1c6599e7ccceb4c3b3391d5c8",
     "tester equality --n 3 --size 3": "34c13aac7d6be2d9151188f5f93ec2285edf62741de5416c12d4612c1461e58d",
     "tester equality --n 2 --p 2 --dim 2": "7b7de83bbd26357404f01fb0642e6b2993d98e073083254f4989a90d59a14a58",
-    "soundness exact --tester dep23.json --code lc23.json --bound 2/3": "e53d10b7d5995d74a71d0389e5c7940e26b756781e6d393d4b34943a70cca0a5",
+    "soundness exact --tester dep23.json --code lc23.json --bound 2/3": "dbf7532c4f6228fdef92bfbf7f42653a771a79d39e55db368184c6206171ac95",
     "soundness sample --tester dep23.json --code lc23.json --trials 300 --seed 5 --bound 1/2": "7a0ad1f8af497c2d19b0a9aaeda4a5d7a40929e2e16d3df62e843c66a4e32c21",
     "separate check --tester dep23.json --delta-size 3": "5c525fc04b69404c5b471661421535469aff76ecfdf89bf8d83687596c107037",
     "separate check --tester eqv.json --linear --p 2 --delta-dim 2": "a8c995ea7e6b063bef8fc76720c782a57a5dcd7c987ed8a908aa5dfcb73551c4",
@@ -51,7 +51,7 @@ GOLDEN_WITH_FILES = {
     "separate replace --tester eqv.json --mu 1/2 --linear --p 2 --delta-dim 1": "3b3ee5c171ba2df80763e38ecc02d55c93d34e8722c036edb0f44f66b4b696fa",
     "concat --code lc22.json --encoder enc22.json --outer-tester dep22.json --mu 1/2"
     " --inner-tester dep22.json --nu 1/2": "2da44dc2f045cdbb9ea21fab4f7a43ad4f9aafca89f53ed57bf6269145206925",
-    "pipeline general --demo --trials 300 --seed 3": "b7fb7e52a4daffa8fc3e17e5c2134947dda1e14000d19877340950aeec189623",
+    "pipeline general --demo --trials 300 --seed 3": "e1064392ee73b0a9ed9da55f9c92deede41686f920602b545a16283d29317a91",
 }
 
 

@@ -176,19 +176,20 @@ for kind in ("general", "semilinear"):
 """
 
 
-def test_demo_final_soundness_exact_by_separator():
-    # 3^18 and 3^20 words, far past the default budget: the separator engine
-    # certifies both exactly, in a child under a timeout.  Values and
-    # witnesses equal brute force's (run at a raised budget) and were
-    # re-checked with reject_probability / dist_to_code.
+def test_demo_final_soundness_exact_by_prune():
+    # 3^18 and 3^20 words, far past the default budget: the prune ladder
+    # certifies both exactly from their bounds, in a child under a timeout.
+    # Values and witnesses equal brute force's (run at a raised budget) and
+    # the separator engine's, and were re-checked with reject_probability /
+    # dist_to_code.
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _DEMO_SCRIPT], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "general exact separator pass 1/21 0 0 0 1 1 1 2 2 2 0 1 2 0 1 2 0 1 2",
-        "semilinear exact separator pass 5/107 0 0 2 2 2 0 0 0 0 0 0 1 2 0 1 2 0 0 0 0",
+        "general exact prune pass 1/21 0 0 0 1 1 1 2 2 2 0 1 2 0 1 2 0 1 2",
+        "semilinear exact prune pass 5/107 0 0 2 2 2 0 0 0 0 0 0 1 2 0 1 2 0 0 0 0",
     ]
 
 
@@ -210,8 +211,8 @@ def test_linear_demo_final_soundness_by_its_cheapest_plan():
 
 
 def test_raised_budget_keeps_the_general_demo_on_its_plan():
-    # 3^18 words fit a budget of 4*10^8, but the scan is not the cheapest
-    # plan, so the raised budget changes only the recorded budget and
+    # 3^18 words fit a budget of 4*10^8, but the budget only caps the prune
+    # frontier, so the raised budget changes only the recorded budget and
     # command, and the run stays well under the scan's time.
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
     argv = [sys.executable, "-m", "ltcforge", "pipeline", "general", "--demo"]
@@ -223,7 +224,7 @@ def test_raised_budget_keeps_the_general_demo_on_its_plan():
         doc["manifest"]["budget"] = doc["report"]["params"]["budget"] = None
         doc["manifest"]["command"] = None
     assert docs[0] == docs[1]
-    assert docs[1]["report"]["achieved"]["soundness"]["$soundness"]["engine"] == "separator"
+    assert docs[1]["report"]["achieved"]["soundness"]["$soundness"]["engine"] == "prune"
 
 
 _REPETITION_SCRIPT = """
@@ -247,21 +248,29 @@ masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
 blocks = [[p for p in range(n) if m >> p & 1] for m in masks]
 rn, mm, widx = testers._least_ratio(compiled, dtype, 3, n, fcode.codewords, sep, blocks)
 print(Fraction(rn * n, den * mm), decode_tuple(widx, 3, n)[::-1] == sound.witness.letters)
+plain = soundness_exact(final, fcode)
+print(plain.engine, plain.value, plain.witness == sound.witness)
 """
 
 
 def test_repetition_length_4_general_reduction_exact():
     # The general reduction (d = c = 3) of the length-4 repetition code ends
-    # on 3^36 words; the greedy separator plan certifies it exactly.  The
-    # witness is re-evaluated, and a second separator gives the same value
-    # and witness.  Run in a child under a timeout.
+    # on 3^36 words; the prune ladder certifies it exactly from its bound.
+    # The witness is re-evaluated, and a forced separator and the greedy
+    # plan (soundness_exact without a bound) give the same value and
+    # witness.  Run in a child under a timeout.
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _REPETITION_SCRIPT], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     witness = "0 0 0 1 1 1 2 2 2 0 0 0 1 1 1 2 2 2 0 1 2 0 1 2 0 1 2 0 1 2 0 1 2 0 1 2"
-    assert proc.stdout.splitlines() == [f"exact separator pass 3/71 {witness}", "3/71", "3/71 True"]
+    assert proc.stdout.splitlines() == [
+        f"exact prune pass 3/71 {witness}",
+        "3/71",
+        "3/71 True",
+        "separator 3/71 True",
+    ]
 
 
 _CHUNKED_PLAN_SCRIPT = """
@@ -297,3 +306,50 @@ def test_repetition_length_4_plan_across_chunks():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0 12 18 30 | 8 8 8 8", "3/71 True"]
+
+
+_FRONTIER_SCRIPT = """
+import sys
+from ltcforge.codes import Alphabet, dist_to_code, repetition_code, vector_alphabet
+from ltcforge.pipeline import general_reduction, semilinear_reduction
+from ltcforge.testers import equality_tester, reject_probability, soundness_exact
+kind = sys.argv[1]
+code = repetition_code(Alphabet.plain(2) if kind == "general" else vector_alphabet(2, 1), 5)
+tester = equality_tester(code.alphabet, 5)
+mu = soundness_exact(tester, code).value
+if kind == "general":
+    report = general_reduction(code, tester, mu, 3, 3, trials=100)
+else:
+    report = semilinear_reduction(code, tester, mu, trials=100)
+sound = report.achieved["soundness"]
+final, fcode = report.stages["final_tester"], report.stages["final_code"]
+print(final.n, sound.mode, sound.engine, sound.verdict, sound.value, sound.bound)
+print(*sound.witness.letters)
+print(reject_probability(final, sound.witness) / dist_to_code(sound.witness, fcode))
+"""
+
+_L5_GENERAL_WITNESS = ("0 0 0 1 1 1 2 2 2 " * 3 + "0 1 2 " * 6).strip()
+_L5_SEMILINEAR_WITNESS = ("0 0 2 2 2 0 0 0 0 0 " * 3 + "0 1 2 0 1 2 0 0 0 0 " * 2).strip()
+
+
+@pytest.mark.parametrize(
+    "kind, n, value, bound, witness",
+    [
+        ("general", 45, "15/359", "10/359", _L5_GENERAL_WITNESS),
+        ("semilinear", 50, "25/557", "10/557", _L5_SEMILINEAR_WITNESS),
+    ],
+)
+def test_repetition_length_5_reductions_exact_by_prune(kind, n, value, bound, witness):
+    # The length-5 repetition code's general (3^45 words) and semilinear
+    # (3^50) reductions: without a bound the separator plan takes about 5 s
+    # on the first, and the second passes the default budget and is
+    # sampled.  The prune ladder certifies both from their bounds, with the
+    # values and witnesses the separator plan gives at a budget of 2^40
+    # (5 and 7 s, too slow to repeat here); each witness is re-evaluated.
+    # Run in a child under a timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRONTIER_SCRIPT, kind], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{n} exact prune pass {value} {bound}", witness, value]

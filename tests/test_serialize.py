@@ -116,8 +116,12 @@ def test_certificate_roundtrip():
 def test_soundness_report_roundtrip():
     code = repetition_code(BIN, 2)
     eq = equality_tester(BIN, 2)
-    exact = soundness_exact(eq, code, bound=Fraction(1))
+    exact = soundness_exact(eq, code)
     assert roundtrip(exact) == exact and exact.engine == "scan"
+    # with a bound the prune ladder decides
+    pruned = soundness_exact(eq, code, bound=Fraction(1))
+    assert roundtrip(pruned) == pruned and pruned.engine == "prune" and pruned.verdict == "pass"
+    assert soundness_to_json(pruned)["engine"] == "prune"
     sampled = soundness_sampled(eq, code, trials=16, seed=5, bound=Fraction(1, 2))
     assert roundtrip(sampled) == sampled and sampled.engine == "sampled"
     # 2^16 words over a budget of 2^14: the separator engine decides

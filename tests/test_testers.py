@@ -839,3 +839,121 @@ def test_separator_plan_on_long_binary_chains():
         plans[n] = plan and plan[:2]
     assert time.perf_counter() - start < 20
     assert plans == {40: (1436250, [9, 19, 29]), 60: (10060938, [14, 29, 44, 55]), 2000: None}
+
+
+def _brute_force(tester: Tester, code: Code):
+    """(least ratio, lexicographically least word of that ratio) over the
+    non-codewords, in pure Python; None when every word is a codeword."""
+    words = (Word(tester.alphabet, t) for t in itertools.product(range(tester.alphabet.size), repeat=tester.n))
+    ratios = [
+        (reject_probability(tester, w) / dist_to_code(w, code), w.letters) for w in words if not code.contains(w.letters)
+    ]
+    return min(ratios, default=None)
+
+
+# Ratio 0: the one check reads positions 0 and 1 only, so 001 is never
+# rejected; the ladder's first pass leaves it.
+_ZERO_VALUE = (
+    Tester(BIN, 3, 2, (Check((0, 1), accept_from_tuples([(0, 0), (1, 1)], 2), Fraction(1)),)),
+    Code(BIN, 3, ((0, 0, 0), (1, 1, 1))),
+)
+# Ratio 2/3 at 0011 and at 1100, prefixes that part at the first letter;
+# the witness is the lexicographically least.
+_TIES_ACROSS_PREFIXES = (equality_tester(BIN, 4), repetition_code(BIN, 4))
+
+
+def _parity_beside_equality(size: int, n: int):
+    """The equality tester plus a parity check on all n positions, whose
+    LUT index reaches size**n - 1, with the repetition code."""
+    alphabet = Alphabet.plain(size)
+    words = itertools.product(range(size), repeat=n)
+    parity = Check(tuple(range(n)), accept_from_tuples([w for w in words if sum(w) % size == 0], size), Fraction(1))
+    return Tester(alphabet, n, n, equality_tester(alphabet, n).checks + (parity,)), repetition_code(alphabet, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_weighted_instances(), _planted_separator_instances()).map(lambda instance: instance[:2]),
+    st.sampled_from(["below", "at", "above"]),
+)
+@example(_ZERO_VALUE, "at")
+@example(_TIES_ACROSS_PREFIXES, "below")
+@example(_TIES_ACROSS_PREFIXES, "above")
+# Letters fit uint8, LUT indices do not: a uint8 letter term would wrap
+# (6 * 7**2 = 294), or could not hold size**(n - 1) at all (2**8).
+@example(_parity_beside_equality(7, 3), "below")
+@example(_parity_beside_equality(3, 6), "below")
+@example(_parity_beside_equality(9, 3), "below")
+@example(_parity_beside_equality(2, 9), "below")
+@example(_parity_beside_equality(4, 5), "below")
+@example(_parity_beside_equality(3, 7), "below")
+def test_prune_ladder_matches_brute_force(instance, where):
+    # One pass at the value leaves no word, and one just above it leaves
+    # the minimiser; with a bound below, at or above the value, the ladder
+    # gives the least ratio and the lexicographically least word of that
+    # ratio.  Weights up to 2**70 drive the object dtype, and the instances
+    # carry padded and always-accept checks.
+    tester, code = instance
+    best = _brute_force(tester, code)
+    if best is None:  # the code fills the space: the plan path decides
+        assert soundness_exact(tester, code, bound=Fraction(1)).infinite
+        return
+    value, letters = best
+    size, n = tester.alphabet.size, tester.n
+    compiled, den, dtype = testers._compiled_checks(tester)
+    below = testers._prune_ratio(compiled, dtype, den, size, n, code.codewords, 2**26)
+    if value:
+        assert below(value) is None
+    rn, mm, got = below(value + Fraction(1, 2**20))
+    assert (Fraction(rn * n, den * mm), got) == (value, letters)
+    bound = {"below": value / 2, "at": value, "above": 2 * value + Fraction(1, 3)}[where] or Fraction(1, 7)
+    report = soundness_exact(tester, code, bound=bound)
+    assert (report.engine, report.value, report.witness.letters) == ("prune", value, letters)
+    assert report.verdict == ("pass" if value >= bound else "fail")
+
+
+def test_prune_ladder_overflow_falls_back_to_the_plan():
+    # A bound far above the value leaves every word in the first pass, so
+    # the frontier passes a small budget and the plan decides, as it does
+    # without a bound; where the plan passes the budget too, the
+    # CapacityError is the one raised without a bound.
+    tester, code = equality_tester(BIN, 10), repetition_code(BIN, 10)
+    plain = soundness_exact(tester, code, budget=2**11)
+    bounded = soundness_exact(tester, code, budget=2**11, bound=Fraction(100))
+    assert replace(bounded, bound=None, verdict=None) == plain and plain.engine != "prune"
+    assert bounded.verdict == "fail"
+    assert soundness_exact(tester, code, budget=2**12, bound=plain.value / 2).engine == "prune"
+    errors = []
+    for bound in (None, Fraction(100)):
+        with pytest.raises(CapacityError) as err:
+            soundness_exact(tester, code, budget=16, bound=bound)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_prune_ladder_needs_a_positive_bound():
+    # Without a bound, or with one of 0, the ladder would never leave a word
+    # or has nothing to start from: the plan runs.
+    assert soundness_exact(EQ2, REP2).engine == "scan"
+    zero = soundness_exact(EQ2, REP2, bound=Fraction(0))
+    assert (zero.engine, zero.value, zero.verdict) == ("scan", 2, "pass")
+
+
+@pytest.mark.parametrize("weight, dtype", [(2**61 - 1, np.int64), (2**61, object)])
+def test_prune_comparison_cannot_wrap(weight, dtype):
+    # One equality check of integer weight W on two binary positions: 01
+    # and 10 reject W at distance 1 of n = 2, so the value is 2W.  Scores
+    # reach 2W, just below 2**62 (int64) or at it (object dtype).  The
+    # pruning test rej * n * t.den < t.num * den * dist, multiplied out at
+    # thresholds of denominator 2**16, passes 2**78: the kernel compares rej
+    # with a table of ceilings instead, so both sides of the dtype rule give
+    # the value exactly, from a bound just below and just above it.
+    tester = Tester(BIN, 2, 2, (Check((0, 1), accept_from_tuples([(0, 0), (1, 1)], 2), Fraction(weight)),))
+    compiled, den, got = testers._compiled_checks(tester)
+    assert got == dtype
+    value = Fraction(2 * weight)
+    for bound in (value - Fraction(1, 2**16), value + Fraction(1, 2**16)):
+        assert weight * 2 * bound.denominator >= 2**63
+        report = soundness_exact(tester, REP2, bound=bound)
+        assert (report.engine, report.value, report.witness.letters) == ("prune", value, (0, 1))
+
