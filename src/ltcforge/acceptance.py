@@ -380,10 +380,10 @@ def criterion_13(budget: int, seed: int) -> dict:
     def clean(report):
         return not any(v in ("fail", "violated") for v in report.verdicts.values())
 
-    # exhaustible stages must pass exactly; under the default budget a
-    # separator plan certifies the two big pipelines exactly ("pass"), while
-    # a budget too small for both the scan and the plan samples their final
-    # soundness ("conditional"), which is equally acceptable
+    # exhaustible stages must pass exactly; under the default budget the
+    # prune ladder certifies the two big pipelines exactly ("pass"), while
+    # a budget too small for both its frontier and the scan samples their
+    # final soundness ("conditional"), which is equally acceptable
     ok = lin.overall == "pass"
     ok &= clean(gen) and gen.overall in ("conditional", "pass")
     ok &= clean(semi) and semi.overall in ("conditional", "pass")

@@ -122,7 +122,7 @@ def _criterion_ids(text: str) -> list[int]:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    # --budget caps what a command enumerates (words, plan cells, family
+    # --budget caps what a command enumerates (words, frontier cells, family
     # tables, replacement bits and tuple tests); where nothing is enumerated
     # it is only recorded in the manifest
     common.add_argument("--budget", type=_int_in(1, 2**63), default=DEFAULT_BUDGET)

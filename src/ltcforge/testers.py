@@ -13,43 +13,29 @@ int64 when no score can reach 2**62 and Python ints in object arrays
 otherwise, through the same kernels, so results are exact rationals either
 way.
 
-Exact soundness with a positive bound is proved from it: `_prune_ratio`
-is a Land-Doig branch and bound (1960) over word prefixes in position
-order that keeps only the words of ratio below a threshold, and
-`soundness_exact` runs it at thresholds from the bound up, doubling after
-each pass that leaves no word (Dinkelbach's parametric test, 1967); the
-first pass that leaves words gives the value.  Its cost is the frontier,
-capped at the budget in cells; only on overflow does the plan below run.
-Without a bound the plan always runs: the ladder would start at the least
-check weight, and on testers of values near 1 (the perfbench random and
-Hadamard-F7 testers) it ran 8 to 15 times slower than the scan.  Reports
-say "prune" for the ladder.
+Exact soundness runs one of two engines on it.  `_prune_ratio` is a
+Land-Doig branch and bound (1960) over word prefixes in position order
+that keeps only the words of ratio below a threshold, and `soundness_exact`
+runs it at thresholds from a start up, doubling after each pass that
+leaves no word (Dinkelbach's parametric test, 1967); the first pass that
+leaves words gives the value.  Its cost is the frontier, capped at the
+budget in cells.  The ladder starts at a positive bound, or without one at
+the least check weight once |alphabet|^n passes the budget.  Otherwise, or
+when the frontier overflows, the scan enumerates every word if
+|alphabet|^n fits the budget; if it does not, CapacityError carries
+|alphabet|^n.  Reports say "prune" for the ladder and "scan" for the scan.
 
-Otherwise exact soundness is bucket elimination (Dechter 1999) on the
-ratio objective, run on a plan: positions X to enumerate and blocks to
-eliminate, every support lying inside X or inside X plus one block.  X
-grows greedily one position at a time on the supports' primal graph, at a
-cost of about |alphabet|^|X| * sum over blocks of |alphabet|^|block|, and
-the cheapest plan met runs; the last one is the scan, X = every position
-with no blocks.  The budget only refuses: when the cheapest plan and
-|alphabet|^n both pass it, CapacityError carries the smaller of the two.
-Reports name the plan: "scan" without blocks, "separator" with them.
-
-X's assignments run in chunks of |alphabet|^k that share X's first |X| - k
-letters (the prefix) and run its last k over one digit grid, a tensor with
-one axis of length |alphabet| per position.  Reject numerators, mismatch
-counts and word index parts are broadcast sums of small tensors over it,
-with no per-word index arrays: each support's LUT (sliced at the prefix
-letters when it reads the prefix) and each position's mismatch and place
-value vectors, added along the axes they read.  What depends on the grid
-alone is computed once: the numerators of the supports inside it and each
-codeword's mismatches on it.  Per assignment of X, per block and per vector
-of mismatch counts against the codewords, the engine keeps the least
-(reject numerator, word index part) pair and merges the blocks by min-plus
-over those vectors.  One selection step keeps the least ratio, then the
-least word index (the lexicographically smallest witness); without blocks,
-word indices only increase, so that is a first-hit rule on strictly smaller
-ratios.
+The scan runs in chunks of |alphabet|^k words that share their first n - k
+letters (the prefix) and run the last k over one digit grid, a tensor with
+one axis of length |alphabet| per position.  Reject numerators and
+mismatch counts are broadcast sums of small tensors over it, with no
+per-word index arrays: each support's LUT (sliced at the prefix letters
+when it reads the prefix) and each position's mismatch vector, added along
+the axes they read.  What depends on the grid alone is computed once: the
+numerators of the supports inside it and each codeword's mismatches on it.
+Word indices only increase, so a first-hit rule on strictly smaller ratios
+keeps the least ratio, then the least word index (the lexicographically
+smallest witness).
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -102,14 +88,6 @@ def accept_from_tuples(tuples: Iterable[Sequence[int]], size: int) -> int:
 def tuples_from_accept(accept: int, size: int, arity: int) -> list[tuple[int, ...]]:
     """The accepted tuples in index order."""
     return [decode_tuple(i, size, arity) for i in indices_from_accept(accept)]
-
-
-def _bits(mask: int):
-    """The positions of the set bits of `mask`, ascending, one at a time:
-    for the planner's position masks, a few words long."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def full_accept(size: int, arity: int) -> int:
@@ -272,7 +250,7 @@ class SoundnessReport:
     verdict: str | None = None  # exact: pass/fail; sampled: consistent/violated
     trials: int | None = None
     seed: int | None = None
-    engine: str | None = None  # "prune" (the ladder, only with a bound) | "scan" | "separator" | "sampled"
+    engine: str | None = None  # "prune" (the ladder) | "scan" | "sampled"
 
 
 def _compiled_checks(tester: Tester):
@@ -357,17 +335,15 @@ def _grid_sum(entries, size: int, axes, fixed: dict, dtype) -> np.ndarray:
     return acc
 
 
-def _select(best, rej, mism, index):
+def _select(best, rej, mism, first: int):
     """The running best (rej, mism, word index) of least ratio rej/mism among
-    the mism > 0 entries, then of least word index.  `index` holds the
-    entries' word indices, or is the int index of the first entry when they
-    count up along the arrays and from call to call: the first strict
-    minimizer is then the earliest word, and an equal ratio never replaces
-    the best.  In int64 one float64 pass first keeps the entries within a
-    factor 1 + 2**-40 of the least float ratio: the float ratios of scores
-    below 2**62 are within 2**-50 of the exact ones, so every exact minimizer
-    stays."""
-    valid, first_hit = mism > 0, isinstance(index, int)
+    the mism > 0 entries, whose word indices count up from `first` along the
+    arrays and from call to call: the first strict minimizer is the earliest
+    word, and an equal ratio never replaces the best.  In int64 one float64
+    pass first keeps the entries within a factor 1 + 2**-40 of the least
+    float ratio: the float ratios of scores below 2**62 are within 2**-50 of
+    the exact ones, so every exact minimizer stays."""
+    valid = mism > 0
     if not valid.any():
         return best
     if rej.dtype == object:
@@ -375,18 +351,14 @@ def _select(best, rej, mism, index):
     else:
         ratio = np.divide(rej, mism, out=np.full(len(rej), np.inf), where=valid)
         at = np.flatnonzero(ratio <= ratio.min() * (1 + 2.0**-40))
-    rej, index = rej[at], at + index if first_hit else index[at]
-    mism = mism[at].astype(rej.dtype)  # rn * mism must not wrap either
+    rej, mism = rej[at], mism[at].astype(rej.dtype)  # rn * mism must not wrap either
 
     def entry(i):
-        return int(rej[i]), int(mism[i]), int(index[i])
+        return int(rej[i]), int(mism[i]), first + int(at[i])
 
     best = best or entry(0)
     while (better := rej * best[1] < best[0] * mism).any():
         best = entry(int(np.argmax(better)))
-    ties = () if first_hit else np.flatnonzero(rej * best[1] == best[0] * mism)
-    if len(ties):
-        best = min(best, entry(ties[np.argmin(index[ties])]), key=lambda e: e[2])
     return best
 
 
@@ -395,217 +367,39 @@ CHUNK = 1 << 18  # words per exact-scan chunk, unless one letter already exceeds
 
 def _grid_width(size: int, n: int, rows: int) -> int:
     """The largest k >= 1 with size**k <= CHUNK whose `rows` rows alive over
-    a chunk (the numerators of the supports inside the grid and the chunk's,
-    one mismatch row per codeword and, with blocks, the word index parts;
-    each counted at 8 bytes) fit in n int64 rows of CHUNK words."""
+    a chunk (the numerators of the supports inside the grid and the chunk's
+    and one mismatch row per codeword, each counted at 8 bytes) fit in n
+    int64 rows of CHUNK words."""
     for k in range(n, 1, -1):
         if size**k <= CHUNK and size**k * rows <= CHUNK * n:
             return k
     return 1
 
 
-def _components(adj: list[int], alive: int) -> list[int]:
-    """Connected components, as bitmasks in order of their lowest position,
-    of the graph with neighbour bitmasks `adj` restricted to the bitmask
-    `alive`."""
-    out = []
-    while alive:
-        comp = frontier = alive & -alive
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & alive & ~comp
-            comp |= new
-            frontier |= new
-        alive ^= comp
-        out.append(comp)
-    return out
-
-
-def _separator_cost(size: int, sep_size: int, block_sizes, ncodes: int) -> int | None:
-    """Cells the separator engine touches: each block's grid and each merged
-    pair of tables, once per separator assignment and once per codeword.
-    A block's table holds at most min(size**|B|, (|B|+1)**ncodes) mismatch
-    vectors (the exponent capped at 64, where both bounds pass any budget
-    below 2**63 anyway).  None when one separator assignment alone would
-    hold more than CHUNK cells of a block grid or of a merge."""
-    cells = pairs = 0
-    acc, covered = 1, 0
-    for length in block_sizes:
-        table = min(size**length, (length + 1) ** min(ncodes, 64))
-        if size**length > CHUNK or acc * table > CHUNK:
-            return None
-        covered += length
-        cells += size**length
-        pairs += acc * table
-        acc = min(acc * table, (covered + 1) ** min(ncodes, 64))
-    return (size**sep_size + ncodes) * (1 + cells + pairs)
-
-
-def _cut_pieces(adj: list[int], block: int) -> dict[int, list[int]]:
-    """Per position p of the connected bitmask `block`, the components (as
-    bitmasks) left once p is removed, all from one low-link DFS (Tarjan 1972)."""
-    root = (block & -block).bit_length() - 1
-    order, low, below, pieces = {root: 0}, {root: 0}, {root: 1 << root}, {root: []}
-    stack = [(root, _bits(adj[root] & block))]
-    while stack:
-        v, edges = stack[-1]
-        for w in edges:
-            if w not in order:
-                order[w] = low[w] = len(order)
-                below[w], pieces[w] = 1 << w, []
-                stack.append((w, _bits(adj[w] & block)))
-                break
-            low[v] = min(low[v], order[w])
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                below[u] |= below[v]
-                if low[v] >= order[u]:  # v's subtree hangs on u alone
-                    pieces[u].append(below[v])
-    for p, ps in pieces.items():
-        rest = block ^ 1 << p ^ sum(ps)  # the pieces are disjoint
-        ps += [rest] if rest else []
-    return pieces
-
-
-def _separator_plan(size: int, n: int, supports, ncodes: int, budget: int = DEFAULT_BUDGET):
-    """(cost, separator, blocks): the cheapest feasible plan met while X grows
-    greedily on the supports' primal graph up to the scan (X = every
-    position, no blocks, cost |alphabet|^n + #codewords); blocks as sorted
-    positions, None when none is met.  Each step removes the position leaving
-    the cheapest plan; infeasible ones rank by largest block, then by the sum
-    of |alphabet|^|block| (toward balanced cuts), then by lowest position.
-    Growth stops once |alphabet|^|X| alone would reach the best cost or pass
-    the budget: no such plan can be used."""
-    adj = [0] * n
-    for support in supports:
-        mask = sum(1 << p for p in support)
-        for p in support:
-            adj[p] |= mask
-
-    def rank(k, blocks):  # (infeasible, cost or else largest block, balance)
-        sizes = [b.bit_count() for b in blocks]
-        cost = _separator_cost(size, k, sizes, ncodes)
-        return (False, cost, 0) if cost is not None else (True, max(sizes), sum(size**s for s in sizes))
-
-    sep, blocks, best = [], _components(adj, (1 << n) - 1), None
-    while True:
-        infeasible, cost, _ = rank(len(sep), blocks)
-        if not infeasible and (best is None or cost < best[0]):
-            best = (cost, sorted(sep), blocks)
-        if not blocks or size ** (len(sep) + 1) > (budget if best is None else min(budget, best[0] - 1)):
-            break
-        candidates = []
-        for i, block in enumerate(blocks):
-            for p, pieces in _cut_pieces(adj, block).items():
-                after = sorted(blocks[:i] + blocks[i + 1 :] + pieces, key=lambda b: b & -b)
-                candidates.append((rank(len(sep) + 1, after), p, after))
-        _, p, blocks = min(candidates)
-        sep.append(p)
-    return best and (best[0], best[1], [list(_bits(b)) for b in best[2]])
-
-
-def _grouped_rows(rows):
-    """The distinct rows of a 2-d array in lexicographic order, and the
-    grouping by them that `_group_min` takes: (order, starts, counts), the
-    row indices sorted by row and each distinct row's run in that order.
-    One stable lexsort; np.unique(axis=0) sorts opaque bytes, ten times slower."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
-    return rows[starts], (order, starts, np.diff(starts, append=len(order)))
-
-
-def _group_min(rej, tie, grouping, top):
-    """Per row and per group of columns (as `_grouped_rows` gives them), the
-    least (rej, tie) pair in lexicographic order, as two (rows, groups)
-    arrays; one row of ties may serve every row.  `top` exceeds every tie."""
-    order, starts, counts = grouping
-    rej, tie = rej[:, order], tie[..., order]
-    low = np.minimum.reduceat(rej, starts, axis=1)
-    tie = np.where(rej == np.repeat(low, counts, axis=1), tie, top)
-    return low, np.minimum.reduceat(tie, starts, axis=1)
-
-
-def _least_ratio(compiled, dtype, size: int, n: int, codewords, sep, blocks):
+def _least_ratio(compiled, dtype, size: int, n: int, codewords):
     """The word of least ratio, then of least index, as (rej, mism, word
-    index), or None when every word is a codeword.  Every support lies
-    inside sep or inside sep + B for one block B; the scan is sep = every
-    position and no blocks.
-
-    For each assignment x of sep and each vector of mismatch counts against
-    the codewords, a block keeps its least (reject numerator, word index
-    part) pair; a min-plus merge over vector sums combines the blocks.  Both
-    parts add over disjoint positions and the lexicographic order on pairs
-    survives addition, so the least pair of a merged vector is that of the
-    best split.  Each chunk of x runs in slices of a power of |alphabet|
-    grid cells, about CHUNK grid or merge cells each: a slice is the grid of
-    sep's last positions, its first ones fixed like the prefix."""
-    top = size**n
-    tie_dtype = np.uint64 if top < 2**64 else object  # word indices
-    vec_dtype = np.min_scalar_type(n)
-    letters = np.arange(size)
-
-    def mismatch_rows(axes):  # per codeword, its mismatches over the grid of `axes`
-        vectors = [[((pos,), letters != cw[pos]) for pos in axes] for cw in codewords]
-        return [_grid_sum(v, size, axes, {}, vec_dtype).reshape(-1) for v in vectors]
-
-    def tie_part(axes):  # the word index part of the grid of `axes`
-        places = [((pos,), letters.astype(tie_dtype) * size ** (n - 1 - pos)) for pos in axes]
-        return _grid_sum(places, size, axes, {}, tie_dtype).reshape(-1)
-
-    own = [e for e in compiled if set(sep).issuperset(e[0])]
-    k = min(len(sep), _grid_width(size, len(sep), 2 + len(codewords) + bool(blocks)))
-    head = len(sep) - k
-    grid_at, cells = sep[head:], size**k
-    crossing = [e for e in own if e[0][0] in sep[:head]]  # supports that read the prefix
-    base = _grid_sum([e for e in own if e[0][0] not in sep[:head]], size, grid_at, {}, dtype).reshape(-1)
-    grid_mism = mismatch_rows(grid_at)
-    grid_tie = tie_part(grid_at) if blocks else None
-    # What does not depend on x: per block its supports (those inside it and
-    # those reading both sep and it), its word index parts, how its mismatch
-    # vectors group its cells and how they merge into the running sums.
-    steps, acc_vec, width = [], np.zeros((1, len(codewords)), dtype=vec_dtype), 1
-    for block in blocks:
-        vec, by_vec = _grouped_rows(np.stack(mismatch_rows(block), 1))
-        pairs = (acc_vec[:, None, :] + vec[None, :, :]).reshape(-1, len(codewords))
-        width = max(width, size ** len(block), len(pairs))
-        acc_vec, by_merge = _grouped_rows(pairs)
-        entries = [e for e in compiled if set(block).intersection(e[0])]
-        steps.append((block, entries, tie_part(block), by_vec, by_merge))
-
-    free = k  # slices are the grids of sep's last `free` positions
-    while blocks and free and size**free > CHUNK // width:
-        free -= 1
-    step, best = size**free, None
+    index), or None when every word is a codeword: the scan over every word,
+    in chunks that fix the first n - k positions (the prefix) and run the
+    last k over one digit grid."""
+    letters, vec_dtype = np.arange(size), np.min_scalar_type(n)
+    k = min(n, _grid_width(size, n, 2 + len(codewords)))
+    head, cells = n - k, size**k
+    grid_at = list(range(head, n))
+    crossing = [e for e in compiled if e[0][0] < head]  # supports that read the prefix
+    base = _grid_sum([e for e in compiled if e[0][0] >= head], size, grid_at, {}, dtype).reshape(-1)
+    grid_mism = [  # per codeword, its mismatches over the grid
+        _grid_sum([((pos,), letters != cw[pos]) for pos in grid_at], size, grid_at, {}, vec_dtype).reshape(-1)
+        for cw in codewords
+    ]
+    best = None
     for c in range(size**head):  # chunks in lexicographic order of their prefix
-        prefix = decode_tuple(c, size, head)[::-1]
-        fixed = dict(zip(sep, prefix))
+        fixed = dict(enumerate(decode_tuple(c, size, head)[::-1]))
         rej = base + _grid_sum(crossing, size, grid_at, fixed, dtype).reshape(-1)
-        shifts = [sum(a != cw[pos] for pos, a in fixed.items()) for cw in codewords]
-        prefix_index = sum(a * size ** (n - 1 - pos) for pos, a in fixed.items())
-        for lo in range(0, cells, step):
-            acc_rej = rej[lo : lo + step, None]
-            acc_tie = grid_tie[lo : lo + step, None] + prefix_index if blocks else None
-            fixed.update(zip(grid_at, decode_tuple(lo // step, size, k - free)[::-1]))
-            for block, entries, tie, by_vec, by_merge in steps:
-                blk = _grid_sum(entries, size, sep[len(sep) - free :] + block, fixed, dtype).reshape(step, -1)
-                blk, blk_tie = _group_min(blk, tie, by_vec, top)
-                acc_rej, acc_tie = _group_min(
-                    (acc_rej[:, :, None] + blk[:, None, :]).reshape(step, -1),
-                    (acc_tie[:, :, None] + blk_tie[:, None, :]).reshape(step, -1),
-                    by_merge,
-                    top,
-                )
-            mism = None  # one live row per codeword at a time
-            for row, shift, vec in zip(grid_mism, shifts, acc_vec.T):
-                near = row[lo : lo + step, None] + (vec + shift)
-                mism = near if mism is None else np.minimum(mism, near, out=mism)
-            index = acc_tie.reshape(-1) if blocks else c * cells + lo
-            best = _select(best, acc_rej.reshape(-1), mism.reshape(-1), index)
+        mism = None  # one live row per codeword at a time
+        for row, cw in zip(grid_mism, codewords):
+            near = row + sum(a != cw[pos] for pos, a in fixed.items())
+            mism = near if mism is None else np.minimum(mism, near, out=mism)
+        best = _select(best, rej, mism, c * cells)
     return best
 
 
@@ -673,12 +467,12 @@ def soundness_exact(
 
     Returns the infinite sentinel when the code fills the whole space, and a
     zero value with the earliest never-rejected non-codeword when one exists.
-    With a positive `bound` and some non-codeword, the prune ladder runs
-    first, its frontier capped at `budget` cells.  Otherwise, or when that
-    frontier overflows, the cheapest plan `_separator_plan` meets runs, the
-    scan only when it is the cheapest; when that plan's cost and
-    |alphabet|^n both pass the budget, CapacityError carries the smaller of
-    the two.
+    When some word is not a codeword, the prune ladder runs first, its
+    frontier capped at `budget` cells: from a positive `bound`, or without
+    one from the least check weight once |alphabet|^n passes the budget.
+    Otherwise, or when that frontier overflows, the scan runs if
+    |alphabet|^n fits the budget, and CapacityError carries |alphabet|^n if
+    it does not.
     """
     if tester.alphabet != code.alphabet or tester.n != code.n:
         raise MismatchError("tester incompatible with code")
@@ -696,26 +490,28 @@ def soundness_exact(
         verdict = None if bound is None else ("pass" if value >= bound else "fail")
         return SoundnessReport("exact", value, False, Word(tester.alphabet, letters), bound, verdict, engine=engine)
 
-    if bound is not None and bound > 0 and len(codewords) < total:
-        # The ladder: thresholds from the bound up, doubled after each pass
+    start = bound if bound is not None and bound > 0 else None
+    if start is None and total > budget:
+        # A word that rejects at all rejects at least the least check weight,
+        # at relative distance at most 1: no nonzero value lies below it.
+        start = min((ch.weight for ch in tester.checks), default=Fraction(1))
+    if start is not None and len(codewords) < total:
+        # The ladder: thresholds from the start up, doubled after each pass
         # that leaves no word (Dinkelbach's parametric test).  Some word is
         # not a codeword, so a pass leaves words or the frontier overflows.
-        below, t = _prune_ratio(compiled, dtype, den, size, n, codewords, budget), bound
+        below, t = _prune_ratio(compiled, dtype, den, size, n, codewords, budget), start
         try:
             while (best := below(t)) is None:
                 t *= 2
             return report("prune", best)
         except CapacityError:
             pass
-    plan = _separator_plan(size, n, [s for s, _ in compiled], len(codewords), budget)
-    if plan is None or min(total, plan[0]) > budget:
-        raise CapacityError(total if plan is None else min(total, plan[0]), budget, "exact soundness")
-    _, sep, blocks = plan
-    engine = "separator" if blocks else "scan"
+    if total > budget:
+        raise CapacityError(total, budget, "exact soundness")
     if len(codewords) == total:
-        return report(engine, None)
-    rn, mm, widx = _least_ratio(compiled, dtype, size, n, codewords, sep, blocks)
-    return report(engine, (rn, mm, decode_tuple(widx, size, n)[::-1]))
+        return report("scan", None)
+    rn, mm, widx = _least_ratio(compiled, dtype, size, n, codewords)
+    return report("scan", (rn, mm, decode_tuple(widx, size, n)[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -756,7 +756,7 @@ def test_huge_or_degenerate_sizes_exit_2_quickly(tmp_path, argv):
 
 
 def test_long_binary_chain_exact_soundness_exits_2_quickly(tmp_path, capsys):
-    # 2**2000 words and no separator plan within the budget: a prompt
+    # 2**2000 words, and the ladder's frontier passes the budget: a prompt
     # CapacityError and exit 2, run in a child under a timeout.
     import os
     from pathlib import Path
@@ -817,8 +817,9 @@ def test_hadamard_outer_reductions_stay_small(tmp_path, capsys):
     # (6,352, 125,288 and 58,192 unmerged) and each report under 3 MB (13,
     # 209 and 89 MB unmerged).  The prune ladder certifies each final
     # soundness exactly (4^16, 3^36 and 3^40 words), with the value and
-    # witness the separator engine gives at a budget of 2^40 (the linear
-    # one, 3.5 s) or on forced plans (the others, over 30 s each).
+    # witness that a since-removed bucket-elimination engine gave at a
+    # budget of 2^40 (the linear one, 3.5 s) or on forced plans (the
+    # others, over 30 s each).
     # Run in children under one 60 s deadline.
     import os
     import time

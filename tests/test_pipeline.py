@@ -179,9 +179,8 @@ for kind in ("general", "semilinear"):
 def test_demo_final_soundness_exact_by_prune():
     # 3^18 and 3^20 words, far past the default budget: the prune ladder
     # certifies both exactly from their bounds, in a child under a timeout.
-    # Values and witnesses equal brute force's (run at a raised budget) and
-    # the separator engine's, and were re-checked with reject_probability /
-    # dist_to_code.
+    # Values and witnesses equal brute force's (run at a raised budget), and
+    # were re-checked with reject_probability / dist_to_code.
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _DEMO_SCRIPT], capture_output=True, text=True, timeout=120, env=env
@@ -194,20 +193,20 @@ def test_demo_final_soundness_exact_by_prune():
 
 
 def test_linear_demo_final_soundness_by_its_cheapest_plan():
-    # 4^8 words fit the default budget, but the separator plan costs less
-    # than the scan, so it runs; value and witness are the explicit scan's.
-    from ltcforge import testers
-    from ltcforge.algebra import decode_tuple
+    # 4^8 words fit the default budget, so without a bound the scan runs;
+    # with the bound the ladder gives the same value and witness, which
+    # re-evaluates to that value.
+    from ltcforge.codes import dist_to_code
     from ltcforge.pipeline import DEMO_PARAMS, demo_inputs, run_reduction
+    from ltcforge.testers import reject_probability
 
     report = run_reduction("linear", *demo_inputs("linear"), DEMO_PARAMS["linear"])
     final, code = report.stages["final_tester"], report.stages["final_code"]
     sound = soundness_exact(final, code)
-    assert (sound.engine, sound.value) == ("separator", Fraction(8, 33))
-    compiled, _, dtype = testers._compiled_checks(final)
-    size, n = final.alphabet.size, final.n
-    _, _, widx = testers._least_ratio(compiled, dtype, size, n, code.codewords, list(range(n)), [])
-    assert sound.witness.letters == decode_tuple(widx, size, n)[::-1]
+    assert (sound.engine, sound.value, sound.witness.letters) == ("scan", Fraction(8, 33), (0, 0, 0, 0, 0, 1, 2, 3))
+    pruned = soundness_exact(final, code, bound=report.promised["soundness"])
+    assert (pruned.engine, pruned.value, pruned.witness) == ("prune", sound.value, sound.witness)
+    assert reject_probability(final, sound.witness) / dist_to_code(sound.witness, code) == sound.value
 
 
 def test_raised_budget_keeps_the_general_demo_on_its_plan():
@@ -228,9 +227,6 @@ def test_raised_budget_keeps_the_general_demo_on_its_plan():
 
 
 _REPETITION_SCRIPT = """
-from fractions import Fraction
-from ltcforge import testers
-from ltcforge.algebra import decode_tuple
 from ltcforge.codes import Alphabet, dist_to_code, repetition_code
 from ltcforge.pipeline import general_reduction
 from ltcforge.testers import equality_tester, reject_probability, soundness_exact
@@ -241,13 +237,6 @@ sound = report.achieved["soundness"]
 final, fcode = report.stages["final_tester"], report.stages["final_code"]
 print(sound.mode, sound.engine, sound.verdict, sound.value, *sound.witness.letters)
 print(reject_probability(final, sound.witness) / dist_to_code(sound.witness, fcode))
-compiled, den, dtype = testers._compiled_checks(final)
-n, sep = final.n, [0, 3, 12, 18, 30]
-adj = [sum(1 << p for p in {p for s, _ in compiled if pos in s for p in s}) for pos in range(n)]
-masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
-blocks = [[p for p in range(n) if m >> p & 1] for m in masks]
-rn, mm, widx = testers._least_ratio(compiled, dtype, 3, n, fcode.codewords, sep, blocks)
-print(Fraction(rn * n, den * mm), decode_tuple(widx, 3, n)[::-1] == sound.witness.letters)
 plain = soundness_exact(final, fcode)
 print(plain.engine, plain.value, plain.witness == sound.witness)
 """
@@ -256,8 +245,8 @@ print(plain.engine, plain.value, plain.witness == sound.witness)
 def test_repetition_length_4_general_reduction_exact():
     # The general reduction (d = c = 3) of the length-4 repetition code ends
     # on 3^36 words; the prune ladder certifies it exactly from its bound.
-    # The witness is re-evaluated, and a forced separator and the greedy
-    # plan (soundness_exact without a bound) give the same value and
+    # The witness is re-evaluated, and the ladder from the least check
+    # weight (soundness_exact without a bound) gives the same value and
     # witness.  Run in a child under a timeout.
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
     proc = subprocess.run(
@@ -268,44 +257,8 @@ def test_repetition_length_4_general_reduction_exact():
     assert proc.stdout.splitlines() == [
         f"exact prune pass 3/71 {witness}",
         "3/71",
-        "3/71 True",
-        "separator 3/71 True",
+        "prune 3/71 True",
     ]
-
-
-_CHUNKED_PLAN_SCRIPT = """
-from fractions import Fraction
-from unittest import mock
-from ltcforge import testers
-from ltcforge.algebra import decode_tuple
-from ltcforge.codes import Alphabet, repetition_code
-from ltcforge.pipeline import general_reduction
-from ltcforge.testers import equality_tester, soundness_exact
-code = repetition_code(Alphabet.plain(2), 4)
-tester = equality_tester(code.alphabet, 4)
-report = general_reduction(code, tester, soundness_exact(tester, code).value, 3, 3, trials=100)
-final, fcode = report.stages["final_tester"], report.stages["final_code"]
-compiled, den, dtype = testers._compiled_checks(final)
-_, sep, blocks = testers._separator_plan(3, final.n, [s for s, _ in compiled], len(fcode.codewords))
-print(*sep, "|", *map(len, blocks))
-with mock.patch.object(testers, "CHUNK", 3):
-    rn, mm, widx = testers._least_ratio(compiled, dtype, 3, final.n, fcode.codewords, sep, blocks)
-witness = decode_tuple(widx, 3, final.n)[::-1]
-print(Fraction(rn * final.n, den * mm), witness == report.achieved["soundness"].witness.letters)
-"""
-
-
-def test_repetition_length_4_plan_across_chunks():
-    # The unmocked plan of the length-4 repetition code's general reduction
-    # (X = {0,12,18,30}, four blocks) run with chunks of 3 cells: X's 81
-    # assignments span 27 chunks, each sliced one row at a time through the
-    # blocks, and the value and witness stay those of the unmocked run.
-    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHUNKED_PLAN_SCRIPT], capture_output=True, text=True, timeout=120, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 12 18 30 | 8 8 8 8", "3/71 True"]
 
 
 _FRONTIER_SCRIPT = """
@@ -341,12 +294,10 @@ _L5_SEMILINEAR_WITNESS = ("0 0 2 2 2 0 0 0 0 0 " * 3 + "0 1 2 0 1 2 0 0 0 0 " * 
 )
 def test_repetition_length_5_reductions_exact_by_prune(kind, n, value, bound, witness):
     # The length-5 repetition code's general (3^45 words) and semilinear
-    # (3^50) reductions: without a bound the separator plan takes about 5 s
-    # on the first, and the second passes the default budget and is
-    # sampled.  The prune ladder certifies both from their bounds, with the
-    # values and witnesses the separator plan gives at a budget of 2^40
-    # (5 and 7 s, too slow to repeat here); each witness is re-evaluated.
-    # Run in a child under a timeout.
+    # (3^50) reductions.  The prune ladder certifies both from their bounds,
+    # with the values and witnesses that a since-removed bucket-elimination
+    # engine gave at a budget of 2^40 (5 and 7 s); each witness is
+    # re-evaluated.  Run in a child under a timeout.
     env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _FRONTIER_SCRIPT, kind], capture_output=True, text=True, timeout=60, env=env

@@ -506,10 +506,66 @@ def _ever_rejects(check: Check, size: int) -> bool:
     return False
 
 
-@given(_weighted_instances())
+@st.composite
+def _planted_cut_instances(draw):
+    """Checks that read the planted cut and at most one of the groups the
+    other positions fall into: plain, always-accept and padded checks,
+    weights up to 2**70, several codewords, positions no check reads, and a
+    scan chunk of a few words.  Some checks read the cut's first position
+    and a group position after it, so a chunk's prefix and its grid."""
+    size = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 7))
+    alphabet = Alphabet.plain(size)
+    positions = draw(st.permutations(range(n)))
+    cut = sorted(positions[: draw(st.integers(0, min(3, n)))])
+    groups = [[] for _ in range(draw(st.integers(1, 3)))]
+    for pos in positions[len(cut) :]:
+        groups[draw(st.integers(0, len(groups) - 1))].append(pos)
+    checks = []
+    for _ in range(draw(st.integers(1, 6))):
+        scope = cut + draw(st.sampled_from(groups))
+        if not scope:
+            continue
+        arity = draw(st.integers(1, 3))
+        queries = [draw(st.sampled_from(scope)) for _ in range(arity)]
+        if arity > 1 and cut and len(scope) > len(cut) and draw(st.booleans()):
+            # reads the cut and a group, not always in that order
+            at_cut = cut[0] if draw(st.booleans()) else draw(st.sampled_from(cut))
+            queries[0], queries[-1] = draw(st.sampled_from(scope[len(cut) :])), at_cut
+        queries = tuple(queries)
+        kind = draw(st.sampled_from(["plain", "always", "padded"]))
+        if kind == "always":
+            accept = full_accept(size, arity)
+        else:
+            accepted = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity)))
+            accept = accept_from_tuples(accepted, size)
+        huge = draw(st.booleans())
+        weight = Fraction(draw(st.integers(1, 2**70 if huge else 4)), draw(st.integers(1, 4)))
+        check = Check(queries, accept, weight)
+        checks.append(pad_check(check, 3, size) if kind == "padded" else check)
+    words = st.tuples(*[st.integers(0, size - 1)] * n)
+    codewords = draw(st.sets(words, min_size=1, max_size=4))
+    code = Code(alphabet, n, tuple(sorted(codewords)))
+    return Tester(alphabet, n, 3, tuple(checks)), code, draw(st.integers(1, 40))
+
+
+# Chunks of two words fix positions 0 and 1 as the prefix, and the one check
+# reads position 0 across to the grid {2}: outside the code, 101 is the
+# first word it accepts, while a chunk reading the prefix as 0 would accept
+# 100.
+_PREFIX_CROSS = (
+    Tester(BIN, 3, 3, (Check((2, 0), accept_from_tuples([(0, 0), (1, 1)], 2), Fraction(1)),)),
+    Code(BIN, 3, ((0, 0, 0), (0, 1, 0))),
+    2,
+)
+
+
+@given(st.one_of(_weighted_instances(), _planted_cut_instances()))
+@example(_PREFIX_CROSS)
 def test_soundness_exact_matches_reference_minimum(instance):
     # Weights up to 2**70 over denominators up to 2**66 drive the object
-    # dtype branch as well as the int64 one.
+    # dtype branch as well as the int64 one; chunks of a few words make
+    # most scans fix a prefix.
     tester, code, chunk = instance
     size = tester.alphabet.size
     compiled, _, _ = testers._compiled_checks(tester)
@@ -523,9 +579,7 @@ def test_soundness_exact_matches_reference_minimum(instance):
     whole = soundness_exact(tester, code)
     with mock.patch.object(testers, "CHUNK", chunk):
         chunked = soundness_exact(tester, code)
-    # CHUNK decides which plans are feasible, so it may change the engine
-    # that runs, never what it finds
-    assert replace(chunked, engine=whole.engine) == whole
+    assert chunked == whole
     if not ratios:
         assert whole.infinite
         return
@@ -537,6 +591,33 @@ def test_soundness_exact_matches_reference_minimum(instance):
     assert sampled.value == reject_probability(tester, sampled.witness) / dist_to_code(
         sampled.witness, code
     )
+
+
+@given(st.one_of(_weighted_instances(), _planted_cut_instances()))
+@example(_PREFIX_CROSS)
+def test_separator_engine_matches_brute_force(instance):
+    # The scan engine on its own, with the default chunk and with a chunk of
+    # a few words that fixes a prefix: it gives the least ratio over all
+    # words outside the code and the first word of that ratio, or None when
+    # every word is a codeword.
+    tester, code, chunk = instance
+    size, n = tester.alphabet.size, tester.n
+    compiled, den, dtype = testers._compiled_checks(tester)
+    ratios = [
+        (reject_probability(tester, w) / dist_to_code(w, code), w.letters)
+        for w in (Word(tester.alphabet, t) for t in itertools.product(range(size), repeat=n))
+        if not code.contains(w.letters)
+    ]
+    for cells in (testers.CHUNK, chunk):
+        with mock.patch.object(testers, "CHUNK", cells):
+            best = testers._least_ratio(compiled, dtype, size, n, code.codewords)
+        if not ratios:
+            assert best is None
+            continue
+        least = min(r for r, _ in ratios)
+        rej, mism, widx = best
+        assert Fraction(rej * n, den * mism) == least
+        assert decode_tuple(widx, size, n)[::-1] == min(w for r, w in ratios if r == least)
 
 
 def test_compiled_checks_one_entry_per_support():
@@ -590,8 +671,8 @@ def test_select_decides_equal_float_ratios_exactly(dtype):
     rej, mism = np.array([2**59 + 1, 2**60 + 1], dtype=dtype), np.array([1, 2], dtype=np.uint8)
     assert float(rej[0]) / 1 == float(rej[1]) / 2
     assert testers._select(None, rej, mism, 0) == (2**60 + 1, 2, 1)
-    assert testers._select(None, rej, mism, np.array([5, 9])) == (2**60 + 1, 2, 9)
-    # across chunks in first-hit mode, a strictly smaller ratio replaces
+    assert testers._select(None, rej, mism, 5) == (2**60 + 1, 2, 6)
+    # across chunks, a strictly smaller ratio replaces
     first = testers._select(None, rej[:1], mism[:1], 0)
     assert testers._select(first, rej[1:], mism[1:], 1) == (2**60 + 1, 2, 1)
 
@@ -603,25 +684,6 @@ def test_select_first_hit_keeps_the_earliest_equal_ratio_across_chunks():
     assert first == (2, 1, 1)
     assert testers._select(first, np.array([4, 4]), np.array([2, 2]), 3) == (2, 1, 1)
     assert testers._select(first, np.array([4, 3]), np.array([2, 2]), 3) == (3, 2, 4)
-
-
-def test_select_separator_mode_takes_the_least_index_among_ties():
-    # Ratios 2, 2, 2 at word indices 9, 4, 7; word 1 is a codeword (mism 0).
-    rej, mism, index = np.array([2, 4, 6, 1]), np.array([1, 2, 3, 0]), np.array([9, 4, 7, 1])
-    assert testers._select(None, rej, mism, index) == (4, 2, 4)
-    assert testers._select((8, 4, 3), rej, mism, index) == (8, 4, 3)
-    assert testers._select((8, 4, 5), rej, mism, index) == (4, 2, 4)
-    assert testers._select((1, 1, 0), rej, mism, index) == (1, 1, 0)
-
-
-def test_grouped_rows_match_numpy_unique():
-    rows = np.random.default_rng(7).integers(0, 4, size=(500, 3)).astype(np.uint8)
-    distinct, (order, starts, counts) = testers._grouped_rows(rows)
-    want, inverse = np.unique(rows, axis=0, return_inverse=True)
-    assert distinct.tolist() == want.tolist()
-    assert starts.tolist() == np.concatenate(([0], np.cumsum(counts)[:-1])).tolist()
-    # each group's row indices, ascending, in group order
-    assert order.tolist() == np.argsort(inverse.reshape(-1), kind="stable").tolist()
 
 
 def test_grid_width_keeps_hoisted_rows_within_a_chunk_of_digits():
@@ -669,178 +731,6 @@ def test_soundness_exact_alphabet_wider_than_a_chunk():
     assert report.value == 1 and report.witness.letters == (1,)
 
 
-@st.composite
-def _planted_separator_instances(draw):
-    """Checks that read the planted separator and at most one of the groups
-    the other positions fall into: plain, always-accept and padded checks,
-    weights up to 2**70, several codewords, and positions no check reads.
-    Some cross checks read the separator's first position, and some chunk
-    sizes fall below |alphabet|^|separator|, so that position lies in the
-    prefix the chunks share."""
-    size = draw(st.integers(2, 3))
-    n = draw(st.integers(2, 7))
-    alphabet = Alphabet.plain(size)
-    positions = draw(st.permutations(range(n)))
-    cut = draw(st.integers(0, min(3, n)))
-    sep = sorted(positions[:cut])
-    groups = [[] for _ in range(draw(st.integers(1, 3)))]
-    for pos in positions[cut:]:
-        groups[draw(st.integers(0, len(groups) - 1))].append(pos)
-    checks = []
-    for _ in range(draw(st.integers(1, 6))):
-        scope = sep + draw(st.sampled_from(groups))
-        if not scope:
-            continue
-        arity = draw(st.integers(1, 3))
-        queries = [draw(st.sampled_from(scope)) for _ in range(arity)]
-        if arity > 1 and sep and len(scope) > len(sep) and draw(st.booleans()):
-            # reads the separator and a block, not always in that order
-            at_sep = sep[0] if draw(st.booleans()) else draw(st.sampled_from(sep))
-            queries[0], queries[-1] = draw(st.sampled_from(scope[len(sep) :])), at_sep
-        queries = tuple(queries)
-        kind = draw(st.sampled_from(["plain", "always", "padded"]))
-        if kind == "always":
-            accept = full_accept(size, arity)
-        else:
-            accepted = draw(st.sets(st.tuples(*[st.integers(0, size - 1)] * arity)))
-            accept = accept_from_tuples(accepted, size)
-        huge = draw(st.booleans())
-        weight = Fraction(draw(st.integers(1, 2**70 if huge else 4)), draw(st.integers(1, 4)))
-        check = Check(queries, accept, weight)
-        checks.append(pad_check(check, 3, size) if kind == "padded" else check)
-    words = st.tuples(*[st.integers(0, size - 1)] * n)
-    codewords = draw(st.sets(words, min_size=1, max_size=4))
-    code = Code(alphabet, n, tuple(sorted(codewords)))
-    cells = size ** len(sep)
-    chunk = st.integers(1, cells - 1) if cells > 2 and draw(st.booleans()) else st.integers(1, 40)
-    return Tester(alphabet, n, 3, tuple(checks)), code, sep, draw(chunk)
-
-
-# X = {0, 1} in chunks of one grid letter, so position 0 is the prefix, and
-# the one check reads it across to the block {2}: outside the code, 101 is
-# the first word it accepts, while a chunk reading the prefix as 0 would
-# accept 100.
-_PREFIX_CROSS = (
-    Tester(BIN, 3, 3, (Check((2, 0), accept_from_tuples([(0, 0), (1, 1)], 2), Fraction(1)),)),
-    Code(BIN, 3, ((0, 0, 0), (0, 1, 0))),
-    [0, 1],
-    2,
-)
-
-
-@given(_planted_separator_instances())
-@example(_PREFIX_CROSS)
-def test_separator_engine_matches_brute_force(instance):
-    # The scan (X = every position, no blocks) must give the least ratio over
-    # all words and the first word of that ratio; the engine on the planted
-    # separator and on the cheapest one found must give the same value and
-    # witness, also when a chunk of a few cells slices the separator
-    # assignments.
-    tester, code, planted, chunk = instance
-    size, n = tester.alphabet.size, tester.n
-    compiled, den, dtype = testers._compiled_checks(tester)
-    supports = [s for s, _ in compiled]
-    scan = testers._least_ratio(compiled, dtype, size, n, code.codewords, list(range(n)), [])
-    ratios = [
-        (reject_probability(tester, w) / dist_to_code(w, code), w.letters)
-        for w in (Word(tester.alphabet, t) for t in itertools.product(range(size), repeat=n))
-        if not code.contains(w.letters)
-    ]
-    report = soundness_exact(tester, code)
-    assert (scan is None) == report.infinite == (not ratios)
-    if ratios:
-        least = min(r for r, _ in ratios)
-        letters = decode_tuple(scan[2], size, n)[::-1]
-        assert (Fraction(scan[0] * n, den * scan[1]), letters) == (least, min(w for r, w in ratios if r == least))
-        assert (report.value, report.witness.letters) == (least, letters)
-    adj = [sum(1 << p for p in {p for s in supports if pos in s for p in s}) for pos in range(n)]
-    masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in planted))
-    blocks = [[p for p in range(n) if mask >> p & 1] for mask in masks]
-    _, sep, cheapest = testers._separator_plan(size, n, supports, len(code.codewords))
-    for plan, cells in itertools.product(((planted, blocks), (sep, cheapest)), (testers.CHUNK, chunk)):
-        with mock.patch.object(testers, "CHUNK", cells):
-            best = testers._least_ratio(compiled, dtype, size, n, code.codewords, *plan)
-        if scan is None:
-            assert best is None
-            continue
-        rn, mm, widx = best
-        assert Fraction(rn * n, den * mm) == least
-        assert decode_tuple(widx, size, n)[::-1] == letters
-
-
-def test_separator_plan_on_demo_final_testers():
-    # One greedy pass plans each demo's final tester: the plans are pinned,
-    # and growing X computes components at most once per candidate position
-    # and step, n (n + 1) / 2 + 1 times in all (once, with the low-link cuts).
-    from ltcforge.pipeline import DEMO_PARAMS, demo_inputs, run_reduction
-
-    plans = {}
-    for kind, params in DEMO_PARAMS.items():
-        report = run_reduction(kind, *demo_inputs(kind), params, trials=100)
-        final, code = report.stages["final_tester"], report.stages["final_code"]
-        size, n = final.alphabet.size, final.n
-        supports = [s for s, _ in testers._compiled_checks(final)[0]]
-        with mock.patch.object(testers, "_components", wraps=testers._components) as spy:
-            plans[kind] = testers._separator_plan(size, n, supports, len(code.codewords))[:2]
-        assert spy.call_count <= n * (n + 1) // 2 + 1
-    assert plans == {"linear": (4422, [1]), "general": (217415, [0, 12]), "semilinear": (544137, [0, 11])}
-
-
-@st.composite
-def _plan_graphs(draw):
-    size, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 9))
-    positions = st.integers(0, n - 1)
-    supports = draw(st.lists(st.lists(positions, min_size=1, max_size=3, unique=True), max_size=12))
-    return size, n, [tuple(sorted(s)) for s in supports], draw(st.integers(1, 4)), draw(st.integers(1, 10**6))
-
-
-@given(_plan_graphs())
-def test_separator_plan_beats_every_plan_of_at_most_one_position(instance):
-    # Greedy growth tries every single position first, so it never misses a
-    # plan of at most one position that fits the budget; the plan it returns
-    # is the components of the graph without X, costed by _separator_cost.
-    # (Two-position plans are not guaranteed: greedy is not exhaustive.)
-    size, n, supports, ncodes, budget = instance
-    adj = [sum(1 << p for p in {p for s in supports if pos in s for p in s}) for pos in range(n)]
-
-    def plan_of(sep):
-        masks = testers._components(adj, (1 << n) - 1 - sum(1 << p for p in sep))
-        blocks = [[p for p in range(n) if m >> p & 1] for m in masks]
-        return testers._separator_cost(size, len(sep), list(map(len, blocks)), ncodes), blocks
-
-    small = [c for sep in [[]] + [[p] for p in range(n)] if (c := plan_of(sep)[0]) is not None and c <= budget]
-    plan = testers._separator_plan(size, n, supports, ncodes, budget)
-    if small:
-        assert plan is not None and plan[0] <= min(small)
-    if plan is not None:
-        assert plan[1] == sorted(set(plan[1])) and plan_of(plan[1]) == (plan[0], plan[2])
-
-
-def test_separator_word_indices_at_the_uint64_edge():
-    # 2^63 words keep word indices in uint64, 2^64 and 2^65 in Python ints;
-    # one cut of the equality chain at its middle is least, and the earliest
-    # such word has the longer run of zeros.
-    for n in (63, 64, 65):
-        report = soundness_exact(equality_tester(BIN, n), repetition_code(BIN, n))
-        half = n // 2
-        assert report.engine == "separator"
-        assert report.value == Fraction(n, (n - 1) * half)
-        assert report.witness.letters == (0,) * (n - half) + (1,) * half
-
-
-def test_separator_plan_on_long_binary_chains():
-    # The equality chain with two codewords: balanced cuts find a plan in
-    # budget at n = 40 and 60, and at n = 2000 growth stops at the budget
-    # instead of running through every position.
-    plans, start = {}, time.perf_counter()
-    for n in (40, 60, 2000):
-        supports = [s for s, _ in testers._compiled_checks(equality_tester(BIN, n))[0]]
-        plan = testers._separator_plan(2, n, supports, 2, 2**26)
-        plans[n] = plan and plan[:2]
-    assert time.perf_counter() - start < 20
-    assert plans == {40: (1436250, [9, 19, 29]), 60: (10060938, [14, 29, 44, 55]), 2000: None}
-
-
 def _brute_force(tester: Tester, code: Code):
     """(least ratio, lexicographically least word of that ratio) over the
     non-codewords, in pure Python; None when every word is a codeword."""
@@ -873,7 +763,7 @@ def _parity_beside_equality(size: int, n: int):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.one_of(_weighted_instances(), _planted_separator_instances()).map(lambda instance: instance[:2]),
+    st.one_of(_weighted_instances(), _planted_cut_instances()).map(lambda instance: instance[:2]),
     st.sampled_from(["below", "at", "above"]),
 )
 @example(_ZERO_VALUE, "at")
@@ -895,7 +785,7 @@ def test_prune_ladder_matches_brute_force(instance, where):
     # carry padded and always-accept checks.
     tester, code = instance
     best = _brute_force(tester, code)
-    if best is None:  # the code fills the space: the plan path decides
+    if best is None:  # the code fills the space: the scan decides
         assert soundness_exact(tester, code, bound=Fraction(1)).infinite
         return
     value, letters = best
@@ -914,13 +804,14 @@ def test_prune_ladder_matches_brute_force(instance, where):
 
 def test_prune_ladder_overflow_falls_back_to_the_plan():
     # A bound far above the value leaves every word in the first pass, so
-    # the frontier passes a small budget and the plan decides, as it does
-    # without a bound; where the plan passes the budget too, the
-    # CapacityError is the one raised without a bound.
+    # the frontier passes a small budget and the scan decides, as it does
+    # without a bound when |alphabet|^n fits the budget; where it does not,
+    # the ladder overflows with or without a bound, and both raise the same
+    # CapacityError.
     tester, code = equality_tester(BIN, 10), repetition_code(BIN, 10)
     plain = soundness_exact(tester, code, budget=2**11)
     bounded = soundness_exact(tester, code, budget=2**11, bound=Fraction(100))
-    assert replace(bounded, bound=None, verdict=None) == plain and plain.engine != "prune"
+    assert replace(bounded, bound=None, verdict=None) == plain and plain.engine == "scan"
     assert bounded.verdict == "fail"
     assert soundness_exact(tester, code, budget=2**12, bound=plain.value / 2).engine == "prune"
     errors = []
@@ -932,8 +823,8 @@ def test_prune_ladder_overflow_falls_back_to_the_plan():
 
 
 def test_prune_ladder_needs_a_positive_bound():
-    # Without a bound, or with one of 0, the ladder would never leave a word
-    # or has nothing to start from: the plan runs.
+    # Without a bound, or with one of 0, on a space within the budget, the
+    # scan runs.
     assert soundness_exact(EQ2, REP2).engine == "scan"
     zero = soundness_exact(EQ2, REP2, bound=Fraction(0))
     assert (zero.engine, zero.value, zero.verdict) == ("scan", 2, "pass")
@@ -957,3 +848,47 @@ def test_prune_comparison_cannot_wrap(weight, dtype):
         report = soundness_exact(tester, REP2, bound=bound)
         assert (report.engine, report.value, report.witness.letters) == ("prune", value, (0, 1))
 
+
+_LONG_CHAIN_SCRIPT = """
+from ltcforge.codes import Alphabet, repetition_code
+from ltcforge.testers import equality_tester, soundness_exact
+BIN = Alphabet.plain(2)
+report = soundness_exact(equality_tester(BIN, 200), repetition_code(BIN, 200))
+print(report.engine, report.value, "".join(map(str, report.witness.letters)))
+"""
+
+
+def test_unbounded_ladder_on_long_equality_chains():
+    # Without a bound, 2^63, 2^64 and 2^65 words pass the budget, so the
+    # ladder runs from the least check weight; one cut of the equality chain
+    # at its middle is least, and the earliest such word has the longer run
+    # of zeros.  2^200 words are certified too, in a child under a timeout.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ltcforge
+
+    for n in (63, 64, 65):
+        report = soundness_exact(equality_tester(BIN, n), repetition_code(BIN, n))
+        half = n // 2
+        assert report.engine == "prune"
+        assert report.value == Fraction(n, (n - 1) * half)
+        assert report.witness.letters == (0,) * (n - half) + (1,) * half
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LONG_CHAIN_SCRIPT], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["prune", "2/199", "0" * 100 + "1" * 100]
+
+
+def test_unbounded_ladder_finds_a_zero_value_past_the_budget():
+    # The equality chain on 40 positions without its last check never reads
+    # position 39.  2^40 words pass the budget, and the ladder's first pass,
+    # at the least check weight, leaves the words of ratio 0: the earliest
+    # is 0^39 1.
+    tester = Tester(BIN, 40, 2, equality_tester(BIN, 39).checks)
+    report = soundness_exact(tester, repetition_code(BIN, 40))
+    assert (report.engine, report.value, report.witness.letters) == ("prune", 0, (0,) * 39 + (1,))
