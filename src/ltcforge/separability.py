@@ -80,6 +80,21 @@ def _certificate(
     return CheckCertificate(tuple(partitions), tuple(coord_maps), accept, subspaces)
 
 
+def _certified(tester: Tester, certify, delta_size: int, linear: bool):
+    """The certificate of every check, from one certify(check) per distinct
+    (arity, accept) predicate, shared by the checks that have it, or the
+    failure at the first check whose certify returns (coordinate, required)
+    instead of a CheckCertificate."""
+    built, certs = {}, []
+    for ci, check in enumerate(tester.checks):
+        if (key := (check.arity, check.accept)) not in built:
+            built[key] = certify(check)
+        if not isinstance(built[key], CheckCertificate):
+            return SeparabilityFailure(ci, *built[key])
+        certs.append(built[key])
+    return SeparabilityCertificate(delta_size, linear, tuple(certs))
+
+
 def check_separable(
     tester: Tester, delta_size: int
 ) -> SeparabilityCertificate | SeparabilityFailure:
@@ -89,20 +104,21 @@ def check_separable(
     if delta_size < 2:
         raise DomainError("target alphabets need at least two symbols")
     size = tester.alphabet.size
-    certs = []
-    for ci, check in enumerate(tester.checks):
+
+    def certify(check: Check):
         coord_maps = []
         for coord in range(check.arity):
             classes = coordinate_classes(check.accept, size, check.arity, coord)
             if len(classes) > delta_size:
-                return SeparabilityFailure(ci, coord, len(classes))
+                return coord, len(classes)
             table = [0] * size
             for idx, cls in enumerate(classes):
                 for sym in cls:
                     table[sym] = idx
             coord_maps.append(tuple(table))
-        certs.append(_certificate(check, size, coord_maps, delta_size, None))
-    return SeparabilityCertificate(delta_size, False, tuple(certs))
+        return _certificate(check, size, coord_maps, delta_size, None)
+
+    return _certified(tester, certify, delta_size, False)
 
 
 def check_linearly_separable(
@@ -118,10 +134,9 @@ def check_linearly_separable(
         raise DomainError("linear separability is defined for linear testers")
     p = space.field.p
     size = tester.alphabet.size
-    certs = []
-    for ci, check in enumerate(tester.checks):
-        coord_maps = []
-        subspaces = []
+
+    def certify(check: Check):
+        coord_maps, subspaces = [], []
         for coord in range(check.arity):
             # U_l: the symbols a whose tuple (a at coordinate l, zeros elsewhere;
             # index a * size**l) is accepted
@@ -129,14 +144,15 @@ def check_linearly_separable(
             basis, _ = row_reduce(kernel, p)
             codim = space.dim - len(basis)
             if codim > delta_space.dim:
-                return SeparabilityFailure(ci, coord, codim)
+                return coord, codim
             quotient = kernel_complement_surjection(space, basis, delta_space)
             coord_maps.append(
                 tuple(delta_space.index(quotient.apply(space.vector(a))) for a in range(size))
             )
             subspaces.append(tuple(basis))
-        certs.append(_certificate(check, size, coord_maps, delta_space.size, tuple(subspaces)))
-    return SeparabilityCertificate(delta_space.size, True, tuple(certs))
+        return _certificate(check, size, coord_maps, delta_space.size, tuple(subspaces))
+
+    return _certified(tester, certify, delta_space.size, True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ sets are stored as int bitsets over alphabet^arity, with the tuple
 Every soundness engine runs on the tester compiled once: one weighted
 reject lookup table per query support (the sorted distinct positions a
 check reads), summing the integerized weights of the checks on that
-support that reject; always-accept checks vanish.  Reject numerators are
-int64 when no score can reach 2**62 and Python ints in object arrays
-otherwise, through the same kernels, so results are exact rationals either
-way.
+support that reject; always-accept checks vanish.  Reject numerators take
+the narrowest of int16, int32 and int64 (b bits) in which no score reaches
+2**(b - 2), and Python ints in object arrays above, through the same
+kernels, so results are exact rationals either way.
 
 Exact soundness runs one of two engines on it.  `_prune_ratio` is a
 Land-Doig branch and bound (1960) over word prefixes in position order
@@ -27,11 +27,11 @@ when the frontier overflows, the scan enumerates every word if
 
 The scan runs in chunks of |alphabet|^k words that share their first n - k
 letters (the prefix) and run the last k over one digit grid, a tensor with
-one axis of length |alphabet| per position.  Reject numerators and
-mismatch counts are broadcast sums of small tensors over it, with no
-per-word index arrays: each support's LUT (sliced at the prefix letters
-when it reads the prefix) and each position's mismatch vector, added along
-the axes they read.  What depends on the grid alone is computed once: the
+one axis of length |alphabet| per position, the last ones fused into one
+axis of at least FUSED cells.  Reject numerators and mismatch counts are
+broadcast sums of small tensors over it, with no per-word index arrays:
+each support's LUT (sliced at the prefix letters when it reads the prefix)
+and each position's mismatch vector, added along the axes they read.  What depends on the grid alone is computed once: the
 numerators of the supports inside it and each codeword's mismatches on it.
 Word indices only increase, so a first-hit rule on strictly smaller ratios
 keeps the least ratio, then the least word index (the lexicographically
@@ -260,11 +260,13 @@ def _compiled_checks(tester: Tester):
     the support that reject letters s_m at support[m] (equal checks add up
     like any two); checks reading their supports alike share one unpacking
     and one permutation to support order.  Scores (rej * mism) are at most
-    sum(numerators) * n: int64 below 2**62, object arrays above."""
+    sum(numerators) * n: the first of SCORE_DTYPES (b bits) where that stays
+    below 2**(b - 2), object arrays above."""
     size = tester.alphabet.size
     den = lcm(*(ch.weight.denominator for ch in tester.checks))  # 1 without checks
     nums = [ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks]
-    dtype = np.int64 if sum(nums) * tester.n < (1 << 62) else object
+    most = max(sum(nums), 1) * tester.n  # mism alone reaches n
+    dtype = next((t for t in SCORE_DTYPES if most < 1 << np.iinfo(t).bits - 2), object)
     nums = np.array(nums, dtype=dtype)
     supports, alike = [], {}  # alike: (support length, queries as support indices): checks
     for i, ch in enumerate(tester.checks):
@@ -312,27 +314,36 @@ def _grid_sum(entries, size: int, axes, fixed: dict, dtype) -> np.ndarray:
     broadcast view.  Each LUT becomes a tensor with one axis per support
     position, reversed (support[0] is its least significant digit), sliced
     at the fixed letters and given length-1 axes where it reads none.  The
-    tensors first reading axis j are summed over their own axes, and that
-    sum joins the running one as it grows from the last axis out."""
-    at = {pos: i for i, pos in enumerate(axes)}
-    levels = [[] for _ in range(len(axes) + 1)]  # per first axis read, tensors up to the last
+    last f axes (the fewest with size**f >= FUSED, or all) are one fused
+    axis: a tensor reading any of them is broadcast over it once, any other
+    gets length 1 there, so every add runs an inner loop of size**f cells.
+    The tensors first reading outer axis j are summed, and their sum joins
+    the running one as it grows from the fused axis out."""
+    k = len(axes)
+    f = next((f for f in range(k) if size**f >= FUSED), k)
+    outer, at = k - f, {pos: i for i, pos in enumerate(axes)}
+    levels = [[] for _ in range(outer + 1)]  # per first outer axis read (outer: none), (last axis read, tensor)
     for support, lut in entries:
         cut = tuple(fixed.get(pos, slice(None)) for pos in support) + (...,)  # ...: an array, even 0-d
         read = [at[pos] for pos in support if pos not in fixed]
         t = lut.reshape((size,) * len(support)).T[cut].transpose(np.argsort(read))
-        span = range(min(read), max(read) + 1) if read else ()
-        levels[min(read, default=len(axes))].append(t.reshape([size if i in read else 1 for i in span]))
-    acc = np.zeros((), dtype=dtype)
-    for t in levels[-1]:  # supports that read no axis
+        first, last = min(read + [outer]), max(read, default=-1)
+        shape = [size if i in read else 1 for i in range(first, k)]
+        t = t.reshape(shape)
+        if last >= outer:
+            t = np.broadcast_to(t, shape[: outer - first] + [size] * f)
+        levels[first].append((last, t.reshape(shape[: outer - first] + [-1])))
+    acc = np.zeros(size**f, dtype=dtype)
+    for _, t in levels[outer]:  # supports that read the fused axis alone, or no axis
         acc += t
-    for j in range(len(axes) - 1, -1, -1):
+    for j in range(outer - 1, -1, -1):
         acc = np.broadcast_to(acc, (size,) + acc.shape)
         if levels[j]:
-            part = np.zeros((), dtype=dtype)  # the level's sum, its last axis growing
-            for t in sorted(levels[j], key=np.ndim):
-                part = part.reshape(part.shape + (1,) * (t.ndim - part.ndim)) + t
-            acc = acc + part.reshape(part.shape + (1,) * (acc.ndim - part.ndim))
-    return acc
+            part = np.zeros((1,) * (outer - j) + (size**f,), dtype=dtype)  # fused-wide from the first add
+            for _, t in sorted(levels[j], key=lambda e: e[0]):
+                part = part + t
+            acc = acc + part
+    return acc.reshape((size,) * k)
 
 
 def _select(best, rej, mism, first: int):
@@ -363,6 +374,8 @@ def _select(best, rej, mism, first: int):
 
 
 CHUNK = 1 << 18  # words per exact-scan chunk, unless one letter already exceeds it
+FUSED = 64  # least cells of the digit grid's fused last axis, unless the grid is smaller
+SCORE_DTYPES = (np.int16, np.int32, np.int64)  # reject numerator dtypes, narrowest first
 
 
 def _grid_width(size: int, n: int, rows: int) -> int:
@@ -681,21 +694,30 @@ class LinearClassification:
     subspace_bases: tuple[tuple[tuple[int, ...], ...], ...] | None
 
 
+def _flat_accepted(space, accept: int, arity: int) -> np.ndarray:
+    """The accepted tuples of an accept set over the vector alphabet `space`
+    flattened to GF(p) rows, in index order: space.flatten of the tuple of
+    index i is i's arity * dim base-p digits, least significant first."""
+    p, index = space.field.p, np.array(indices_from_accept(accept), dtype=np.int64)
+    return index[:, None] // p ** np.arange(arity * space.dim, dtype=np.int64) % p
+
+
 def classify_linear(tester: Tester) -> LinearClassification:
     """linear: every accept set is a subspace of Sigma^arity (flattened over
     GF(p)), with its reduced basis per check.  An accept set is a subspace
     exactly when it has p**rank elements: distinct vectors that many fill
-    their span."""
+    their span.  Each distinct (arity, accept) is row-reduced once."""
     space = tester.alphabet.space
     if space is None:
         raise DomainError("linearity classification needs a vector-space alphabet")
     p = space.field.p
-    size = tester.alphabet.size
-    bases = []
+    bases, reduced = [], {}  # reduced: (arity, accept) -> its basis, or None if no subspace
     for ch in tester.checks:
-        flat = [space.flatten(tup) for tup in tuples_from_accept(ch.accept, size, ch.arity)]
-        rref, _ = row_reduce(flat, p)
-        if p ** len(rref) != len(flat):
+        if (key := (ch.arity, ch.accept)) not in reduced:
+            flat = _flat_accepted(space, ch.accept, ch.arity)
+            rref, _ = row_reduce(flat.tolist(), p)
+            reduced[key] = tuple(rref) if p ** len(rref) == len(flat) else None
+        if reduced[key] is None:
             return LinearClassification("nonlinear", None)
-        bases.append(tuple(rref))
+        bases.append(reduced[key])
     return LinearClassification("linear", tuple(bases))

@@ -3,10 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ltcforge.algebra import Field, VecSpace
+from ltcforge import separability
+from ltcforge.algebra import Field, VecSpace, span_vectors
 from ltcforge.codes import Alphabet, Word, repetition_code, vector_alphabet
 from ltcforge.concat import CompatFailure, check_f_compatible, verify_witness
 from ltcforge.constructions import generalized_hadamard, generalized_long_code
@@ -25,6 +29,7 @@ from ltcforge.separability import (
 from ltcforge.testers import (
     Check,
     Tester,
+    accept_from_indices,
     accept_from_tuples,
     classify_linear,
     equality_tester,
@@ -252,3 +257,61 @@ def test_necessity_and_sufficiency_randomized():
             assert verify_witness(tester, enc, wit)
         seen[is_sep] += 1
     assert seen[True] > 0 and seen[False] > 0
+
+
+@st.composite
+def _repeated_predicates(draw, linear: bool):
+    """A tester whose checks repeat a few (arity, accept) predicates of
+    arity 1 to 3, some accept sets reused at several arities, over two or
+    three plain letters, or over F2 or F2^2 with subspace accept sets."""
+    if linear:
+        space = VecSpace(Field(2), draw(st.integers(1, 2)))
+        alphabet = Alphabet.vector(space)
+    else:
+        alphabet = Alphabet.plain(draw(st.integers(2, 3)))
+    size, pool = alphabet.size, []
+    for _ in range(draw(st.integers(1, 4))):
+        arity = draw(st.integers(1, 3 if size < 4 else 2))
+        if linear:
+            width = arity * space.dim
+            rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * width), max_size=width))
+            span = span_vectors(rows, width, 2)
+            accept = accept_from_indices([sum(v << j for j, v in enumerate(vec)) for vec in span])
+        else:
+            accept = draw(st.integers(0, 2 ** (size ** min(arity, draw(st.integers(1, 3)))) - 1))
+        pool.append((arity, accept))
+    if draw(st.booleans()):  # the first accept set again, one arity up
+        pool.append((min(pool[0][0] + 1, 3 if size < 4 else 2), pool[0][1]))
+    checks = []
+    for arity, accept in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)):
+        checks.append(Check(tuple(draw(st.integers(0, 3)) for _ in range(arity)), accept, Fraction(1, 8)))
+    return Tester(alphabet, 4, 3, tuple(checks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans().flatmap(lambda linear: st.tuples(st.just(linear), _repeated_predicates(linear))), st.data())
+def test_one_certificate_per_distinct_predicate(instance, data):
+    # Every check's certificate is the one its predicate gets alone, built
+    # once per distinct (arity, accept) and shared; a failure names the
+    # first check that fails alone, with its coordinate and requirement.
+    linear, tester = instance
+    if linear:
+        space = tester.alphabet.space
+        target = VecSpace(Field(2), data.draw(st.integers(1, space.dim)))
+        decide = lambda t: check_linearly_separable(t, target)  # noqa: E731
+    else:
+        target = data.draw(st.integers(2, 3))
+        decide = lambda t: check_separable(t, target)  # noqa: E731
+    alone = [decide(Tester(tester.alphabet, tester.n, tester.q, (ch,))) for ch in tester.checks]
+    with mock.patch.object(separability, "_certificate", wraps=separability._certificate) as built:
+        outcome = decide(tester)
+    failed = [i for i, got in enumerate(alone) if isinstance(got, SeparabilityFailure)]
+    if failed:
+        first = alone[failed[0]]
+        assert outcome == SeparabilityFailure(failed[0], first.coordinate, first.required)
+        return
+    assert outcome.checks == tuple(got.checks[0] for got in alone)
+    keys = [(ch.arity, ch.accept) for ch in tester.checks]
+    assert built.call_count == len(set(keys))
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        assert (outcome.checks[i] is outcome.checks[j]) == (keys[i] == keys[j])

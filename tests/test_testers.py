@@ -244,6 +244,32 @@ def test_classify_nonlinear():
     assert result.kind == "nonlinear"
 
 
+@given(st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1)]), st.integers(1, 3), st.data())
+def test_flat_accepted_rows_are_the_flattened_tuples(field_dim, arity, data):
+    # The bulk GF(p) rows of an accept set equal VecSpace.flatten of its
+    # accepted tuples, row for row, in index order.
+    space = VecSpace(Field(field_dim[0]), field_dim[1])
+    tuples = data.draw(st.sets(st.tuples(*[st.integers(0, space.size - 1)] * arity), max_size=30))
+    accept = accept_from_tuples(tuples, space.size)
+    rows = testers._flat_accepted(space, accept, arity)
+    want = [space.flatten(t) for t in tuples_from_accept(accept, space.size, arity)]
+    assert rows.shape == (len(want), arity * space.dim)
+    assert [tuple(row) for row in rows.tolist()] == want
+
+
+def test_classify_linear_reduces_each_predicate_once_per_arity():
+    # Accept set 0b11 is all of F2 at arity 1 and {00, 10} at arity 2: the
+    # two bases differ, so the predicate key carries the arity.  Equal
+    # predicates share one row reduction.
+    alphabet = vector_alphabet(2, 1)
+    checks = (Check((0,), 0b11, Fraction(1, 4)), Check((0, 1), 0b11, Fraction(1, 4)))
+    tester = Tester(alphabet, 2, 2, checks + checks)
+    with mock.patch.object(testers, "row_reduce", wraps=testers.row_reduce) as reduce:
+        result = classify_linear(tester)
+    assert reduce.call_count == 2
+    assert result.subspace_bases == (((1,),), ((1, 0),)) * 2
+
+
 def test_classify_linear_needs_vector_alphabet():
     with pytest.raises(DomainError):
         classify_linear(EQ2)
@@ -465,12 +491,12 @@ def _permuted(check: Check, size: int, perm: tuple[int, ...]) -> Check:
 
 
 @st.composite
-def _weighted_instances(draw):
+def _weighted_instances(draw, sizes=st.integers(2, 3), lengths=st.integers(1, 5)):
     """Arity up to 3 with repeated and permuted positions, pad_check-padded
     and always-accept checks, weights up to 2**70, and a scan chunk of a
     few words so that most scans hoist a prefix."""
-    size = draw(st.integers(2, 3))
-    n = draw(st.integers(1, 5))
+    size = draw(sizes)
+    n = draw(lengths)
     alphabet = Alphabet.plain(size)
     words = st.tuples(*[st.integers(0, size - 1)] * n)
     codewords = draw(st.sets(words, min_size=1, max_size=4))
@@ -494,6 +520,12 @@ def _weighted_instances(draw):
         checks.append(check)
     tester = Tester(alphabet, n, 3, tuple(checks))
     return tester, Code(alphabet, n, tuple(sorted(codewords))), draw(st.integers(1, 30))
+
+
+# Binary words of up to 8 letters: the grid's fused last axis takes 6
+# positions (2**6 = FUSED cells), so grids wider than it, as wide as it and
+# narrower, after a fixed prefix, all occur.
+_BINARY_INSTANCES = _weighted_instances(st.just(2), st.integers(5, 8))
 
 
 def _ever_rejects(check: Check, size: int) -> bool:
@@ -560,7 +592,7 @@ _PREFIX_CROSS = (
 )
 
 
-@given(st.one_of(_weighted_instances(), _planted_cut_instances()))
+@given(st.one_of(_weighted_instances(), _planted_cut_instances(), _BINARY_INSTANCES))
 @example(_PREFIX_CROSS)
 def test_soundness_exact_matches_reference_minimum(instance):
     # Weights up to 2**70 over denominators up to 2**66 drive the object
@@ -593,7 +625,7 @@ def test_soundness_exact_matches_reference_minimum(instance):
     )
 
 
-@given(st.one_of(_weighted_instances(), _planted_cut_instances()))
+@given(st.one_of(_weighted_instances(), _planted_cut_instances(), _BINARY_INSTANCES))
 @example(_PREFIX_CROSS)
 def test_separator_engine_matches_brute_force(instance):
     # The scan engine on its own, with the default chunk and with a chunk of
@@ -635,18 +667,77 @@ def test_compiled_checks_one_entry_per_support():
     tester = Tester(Alphabet.plain(size), 3, 3, checks)
     compiled, den, dtype = testers._compiled_checks(tester)
     assert [s for s, _ in compiled] == [(0, 2), (1, 2)]
-    assert (den, dtype) == (8, np.int64)
+    # numerators 1, 1, 2, 2, 1, 1 over 8 sum to 8, and 8 * n = 24 < 2**14
+    assert (den, dtype) == (8, np.int16)
     (_, lut02), (_, lut12) = compiled
     # entry a + 3b: letters a at the first support position, b at the second
     assert lut02.tolist() == [2 * (cell not in (0 + 3 * 1, 2 + 3 * 2)) for cell in range(9)]
     assert lut12.tolist() == [4 * (cell % 3 != cell // 3) for cell in range(9)]
 
 
-@given(_weighted_instances(), st.data())
+def _chain_of_weights(weights: list[int]):
+    """Binary equality checks on consecutive positions with the given
+    integer weights (denominator 1), n = len(weights) + 1, and the
+    repetition code."""
+    diag = accept_from_tuples([(0, 0), (1, 1)], 2)
+    checks = tuple(Check((i, i + 1), diag, Fraction(w)) for i, w in enumerate(weights))
+    n = len(weights) + 1
+    return Tester(BIN, n, 2, checks), repetition_code(BIN, n)
+
+
+# (weights, dtype): sum(weights) * n is 2**14 - 1 = 3 * 5461, 2**14 = 4 * 2**12,
+# 2**30 - 1 = 3 * 357913941 and 2**30 = 4 * 2**28.
+@pytest.mark.parametrize(
+    "weights, dtype",
+    [
+        ([1, 5460], np.int16),
+        ([1, 1, 2**12 - 2], np.int32),
+        ([1, 357913940], np.int32),
+        ([1, 1, 2**28 - 2], np.int64),
+    ],
+)
+def test_score_dtype_is_the_narrowest_with_two_bits_of_headroom(weights, dtype):
+    # Scores rej * mism reach sum(numerators) * n: a dtype of b bits is
+    # taken while that stays below 2**(b - 2), and both engines give the
+    # brute-force value and witness in it.
+    tester, code = _chain_of_weights(weights)
+    compiled, den, got = testers._compiled_checks(tester)
+    assert (den, got) == (1, dtype)
+    value, letters = _brute_force(tester, code)
+    for bound in (None, value / 2):
+        report = soundness_exact(tester, code, bound=bound)
+        assert (report.value, report.witness.letters) == (value, letters)
+
+
+_TIERS = {"int16": (np.int16,), "int32": (np.int32,), "int64": (np.int64,), "object": ()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_weighted_instances(), _planted_cut_instances(), _BINARY_INSTANCES), st.data())
+def test_every_score_dtype_gives_the_same_value_and_witness(instance, data):
+    # Small weights fit every tier; forcing each one in turn, the scan and
+    # the prune ladder give the same value and witness as the brute force.
+    tester, code, _ = instance
+    weights = [Fraction(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))) for _ in tester.checks]
+    tester = replace(tester, checks=tuple(replace(ch, weight=w) for ch, w in zip(tester.checks, weights)))
+    best = _brute_force(tester, code)
+    if best is None:
+        return
+    for tier, dtypes in _TIERS.items():
+        with mock.patch.object(testers, "SCORE_DTYPES", dtypes):
+            assert testers._compiled_checks(tester)[2] == (dtypes[0] if dtypes else object), tier
+            scan = soundness_exact(tester, code)
+            ladder = soundness_exact(tester, code, bound=best[0] / 2 or Fraction(1, 7))
+        assert (scan.engine, scan.value, scan.witness.letters) == ("scan", *best), tier
+        assert (ladder.engine, ladder.value, ladder.witness.letters) == ("prune", *best), tier
+
+
+@given(st.one_of(_weighted_instances(), _BINARY_INSTANCES), st.data())
 def test_grid_sum_matches_gathered_numerators(instance, data):
     # The broadcast numerators over the grid of some positions, in any axis
     # order, the others fixed, equal the per-word LUT gathers the sampler
-    # makes; short grids leave supports wholly among the fixed positions.
+    # makes; short grids leave supports wholly among the fixed positions,
+    # and binary grids of 7 or 8 axes keep outer axes beside the fused one.
     tester, _, _ = instance
     if data.draw(st.booleans()):  # small equal weights: the int64 dtype
         weight = Fraction(1, len(tester.checks))
