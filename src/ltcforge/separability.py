@@ -235,17 +235,18 @@ def linear_separable_replacement(
         raise DomainError("linear replacement is defined for linear testers")
     flat_space = VecSpace(space.field, q * space.dim)
     target = VecSpace(space.field, m * d)
-    checks = []
+    checks, components = [], {}  # padded accept: its m component accept sets, built once per predicate
     for ch, basis in zip(padded.checks, classification.subspace_bases):
-        surj = kernel_complement_surjection(flat_space, list(basis), target)
-        accepts = [0] * m  # component j: the tuples whose image is 0 on rows j*d..(j+1)*d
-        for tup in itertools.product(range(size), repeat=q):
-            image = surj.apply(space.flatten(tup))
-            bit = 1 << encode_tuple(tup, size)
-            for j in range(m):
-                if not any(image[j * d : (j + 1) * d]):
-                    accepts[j] |= bit
-        checks += [Check(ch.queries, accept, ch.weight / m) for accept in accepts]
+        if ch.accept not in components:
+            surj = kernel_complement_surjection(flat_space, list(basis), target)
+            accepts = components[ch.accept] = [0] * m  # j: the tuples whose image is 0 on rows j*d..(j+1)*d
+            for tup in itertools.product(range(size), repeat=q):
+                image = surj.apply(space.flatten(tup))
+                bit = 1 << encode_tuple(tup, size)
+                for j in range(m):
+                    if not any(image[j * d : (j + 1) * d]):
+                        accepts[j] |= bit
+        checks += [Check(ch.queries, accept, ch.weight / m) for accept in components[ch.accept]]
     return Tester(tester.alphabet, tester.n, q, tuple(checks), meta={"bound": mu / m, "m": m})
 
 

@@ -31,11 +31,14 @@ one axis of length |alphabet| per position, the last ones fused into one
 axis of at least FUSED cells.  Reject numerators and mismatch counts are
 broadcast sums of small tensors over it, with no per-word index arrays:
 each support's LUT (sliced at the prefix letters when it reads the prefix)
-and each position's mismatch vector, added along the axes they read.  What depends on the grid alone is computed once: the
-numerators of the supports inside it and each codeword's mismatches on it.
+and each position's mismatch vector, added along the axes they read.  What
+depends on the grid alone is computed once: the numerators of the supports
+inside it and, per distinct codeword prefix, the least mismatches of its
+codewords on it, to which a chunk adds its prefix's own mismatch count.
 Word indices only increase, so a first-hit rule on strictly smaller ratios
 keeps the least ratio, then the least word index (the lexicographically
-smallest witness).
+smallest witness), and a chunk goes on to exact ratios only in its words
+strictly below the running best.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -258,33 +261,46 @@ def _compiled_checks(tester: Tester):
     on it that can reject, the common denominator and the array dtype.  LUT
     entry sum_m s_m * size**m sums the integerized weights of the checks on
     the support that reject letters s_m at support[m] (equal checks add up
-    like any two); checks reading their supports alike share one unpacking
-    and one permutation to support order.  Scores (rej * mism) are at most
-    sum(numerators) * n: the first of SCORE_DTYPES (b bits) where that stays
-    below 2**(b - 2), object arrays above."""
+    like any two).  Each distinct query tuple finds its support and reading
+    once; checks reading their supports alike share one unpacking, one
+    permutation to support order and one accumulation into their LUTs.
+    Scores (rej * mism) are at most sum(numerators) * n: the first of
+    SCORE_DTYPES (b bits) where that stays below 2**(b - 2), object arrays
+    above."""
     size = tester.alphabet.size
     den = lcm(*(ch.weight.denominator for ch in tester.checks))  # 1 without checks
     nums = [ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks]
     most = max(sum(nums), 1) * tester.n  # mism alone reaches n
     dtype = next((t for t in SCORE_DTYPES if most < 1 << np.iinfo(t).bits - 2), object)
     nums = np.array(nums, dtype=dtype)
-    supports, alike = [], {}  # alike: (support length, queries as support indices): checks
+    by_queries = {}  # query tuple: its checks
     for i, ch in enumerate(tester.checks):
-        supports.append(tuple(sorted(set(ch.queries))))
-        alike.setdefault((len(supports[i]), tuple(map(supports[i].index, ch.queries))), []).append(i)
-    found = []  # (check, its LUT part) for the checks that can reject
-    for (length, reads), members in alike.items():
+        by_queries.setdefault(ch.queries, []).append(i)
+    ids, alike = {}, {}  # length: {support: id}; (length, queries as support indices): (checks, their support ids)
+    for queries, members in by_queries.items():
+        support = tuple(sorted(set(queries)))
+        same = ids.setdefault(len(support), {})
+        checks, sids = alike.setdefault((len(support), tuple(map(support.index, queries))), ([], []))
+        checks += members
+        sids += [same.setdefault(support, len(same))] * len(members)
+    never = len(tester.checks)  # past every check: the first rejecting check where none can reject
+    luts = {length: np.zeros((len(same), size**length), dtype=dtype) for length, same in ids.items()}
+    first = {length: np.full(len(same), never) for length, same in ids.items()}
+    for (length, order), (members, sids) in alike.items():
+        checks, sids = np.array(members, dtype=np.intp), np.array(sids, dtype=np.intp)
         cells = np.arange(size**length)
-        index = sum(cells // size**m % size * size**l for l, m in enumerate(reads))
-        width = size ** len(reads)
+        index = sum(cells // size**m % size * size**l for l, m in enumerate(order))
+        width = size ** len(order)
         raw = b"".join(tester.checks[i].accept.to_bytes((width + 7) // 8, "little") for i in members)
         bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(members), -1), 1, width, "little")
-        reject = (1 - bits[:, index]).astype(dtype) * nums[members, None]
-        found += [(i, row) for i, row, can in zip(members, reject, reject.any(axis=1)) if can]
-    tables: dict[tuple[int, ...], np.ndarray] = {}
-    for i, row in sorted(found, key=lambda f: f[0]):
-        tables[supports[i]] = tables[supports[i]] + row if supports[i] in tables else row
-    return list(tables.items()), den, dtype
+        reject = (1 - bits[:, index]).astype(dtype) * nums[checks, None]
+        can = reject.any(axis=1)
+        at = sids[can]  # the support of each check that can reject
+        flat = (at[:, None] * len(cells) + cells).reshape(-1)
+        np.add.at(luts[length].reshape(-1), flat, reject[can].reshape(-1))  # one accumulation per alike group
+        np.minimum.at(first[length], at, checks[can])
+    entries = [(first[len(s)][i], s, luts[len(s)][i]) for same in ids.values() for s, i in same.items()]
+    return [(s, lut) for f, s, lut in sorted(entries, key=lambda e: e[0]) if f < never], den, dtype
 
 
 def _reject_numerators(compiled, digits, size: int, dtype, count: int) -> np.ndarray:
@@ -350,10 +366,19 @@ def _select(best, rej, mism, first: int):
     """The running best (rej, mism, word index) of least ratio rej/mism among
     the mism > 0 entries, whose word indices count up from `first` along the
     arrays and from call to call: the first strict minimizer is the earliest
-    word, and an equal ratio never replaces the best.  In int64 one float64
-    pass first keeps the entries within a factor 1 + 2**-40 of the least
-    float ratio: the float ratios of scores below 2**62 are within 2**-50 of
-    the exact ones, so every exact minimizer stays."""
+    word, and an equal ratio never replaces the best.  Given a best, only the
+    entries strictly below it go on (rej * best_mism < best_rej * mism, no
+    product above a score's bound), so codewords and ties drop out, and a
+    chunk with none returns the best at once.  In int64 one float64 pass
+    keeps the entries within a factor 1 + 2**-40 of the least float ratio:
+    the float ratios of scores below 2**62 are within 2**-50 of the exact
+    ones, so every exact minimizer stays."""
+    keep = None
+    if best is not None:
+        keep = np.flatnonzero(rej * best[1] < best[0] * mism.astype(rej.dtype))
+        if not len(keep):
+            return best
+        rej, mism = rej[keep], mism[keep]
     valid = mism > 0
     if not valid.any():
         return best
@@ -363,11 +388,12 @@ def _select(best, rej, mism, first: int):
         ratio = np.divide(rej, mism, out=np.full(len(rej), np.inf), where=valid)
         at = np.flatnonzero(ratio <= ratio.min() * (1 + 2.0**-40))
     rej, mism = rej[at], mism[at].astype(rej.dtype)  # rn * mism must not wrap either
+    at = at if keep is None else keep[at]
 
     def entry(i):
         return int(rej[i]), int(mism[i]), first + int(at[i])
 
-    best = best or entry(0)
+    best = entry(0)  # every entry left lies strictly below a given best
     while (better := rej * best[1] < best[0] * mism).any():
         best = entry(int(np.argmax(better)))
     return best
@@ -393,24 +419,27 @@ def _least_ratio(compiled, dtype, size: int, n: int, codewords):
     """The word of least ratio, then of least index, as (rej, mism, word
     index), or None when every word is a codeword: the scan over every word,
     in chunks that fix the first n - k positions (the prefix) and run the
-    last k over one digit grid."""
+    last k over one digit grid.  Codewords that agree on the prefix
+    positions differ from a chunk's prefix alike, so they share one grid row,
+    the least of their own, and a chunk adds to one row per such group."""
     letters, vec_dtype = np.arange(size), np.min_scalar_type(n)
     k = min(n, _grid_width(size, n, 2 + len(codewords)))
     head, cells = n - k, size**k
     grid_at = list(range(head, n))
     crossing = [e for e in compiled if e[0][0] < head]  # supports that read the prefix
     base = _grid_sum([e for e in compiled if e[0][0] >= head], size, grid_at, {}, dtype).reshape(-1)
-    grid_mism = [  # per codeword, its mismatches over the grid
-        _grid_sum([((pos,), letters != cw[pos]) for pos in grid_at], size, grid_at, {}, vec_dtype).reshape(-1)
-        for cw in codewords
-    ]
+    groups = {}  # per distinct codeword prefix cw[:head], the least of its codewords' mismatches over the grid
+    for cw in codewords:
+        row = _grid_sum([((pos,), letters != cw[pos]) for pos in grid_at], size, grid_at, {}, vec_dtype).reshape(-1)
+        key = tuple(cw[:head])
+        groups[key] = np.minimum(groups[key], row) if key in groups else row
     best = None
     for c in range(size**head):  # chunks in lexicographic order of their prefix
-        fixed = dict(enumerate(decode_tuple(c, size, head)[::-1]))
-        rej = base + _grid_sum(crossing, size, grid_at, fixed, dtype).reshape(-1)
-        mism = None  # one live row per codeword at a time
-        for row, cw in zip(grid_mism, codewords):
-            near = row + sum(a != cw[pos] for pos, a in fixed.items())
+        prefix = decode_tuple(c, size, head)[::-1]
+        rej = base + _grid_sum(crossing, size, grid_at, dict(enumerate(prefix)), dtype).reshape(-1)
+        mism = None  # one live row per codeword prefix at a time
+        for key, row in groups.items():
+            near = row + sum(a != b for a, b in zip(prefix, key))
             mism = near if mism is None else np.minimum(mism, near, out=mism)
         best = _select(best, rej, mism, c * cells)
     return best

@@ -34,6 +34,7 @@ from ltcforge.testers import (
     classify_linear,
     equality_tester,
     full_accept,
+    pad_check,
     reject_probability,
     soundness_exact,
 )
@@ -315,3 +316,24 @@ def test_one_certificate_per_distinct_predicate(instance, data):
     assert built.call_count == len(set(keys))
     for i, j in itertools.combinations(range(len(keys)), 2):
         assert (outcome.checks[i] is outcome.checks[j]) == (keys[i] == keys[j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_repeated_predicates(True), st.data())
+def test_linear_replacement_is_the_per_check_construction(tester, data):
+    # The components are built once per distinct padded predicate and shared
+    # by its checks: the result is the concatenation of what each check gets
+    # alone, in check order with the same weights.
+    target = VecSpace(Field(2), data.draw(st.integers(1, tester.alphabet.space.dim)))
+    mu = Fraction(1, 3)
+    alone = [
+        linear_separable_replacement(Tester(tester.alphabet, tester.n, tester.q, (ch,)), mu, target)
+        for ch in tester.checks
+    ]
+    surjection = separability.kernel_complement_surjection
+    with mock.patch.object(separability, "kernel_complement_surjection", wraps=surjection) as built:
+        replaced = linear_separable_replacement(tester, mu, target)
+    assert replaced == Tester(tester.alphabet, tester.n, tester.q, tuple(c for one in alone for c in one.checks))
+    assert replaced.meta == alone[0].meta
+    size = tester.alphabet.size
+    assert built.call_count == len({pad_check(ch, tester.q, size).accept for ch in tester.checks})

@@ -1,6 +1,7 @@
 """Tester evaluation, exact and sampled soundness, classification."""
 
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -542,9 +543,10 @@ def _ever_rejects(check: Check, size: int) -> bool:
 def _planted_cut_instances(draw):
     """Checks that read the planted cut and at most one of the groups the
     other positions fall into: plain, always-accept and padded checks,
-    weights up to 2**70, several codewords, positions no check reads, and a
-    scan chunk of a few words.  Some checks read the cut's first position
-    and a group position after it, so a chunk's prefix and its grid."""
+    weights up to 2**70, up to 8 codewords, several of them sharing their
+    first letters, positions no check reads, and a scan chunk of a few
+    words.  Some checks read the cut's first position and a group position
+    after it, so a chunk's prefix and its grid."""
     size = draw(st.integers(2, 3))
     n = draw(st.integers(2, 7))
     alphabet = Alphabet.plain(size)
@@ -575,8 +577,12 @@ def _planted_cut_instances(draw):
         weight = Fraction(draw(st.integers(1, 2**70 if huge else 4)), draw(st.integers(1, 4)))
         check = Check(queries, accept, weight)
         checks.append(pad_check(check, 3, size) if kind == "padded" else check)
-    words = st.tuples(*[st.integers(0, size - 1)] * n)
-    codewords = draw(st.sets(words, min_size=1, max_size=4))
+    # up to 8 codewords, each a stem of `share` first letters and a tail,
+    # so that codewords drawn from one stem agree on a prefix
+    share = draw(st.integers(0, n))
+    stems = draw(st.lists(st.tuples(*[st.integers(0, size - 1)] * share), min_size=1, max_size=3))
+    tails = st.tuples(*[st.integers(0, size - 1)] * (n - share))
+    codewords = {stem + draw(tails) for stem in draw(st.lists(st.sampled_from(stems), min_size=1, max_size=8))}
     code = Code(alphabet, n, tuple(sorted(codewords)))
     return Tester(alphabet, n, 3, tuple(checks)), code, draw(st.integers(1, 40))
 
@@ -625,13 +631,28 @@ def test_soundness_exact_matches_reference_minimum(instance):
     )
 
 
+# A chunk of at most 7 words fixes positions 0 and 1 (5 codewords' rows
+# leave a grid of 2 positions): 0000 and 0011 share the prefix 00, 1100 and
+# 1111 the prefix 11, and 0101 has its own.  0001 is at distance 1 from the
+# code, but a row shared by 0000, 0011 and 0101 (their first letter alone)
+# would put it at 0.
+_SHARED_PREFIXES = (
+    equality_tester(BIN, 4),
+    Code(BIN, 4, ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 0, 0), (1, 1, 1, 1))),
+    7,
+)
+
+
 @given(st.one_of(_weighted_instances(), _planted_cut_instances(), _BINARY_INSTANCES))
 @example(_PREFIX_CROSS)
+@example(_SHARED_PREFIXES)
 def test_separator_engine_matches_brute_force(instance):
-    # The scan engine on its own, with the default chunk and with a chunk of
-    # a few words that fixes a prefix: it gives the least ratio over all
-    # words outside the code and the first word of that ratio, or None when
-    # every word is a codeword.
+    # The scan engine on its own, with the default chunk, with a chunk of a
+    # few words, and with one of fewer words than the space, which fixes a
+    # prefix of at least one position, so that codewords agreeing there
+    # share a mismatch row: it gives the least ratio over all words outside
+    # the code and the first word of that ratio, or None when every word is
+    # a codeword.
     tester, code, chunk = instance
     size, n = tester.alphabet.size, tester.n
     compiled, den, dtype = testers._compiled_checks(tester)
@@ -640,7 +661,7 @@ def test_separator_engine_matches_brute_force(instance):
         for w in (Word(tester.alphabet, t) for t in itertools.product(range(size), repeat=n))
         if not code.contains(w.letters)
     ]
-    for cells in (testers.CHUNK, chunk):
+    for cells in (testers.CHUNK, chunk, min(chunk, size ** (n - 1))):
         with mock.patch.object(testers, "CHUNK", cells):
             best = testers._least_ratio(compiled, dtype, size, n, code.codewords)
         if not ratios:
@@ -650,6 +671,82 @@ def test_separator_engine_matches_brute_force(instance):
         rej, mism, widx = best
         assert Fraction(rej * n, den * mism) == least
         assert decode_tuple(widx, size, n)[::-1] == min(w for r, w in ratios if r == least)
+
+
+def _reference_compiled(tester: Tester):
+    """The (support, LUT) entries and the denominator, check by check in
+    pure Python: each check's reject row over its sorted support, added to
+    the support's running row, supports in order of their first check that
+    can reject."""
+    size = tester.alphabet.size
+    den = math.lcm(*(ch.weight.denominator for ch in tester.checks))
+    tables = {}
+    for ch in tester.checks:
+        support = tuple(sorted(set(ch.queries)))
+        row = []
+        for cell in range(size ** len(support)):
+            at = {pos: cell // size**m % size for m, pos in enumerate(support)}
+            row.append(0 if ch.accepts([at[pos] for pos in ch.queries], size) else int(ch.weight * den))
+        if any(row):
+            tables[support] = [a + b for a, b in zip(tables[support], row)] if support in tables else row
+    return list(tables.items()), den
+
+
+_REPEATED_READS = Tester(
+    Alphabet.plain(3),
+    3,
+    3,
+    (
+        Check((2, 0), accept_from_tuples([(0, 0), (1, 2)], 3), Fraction(1, 5)),
+        Check((0, 2), accept_from_tuples([(0, 0), (1, 2)], 3), Fraction(1, 5)),  # same support, other reading
+        Check((2, 0), accept_from_tuples([(a, a) for a in range(3)], 3), Fraction(1, 5)),  # repeated reading
+        Check((1,), full_accept(3, 1), Fraction(1, 5)),  # never rejects
+        pad_check(Check((1, 0), accept_from_tuples([(2, 1)], 3), Fraction(1, 5)), 3, 3),  # (1, 0, 1)
+    ),
+)
+
+
+@given(st.one_of(_weighted_instances(), _planted_cut_instances()).map(lambda instance: instance[0]))
+@example(_REPEATED_READS)
+def test_compiled_checks_match_a_per_check_reference(tester):
+    # Permuted, padded and repeated query tuples, never-rejecting checks and
+    # weights up to 2**70 (object arrays): the same supports in the same
+    # order, the same LUTs, and every LUT in the dtype the rule picks.
+    compiled, den, dtype = testers._compiled_checks(tester)
+    reference, want_den = _reference_compiled(tester)
+    most = max(sum(int(ch.weight * den) for ch in tester.checks), 1) * tester.n
+    assert dtype == next((t for t in testers.SCORE_DTYPES if most < 1 << np.iinfo(t).bits - 2), object)
+    assert den == want_den
+    assert [(s, lut.tolist()) for s, lut in compiled] == reference
+    assert all(lut.dtype == dtype for _, lut in compiled)
+
+
+def _select_reference(rej, mism):
+    """(rej, mism, index) of the first entry of least rej / mism among those
+    with mism > 0, or None."""
+    ratios = [(Fraction(r, m), i) for i, (r, m) in enumerate(zip(rej, mism)) if m > 0]
+    if not ratios:
+        return None
+    _, i = min(ratios)
+    return rej[i], mism[i], i
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([np.int16, object]), st.data())
+def test_select_over_chunks_matches_brute_force(dtype, data):
+    # Small numerators and counts make zero ratios, codewords (mism 0, often
+    # with rej 0) and ties across chunks common; object arrays take scores
+    # past 2**64.  Cut at arbitrary points, the chunks carry the running
+    # best and end at the first least ratio of the whole array.
+    count = data.draw(st.integers(1, 30))
+    mism = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    scale = 2**70 if dtype is object else 1
+    rej = [r * scale for r in data.draw(st.lists(st.integers(0, 6), min_size=count, max_size=count))]
+    cuts = sorted(data.draw(st.sets(st.integers(1, count - 1)))) if count > 1 else []
+    best = None
+    for lo, hi in zip([0] + cuts, cuts + [count]):
+        best = testers._select(best, np.array(rej[lo:hi], dtype=dtype), np.array(mism[lo:hi], dtype=np.uint8), lo)
+    assert best == _select_reference(rej, mism)
 
 
 def test_compiled_checks_one_entry_per_support():
