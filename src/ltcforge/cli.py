@@ -52,7 +52,6 @@ from .serialize import (
     report_to_json,
     soundness_to_json,
     tester_from_json,
-    tester_to_json,
     value_to_json,
     witness_to_json,
 )
@@ -273,13 +272,13 @@ def _cmd_tester(args) -> tuple[dict, int]:
             fam, _ = _family("longcode", args.longcode, args.budget)
         tester = dependence_tester(fam, args.q, args.budget)
         return {
-            "tester": tester_to_json(tester),
+            "tester": tester,
             "degenerate": bool(tester.meta.get("degenerate", False)),
         }, 0
     if args.what == "ring":
         tester = ring_constraint_tester(args.s, args.budget)
         return {
-            "tester": tester_to_json(tester),
+            "tester": tester,
             "all_ones_index": tester.meta["all_ones_index"],
         }, 0
     if args.size is not None:
@@ -288,7 +287,7 @@ def _cmd_tester(args) -> tuple[dict, int]:
         alphabet = vector_alphabet(args.p, args.dim)
     else:
         raise DomainError("equality tester needs --size or --p/--dim")
-    return {"tester": tester_to_json(equality_tester(alphabet, args.n))}, 0
+    return {"tester": equality_tester(alphabet, args.n)}, 0
 
 
 def _cmd_soundness(args) -> tuple[dict, int]:
@@ -319,7 +318,7 @@ def _cmd_concat(args) -> tuple[dict, int]:
             payload["incompatible"] = {"check": wit.check_index, "coordinate": wit.coordinate}
             return payload, 1
         composed = concat_tester(outer, args.mu, inner, args.nu, encoder, wit)
-        payload["tester"] = tester_to_json(composed)
+        payload["tester"] = composed
         payload["witness"] = witness_to_json(wit, encoder.target.size)
         payload["bound"] = frac_to_json(composed.meta["bound"])
         payload["validation_ok"] = validate(composed, joined).ok
@@ -350,7 +349,7 @@ def _cmd_separate(args) -> tuple[dict, int]:
     else:
         replaced = separable_replacement(tester, args.mu, target, args.budget)
     return {
-        "tester": tester_to_json(replaced),
+        "tester": replaced,
         "bound": frac_to_json(replaced.meta["bound"]),
     }, 0
 

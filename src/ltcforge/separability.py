@@ -184,16 +184,17 @@ def separable_replacement(
     if (bits := max(1, len(tester.checks)) * size ** (2 * min(q, 64))) > budget:
         raise CapacityError(bits, budget, "separable replacement")
     factor = size**q
-    padded = [pad_check(ch, q, size) for ch in tester.checks]
+    every = full_accept(size, q)
     checks = []
-    for ch in padded:
-        every = full_accept(size, q)
+    for ch in tester.checks:
+        ch = pad_check(ch, q, size)
+        weight = ch.weight / factor  # one Fraction shared by the check's guesses
         for u_idx in range(factor):
             if (ch.accept >> u_idx) & 1:
                 accept = every
             else:
                 accept = every & ~(1 << u_idx)
-            checks.append(Check(ch.queries, accept, ch.weight / factor))
+            checks.append(Check(ch.queries, accept, weight))
     return Tester(
         tester.alphabet,
         tester.n,

@@ -13,6 +13,13 @@ included, raises TypeError, so "never through floating point" is enforced
 at the last step.  A list of ints is laid out from its one `repr` by
 string replacement: accept sets are such lists, the bulk of every tester.
 
+`dumps` also takes a `Tester` as a value and writes it straight from its
+checks, as the text of `tester_to_json(t)` at that nesting: each distinct
+accept set and weight is rendered once, and a check's text is the one of
+its accept set, its query positions and the one of its weight, joined.
+`tester_to_json` stays the dict form, and the tests hold the text written
+from a `Tester` to the text of its dict, byte for byte.
+
 An accept set (of a tester check, a witness entry or a certificate check)
 is the strictly ascending list of its accepted tuple indices, the index of
 (t_0, ..., t_{q-1}) being sum t_l * size**l: the bit order of the bitsets
@@ -28,6 +35,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import wraps
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from operator import index
 from typing import Any
@@ -95,7 +103,47 @@ def _encode(v: Any, nl: str) -> str:
             text = int.__repr__(x) if tx is int else _string(x) if tx is str else _encode(x, inner)
             parts.append(_string(key) + ": " + text)
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if isinstance(v, Tester):
+        return _encode_tester(v, nl)
     raise TypeError(f"{t.__name__} has no JSON form here")
+
+
+def _encode_tester(t: Tester, nl: str) -> str:
+    """The text of tester_to_json(t) at the nesting given by nl."""
+    positions = list(chain.from_iterable(ch.queries for ch in t.checks))
+    if set(map(type, positions)) - {int}:
+        # a position that is no int raises, a bool reads `true`: as in the dict
+        return _encode(tester_to_json(t), nl)
+    inner = nl + "  "
+    at = inner + "  "  # a check
+    key = at + "  "  # a member of a check
+    item = key + "  "  # a query position
+    # a check's text is a head fixed by its accept set, its positions and a
+    # tail fixed by its weight; a head opens with the comma that separates
+    # the check from the one before, dropped before the first
+    heads: dict[int, str] = {}
+    tails: dict[int, str] = {}  # by id: the tester holds every weight
+    name = {p: str(p) for p in set(positions)}.__getitem__
+    sep = "," + item
+    parts = []
+    for ch in t.checks:
+        if (head := heads.get(ch.accept)) is None:
+            accept = _encode(indices_from_accept(ch.accept), key)
+            head = "," + at + "{" + key + '"accept": ' + accept + "," + key + '"queries": [' + item
+            heads[ch.accept] = head
+        if (tail := tails.get(id(ch.weight))) is None:
+            weight = _encode(frac_to_json(ch.weight), key)
+            tail = key + "]," + key + '"weight": ' + weight + at + "}"
+            tails[id(ch.weight)] = tail
+        parts += head, sep.join(map(name, ch.queries)), tail
+    checks = "[" + "".join(parts)[1:] + inner + "]" if parts else "[]"
+    return (
+        "{" + inner + '"alphabet": ' + _encode(alphabet_to_json(t.alphabet), inner)
+        + "," + inner + '"checks": ' + checks
+        + "," + inner + '"n": ' + _encode(t.n, inner)
+        + "," + inner + '"q": ' + _encode(t.q, inner)
+        + "," + inner + '"schema": ' + _string(SCHEMAS["tester"]) + nl + "}"
+    )
 
 
 def _reader(read):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,14 @@ from ltcforge.serialize import (
     word_from_json,
     word_to_json,
 )
-from ltcforge.testers import equality_tester, soundness_exact, soundness_sampled
+from ltcforge.testers import (
+    Check,
+    Tester,
+    equality_tester,
+    full_accept,
+    soundness_exact,
+    soundness_sampled,
+)
 
 BIN = Alphabet.plain(2)
 
@@ -309,6 +317,55 @@ _DOCS = st.recursive(
 @given(doc=_DOCS)
 def test_dumps_matches_the_reference_encoder(doc):
     assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_BIG = st.integers(2**64 + 1, 2**70)
+
+
+@st.composite
+def _testers(draw):
+    """A tester over a plain or vector alphabet whose checks have arities
+    up to q and accept sets empty, full, of one bit or any; weights are
+    small or past 2**64, equal ones often distinct Fraction objects."""
+    alphabets = [Alphabet.plain(2), Alphabet.plain(3), vector_alphabet(2, 2), vector_alphabet(3, 1)]
+    alphabet = draw(st.sampled_from(alphabets))
+    n, q = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    part = st.integers(1, 5) | _BIG
+    values = draw(st.lists(st.tuples(part, part), min_size=1, max_size=3))
+    checks = []
+    for _ in range(draw(st.integers(0, 6))):
+        arity = draw(st.integers(1, q))
+        bits = alphabet.size**arity
+        accept = draw(
+            st.sampled_from([0, full_accept(alphabet.size, arity)])
+            | st.integers(0, bits - 1).map(lambda b: 1 << b)
+            | st.integers(0, 2**bits - 1)
+        )
+        queries = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity)))
+        checks.append(Check(queries, accept, Fraction(*draw(st.sampled_from(values)))))
+    return Tester(alphabet, n, q, tuple(checks))
+
+
+def _nested(v, depth: int):
+    """v held at the given depth, in lists and dicts by turns."""
+    for level in range(depth):
+        v = [v] if level % 2 else {"tester": v, "n": level}
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_testers())
+def test_dumps_writes_a_tester_as_its_dict(t):
+    # every nesting in one example: an accept text is rendered per nesting
+    for depth in range(4):
+        assert dumps(_nested(t, depth)) == dumps(_nested(tester_to_json(t), depth))
+
+
+def test_dumps_refuses_a_numpy_query_position_in_both_forms():
+    t = Tester(BIN, 2, 2, (Check((0, 1), 9, Fraction(1, 2)), Check((np.int64(1), 0), 6, Fraction(1, 2))))
+    for doc in (t, tester_to_json(t)):
+        with pytest.raises(TypeError):
+            dumps({"tester": doc})
 
 
 @pytest.mark.parametrize(
