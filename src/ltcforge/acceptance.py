@@ -397,14 +397,14 @@ def criterion_13(budget: int, seed: int) -> dict:
 
 def criterion_14(budget: int, seed: int) -> dict:
     """Replaying the same manifest produces byte-identical reports."""
-    from .serialize import dumps, report_to_json
+    from .serialize import dumps
 
     def run():
         inputs = demo_inputs("general", budget)
         report = run_reduction(
             "general", *inputs, DEMO_PARAMS["general"], budget=budget, seed=seed, trials=2000
         )
-        return dumps(report_to_json(report))
+        return dumps(report)
 
     first, second = run(), run()
     ok = first == second

@@ -49,7 +49,6 @@ from .serialize import (
     family_to_json,
     frac_to_json,
     rate_to_json,
-    report_to_json,
     soundness_to_json,
     tester_from_json,
     value_to_json,
@@ -371,7 +370,7 @@ def _cmd_pipeline(args) -> tuple[dict, int]:
     report = run_reduction(
         kind, code, tester, mu, params, budget=args.budget, seed=args.seed, trials=args.trials
     )
-    return {"report": report_to_json(report)}, 0 if report.overall != "fail" else 1
+    return {"report": report}, 0 if report.overall != "fail" else 1
 
 
 def _cmd_verify(args) -> tuple[dict, int]:

@@ -131,11 +131,14 @@ def verify_witness(
     if len(witness.entries) != len(tester.checks):
         return False
     size, dsize = tester.alphabet.size, encoder.target.size
+    imaged = {}  # (check accept, entry positions as many as its arity): its images
     for check, entry in zip(tester.checks, witness.entries):
-        maps = [encoder.family.tables[b] for b in entry.positions]
-        if len(maps) != check.arity:
+        if len(entry.positions) != check.arity:
             return False
-        accepted, rejected = images(check, size, maps, dsize)
+        if (pair := imaged.get((check.accept, entry.positions))) is None:
+            maps = [encoder.family.tables[b] for b in entry.positions]
+            pair = imaged[check.accept, entry.positions] = images(check, size, maps, dsize)
+        accepted, rejected = pair
         if accepted & ~entry.accept or rejected & entry.accept:
             return False
     return True
@@ -144,6 +147,21 @@ def verify_witness(
 # ---------------------------------------------------------------------------
 # Tester composition
 # ---------------------------------------------------------------------------
+
+
+def _distinct_weights(checks) -> tuple[list[Fraction], list[int]]:
+    """The distinct weights of the checks, in order of first appearance, and
+    per check the index of its weight among them.  Weights are told apart by
+    (numerator, denominator): hashing a Fraction costs about what
+    multiplying one does."""
+    index: dict[tuple[int, int], int] = {}
+    weights, kinds = [], []
+    for ch in checks:
+        w = ch.weight
+        if (kind := index.setdefault((w.numerator, w.denominator), len(weights))) == len(weights):
+            weights.append(w)
+        kinds.append(kind)
+    return weights, kinds
 
 
 def concat_tester(
@@ -196,14 +214,18 @@ def concat_tester(
             reads[block] += ch.weight
         reads[ch.queries[0]] += (q - ch.arity) * ch.weight
     checks: list[Check] = []
+    weights, kinds = _distinct_weights(inner.checks)
     for block in range(n):
         share = rho1 / n + rho3 / q * reads[block]
-        for ch in inner.checks:
+        scaled = [share * w for w in weights]
+        for ch, kind in zip(inner.checks, kinds):
             queries = tuple(block * k + pos for pos in ch.queries)
-            checks.append(Check(queries, ch.accept, share * ch.weight))
-    for ch, entry in zip(outer.checks, witness.entries):
+            checks.append(Check(queries, ch.accept, scaled[kind]))
+    weights, kinds = _distinct_weights(outer.checks)
+    scaled = [rho2 * w for w in weights]
+    for ch, entry, kind in zip(outer.checks, witness.entries, kinds):
         queries = tuple(a * k + b for a, b in zip(ch.queries, entry.positions))
-        checks.append(Check(queries, entry.accept, rho2 * ch.weight))
+        checks.append(Check(queries, entry.accept, scaled[kind]))
     checks = merged_checks(checks, q_out, encoder.target.size)
     bound = mu_outer * mu_inner / ((q * k + 1) * mu_outer + mu_inner)
     return Tester(encoder.target, n * k, q_out, checks, meta={"bound": bound})
@@ -237,9 +259,14 @@ def alphabet_increase_tester(
     checks: list[Check] = []
     for pos in range(n):
         checks.append(Check((pos,), member, rho1 * Fraction(1, n)))
-    for ch in tester.checks:
-        accept, _ = images(ch, tester.alphabet.size, [mapping] * ch.arity, target.size)
-        checks.append(Check(ch.queries, accept, rho2 * ch.weight))
+    imaged = {}  # (accept, arity): the image of the accept set
+    weights, kinds = _distinct_weights(tester.checks)
+    scaled = [rho2 * w for w in weights]
+    for ch, kind in zip(tester.checks, kinds):
+        if (accept := imaged.get((ch.accept, ch.arity))) is None:
+            accept, _ = images(ch, tester.alphabet.size, [mapping] * ch.arity, target.size)
+            imaged[ch.accept, ch.arity] = accept
+        checks.append(Check(ch.queries, accept, scaled[kind]))
     checks = merged_checks(checks, tester.q, target.size)
     return Tester(target, n, tester.q, checks, meta={"bound": mu / (mu + 1)})
 

@@ -17,8 +17,11 @@ string replacement: accept sets are such lists, the bulk of every tester.
 checks, as the text of `tester_to_json(t)` at that nesting: each distinct
 accept set and weight is rendered once, and a check's text is the one of
 its accept set, its query positions and the one of its weight, joined.
-`tester_to_json` stays the dict form, and the tests hold the text written
-from a `Tester` to the text of its dict, byte for byte.
+It takes a `PipelineReport` too, as the text of `report_to_json(r)` with
+every tester in it written that way: both forms come from one report
+builder.  `tester_to_json` and `report_to_json` stay the dict forms, and
+the tests hold the text written from the objects to the text of their
+dicts, byte for byte.
 
 An accept set (of a tester check, a witness entry or a certificate check)
 is the strictly ascending list of its accepted tuple indices, the index of
@@ -68,7 +71,7 @@ SCHEMAS = {
 }
 
 
-def dumps(doc: dict) -> str:
+def dumps(doc: dict | Tester | PipelineReport) -> str:
     return _encode(doc, "\n") + "\n"
 
 
@@ -105,6 +108,8 @@ def _encode(v: Any, nl: str) -> str:
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if isinstance(v, Tester):
         return _encode_tester(v, nl)
+    if isinstance(v, PipelineReport):
+        return _encode(_report_doc(v, _as_is), nl)
     raise TypeError(f"{t.__name__} has no JSON form here")
 
 
@@ -123,6 +128,7 @@ def _encode_tester(t: Tester, nl: str) -> str:
     # the check from the one before, dropped before the first
     heads: dict[int, str] = {}
     tails: dict[int, str] = {}  # by id: the tester holds every weight
+    valued: dict[tuple[int, int], str] = {}  # by value: equal weights may be distinct objects
     name = {p: str(p) for p in set(positions)}.__getitem__
     sep = "," + item
     parts = []
@@ -132,8 +138,10 @@ def _encode_tester(t: Tester, nl: str) -> str:
             head = "," + at + "{" + key + '"accept": ' + accept + "," + key + '"queries": [' + item
             heads[ch.accept] = head
         if (tail := tails.get(id(ch.weight))) is None:
-            weight = _encode(frac_to_json(ch.weight), key)
-            tail = key + "]," + key + '"weight": ' + weight + at + "}"
+            value = ch.weight.numerator, ch.weight.denominator
+            if (tail := valued.get(value)) is None:
+                weight = _encode(frac_to_json(ch.weight), key)
+                tail = valued[value] = key + "]," + key + '"weight": ' + weight + at + "}"
             tails[id(ch.weight)] = tail
         parts += head, sep.join(map(name, ch.queries)), tail
     checks = "[" + "".join(parts)[1:] + inner + "]" if parts else "[]"
@@ -190,13 +198,16 @@ def frac_from_json(d: Any, built: dict | None = None) -> Fraction:
     return built[key]
 
 
-def accept_from_json(indices: Any, size: int, arity: int) -> int:
+def accept_from_json(indices: Any, size: int, arity: int, tables: dict) -> int:
     """Accept bitset of a strictly ascending list of tuple indices below
-    size**arity.  An oversized table is refused before anything is built."""
-    try:
-        table = accept_bits(size, arity)
-    except CapacityError as exc:
-        raise SchemaError(f"accept set too large: {exc}") from None
+    size**arity.  `tables`, a dict from arity to size**arity for one
+    reader's call, sizes each table once; an oversized table is refused
+    before anything is built."""
+    if (table := tables.get(arity)) is None:
+        try:
+            table = tables[arity] = accept_bits(size, arity)
+        except CapacityError as exc:
+            raise SchemaError(f"accept set too large: {exc}") from None
     if not isinstance(indices, list):
         raise SchemaError(f"accept set is not a list: {indices!r}")
     if indices and not (
@@ -275,10 +286,10 @@ def tester_from_json(doc: Any) -> Tester:
     _expect(doc, "tester")
     alphabet = alphabet_from_json(doc["alphabet"])
     n, q = index(doc["n"]), index(doc["q"])
-    checks, weights = [], {}  # one Fraction per distinct weight
+    checks, weights, tables = [], {}, {}  # one Fraction per distinct weight, one size per arity
     for c in doc["checks"]:
         queries = tuple(map(index, c["queries"]))
-        accept = accept_from_json(c["accept"], alphabet.size, len(queries))
+        accept = accept_from_json(c["accept"], alphabet.size, len(queries), tables)
         checks.append(Check(queries, accept, frac_from_json(c["weight"], weights)))
     return Tester(alphabet, n, q, tuple(checks))
 
@@ -329,10 +340,10 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
 @_reader
 def witness_from_json(doc: Any) -> CompatibilityWitness:
     _expect(doc, "witness")
-    size, entries = index(doc["target_size"]), []
+    size, entries, tables = index(doc["target_size"]), [], {}
     for e in doc["checks"]:
         b = tuple(map(index, e["b"]))
-        entries.append(WitnessEntry(b, accept_from_json(e["accept"], size, len(b))))
+        entries.append(WitnessEntry(b, accept_from_json(e["accept"], size, len(b), tables)))
     return CompatibilityWitness(tuple(entries))
 
 
@@ -358,14 +369,14 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
 @_reader
 def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     _expect(doc, "certificate")
-    size, checks = index(doc["delta_size"]), []
+    size, checks, tables = index(doc["delta_size"]), [], {}
     for chk in doc["checks"]:
         bases, maps = chk["subspaces"], tuple(tuple(map(index, m)) for m in chk["maps"])
         checks.append(
             CheckCertificate(
                 tuple(tuple(tuple(map(index, cls)) for cls in coord) for coord in chk["partitions"]),
                 maps,
-                accept_from_json(chk["accept"], size, len(maps)),
+                accept_from_json(chk["accept"], size, len(maps), tables),
                 None if bases is None else tuple(tuple(tuple(map(index, v)) for v in basis) for basis in bases),
             )
         )
@@ -422,13 +433,23 @@ def rate_from_json(d: Any) -> Rate:
 
 
 def value_to_json(v: Any) -> Any:
+    return _value_doc(v, tester_to_json)
+
+
+def _value_doc(v: Any, tester) -> Any:
+    """value_to_json(v), with each Tester t in v, in nested reports too,
+    tagged as tester(t)."""
+    if isinstance(v, Tester):
+        return {"$tester": tester(v)}
+    if isinstance(v, PipelineReport):
+        return {"$report": _report_doc(v, tester)}
     for tag, (cls, to_json, _) in _TAGS.items():
         if isinstance(v, cls):
             return {tag: to_json(v)}
     if isinstance(v, dict):
-        return {k: value_to_json(x) for k, x in v.items()}
+        return {k: _value_doc(x, tester) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [value_to_json(x) for x in v]
+        return [_value_doc(x, tester) for x in v]
     if v is None or isinstance(v, (bool, int, str)):
         return v
     raise SchemaError(f"value of type {type(v).__name__} has no JSON form")
@@ -447,15 +468,25 @@ def value_from_json(v: Any) -> Any:
 
 
 def report_to_json(r: PipelineReport) -> dict:
+    return _report_doc(r, tester_to_json)
+
+
+def _as_is(t: Tester) -> Tester:
+    return t
+
+
+def _report_doc(r: PipelineReport, tester) -> dict:
+    """report_to_json(r), with each Tester t in it given as tester(t):
+    `dumps` writes a report from the one built with `_as_is`."""
     stages = dict(r.stages)
     witness = stages.pop("witness", None)
     doc = {
         "schema": SCHEMAS["report"],
         "kind": r.kind,
-        "params": value_to_json(r.params),
-        "promised": value_to_json(r.promised),
-        "achieved": value_to_json(r.achieved),
-        "stages": value_to_json(stages),
+        "params": _value_doc(r.params, tester),
+        "promised": _value_doc(r.promised, tester),
+        "achieved": _value_doc(r.achieved, tester),
+        "stages": _value_doc(stages, tester),
         "verdicts": dict(r.verdicts),
         "overall": r.overall,
     }

@@ -166,7 +166,8 @@ def merged_checks(checks: Iterable[Check], q: int, size: int) -> tuple[Check, ..
     weights: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for ch in checks:
         ch = pad_check(ch, q, size)
-        weights[ch.queries, ch.accept] = weights.get((ch.queries, ch.accept), 0) + ch.weight
+        key = ch.queries, ch.accept
+        weights[key] = ch.weight if (w := weights.get(key)) is None else w + ch.weight
     return tuple(Check(queries, accept, w) for (queries, accept), w in weights.items())
 
 
@@ -233,7 +234,8 @@ def validate(tester: Tester, code: Code) -> ValidationReport:
     if tester.alphabet != code.alphabet or tester.n != code.n:
         raise MismatchError("tester incompatible with code")
     size = tester.alphabet.size
-    wsum = sum((ch.weight for ch in tester.checks), Fraction(0))
+    den = lcm(*{ch.weight.denominator for ch in tester.checks})  # 1 without checks
+    wsum = Fraction(sum(ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks), den)
     violations = []
     for ci, ch in enumerate(tester.checks):
         for cw in code.codewords:
@@ -399,7 +401,7 @@ def _select(best, rej, mism, first: int):
     return best
 
 
-CHUNK = 1 << 18  # words per exact-scan chunk, unless one letter already exceeds it
+CHUNK = 1 << 18  # words per exact-scan chunk, unless one letter already exceeds it; LUT reads per prune gather
 FUSED = 64  # least cells of the digit grid's fused last axis, unless the grid is smaller
 SCORE_DTYPES = (np.int16, np.int32, np.int64)  # reject numerator dtypes, narrowest first
 
@@ -419,20 +421,28 @@ def _least_ratio(compiled, dtype, size: int, n: int, codewords):
     """The word of least ratio, then of least index, as (rej, mism, word
     index), or None when every word is a codeword: the scan over every word,
     in chunks that fix the first n - k positions (the prefix) and run the
-    last k over one digit grid.  Codewords that agree on the prefix
-    positions differ from a chunk's prefix alike, so they share one grid row,
-    the least of their own, and a chunk adds to one row per such group."""
+    last k over one digit grid.  Every codeword's mismatch row over the
+    grid comes from one broadcast of the codeword array per grid axis.
+    Codewords that agree on the prefix positions differ from a chunk's
+    prefix alike, so they share one grid row, the least of their own, and a
+    chunk adds to one row per such group; a scan of one chunk selects from
+    the grid's rows as they are."""
     letters, vec_dtype = np.arange(size), np.min_scalar_type(n)
     k = min(n, _grid_width(size, n, 2 + len(codewords)))
     head, cells = n - k, size**k
     grid_at = list(range(head, n))
     crossing = [e for e in compiled if e[0][0] < head]  # supports that read the prefix
     base = _grid_sum([e for e in compiled if e[0][0] >= head], size, grid_at, {}, dtype).reshape(-1)
-    groups = {}  # per distinct codeword prefix cw[:head], the least of its codewords' mismatches over the grid
-    for cw in codewords:
-        row = _grid_sum([((pos,), letters != cw[pos]) for pos in grid_at], size, grid_at, {}, vec_dtype).reshape(-1)
-        key = tuple(cw[:head])
-        groups[key] = np.minimum(groups[key], row) if key in groups else row
+    cws = np.array(codewords)
+    rows = np.zeros((len(cws), 1), dtype=vec_dtype)  # per codeword, its mismatches over the grid
+    for pos in reversed(grid_at):  # one axis more per position, the new one most significant
+        rows = ((letters != cws[:, pos, None])[:, :, None] + rows[:, None]).reshape(len(cws), -1)
+    members = {}  # per distinct codeword prefix cw[:head], its codewords
+    for i, cw in enumerate(codewords):
+        members.setdefault(tuple(cw[:head]), []).append(i)
+    groups = {key: rows[at].min(axis=0) for key, at in members.items()}  # the least of their rows
+    if head == 0:  # one chunk, one group
+        return _select(None, base, groups[()], 0)
     best = None
     for c in range(size**head):  # chunks in lexicographic order of their prefix
         prefix = decode_tuple(c, size, head)[::-1]
@@ -464,12 +474,14 @@ def _prune_ratio(compiled, dtype, den: int, size: int, n: int, codewords, cap: i
     can wrap.  At depth n, dist is the distance to the code and ceiling[0]
     is 0: codewords never survive.  Children follow their parent in letter
     order, so the frontier stays lexicographically sorted and the first
-    survivor of least ratio is the witness."""
+    survivor of least ratio is the witness.  The supports closing at a
+    depth add their LUT reads in one gather over their joined LUTs, in
+    blocks that keep it within CHUNK cells."""
     scores = sum(int(lut.max()) for _, lut in compiled)  # no word rejects more
-    closing = [[] for _ in range(n)]  # per last position, its supports' LUT index parts (intp: no wrap) and LUT
+    by_last = {}  # per last position of a support, the (support, LUT) entries
     for support, lut in compiled:
-        places, others = size ** np.arange(len(support)), np.array(support[:-1], dtype=np.intp)
-        closing[support[-1]].append((others, places[:-1], places[-1] * np.arange(size), lut))
+        by_last.setdefault(support[-1], []).append((support, lut))
+    closing = {d: _closing_luts(entries, size) for d, entries in by_last.items()}
     letter_dtype = np.min_scalar_type(size - 1)
     letters = np.arange(size, dtype=letter_dtype)
     cws = np.array(codewords, dtype=letter_dtype)
@@ -485,8 +497,15 @@ def _prune_ratio(compiled, dtype, den: int, size: int, n: int, codewords, cap: i
             if len(rej) * width > cap:
                 raise CapacityError(len(rej) * width, cap, "prune frontier")
             grown = np.repeat(rej[:, None], size, axis=1)  # (prefix, letter)
-            for positions, places, last, lut in closing[d]:
-                grown += lut[(places @ cols[positions])[:, None] + last]
+            if d in closing:
+                others, places, last, luts = closing[d]
+                block = max(1, CHUNK // grown.size)  # supports per gather: at most CHUNK cells of LUT reads
+                for lo in range(0, len(last), block):  # one statement: no temporary outlives it
+                    part = slice(lo, lo + block)
+                    grown += luts[
+                        np.matmul(cols[others[part]].transpose(0, 2, 1), places[part, :, None])  # (support, prefix, 1)
+                        + last[part, None]
+                    ].sum(axis=0, dtype=dtype)
             near = ham[:, :, None] + (letters != cws[:, d, None, None])  # (codeword, prefix, letter)
             rows, chosen = np.nonzero(grown < ceiling[near.min(axis=0) + (n - 1 - d)])
             if not len(rows):
@@ -497,6 +516,26 @@ def _prune_ratio(compiled, dtype, den: int, size: int, n: int, codewords, cap: i
         return rn, mm, tuple(cols[:, i].tolist())
 
     return below
+
+
+def _closing_luts(entries, size: int):
+    """The (support, LUT) entries closing at one depth of a prune pass as
+    one gather: (others, places, last, luts).  Row i of `others` holds
+    support i's positions but its last, padded to the longest with position
+    0 at place value 0, and row i of `places` their place values size**m;
+    row i of `last` holds, per letter at the closing position, its place
+    value plus the offset of support i's LUT in `luts`, all LUTs joined
+    (intp indices: no wrap)."""
+    width = max(len(s) for s, _ in entries) - 1
+    pads = [(0,) * (width + 1 - len(s)) for s, _ in entries]
+    others = np.array([s[:-1] + pad for (s, _), pad in zip(entries, pads)], dtype=np.intp)
+    places = np.array(
+        [tuple(size**m for m in range(len(s) - 1)) + pad for (s, _), pad in zip(entries, pads)], dtype=np.intp
+    )
+    lengths = np.array([len(lut) for _, lut in entries], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    last = offsets[:, None] + (lengths // size)[:, None] * np.arange(size)
+    return others, places, last, np.concatenate([lut for _, lut in entries])
 
 
 def soundness_exact(

@@ -369,3 +369,92 @@ def test_composed_testers_equal_the_unmerged_constructions(instance):
     mapping = tuple(reversed(range(1, target.size)))
     widened = alphabet_increase_tester(outer, mu, mapping, target)
     _assert_merged_equivalent(widened, _unmerged_increase(outer, mu, mapping, target), embed_code(code, mapping, target))
+
+
+def _merged_per_check(checks, q, size):
+    """merged_checks as it was written per check: every check padded, each
+    (queries, accept) summed from 0 in order of first appearance."""
+    weights = {}
+    for ch in checks:
+        ch = pad_check(ch, q, size)
+        weights[ch.queries, ch.accept] = weights.get((ch.queries, ch.accept), 0) + ch.weight
+    return tuple(Check(queries, accept, w) for (queries, accept), w in weights.items())
+
+
+def _concat_per_check(outer, mu_outer, inner, mu_inner, encoder, witness):
+    """concat_tester with one multiplication per emitted check: the reference."""
+    q, k, n = outer.q, encoder.k, outer.n
+    scale = Fraction(1, q * k)
+    total = mu_outer * mu_inner * scale + mu_inner**2 * scale + mu_inner * mu_outer
+    rho1, rho2, rho3 = (mu_outer * mu_inner * scale / total, mu_inner**2 * scale / total, mu_outer * mu_inner / total)
+    reads = [Fraction(0)] * n
+    for ch in outer.checks:
+        for block in ch.queries + (ch.queries[0],) * (q - ch.arity):
+            reads[block] += ch.weight
+    checks = []
+    for block in range(n):
+        for ch in inner.checks:
+            share = rho1 / n + rho3 / q * reads[block]
+            checks.append(Check(tuple(block * k + pos for pos in ch.queries), ch.accept, share * ch.weight))
+    for ch, entry in zip(outer.checks, witness.entries):
+        queries = tuple(a * k + b for a, b in zip(ch.queries, entry.positions))
+        checks.append(Check(queries, entry.accept, rho2 * ch.weight))
+    q_out = max(q, inner.q)
+    return Tester(encoder.target, n * k, q_out, _merged_per_check(checks, q_out, encoder.target.size))
+
+
+def _increase_per_check(tester, mu, mapping, target):
+    """alphabet_increase_tester with one image and one multiplication per
+    check: the reference."""
+    from ltcforge.testers import images
+
+    n = tester.n
+    member = accept_from_tuples([(m,) for m in mapping], target.size)
+    checks = [Check((pos,), member, mu / (mu + 1) * Fraction(1, n)) for pos in range(n)]
+    for ch in tester.checks:
+        accept, _ = images(ch, tester.alphabet.size, [mapping] * ch.arity, target.size)
+        checks.append(Check(ch.queries, accept, 1 / (mu + 1) * ch.weight))
+    return Tester(target, n, tester.q, _merged_per_check(checks, tester.q, target.size))
+
+
+def _with_distinct_weight_objects(tester):
+    """The tester with every weight a Fraction object of its own."""
+    return Tester(tester.alphabet, tester.n, tester.q,
+                  tuple(Check(ch.queries, ch.accept, ch.weight + 0) for ch in tester.checks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_composition_instances(), st.booleans())
+def test_composed_testers_equal_their_per_check_references(instance, distinct):
+    # Images once per distinct (accept, arity) and products once per
+    # distinct weight give the same checks, in the same order, with equal
+    # weights, whether equal weights share one Fraction or not.
+    outer, inner, encoder, code, (mu_outer, mu_inner, mu) = instance
+    if distinct:
+        outer, inner = _with_distinct_weight_objects(outer), _with_distinct_weight_objects(inner)
+    wit = check_f_compatible(outer, encoder)
+    got = concat_tester(outer, mu_outer, inner, mu_inner, encoder, wit)
+    assert got == _concat_per_check(outer, mu_outer, inner, mu_inner, encoder, wit)  # checks in order
+    target = Alphabet.plain(outer.alphabet.size + 1)
+    mapping = tuple(reversed(range(1, target.size)))
+    assert alphabet_increase_tester(outer, mu, mapping, target) == _increase_per_check(outer, mu, mapping, target)
+    assert alphabet_increase_tester(got, mu, mapping, target) == _increase_per_check(got, mu, mapping, target)
+
+
+def test_verify_witness_images_each_distinct_entry_once(monkeypatch):
+    # Four equal checks through the same offsets are imaged once; an entry
+    # whose (accept, offsets) was seen with a valid predicate is still
+    # compared with its own, so one wrong copy fails the witness.
+    import ltcforge.concat as concat_module
+
+    enc = Encoder(FunctionFamily(2, Alphabet.plain(3), ((0, 1), (1, 0))))
+    eq = Tester(BIN, 2, 2, EQ2.checks * 4)
+    diag = accept_from_tuples([(0, 0), (1, 1)], 3)
+    calls = []
+    real = concat_module.images
+    monkeypatch.setattr(concat_module, "images", lambda *args: calls.append(args[0]) or real(*args))
+    entries = (WitnessEntry((0, 0), diag),) * 3 + (WitnessEntry((1, 1), diag),)
+    assert verify_witness(eq, enc, CompatibilityWitness(entries))
+    assert len(calls) == 2
+    wrong = entries[:2] + (WitnessEntry((0, 0), diag ^ accept_from_tuples([(1, 1)], 3)),) + entries[3:]
+    assert not verify_witness(eq, enc, CompatibilityWitness(wrong))

@@ -17,7 +17,14 @@ from ltcforge.codes import Alphabet, Word, rate, repetition_code, vector_alphabe
 from ltcforge.concat import check_f_compatible
 from ltcforge.constructions import dependence_tester, generalized_long_code
 from ltcforge.errors import CapacityError, SchemaError
-from ltcforge.pipeline import linear_reduction, semilinear_reduction
+from ltcforge.pipeline import (
+    DEMO_PARAMS,
+    PipelineReport,
+    demo_inputs,
+    linear_reduction,
+    run_reduction,
+    semilinear_reduction,
+)
 from ltcforge.separability import check_separable, compatibility_encoder, separable_replacement
 from ltcforge.serialize import (
     certificate_from_json,
@@ -44,6 +51,7 @@ from ltcforge.serialize import (
 from ltcforge.testers import (
     Check,
     Tester,
+    accept_bits,
     equality_tester,
     full_accept,
     soundness_exact,
@@ -359,6 +367,91 @@ def test_dumps_writes_a_tester_as_its_dict(t):
     # every nesting in one example: an accept text is rendered per nesting
     for depth in range(4):
         assert dumps(_nested(t, depth)) == dumps(_nested(tester_to_json(t), depth))
+
+
+def _report_forms_agree(report: PipelineReport) -> None:
+    # every nesting of one report: a tester's accept and weight texts are
+    # rendered per nesting
+    for depth in range(4):
+        assert dumps(_nested(report, depth)) == dumps(_nested(report_to_json(report), depth))
+
+
+@pytest.mark.parametrize("kind", ["linear", "general", "semilinear"])
+def test_dumps_writes_a_demo_report_as_its_dict(kind):
+    report = run_reduction(kind, *demo_inputs(kind), DEMO_PARAMS[kind], seed=3)
+    _report_forms_agree(report)
+    # read back from its file: each tester's weights are then one Fraction
+    # per distinct value
+    again = report_from_json(json.loads(dumps(report)))
+    assert dumps(again) == dumps(report)
+    _report_forms_agree(again)
+
+
+def test_dumps_writes_a_report_of_testers_read_from_files():
+    code, tester, mu = demo_inputs("general")
+    code = code_from_json(json.loads(dumps(code_to_json(code))))
+    tester = tester_from_json(json.loads(dumps(tester)))
+    _report_forms_agree(run_reduction("general", code, tester, mu, DEMO_PARAMS["general"]))
+
+
+# Equal weights as distinct Fraction objects, and 1/2 and 1/3 sharing a
+# numerator: a weight text looked up by numerator alone would write 1/3 as
+# 1/2.
+_SHARED_NUMERATORS = Tester(
+    BIN,
+    3,
+    2,
+    (
+        Check((0, 1), 9, Fraction(1, 2)),
+        Check((1, 2), 9, Fraction(1, 3)),
+        Check((0, 2), 6, Fraction(1, 6)),
+        Check((2, 0), 9, Fraction(1, 3) + 0),
+        Check((1,), 1, Fraction(2, 4)),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stages=st.lists(_testers(), min_size=1, max_size=3), inner=st.booleans())
+def test_dumps_writes_a_report_of_testers_as_its_dict(stages, inner):
+    # Testers anywhere in a report's parts, in lists and in a report nested
+    # in its parameters, written at every nesting of the report.
+    stages = [_SHARED_NUMERATORS] + stages
+    params = {"seed": 4, "mu": Fraction(1, 3), "testers": stages[1:]}
+    if inner:
+        params["report"] = PipelineReport("general", {"n": 1}, {}, {"soundness": stages[-1]}, {"t": stages[0]})
+    report = PipelineReport(
+        "linear", params, {"soundness": Fraction(2, 3)}, {"rate": stages[0]},
+        {f"tester_{i}": t for i, t in enumerate(stages)}, {"soundness": "pass"}, "pass",
+    )
+    _report_forms_agree(report)
+
+
+def test_dumps_writes_equal_weights_once_and_numerators_apart():
+    assert dumps(_SHARED_NUMERATORS) == dumps(tester_to_json(_SHARED_NUMERATORS))
+    weights = [ch["weight"] for ch in json.loads(dumps(_SHARED_NUMERATORS))["checks"]]
+    assert weights == [{"num": 1, "den": 2}, {"num": 1, "den": 3}, {"num": 1, "den": 6}, {"num": 1, "den": 3},
+                       {"num": 1, "den": 2}]
+
+
+def test_readers_size_each_accept_table_once_per_arity():
+    # tester_from_json and the witness and certificate readers ask for
+    # size**arity once per arity they meet, not once per check.
+    fam, _ = generalized_long_code(2, Alphabet.plain(3))
+    mixed = dependence_tester(fam, 2)
+    mixed = Tester(mixed.alphabet, mixed.n, 2, mixed.checks + (Check((0,), 1, Fraction(1)),) * 3)
+    eq = equality_tester(BIN, 4)
+    witness = check_f_compatible(eq, compatibility_encoder(BIN, BIN, False))
+    docs = [
+        (tester_to_json(mixed), tester_from_json, 2),
+        (witness_to_json(witness, 2), witness_from_json, 1),
+        (certificate_to_json(check_separable(eq, 2)), certificate_from_json, 1),
+    ]
+    for doc, read, arities in docs:
+        assert len(doc["checks"]) > arities
+        with mock.patch("ltcforge.serialize.accept_bits", wraps=accept_bits) as sized:
+            read(json.loads(dumps(doc)))
+        assert sized.call_count == arities
 
 
 def test_dumps_refuses_a_numpy_query_position_in_both_forms():

@@ -1080,3 +1080,148 @@ def test_unbounded_ladder_finds_a_zero_value_past_the_budget():
     tester = Tester(BIN, 40, 2, equality_tester(BIN, 39).checks)
     report = soundness_exact(tester, repetition_code(BIN, 40))
     assert (report.engine, report.value, report.witness.letters) == ("prune", 0, (0,) * 39 + (1,))
+
+
+# ---------------------------------------------------------------------------
+# The scan's codeword rows and the prune pass's gathers, against brute force
+# ---------------------------------------------------------------------------
+
+
+def _least_by_scan(tester: Tester, code: Code):
+    """`_least_ratio` as (ratio, word), or None."""
+    size, n = tester.alphabet.size, tester.n
+    compiled, den, dtype = testers._compiled_checks(tester)
+    best = testers._least_ratio(compiled, dtype, size, n, code.codewords)
+    if best is None:
+        return None
+    rej, mism, widx = best
+    return Fraction(rej * n, den * mism), decode_tuple(widx, size, n)[::-1]
+
+
+@st.composite
+def _stemmed_instances(draw):
+    """Up to 6 checks of arity 1-3 and small weights over {0,1}^n or
+    {0,1,2}^n, n = 2-6, and 2-10 codewords drawn from 1-3 stems of shared
+    first letters, so that both a one-chunk grid and the prefixes of a
+    multi-chunk one see several codewords per prefix group and several
+    groups."""
+    size, n = draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    alphabet = Alphabet.plain(size)
+    letters = st.integers(0, size - 1)
+    checks = []
+    for _ in range(draw(st.integers(1, 6))):
+        arity = draw(st.integers(1, 3))
+        queries = tuple(draw(st.integers(0, n - 1)) for _ in range(arity))
+        accepted = draw(st.sets(st.tuples(*[letters] * arity)))
+        checks.append(Check(queries, accept_from_tuples(accepted, size), Fraction(draw(st.integers(1, 5)))))
+    share = draw(st.integers(1, n - 1))
+    stems = draw(st.lists(st.tuples(*[letters] * share), min_size=1, max_size=3))
+    tails = st.tuples(*[letters] * (n - share))
+    codewords = {draw(st.sampled_from(stems)) + draw(tails) for _ in range(draw(st.integers(2, 10)))}
+    return Tester(alphabet, n, 3, tuple(checks)), Code(alphabet, n, tuple(sorted(codewords)))
+
+
+# The value is 2/3, at 0011.  1110 lies at distance 1 from 1111, the second
+# codeword, and at 3 from the first: a one-chunk grid whose rows kept the
+# first codeword alone would find the ratio 4/9 there.
+_FAR_FIRST_CODEWORD = (equality_tester(BIN, 4), repetition_code(BIN, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stemmed_instances())
+@example(_FAR_FIRST_CODEWORD)
+@example(_SHARED_PREFIXES[:2])
+def test_scan_codeword_rows_match_brute_force(instance):
+    # With the default chunk the grid is the whole word (one chunk, one
+    # prefix group holding every codeword); with chunks of size**k words
+    # for every k < n the prefixes split the codewords into groups, some
+    # of several members and some of one.
+    tester, code = instance
+    size, n = tester.alphabet.size, tester.n
+    want = _brute_force(tester, code)
+    if instance == _FAR_FIRST_CODEWORD:
+        assert want == (Fraction(2, 3), (0, 0, 1, 1))
+    assert testers._grid_width(size, n, 2 + len(code.codewords)) >= n
+    assert _least_by_scan(tester, code) == want
+    for k in range(1, n):
+        with mock.patch.object(testers, "CHUNK", size**k):
+            assert _least_by_scan(tester, code) == want
+
+
+# Eight supports of one to four positions close at position 3, so their
+# gather pads every support but the widest with position 0 at place value
+# 0; the arity-1 check on position 0 closes at depth 0.  At a threshold that
+# keeps every prefix, depth 3 meets 8 prefixes of 2 letters: CHUNK = 16
+# gathers one support at a time, 32 two, 48 three (blocks of 3, 3 and 2).
+_CLOSING_AT_THREE = [(3,), (0, 3), (1, 3), (2, 3), (0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 2, 3)]
+
+
+@st.composite
+def _many_closing_instances(draw):
+    """Random accept sets and weights on the supports above, plus an
+    arity-1 check at position 0, over binary words of length 4."""
+    checks = [Check((0,), draw(st.sampled_from([1, 2])), Fraction(draw(st.integers(1, 3))))]
+    for support in _CLOSING_AT_THREE:
+        queries = tuple(draw(st.permutations(support)))
+        tuples = st.tuples(*[st.integers(0, 1)] * len(queries))
+        accepted = draw(st.sets(tuples, min_size=1, max_size=2 ** len(queries) - 1))  # each can reject
+        checks.append(Check(queries, accept_from_tuples(accepted, 2), Fraction(draw(st.integers(1, 5)))))
+    codewords = draw(st.sets(st.tuples(*[st.integers(0, 1)] * 4), min_size=1, max_size=3))
+    return Tester(BIN, 4, 4, tuple(checks)), Code(BIN, 4, tuple(sorted(codewords)))
+
+
+def _ladder_at(tester: Tester, code: Code, threshold: Fraction):
+    """The prune pass at `threshold` as (ratio, word), or None."""
+    size, n = tester.alphabet.size, tester.n
+    compiled, den, dtype = testers._compiled_checks(tester)
+    below = testers._prune_ratio(compiled, dtype, den, size, n, code.codewords, 2**26)
+    found = below(threshold)
+    return None if found is None else (Fraction(found[0] * n, den * found[1]), found[2])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_many_closing_instances())
+def test_prune_gathers_in_blocks_match_brute_force(instance):
+    # Gathering the supports that close at one depth in blocks of 1, 2 or
+    # 3, or all at once, with a full frontier and at the value, gives the
+    # brute-force least ratio and earliest witness.
+    tester, code = instance
+    best = _brute_force(tester, code)
+    everything = Fraction(10**6)  # above every ratio: nothing is pruned before depth n
+    compiled, _, _ = testers._compiled_checks(tester)
+    closing = [s for s, _ in compiled if s[-1] == 3]
+    assert len(closing) == 8 and len({len(s) for s in closing}) == 4
+    for chunk in (16, 32, 48, testers.CHUNK):
+        with mock.patch.object(testers, "CHUNK", chunk):
+            assert _ladder_at(tester, code, everything) == best
+            if best is not None:
+                assert _ladder_at(tester, code, best[0]) is None
+                assert _ladder_at(tester, code, best[0] + Fraction(1, 2**20)) == best
+
+
+def test_prune_closes_arity_one_supports_at_depth_zero():
+    # Position 0 must read 1 (weight 3) and positions 0 and 1 must agree
+    # (weight 1): the arity-1 support closes at depth 0, where no letter is
+    # held yet, and the least ratio 2/3 of 01 outside the code {11} is found
+    # by the pass, by the ladder from a bound below it and by the scan.
+    tester = Tester(
+        BIN,
+        2,
+        2,
+        (
+            Check((0,), accept_from_tuples([(1,)], 2), Fraction(3, 4)),
+            Check((0, 1), accept_from_tuples([(0, 0), (1, 1)], 2), Fraction(1, 4)),
+        ),
+    )
+    code = Code(BIN, 2, ((1, 1),))
+    best = _brute_force(tester, code)
+    assert best == (Fraction(1, 2), (1, 0))
+    compiled, _, _ = testers._compiled_checks(tester)
+    assert [s for s, _ in compiled] == [(0,), (0, 1)]
+    for chunk in (1, 2, testers.CHUNK):
+        with mock.patch.object(testers, "CHUNK", chunk):
+            assert _ladder_at(tester, code, Fraction(10**6)) == best
+            assert _ladder_at(tester, code, best[0]) is None
+            report = soundness_exact(tester, code, bound=Fraction(1, 8))
+            assert (report.engine, report.value, report.witness.letters) == ("prune", *best)
+    assert _least_by_scan(tester, code) == best
