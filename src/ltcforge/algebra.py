@@ -75,13 +75,6 @@ class VecSpace:
         return tuple(x for s in symbols for x in self.vector(s))
 
 
-def enumerate_vectors(space: VecSpace, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """All p^dim vectors in canonical order; index 0 is the zero vector."""
-    if space.size > budget:
-        raise CapacityError(space.size, budget, "vector enumeration")
-    return [space.vector(i) for i in range(space.size)]
-
-
 @dataclass(frozen=True)
 class LinearMap:
     """Matrix map between vector spaces; rows index codomain coordinates."""

@@ -286,7 +286,7 @@ def _cmd_tester(args) -> tuple[dict, int]:
         alphabet = vector_alphabet(args.p, args.dim)
     else:
         raise DomainError("equality tester needs --size or --p/--dim")
-    return {"tester": equality_tester(alphabet, args.n)}, 0
+    return {"tester": equality_tester(alphabet, args.n, args.budget)}, 0
 
 
 def _cmd_soundness(args) -> tuple[dict, int]:

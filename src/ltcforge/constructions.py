@@ -24,7 +24,7 @@ from .testers import (
     accept_bits,
     accept_from_tuples,
     full_accept,
-    tuples_from_accept,
+    reject_probability,
     uniform_checks,
 )
 
@@ -104,16 +104,6 @@ def _joint_images(
         for tup, row in zip(tups[dep].tolist(), packed):
             out.append((tuple(tup), int.from_bytes(row.tobytes(), "little")))
     return out
-
-
-def dependent_tuples(family: FunctionFamily, q: int, budget: int = DEFAULT_BUDGET):
-    """Ordered q-tuples of coordinate indices (repeats allowed) whose joint
-    image is a proper subset of target^q, each paired with that image."""
-    size = family.target.size
-    return [
-        (tup, tuple(sorted(tuples_from_accept(accept, size, q))))
-        for tup, accept in _joint_images(family, q, budget)
-    ]
 
 
 def dependence_tester(
@@ -259,8 +249,8 @@ def majority_counterexample(s_size: int, budget: int = DEFAULT_BUDGET) -> Word:
     """The majority-vote word over the binary long code's coordinates.
 
     Coordinate i is the majority of f_i at the first three domain elements.
-    The word is outside the code yet satisfies every dependent-pair
-    constraint; both facts are verified exhaustively before returning.
+    The word is outside the code yet the 2-dependence tester never rejects
+    it; both facts are verified exhaustively before returning.
     """
     if s_size < 3:
         raise DomainError("need at least three domain elements")
@@ -269,8 +259,7 @@ def majority_counterexample(s_size: int, budget: int = DEFAULT_BUDGET) -> Word:
     for t in family.tables:
         votes = t[0] + t[1] + t[2]
         letters.append(1 if votes >= 2 else 0)
-    word = tuple(letters)
-    assert not code.contains(word)
-    for (i, j), image in dependent_tuples(family, 2, budget):
-        assert (word[i], word[j]) in image
-    return Word(Alphabet.plain(2), word)
+    word = Word(Alphabet.plain(2), tuple(letters))
+    assert not code.contains(word.letters)
+    assert reject_probability(dependence_tester(family, 2, budget), word) == 0
+    return word

@@ -29,18 +29,17 @@ is the strictly ascending list of its accepted tuple indices, the index of
 in `testers`, which hold them.
 
 Query positions are 0-based here and throughout the package.  Readers
-raise SchemaError for a non-integer where an integer belongs, and `_reader`
-turns every missing key or value of the wrong type or shape into one.
+raise SchemaError for a non-integer where an integer belongs, a JSON true
+or false included, and `_reader` turns every missing key or value of the
+wrong type or shape into one.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
-from operator import index
 from typing import Any
 
 from .codes import Alphabet, Code, Rate, Word, vector_alphabet
@@ -175,6 +174,22 @@ def _expect(doc: Any, kind: str) -> None:
         raise SchemaError(f"expected schema {SCHEMAS[kind]}, got {doc.get('schema')!r}")
 
 
+def _int(v: Any) -> int:
+    """v if it is an int; TypeError, which the readers raise as SchemaError,
+    for anything else, a bool included."""
+    if type(v) is not int:
+        raise TypeError(f"not an integer: {v!r}")
+    return v
+
+
+def _ints(v: Any) -> tuple[int, ...]:
+    """The list of ints v as a tuple, its types tested in one pass, or
+    TypeError as in `_int`."""
+    if type(v) is not list or set(map(type, v)) - {int}:
+        raise TypeError("not a list of integers")
+    return tuple(v)
+
+
 def frac_to_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
@@ -185,8 +200,8 @@ def frac_from_json(d: Any, built: dict | None = None) -> Fraction:
     if not (
         isinstance(d, dict)
         and set(d) == {"num", "den"}
-        and isinstance(d["num"], int)
-        and isinstance(d["den"], int)
+        and type(d["num"]) is int
+        and type(d["den"]) is int
         and d["den"] != 0
     ):
         raise SchemaError(f"not a rational: {d!r}")
@@ -230,11 +245,11 @@ def alphabet_to_json(a: Alphabet) -> dict:
 def alphabet_from_json(d: Any) -> Alphabet:
     # letters are int64 in the soundness kernels: 2**63 or more are refused
     if d["kind"] == "plain":
-        if (size := index(d["size"])) >= 2**63:
+        if (size := _int(d["size"])) >= 2**63:
             raise CapacityError(size, 2**63 - 1, "plain alphabet")
         return Alphabet.plain(size)
     if d["kind"] == "vector":
-        return vector_alphabet(index(d["p"]), index(d["dim"]))
+        return vector_alphabet(_int(d["p"]), _int(d["dim"]))
     raise SchemaError(f"unknown alphabet kind {d['kind']!r}")
 
 
@@ -251,8 +266,8 @@ def code_to_json(c: Code) -> dict:
 def code_from_json(doc: Any) -> Code:
     _expect(doc, "code")
     alphabet = alphabet_from_json(doc["alphabet"])
-    words = tuple(tuple(map(index, w)) for w in doc["codewords"])
-    return Code(alphabet, index(doc["n"]), words)
+    words = tuple(_ints(w) for w in doc["codewords"])
+    return Code(alphabet, _int(doc["n"]), words)
 
 
 def word_to_json(w: Word) -> dict:
@@ -261,7 +276,7 @@ def word_to_json(w: Word) -> dict:
 
 @_reader
 def word_from_json(d: Any) -> Word:
-    return Word(alphabet_from_json(d["alphabet"]), tuple(map(index, d["letters"])))
+    return Word(alphabet_from_json(d["alphabet"]), _ints(d["letters"]))
 
 
 def tester_to_json(t: Tester) -> dict:
@@ -285,10 +300,10 @@ def tester_to_json(t: Tester) -> dict:
 def tester_from_json(doc: Any) -> Tester:
     _expect(doc, "tester")
     alphabet = alphabet_from_json(doc["alphabet"])
-    n, q = index(doc["n"]), index(doc["q"])
+    n, q = _int(doc["n"]), _int(doc["q"])
     checks, weights, tables = [], {}, {}  # one Fraction per distinct weight, one size per arity
     for c in doc["checks"]:
-        queries = tuple(map(index, c["queries"]))
+        queries = _ints(c["queries"])
         accept = accept_from_json(c["accept"], alphabet.size, len(queries), tables)
         checks.append(Check(queries, accept, frac_from_json(c["weight"], weights)))
     return Tester(alphabet, n, q, tuple(checks))
@@ -307,8 +322,8 @@ def family_to_json(f: FunctionFamily) -> dict:
 def family_from_json(doc: Any) -> FunctionFamily:
     _expect(doc, "family")
     target = alphabet_from_json(doc["target"])
-    tables = tuple(tuple(map(index, t)) for t in doc["tables"])
-    return FunctionFamily(index(doc["domain_size"]), target, tables)
+    tables = tuple(_ints(t) for t in doc["tables"])
+    return FunctionFamily(_int(doc["domain_size"]), target, tables)
 
 
 def encoder_to_json(e: Encoder) -> dict:
@@ -340,9 +355,9 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
 @_reader
 def witness_from_json(doc: Any) -> CompatibilityWitness:
     _expect(doc, "witness")
-    size, entries, tables = index(doc["target_size"]), [], {}
+    size, entries, tables = _int(doc["target_size"]), [], {}
     for e in doc["checks"]:
-        b = tuple(map(index, e["b"]))
+        b = _ints(e["b"])
         entries.append(WitnessEntry(b, accept_from_json(e["accept"], size, len(b), tables)))
     return CompatibilityWitness(tuple(entries))
 
@@ -369,15 +384,15 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
 @_reader
 def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     _expect(doc, "certificate")
-    size, checks, tables = index(doc["delta_size"]), [], {}
+    size, checks, tables = _int(doc["delta_size"]), [], {}
     for chk in doc["checks"]:
-        bases, maps = chk["subspaces"], tuple(tuple(map(index, m)) for m in chk["maps"])
+        bases, maps = chk["subspaces"], tuple(_ints(m) for m in chk["maps"])
         checks.append(
             CheckCertificate(
-                tuple(tuple(tuple(map(index, cls)) for cls in coord) for coord in chk["partitions"]),
+                tuple(tuple(_ints(cls) for cls in coord) for coord in chk["partitions"]),
                 maps,
                 accept_from_json(chk["accept"], size, len(maps), tables),
-                None if bases is None else tuple(tuple(tuple(map(index, v)) for v in basis) for basis in bases),
+                None if bases is None else tuple(tuple(_ints(v) for v in basis) for basis in bases),
             )
         )
     return SeparabilityCertificate(size, doc["linear"], tuple(checks))
@@ -408,8 +423,8 @@ def soundness_from_json(doc: Any) -> SoundnessReport:
         None if doc["witness"] is None else word_from_json(doc["witness"]),
         None if doc["bound"] is None else frac_from_json(doc["bound"]),
         doc["verdict"],
-        None if doc["trials"] is None else index(doc["trials"]),
-        None if doc["seed"] is None else index(doc["seed"]),
+        None if doc["trials"] is None else _int(doc["trials"]),
+        None if doc["seed"] is None else _int(doc["seed"]),
         doc["engine"],
     )
 
@@ -424,7 +439,7 @@ def rate_to_json(r: Rate) -> dict:
 
 @_reader
 def rate_from_json(d: Any) -> Rate:
-    return Rate(frac_from_json(d["scalar"]), index(d["log_num"]), index(d["log_base"]))
+    return Rate(frac_from_json(d["scalar"]), _int(d["log_num"]), _int(d["log_base"]))
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +544,3 @@ _TAGS = {
     "$family": (FunctionFamily, family_to_json, family_from_json),
     "$report": (PipelineReport, report_to_json, report_from_json),
 }
-
-
-def roundtrip(obj):
-    """parse(serialize(x)); used by tests to pin the identity contract."""
-    for cls, to_json, from_json in _TAGS.values():
-        if isinstance(obj, cls):
-            return from_json(json.loads(dumps(to_json(obj))))
-    raise SchemaError(f"no serializer for {type(obj).__name__}")

@@ -24,6 +24,8 @@ the least check weight once |alphabet|^n passes the budget.  Otherwise, or
 when the frontier overflows, the scan enumerates every word if
 |alphabet|^n fits the budget; if it does not, CapacityError carries
 |alphabet|^n.  Reports say "prune" for the ladder and "scan" for the scan.
+The accepted-set enumeration is the same frontier loop with no codewords
+and the keep rule "no check rejects".
 
 The scan runs in chunks of |alphabet|^k words that share their first n - k
 letters (the prefix) and run the last k over one digit grid, a tensor with
@@ -195,10 +197,13 @@ def uniform_checks(entries: Sequence[tuple[tuple[int, ...], int]]) -> tuple[Chec
     return tuple(Check(q, acc, w) for q, acc in entries)
 
 
-def equality_tester(alphabet: Alphabet, n: int) -> Tester:
-    """Uniform consecutive-pair equality checks; accepts repetition words."""
+def equality_tester(alphabet: Alphabet, n: int, budget: int = DEFAULT_BUDGET) -> Tester:
+    """Uniform consecutive-pair equality checks; accepts repetition words.
+    CapacityError when its n - 1 checks exceed the budget."""
     if n < 2:
         raise DomainError("equality tester needs block length >= 2")
+    if n - 1 > budget:
+        raise CapacityError(n - 1, budget, "equality checks")
     size = alphabet.size
     accept_bits(size, 2)
     diag = accept_from_tuples([(a, a) for a in range(size)], size)
@@ -458,39 +463,49 @@ def _least_ratio(compiled, dtype, size: int, n: int, codewords):
 def _prune_ratio(compiled, dtype, den: int, size: int, n: int, codewords, cap: int):
     """The prune pass at a threshold t, as a function of t: the word of
     least ratio below t, then lexicographically least, as (rej, mism,
-    letters), or None when no word lies below it; CapacityError once a
-    frontier would pass `cap` cells (prefixes * |alphabet| * (n +
-    |codewords|): one row per position of letters, one per codeword of
-    mismatch counts).  What the tester alone decides is built once.
-
-    Positions are filled in order 0..n-1 over a frontier of prefixes, each
-    with its letters, the reject numerator of the supports whose last
-    position it has filled, and its mismatch count against each codeword.
-    No completion of a prefix of length d rejects less, or lies farther
-    from the code than dist = min_c(ham_c + n - d), so the prefix dies once
-    rej * n * t.den >= t.num * den * dist: read as rej >= ceiling[dist], a
-    table over dist = 0..n of ceil(t.num * den * dist / (n * t.den)) capped
-    at the largest numerator plus one, so no product is formed and nothing
-    can wrap.  At depth n, dist is the distance to the code and ceiling[0]
-    is 0: codewords never survive.  Children follow their parent in letter
-    order, so the frontier stays lexicographically sorted and the first
-    survivor of least ratio is the witness.  The supports closing at a
-    depth add their LUT reads in one gather over their joined LUTs, in
-    blocks that keep it within CHUNK cells."""
+    letters), or None.  No completion of a prefix of length d rejects less,
+    or lies farther from the code than dist = min_c(ham_c + n - d), so the
+    prefix dies once rej * n * t.den >= t.num * den * dist: read as rej >=
+    ceiling[dist], ceil(t.num * den * dist / (n * t.den)) capped at the
+    largest numerator plus one, so no product is formed and nothing can
+    wrap.  At depth n, ceiling[0] is 0: codewords never survive."""
     scores = sum(int(lut.max()) for _, lut in compiled)  # no word rejects more
+    survivors = _prefix_frontier(compiled, dtype, size, n, codewords, cap)
+
+    def below(threshold: Fraction):
+        a, b = n * threshold.denominator, threshold.numerator * den
+        ceiling = np.array([min(-(-b * dist // a), scores + 1) for dist in range(n + 1)], dtype=dtype)
+        if (kept := survivors(ceiling)) is None:
+            return None
+        rn, mm, i = _select(None, kept[1], kept[2].min(axis=0), 0)
+        return rn, mm, tuple(kept[0][:, i].tolist())
+
+    return below
+
+
+def _prefix_frontier(compiled, dtype, size: int, n: int, codewords, cap: int):
+    """The prefix kernel as a function of a ceiling table over dist = 0..n:
+    the surviving words as (cols, rej, ham), or None once a depth keeps
+    none; CapacityError once a frontier would pass `cap` cells (prefixes *
+    |alphabet| * (n + |codewords|)).  Positions fill in order 0..n-1; each
+    prefix holds its letters (cols[pos]), the reject numerator of the
+    supports it closes and its mismatch count per codeword (ham).  A child
+    lives while its numerator is below ceiling[dist], dist = its least
+    mismatch count plus the positions left, or n without codewords.
+    Children follow their parent in letter order, so the frontier stays
+    lexicographically sorted, and the supports closing at a depth add their
+    LUT reads in one gather, in blocks of at most CHUNK cells."""
     by_last = {}  # per last position of a support, the (support, LUT) entries
     for support, lut in compiled:
         by_last.setdefault(support[-1], []).append((support, lut))
     closing = {d: _closing_luts(entries, size) for d, entries in by_last.items()}
     letter_dtype = np.min_scalar_type(size - 1)
     letters = np.arange(size, dtype=letter_dtype)
-    cws = np.array(codewords, dtype=letter_dtype)
+    cws = np.array(codewords, dtype=letter_dtype).reshape(len(codewords), n)
     width = size * (n + len(codewords))
 
-    def below(threshold: Fraction):
-        a, b = n * threshold.denominator, threshold.numerator * den
-        ceiling = np.array([min(-(-b * dist // a), scores + 1) for dist in range(n + 1)], dtype=dtype)
-        cols = np.zeros((0, 1), dtype=letter_dtype)  # cols[pos]: each prefix's letter there
+    def survivors(ceiling):
+        cols = np.zeros((0, 1), dtype=letter_dtype)
         rej = np.zeros(1, dtype=dtype)
         ham = np.zeros((len(codewords), 1), dtype=np.min_scalar_type(n))
         for d in range(n):
@@ -507,15 +522,14 @@ def _prune_ratio(compiled, dtype, den: int, size: int, n: int, codewords, cap: i
                         + last[part, None]
                     ].sum(axis=0, dtype=dtype)
             near = ham[:, :, None] + (letters != cws[:, d, None, None])  # (codeword, prefix, letter)
-            rows, chosen = np.nonzero(grown < ceiling[near.min(axis=0) + (n - 1 - d)])
+            rows, chosen = np.nonzero(grown < ceiling[near.min(axis=0, initial=d + 1) + (n - 1 - d)])
             if not len(rows):
                 return None
             cols = np.vstack([cols[:, rows], letters[chosen][None]])
             rej, ham = grown[rows, chosen], near[:, rows, chosen]
-        rn, mm, i = _select(None, rej, ham.min(axis=0), 0)
-        return rn, mm, tuple(cols[:, i].tolist())
+        return cols, rej, ham
 
-    return below
+    return survivors
 
 
 def _closing_luts(entries, size: int):
@@ -596,45 +610,20 @@ def soundness_exact(
 
 
 # ---------------------------------------------------------------------------
-# Accepted-set enumeration (exact, pruned)
+# Accepted-set enumeration: the prune pass's frontier, kept at rej == 0
 # ---------------------------------------------------------------------------
 
 
 def accepted_words(tester: Tester, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """All words with reject probability zero, in lexicographic order.
-
-    Exact enumeration by depth-first extension: a prefix is abandoned as
-    soon as some check contained in it rejects, which covers the whole
-    |alphabet|^n space without visiting rejected subtrees.
-    """
-    size, n = tester.alphabet.size, tester.n
-    if size**n > budget:
-        raise CapacityError(size**n, budget, "accepted-set enumeration")
-    by_max: list[list[tuple[tuple[int, ...], list[int], int]]] = [[] for _ in range(n)]
-    for ch in tester.checks:
-        powers = [size**l for l in range(ch.arity)]
-        by_max[max(ch.queries)].append((ch.queries, powers, ch.accept))
-    out: list[tuple[int, ...]] = []
-    prefix = [0] * n
-
-    def extend(depth: int) -> None:
-        if depth == n:
-            out.append(tuple(prefix))
-            return
-        for sym in range(size):
-            prefix[depth] = sym
-            for queries, powers, accept in by_max[depth]:
-                idx = 0
-                for pos, pw in zip(queries, powers):
-                    idx += prefix[pos] * pw
-                if not (accept >> idx) & 1:
-                    break
-            else:
-                extend(depth + 1)
-
-    if n > 0:
-        extend(0)
-    return out
+    """All words with reject probability zero, in lexicographic order: the
+    prune pass's frontier with no codewords and a ceiling of 1 at every
+    distance, so a prefix lives while no check closing in it rejects.
+    CapacityError once a frontier would pass `budget` cells (prefixes *
+    |alphabet| * n), as in the ladder."""
+    compiled, _, dtype = _compiled_checks(tester)
+    n = tester.n
+    kept = _prefix_frontier(compiled, dtype, tester.alphabet.size, n, (), budget)(np.ones(n + 1, dtype=dtype))
+    return [] if kept is None else list(zip(*kept[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

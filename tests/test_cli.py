@@ -94,6 +94,35 @@ def test_soundness_capacity_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_equality_tester_checks_are_charged_to_the_budget(capsys):
+    # n - 1 checks: 11 fit a budget of 11, 12 do not.  At the default budget
+    # 10**8 letters would build 10**8 checks, so that run is a child held to
+    # 1.5 GB of address space, where building them ends in a MemoryError.
+    import os
+    import resource
+    from pathlib import Path
+
+    import ltcforge
+
+    assert main(["tester", "equality", "--size", "2", "--n", "12", "--budget", "11"]) == 0
+    capsys.readouterr()
+    assert main(["tester", "equality", "--size", "2", "--n", "13", "--budget", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "equality checks requires 12 items, budget is 11" in captured.err
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ltcforge.__file__).parents[1]))
+    argv = ["tester", "equality", "--n", "100000000", "--size", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltcforge", *argv], capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and proc.stdout == ""
+
+
 def test_corrupted_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

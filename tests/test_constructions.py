@@ -16,7 +16,6 @@ from ltcforge.constructions import (
     code_from_family,
     critical_family,
     dependence_tester,
-    dependent_tuples,
     generalized_hadamard,
     generalized_long_code,
     majority_counterexample,
@@ -24,6 +23,7 @@ from ltcforge.constructions import (
 )
 from ltcforge.errors import CapacityError, DomainError
 from ltcforge.testers import (
+    Check,
     Tester,
     accept_from_tuples,
     accepted_words,
@@ -60,26 +60,27 @@ def test_code_from_linear_maps_matches_hadamard():
 
 
 def test_dependent_tuples_full_image_excluded():
-    fam = FunctionFamily(2, BIN, ((0, 1),))  # image is the whole alphabet
-    assert dependent_tuples(fam, 1) == []
+    # the one table's image is the whole alphabet: no check, a degenerate tester
+    fam = FunctionFamily(2, BIN, ((0, 1),))
+    assert dependence_tester(fam, 1).meta == {"degenerate": True}
 
 
 def test_dependent_tuples_constant_included():
     fam = FunctionFamily(2, BIN, ((1, 1),))
-    deps = dependent_tuples(fam, 1)
-    assert deps == [((0,), ((1,),))]
+    assert dependence_tester(fam, 1).checks == (Check((0,), accept_from_tuples([(1,)], 2), Fraction(1)),)
 
 
 def test_dependent_tuples_hadamard_all_pairs():
     fam, _ = generalized_hadamard(VecSpace(Field(2), 1), VecSpace(Field(2), 2))
-    deps = dependent_tuples(fam, 2)
-    assert len(deps) == 16  # every ordered pair: joint images have <= 2 < 16 tuples
+    tester = dependence_tester(fam, 2)
+    # every ordered pair: joint images have <= 2 < 16 tuples
+    assert [ch.queries for ch in tester.checks] == list(itertools.product(range(4), repeat=2))
 
 
 def test_dependent_tuples_budget():
     fam, _ = generalized_long_code(2, TRI)
     with pytest.raises(CapacityError):
-        dependent_tuples(fam, 2, budget=10)
+        dependence_tester(fam, 2, budget=10)
 
 
 def test_dependence_tester_degenerate():
@@ -269,7 +270,6 @@ def _families(draw):
 @example(family=FunctionFamily(2, BIN, ((0, 1), (1, 0))), q=1)  # degenerate: both images full
 def test_dependence_construction_matches_brute_force(family, q):
     deps = _reference_dependent_tuples(family, q)
-    assert dependent_tuples(family, q) == deps
     tester = dependence_tester(family, q)
     size = family.target.size
     if deps:
@@ -284,11 +284,10 @@ def test_dependence_construction_matches_brute_force(family, q):
 @pytest.mark.parametrize("q, budget", [(2, 15), (3, 63), (1, 3)])
 def test_dependence_construction_budget(q, budget):
     fam = FunctionFamily(2, BIN, ((0, 0), (0, 1), (1, 0), (1, 1)))
-    for build in (dependent_tuples, dependence_tester):
-        with pytest.raises(CapacityError) as exc:
-            build(fam, q, budget)
-        assert exc.value.required == 4**q
-    assert len(dependent_tuples(fam, q, 4**q)) == len(_reference_dependent_tuples(fam, q))
+    with pytest.raises(CapacityError) as exc:
+        dependence_tester(fam, q, budget)
+    assert exc.value.required == 4**q
+    assert len(dependence_tester(fam, q, 4**q).checks) == len(_reference_dependent_tuples(fam, q))
 
 
 def test_dependence_construction_memory_is_chunked():

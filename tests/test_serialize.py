@@ -38,11 +38,12 @@ from ltcforge.serialize import (
     rate_to_json,
     report_from_json,
     report_to_json,
-    roundtrip,
     soundness_from_json,
     soundness_to_json,
     tester_from_json,
     tester_to_json,
+    value_from_json,
+    value_to_json,
     witness_from_json,
     witness_to_json,
     word_from_json,
@@ -59,6 +60,12 @@ from ltcforge.testers import (
 )
 
 BIN = Alphabet.plain(2)
+
+
+def roundtrip(obj):
+    """The artifact read back from the text of its tagged document: pins the
+    identity contract."""
+    return value_from_json(json.loads(dumps(value_to_json(obj))))
 
 
 def test_code_roundtrip_plain_and_linear():
@@ -176,6 +183,10 @@ def test_schema_mismatch_raises():
 def _valid_doc(kind):
     """A well-formed document of `kind` and its reader."""
     eq, code = equality_tester(BIN, 2), repetition_code(BIN, 2)
+    if kind == "tester":
+        return tester_to_json(eq), tester_from_json
+    if kind == "code":
+        return code_to_json(code), code_from_json
     if kind == "rate":
         return rate_to_json(rate(code)), rate_from_json
     if kind == "witness":
@@ -210,6 +221,12 @@ def _valid_doc(kind):
         ("word", lambda doc: doc.update(letters=[1.0, 0])),
         ("soundness", lambda doc: doc.update(trials=2.5)),
         ("soundness", lambda doc: doc.update(seed="x")),
+        ("tester", lambda doc: doc["checks"][0]["queries"].__setitem__(0, True)),
+        ("tester", lambda doc: doc.update(n=True)),
+        ("tester", lambda doc: doc.update(q=True)),
+        ("code", lambda doc: doc["codewords"][1].__setitem__(0, True)),
+        ("code", lambda doc: doc.update(n=True)),
+        ("word", lambda doc: doc["letters"].__setitem__(0, False)),
     ],
     ids=[
         "witness-target-size-str",
@@ -227,11 +244,18 @@ def _valid_doc(kind):
         "word-letter-float",
         "soundness-trials-float",
         "soundness-seed-str",
+        "tester-query-bool",
+        "tester-n-bool",
+        "tester-q-bool",
+        "code-letter-bool",
+        "code-n-bool",
+        "word-letter-bool",
     ],
 )
 def test_malformed_document_raises_schema_error(kind, corrupt):
     # The first six once escaped their reader as a KeyError or a TypeError;
-    # the others, a non-integer where an integer belongs, were read as valid.
+    # the others, a non-integer where an integer belongs, were read as valid:
+    # a JSON true or false, the last six, as the integer 1 or 0.
     doc, from_json = _valid_doc(kind)
     assert from_json(json.loads(dumps(doc))) is not None
     corrupt(doc)
@@ -285,7 +309,7 @@ def test_oversized_accept_table_refused_before_decoding():
 
 
 @pytest.mark.parametrize(
-    "weight", [{"num": 1, "den": 0}, {"num": 0.5, "den": 1}, {"num": "1", "den": 2}]
+    "weight", [{"num": 1, "den": 0}, {"num": 0.5, "den": 1}, {"num": "1", "den": 2}, {"num": True, "den": 1}]
 )
 def test_malformed_rational_raises(weight):
     with pytest.raises(SchemaError):

@@ -643,10 +643,11 @@ _SHARED_PREFIXES = (
 )
 
 
+@settings(deadline=None)
 @given(st.one_of(_weighted_instances(), _planted_cut_instances(), _BINARY_INSTANCES))
 @example(_PREFIX_CROSS)
 @example(_SHARED_PREFIXES)
-def test_separator_engine_matches_brute_force(instance):
+def test_scan_matches_brute_force(instance):
     # The scan engine on its own, with the default chunk, with a chunk of a
     # few words, and with one of fewer words than the space, which fixes a
     # prefix of at least one position, so that codewords agreeing there
@@ -988,6 +989,36 @@ def test_prune_ladder_matches_brute_force(instance, where):
     report = soundness_exact(tester, code, bound=bound)
     assert (report.engine, report.value, report.witness.letters) == ("prune", value, letters)
     assert report.verdict == ("pass" if value >= bound else "fail")
+
+
+@settings(deadline=None)
+@given(st.one_of(_weighted_instances(), _planted_cut_instances()), st.booleans())
+def test_accepted_words_match_a_brute_force_filter(instance, equal):
+    # The prefix kernel with no codewords and a ceiling of 1 keeps the words
+    # no check rejects, in lexicographic order: with weights up to 2**70
+    # (object arrays), with equal weights, whose numerators of 1 a ceiling
+    # read as <= would keep, and with a chunk of a few cells, which gathers
+    # the supports closing at one depth in several blocks.
+    tester, _, chunk = instance
+    if equal and tester.checks:
+        weight = Fraction(1, len(tester.checks))
+        tester = replace(tester, checks=tuple(replace(ch, weight=weight) for ch in tester.checks))
+    words = itertools.product(range(tester.alphabet.size), repeat=tester.n)
+    brute = [w for w in words if reject_probability(tester, Word(tester.alphabet, w)) == 0]
+    assert accepted_words(tester) == brute
+    with mock.patch.object(testers, "CHUNK", chunk):
+        assert accepted_words(tester) == brute
+
+
+def test_accepted_words_frontier_is_capped_at_the_budget():
+    # Without checks every prefix lives: the last depth grows 2**9 prefixes
+    # into 2**9 * |alphabet| * n = 10,240 cells.  With no positions the list is empty.
+    free = Tester(BIN, 10, 1, ())
+    with pytest.raises(CapacityError) as exc:
+        accepted_words(free, budget=10_239)
+    assert exc.value.required == 10_240
+    assert accepted_words(free, budget=10_240) == list(itertools.product(range(2), repeat=10))
+    assert accepted_words(Tester(BIN, 0, 1, ())) == []
 
 
 def test_prune_ladder_overflow_falls_back_to_the_plan():
