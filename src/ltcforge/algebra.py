@@ -152,16 +152,6 @@ def row_reduce(rows: Iterable[Sequence[int]], p: int) -> tuple[list[tuple[int, .
     return [tuple(row) for row in work[:r]], pivots
 
 
-def in_span(vec: Sequence[int], rref_rows: list[tuple[int, ...]], pivots: list[int], p: int) -> bool:
-    """Membership test against an already-reduced basis."""
-    residue = [x % p for x in vec]
-    for row, col in zip(rref_rows, pivots):
-        c = residue[col]
-        if c:
-            residue = [(a - c * b) % p for a, b in zip(residue, row)]
-    return all(x == 0 for x in residue)
-
-
 def span_vectors(basis: Sequence[Sequence[int]], dim: int, p: int) -> list[tuple[int, ...]]:
     """All p^rank(basis) vectors spanned by the given rows."""
     rref, _ = row_reduce(basis, p)
@@ -204,7 +194,7 @@ def kernel_complement_surjection(
         if len(full) == domain.dim:
             break
         e = tuple(int(i == j) for i in range(domain.dim))
-        if not in_span(e, *row_reduce(full, p), p):
+        if len(row_reduce(full + [e], p)[0]) > len(full):
             full.append(e)
             complement.append(e)
     # Images in basis order: kernel rows -> 0, complement j -> e_j of target.

@@ -70,7 +70,12 @@ def _load(path: str, kind: str):
     the output of another command holding exactly one artifact of that
     schema among its top-level values (`build --out`, `tester ... --out`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # undecodable text, or an int past Python's digit limit
+            raise SchemaError(f"{path}: {exc}") from None
     schema = SCHEMAS[kind]
     if isinstance(doc, dict) and "schema" not in doc:
         held = [v for v in doc.values() if isinstance(v, dict) and v.get("schema") == schema]
@@ -406,14 +411,13 @@ def main(argv: list[str] | None = None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         payload, exit_code = handler(args)
+        text = dumps({"manifest": manifest, **payload})
     except ForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, OSError, KeyError) as exc:
         print(f"error: bad input ({exc})", file=sys.stderr)
         return 2
-    doc = {"manifest": manifest, **payload}
-    text = dumps(doc)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

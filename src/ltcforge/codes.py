@@ -6,13 +6,17 @@ probabilities and distances are fractions.Fraction values; rates get
 their own exact representation (`Rate`) because code sizes are not always
 perfect powers of the alphabet size, in which case the rate is an
 irrational multiple of a log ratio.  Rates are compared only for
-equality, and never through floating point.
+equality, and never through floating point.  A rate is rational exactly
+when |C| and |alphabet| are powers of one base: `make_rate` reduces both
+to their least bases, and folds the ratio into the scalar when they agree.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .algebra import Field, VecSpace, row_reduce
@@ -94,15 +98,7 @@ class Code:
                 raise DomainError("codeword letter out of range")
 
     def contains(self, letters: Sequence[int]) -> bool:
-        return tuple(letters) in self._member_set()
-
-    def _member_set(self) -> frozenset:
-        # cached lazily on the instance despite frozen dataclass
-        ms = self.__dict__.get("_members")
-        if ms is None:
-            ms = frozenset(self.codewords)
-            object.__setattr__(self, "_members", ms)
-        return ms
+        return tuple(letters) in self.codewords
 
 
 def repetition_code(alphabet: Alphabet, n: int) -> Code:
@@ -115,39 +111,27 @@ def repetition_code(alphabet: Alphabet, n: int) -> Code:
 # ---------------------------------------------------------------------------
 
 
+def _mismatches(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(1 for a, b in zip(u, v) if a != b)
+
+
 def hamming_dist(u: Word, v: Word) -> Fraction:
     """Normalized Hamming distance, exact."""
     if u.alphabet != v.alphabet or len(u) != len(v):
         raise MismatchError("words live in different spaces")
-    n = len(u)
-    mism = sum(1 for a, b in zip(u.letters, v.letters) if a != b)
-    return Fraction(mism, n)
+    return Fraction(_mismatches(u.letters, v.letters), len(u))
 
 
 def dist_to_code(w: Word, code: Code) -> Fraction:
     if w.alphabet != code.alphabet or len(w) != code.n:
         raise MismatchError("word incompatible with code")
-    best = min(
-        sum(1 for a, b in zip(w.letters, c) if a != b) for c in code.codewords
-    )
-    return Fraction(best, code.n)
+    return Fraction(min(_mismatches(w.letters, c) for c in code.codewords), code.n)
 
 
 def distance(code: Code) -> Fraction:
     """Minimum pairwise distance; 1 by convention for singleton codes."""
-    if len(code.codewords) < 2:
-        return Fraction(1)
-    n = code.n
-    best = n
-    words = code.codewords
-    for i in range(len(words)):
-        wi = words[i]
-        for j in range(i + 1, len(words)):
-            wj = words[j]
-            mism = sum(1 for a, b in zip(wi, wj) if a != b)
-            if mism < best:
-                best = mism
-    return Fraction(best, n)
+    pairs = itertools.combinations(code.codewords, 2)
+    return Fraction(min((_mismatches(u, v) for u, v in pairs), default=code.n), code.n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +152,9 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def _log_ratio(m: int, b: int) -> Fraction | None:
-    """log(m)/log(b) when it is rational, else None."""
-    if m == 1:
-        return Fraction(0)
-    fm, fb = _prime_factors(m), _prime_factors(b)
-    if set(fm) != set(fb):
-        return None
-    primes = sorted(fm)
-    p0 = primes[0]
-    ratio = Fraction(fm[p0], fb[p0])
-    for p in primes[1:]:
-        if Fraction(fm[p], fb[p]) != ratio:
-            return None
-    return ratio
-
-
 def _power_normalize(n: int) -> tuple[int, int]:
     """Smallest base g and exponent e with g**e == n."""
     factors = _prime_factors(n)
-    from math import gcd
-
     e = 0
     for a in factors.values():
         e = gcd(e, a)
@@ -217,8 +183,6 @@ class Rate:
     def __mul__(self, other: "Rate | Fraction | int") -> "Rate":
         if isinstance(other, (Fraction, int)):
             other = Rate(Fraction(other))
-        if self.is_rational and other.is_rational:
-            return Rate(self.scalar * other.scalar)
         if self.is_rational:
             return make_rate(self.scalar * other.scalar, other.log_num, other.log_base)
         if other.is_rational:
@@ -234,18 +198,17 @@ class Rate:
 
 
 def make_rate(scalar: Fraction, log_num: int = 0, log_base: int = 0) -> Rate:
-    """Normalize: fold rational log ratios into the scalar, minimize bases."""
+    """Normalize: minimize bases, and fold the log ratio into the scalar
+    when the bases agree, log(g**em)/log(g**eb) being em/eb."""
     scalar = Fraction(scalar)
     if log_num == 0:
         return Rate(scalar)
     if scalar == 0 or log_num == 1:
         return Rate(Fraction(0))
-    ratio = _log_ratio(log_num, log_base)
-    if ratio is not None:
-        return Rate(scalar * ratio)
     gm, em = _power_normalize(log_num)
     gb, eb = _power_normalize(log_base)
-    return Rate(scalar * Fraction(em, eb), gm, gb)
+    scalar *= Fraction(em, eb)
+    return Rate(scalar) if gm == gb else Rate(scalar, gm, gb)
 
 
 def rate(code: Code) -> Rate:

@@ -17,7 +17,16 @@ class CapacityError(ForgeError):
         self.required = required
         self.budget = budget
         self.what = what
-        super().__init__(f"{what} requires {required} items, budget is {budget}")
+        super().__init__(f"{what} requires {_count(required)} items, budget is {budget}")
+
+
+def _count(k: int) -> str:
+    """k in decimal, or its magnitude where Python's limit on the digits of
+    an int-to-str conversion refuses the decimal."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"at least 2**{k.bit_length() - 1}"
 
 
 class MismatchError(ForgeError):

@@ -51,6 +51,7 @@ from .testers import (
     Tester,
     classify_linear,
     equality_tester,
+    require_compatible,
     soundness_exact,
     soundness_sampled,
     validate,
@@ -208,6 +209,7 @@ def linear_reduction(
 ) -> PipelineReport:
     """Reduce a linear tester's alphabet to a dim-d space through the
     generalized Hadamard code over a c-dimensional subspace."""
+    require_compatible(tester, code)
     space = code.alphabet.space
     if space is None:
         raise DomainError("linear reduction needs a vector-space alphabet")
@@ -265,6 +267,7 @@ def general_reduction(
 ) -> PipelineReport:
     """Reduce any tester's alphabet to d symbols through the generalized
     long code over a c-symbol subset."""
+    require_compatible(tester, code)
     q = tester.q
     if not 2 <= c <= d:
         raise DomainError("c must lie in 2..d; no valid c exists when q = 2 and d = 2")
@@ -311,6 +314,7 @@ def semilinear_reduction(
     Ends without an alphabet-increase step: the target alphabet {0,1,2}
     is already the construction's alphabet.
     """
+    require_compatible(tester, code)
     space = code.alphabet.space
     if space is None or space.field.p != 2:
         raise DomainError("semilinear reduction needs a GF(2) vector alphabet")

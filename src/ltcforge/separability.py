@@ -273,12 +273,20 @@ def compatibility_encoder(
     return Encoder(family)
 
 
+def _first_index(tables: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], int]:
+    """Each distinct table's first coordinate in an encoder family."""
+    index: dict[tuple[int, ...], int] = {}
+    for i, table in enumerate(tables):
+        index.setdefault(table, i)
+    return index
+
+
 def witness_from_certificate(
     cert: SeparabilityCertificate, tester: Tester, encoder: Encoder
 ) -> CompatibilityWitness:
     """Turn a separability certificate into a compatibility witness: each
     per-coordinate map appears verbatim as an encoder coordinate."""
-    index_of = {table: i for i, table in enumerate(encoder.family.tables)}
+    index_of = _first_index(encoder.family.tables)
     entries = []
     for chk_cert in cert.checks:
         positions = []
@@ -305,9 +313,7 @@ def extend_compatibility(
     """
     if target.target.size < source.target.size:
         raise MismatchError("target encoder alphabet does not contain the source's")
-    match: dict[tuple[int, ...], int] = {}
-    for j2, table in enumerate(target.family.tables):
-        match.setdefault(table, j2)
+    match = _first_index(target.family.tables)
     remap = []
     for table in source.family.tables:
         if table not in match:

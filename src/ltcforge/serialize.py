@@ -10,7 +10,8 @@ byte that of `json.dumps` with `sort_keys=True` and an indent of 2, plus a
 final newline, but it takes only the types artifacts are made of: dicts
 with str keys, lists, str, int, bool and None.  Anything else, a float
 included, raises TypeError, so "never through floating point" is enforced
-at the last step.  A list of ints is laid out from its one `repr` by
+at the last step; an int of more digits than Python converts to text
+raises ForgeError.  A list of ints is laid out from its one `repr` by
 string replacement: accept sets are such lists, the bulk of every tester.
 
 `dumps` also takes a `Tester` as a value and writes it straight from its
@@ -45,7 +46,7 @@ from typing import Any
 from .codes import Alphabet, Code, Rate, Word, vector_alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry
 from .constructions import FunctionFamily
-from .errors import CapacityError, SchemaError
+from .errors import CapacityError, ForgeError, SchemaError
 from .pipeline import REPORT_SCHEMA, PipelineReport
 from .separability import CheckCertificate, SeparabilityCertificate
 from .testers import (
@@ -71,7 +72,10 @@ SCHEMAS = {
 
 
 def dumps(doc: dict | Tester | PipelineReport) -> str:
-    return _encode(doc, "\n") + "\n"
+    try:
+        return _encode(doc, "\n") + "\n"
+    except ValueError as exc:  # an int past Python's limit on int-to-str digits
+        raise ForgeError(f"cannot write the output ({exc})") from None
 
 
 def _encode(v: Any, nl: str) -> str:

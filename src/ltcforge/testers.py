@@ -234,10 +234,15 @@ class ValidationReport:
     violations: tuple[tuple[int, tuple[int, ...]], ...]  # (check index, codeword)
 
 
-def validate(tester: Tester, code: Code) -> ValidationReport:
-    """Weights must sum to 1 exactly and every codeword must be accepted."""
+def require_compatible(tester: Tester, code: Code) -> None:
+    """Refuse a tester whose words are not the code's: another alphabet or length."""
     if tester.alphabet != code.alphabet or tester.n != code.n:
         raise MismatchError("tester incompatible with code")
+
+
+def validate(tester: Tester, code: Code) -> ValidationReport:
+    """Weights must sum to 1 exactly and every codeword must be accepted."""
+    require_compatible(tester, code)
     size = tester.alphabet.size
     den = lcm(*{ch.weight.denominator for ch in tester.checks})  # 1 without checks
     wsum = Fraction(sum(ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks), den)
@@ -569,8 +574,7 @@ def soundness_exact(
     |alphabet|^n fits the budget, and CapacityError carries |alphabet|^n if
     it does not.
     """
-    if tester.alphabet != code.alphabet or tester.n != code.n:
-        raise MismatchError("tester incompatible with code")
+    require_compatible(tester, code)
     size, n = tester.alphabet.size, tester.n
     total = size**n
     compiled, den, dtype = _compiled_checks(tester)
@@ -679,8 +683,7 @@ def soundness_sampled(
     The result is an upper bound on the exact soundness.  Deterministic per
     seed; codeword draws are resampled within the trial's own substream.
     """
-    if tester.alphabet != code.alphabet or tester.n != code.n:
-        raise MismatchError("tester incompatible with code")
+    require_compatible(tester, code)
     if trials < 1:
         raise DomainError("need at least one trial")
     size, n = tester.alphabet.size, tester.n

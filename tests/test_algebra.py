@@ -11,7 +11,6 @@ from ltcforge.algebra import (
     Field,
     VecSpace,
     enumerate_linear_maps,
-    in_span,
     kernel_complement_surjection,
     row_reduce,
     span_vectors,
@@ -132,7 +131,7 @@ def test_kernel_surjection_randomized_small_instances():
         basis = []
         while len(basis) < count:
             cand = rng.choice(vecs)
-            if not in_span(cand, *row_reduce(basis, p), p):
+            if len(row_reduce(basis + [cand], p)[0]) > len(basis):
                 basis.append(cand)
         target = VecSpace(Field(p), rng.randrange(dim - len(basis), dim + 2))
         h = kernel_complement_surjection(space, basis, target)

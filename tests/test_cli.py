@@ -807,6 +807,78 @@ def test_long_binary_chain_exact_soundness_exits_2_quickly(tmp_path, capsys):
     assert "exact soundness requires" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _error_exit(capsys, argv):
+    """The one stderr line of a run that exits 2 with nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_input_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.load refuses an int of more than 4,300 digits with a ValueError
+    _, doc = run_cli(capsys, "tester", "equality", "--n", "3", "--size", "3")
+    text = json.dumps({**doc["tester"], "n": 987654321}).replace("987654321", "1" + "0" * 5000)
+    (tmp_path / "big.json").write_text(text)
+    assert main(["build", "longcode", "--s", "2", "--delta-size", "3", "--out", str(tmp_path / "lc23.json")]) == 0
+    capsys.readouterr()
+    argv = ["soundness", "exact", "--tester", str(tmp_path / "big.json"), "--code", str(tmp_path / "lc23.json")]
+    assert _error_exit(capsys, argv).startswith(f"error: {tmp_path / 'big.json'}: ")
+
+
+def test_capacity_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # 2**15000 words (4,516 digits): the ladder overflows at the bound, and
+    # the message states the count by its magnitude
+    from ltcforge.codes import Alphabet, repetition_code
+    from ltcforge.serialize import code_to_json
+
+    _, doc = run_cli(capsys, "tester", "equality", "--size", "2", "--n", "15000")
+    (tmp_path / "t.json").write_text(json.dumps(doc["tester"]))
+    (tmp_path / "c.json").write_text(json.dumps(code_to_json(repetition_code(Alphabet.plain(2), 15000))))
+    argv = ["soundness", "exact", "--tester", str(tmp_path / "t.json"), "--code", str(tmp_path / "c.json")]
+    line = _error_exit(capsys, argv + ["--bound", "100"])
+    assert line == "error: exact soundness requires at least 2**15000 items, budget is 67108864"
+
+
+def test_output_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # weights 1/(10**2200 + 1) and 1/(10**2200 + 3) on the two orders of one
+    # pair: the exact soundness has a denominator of 4,401 digits
+    big = 10**2200
+    checks = [
+        {"accept": [0, 3], "queries": queries, "weight": {"num": 1, "den": big + extra}}
+        for queries, extra in [([0, 1], 1), ([1, 0], 3)]
+    ]
+    two = {"kind": "plain", "size": 2}
+    tester = {"schema": "ltc-forge/tester-v2", "alphabet": two, "n": 2, "q": 2, "checks": checks}
+    code = {"schema": "ltc-forge/code-v1", "alphabet": two, "n": 2, "codewords": [[0, 0], [1, 1]]}
+    (tmp_path / "t.json").write_text(json.dumps(tester))
+    (tmp_path / "c.json").write_text(json.dumps(code))
+    out = tmp_path / "out.json"
+    argv = ["soundness", "exact", "--tester", str(tmp_path / "t.json"), "--code", str(tmp_path / "c.json")]
+    line = _error_exit(capsys, argv + ["--out", str(out)])
+    assert line.startswith("error: cannot write the output (") and "(4300 digits)" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, build, tester, extra",
+    [
+        ("general", "longcode --s 2 --delta-size 3", "--n 3 --size 3", "--d 3 --c 3"),
+        ("linear", "hadamard --p 2 --dimv 1 --dimd 2", "--n 2 --p 2 --dim 1", "--dimd 2 --c 2"),
+        ("semilinear", "hadamard --p 2 --dimv 1 --dimd 2", "--n 2 --p 2 --dim 1", ""),
+    ],
+    ids=["general", "linear", "semilinear"],
+)
+def test_pipeline_on_a_tester_for_another_code_exits_2(tmp_path, capsys, kind, build, tester, extra):
+    code_path, tester_path = tmp_path / "c.json", tmp_path / "t.json"
+    assert main(f"build {build} --out {code_path}".split()) == 0
+    assert main(f"tester equality {tester} --out {tester_path}".split()) == 0
+    capsys.readouterr()
+    argv = f"pipeline {kind} --code {code_path} --tester {tester_path} --mu 1/2 {extra}".split()
+    assert _error_exit(capsys, argv) == "error: tester incompatible with code"
+
+
 @pytest.mark.parametrize("field, expect", [("n", "outer tester does not match the code"), ("q", "accept bitset")])
 def test_concat_outer_tester_of_huge_n_or_q_exits_2_quickly(tmp_path, capsys, field, expect):
     # An outer tester declaring 2**40 more positions or queries than it has:

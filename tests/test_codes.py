@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ltcforge.algebra import Field, VecSpace
@@ -199,3 +199,61 @@ def test_linear_code_distance_equals_min_weight():
         if cw != zero
     )
     assert distance(code) == min_weight
+
+
+def _perfect_power(g: int) -> bool:
+    return any(root**e == g for e in range(2, g.bit_length() + 1) for root in range(2, g))
+
+
+@given(
+    st.fractions(min_value=0, max_value=4, max_denominator=9),
+    st.integers(1, 255),
+    st.integers(2, 64),
+)
+@example(Fraction(1), 4, 8)
+@example(Fraction(1), 27, 9)
+@example(Fraction(3, 7), 12, 144)
+def test_make_rate_matches_a_power_search(scalar, m, b):
+    # log(m)/log(b) is y/x when m**x == b**y; below 256 the exponents of a
+    # common base are at most 8, so the search is complete.  Otherwise the
+    # stored bases are m and b's least roots, and the scalar absorbs the
+    # exponents: m == log_num**a and b == log_base**c give scalar * a / c.
+    r = make_rate(scalar, m, b)
+    folds = [(x, y) for x in range(1, 9) for y in range(1, 9) if m**x == b**y]
+    if scalar == 0 or m == 1:  # log(1) == 0
+        assert r == Rate(Fraction(0))
+    elif folds:
+        x, y = folds[0]
+        assert r == Rate(scalar * Fraction(y, x))
+    else:
+        assert not _perfect_power(r.log_num) and not _perfect_power(r.log_base)
+        a = next(a for a in range(1, 9) if r.log_num**a == m)
+        c = next(c for c in range(1, 7) if r.log_base**c == b)
+        assert r == Rate(scalar * Fraction(a, c), r.log_num, r.log_base)
+
+
+@st.composite
+def _small_codes(draw):
+    size, n = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    word = st.tuples(*[st.integers(0, size - 1)] * n)
+    words = draw(st.lists(word, min_size=1, max_size=6, unique=True))
+    return Code(Alphabet.plain(size), n, tuple(words))
+
+
+@given(_small_codes())
+@example(Code(BIN, 3, ((0, 1, 1),)))
+def test_metrics_match_brute_force(code):
+    # every pair of codewords, and every word of the space against the code,
+    # counted position by position; a one-word code has distance 1
+    n, words = code.n, code.codewords
+
+    def mismatched(u, v):
+        return Fraction(len([i for i in range(n) if u[i] != v[i]]), n)
+
+    pairs = [mismatched(u, v) for u in words for v in words if u != v]
+    assert distance(code) == (min(pairs) if pairs else 1)
+    for letters in itertools.product(range(code.alphabet.size), repeat=n):
+        word = Word(code.alphabet, letters)
+        assert dist_to_code(word, code) == min(mismatched(letters, c) for c in words)
+        for c in words:
+            assert hamming_dist(word, Word(code.alphabet, c)) == mismatched(letters, c)

@@ -12,13 +12,15 @@ import pytest
 import ltcforge
 from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import Alphabet, make_rate, repetition_code, vector_alphabet
-from ltcforge.errors import DomainError
+from ltcforge.constructions import generalized_hadamard, generalized_long_code
+from ltcforge.errors import DomainError, MismatchError
 from ltcforge.pipeline import (
     IncompleteReportError,
     PipelineReport,
     certify,
     general_reduction,
     linear_reduction,
+    run_reduction,
     semilinear_reduction,
 )
 from ltcforge.testers import equality_tester, soundness_exact
@@ -100,6 +102,20 @@ def test_semilinear_rejects_plain_alphabet():
     code, tester, mu = desk_plain_inputs()
     with pytest.raises(DomainError):
         semilinear_reduction(code, tester, mu)
+
+
+@pytest.mark.parametrize("kind, params", [("linear", {"dimd": 2, "c": 2}), ("general", {"d": 3, "c": 3}), ("semilinear", {})])
+def test_reductions_refuse_a_tester_for_another_code(kind, params):
+    # the length-9 long code (2 -> 3) with an equality tester on 3 positions,
+    # and the length-4 Hadamard code (GF(2) -> GF(2)^2) with one on 2: each
+    # pair is refused up front, not by a later stage under another name
+    if kind == "general":
+        code, n = generalized_long_code(2, Alphabet.plain(3))[1], 3
+    else:
+        code, n = generalized_hadamard(VecSpace(Field(2), 1), VecSpace(Field(2), 2))[1], 2
+    tester = equality_tester(code.alphabet, n)
+    with pytest.raises(MismatchError, match="tester incompatible with code"):
+        run_reduction(kind, code, tester, Fraction(1, 2), params)
 
 
 def test_certify_incomplete_report():

@@ -185,6 +185,22 @@ def test_witness_from_certificate_verifies():
     assert verify_witness(replaced, enc, wit)
 
 
+def test_witness_from_certificate_takes_each_table_first_coordinate():
+    # a family listing every table twice: as check_f_compatible and
+    # extend_compatibility do, the witness names a table's first coordinate
+    from ltcforge.concat import Encoder
+    from ltcforge.constructions import FunctionFamily
+
+    eq = equality_tester(BIN, 2)
+    replaced = separable_replacement(eq, Fraction(2), 2)
+    cert = check_separable(replaced, 2)
+    enc = compatibility_encoder(BIN, BIN, False)
+    twice = Encoder(FunctionFamily(2, BIN, enc.family.tables * 2))
+    wit = witness_from_certificate(cert, replaced, twice)
+    assert wit == witness_from_certificate(cert, replaced, enc)
+    assert verify_witness(replaced, twice, wit)
+
+
 def test_extend_compatibility_identity():
     eq = equality_tester(BIN, 2)
     enc = compatibility_encoder(BIN, BIN, False)
