@@ -54,7 +54,7 @@ from .serialize import (
     value_to_json,
     witness_to_json,
 )
-from .testers import equality_tester, soundness_exact, soundness_sampled, validate
+from .testers import equality_tester, gc_paused, soundness_exact, soundness_sampled, validate
 
 
 _READERS = {
@@ -65,10 +65,13 @@ _READERS = {
 }
 
 
+@gc_paused
 def _load(path: str, kind: str):
     """The `kind` artifact in the JSON file at path: the artifact itself, or
     the output of another command holding exactly one artifact of that
-    schema among its top-level values (`build --out`, `tester ... --out`)."""
+    schema among its top-level values (`build --out`, `tester ... --out`).
+    The collector is paused from parsing to the artifact, as in the
+    readers: parsing builds one dict per check and no cycle."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -24,6 +24,7 @@ from .testers import (
     accept_bits,
     accept_from_tuples,
     full_accept,
+    gc_paused,
     reject_probability,
     uniform_checks,
 )
@@ -106,6 +107,7 @@ def _joint_images(
     return out
 
 
+@gc_paused
 def dependence_tester(
     family: FunctionFamily, q: int, budget: int = DEFAULT_BUDGET
 ) -> Tester:

@@ -33,6 +33,17 @@ Query positions are 0-based here and throughout the package.  Readers
 raise SchemaError for a non-integer where an integer belongs, a JSON true
 or false included, and `_reader` turns every missing key or value of the
 wrong type or shape into one.
+
+Readers pay per distinct item where they can.  The tester, witness and
+certificate readers decode each distinct (arity, accept index list) once,
+and the tester reader builds one Fraction per distinct (num, den).  The
+types of every list and pair are tested first, in passes over the whole
+document, because True and 1.0 equal 1 as keys.  `_reader` also runs each
+reader with the cyclic garbage collector paused (`testers.gc_paused`): a
+reader builds one object per check and no reference cycle, so reference
+counting frees what it drops, and the collector's passes would only walk
+every object the process holds.  The package runs in one thread, so
+nothing else allocates while the collector is off.
 """
 
 from __future__ import annotations
@@ -41,7 +52,8 @@ from fractions import Fraction
 from functools import wraps
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable, Iterable
 
 from .codes import Alphabet, Code, Rate, Word, vector_alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry
@@ -55,6 +67,7 @@ from .testers import (
     Tester,
     accept_bits,
     accept_from_indices,
+    gc_paused,
     indices_from_accept,
 )
 
@@ -158,9 +171,11 @@ def _encode_tester(t: Tester, nl: str) -> str:
 
 
 def _reader(read):
-    """The reader `read`, with KeyError, TypeError and ValueError raised as SchemaError."""
+    """The reader `read`, with KeyError, TypeError and ValueError raised as
+    SchemaError, run with the cyclic collector paused (`gc_paused`)."""
     what = read.__name__.removesuffix("_from_json")
 
+    @gc_paused
     @wraps(read)
     def checked(doc: Any):
         try:
@@ -194,13 +209,32 @@ def _ints(v: Any) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _int_lists(docs: Iterable, key: str) -> list[list[int]]:
+    """doc[key] for each doc in docs, or TypeError as in `_ints` unless each
+    is a list of ints: their types are tested first, in two passes over all
+    of them, so no bool or float is ever used as a key."""
+    get = itemgetter(key)
+    if set(map(type, map(get, docs))) - {list} or set(map(type, chain.from_iterable(map(get, docs)))) - {int}:
+        raise TypeError(f"not a list of integers at {key!r}")
+    return list(map(get, docs))
+
+
+def _decoded(keys: Iterable, docs: Iterable, decode: Callable) -> list:
+    """[decode(doc) for doc in docs], decode called once per distinct key:
+    the i-th key is the i-th doc's, and docs of one key decode alike."""
+    values, out = {}, []
+    for key, doc in zip(keys, docs):
+        if (value := values.get(key)) is None:
+            value = values[key] = decode(doc)
+        out.append(value)
+    return out
+
+
 def frac_to_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-def frac_from_json(d: Any, built: dict | None = None) -> Fraction:
-    """The rational d.  Given `built`, a dict from (num, den) to the
-    Fractions read so far, a pair read again returns the same Fraction."""
+def frac_from_json(d: Any) -> Fraction:
     if not (
         isinstance(d, dict)
         and set(d) == {"num", "den"}
@@ -209,34 +243,44 @@ def frac_from_json(d: Any, built: dict | None = None) -> Fraction:
         and d["den"] != 0
     ):
         raise SchemaError(f"not a rational: {d!r}")
-    if built is None:
-        return Fraction(d["num"], d["den"])
-    key = d["num"], d["den"]
-    if key not in built:
-        built[key] = Fraction(*key)
-    return built[key]
+    return Fraction(d["num"], d["den"])
 
 
-def accept_from_json(indices: Any, size: int, arity: int, tables: dict) -> int:
-    """Accept bitset of a strictly ascending list of tuple indices below
-    size**arity.  `tables`, a dict from arity to size**arity for one
-    reader's call, sizes each table once; an oversized table is refused
-    before anything is built."""
-    if (table := tables.get(arity)) is None:
-        try:
-            table = tables[arity] = accept_bits(size, arity)
-        except CapacityError as exc:
-            raise SchemaError(f"accept set too large: {exc}") from None
-    if not isinstance(indices, list):
-        raise SchemaError(f"accept set is not a list: {indices!r}")
-    if indices and not (
-        set(map(type, indices)) == {int}
-        and 0 <= indices[0]
-        and indices[-1] < table
-        and all(map(int.__lt__, indices, indices[1:]))
-    ):
-        raise SchemaError(f"accept set is not a strictly ascending list of indices in 0..{table - 1}")
-    return accept_from_indices(indices)
+def _fractions(docs: list) -> list[Fraction]:
+    """frac_from_json of each doc, one Fraction per distinct (num, den).
+    Every doc is type-checked first, in passes over all of them: a JSON
+    true is not 1, nor is 1.0."""
+    pair = itemgetter("num", "den")
+    if set(map(len, docs)) - {2} or set(map(type, chain.from_iterable(map(pair, docs)))) - {int}:
+        raise TypeError("not a list of rationals")
+    return _decoded(map(pair, docs), docs, frac_from_json)
+
+
+def _accept_sets(docs: list, arities: list[int], size: int) -> list[int]:
+    """The accept bitset of each doc's "accept", a strictly ascending list
+    of tuple indices below size**arity at the doc's arity.  Every list is
+    type-checked before any is a key, each table is sized once per arity
+    and an oversized one refused before anything is decoded, and each
+    distinct (arity, list) is decoded once."""
+    try:
+        tables = {arity: accept_bits(size, arity) for arity in dict.fromkeys(arities)}
+    except CapacityError as exc:
+        raise SchemaError(f"accept set too large: {exc}") from None
+    lists = _int_lists(docs, "accept")
+
+    def decode(doc: tuple[int, list[int]]) -> int:
+        arity, indices = doc
+        if indices and not (
+            0 <= indices[0]
+            and indices[-1] < tables[arity]
+            and all(map(int.__lt__, indices, indices[1:]))
+        ):
+            raise SchemaError(
+                f"accept set is not a strictly ascending list of indices in 0..{tables[arity] - 1}"
+            )
+        return accept_from_indices(indices)
+
+    return _decoded(zip(arities, map(tuple, lists)), zip(arities, lists), decode)
 
 
 def alphabet_to_json(a: Alphabet) -> dict:
@@ -304,13 +348,11 @@ def tester_to_json(t: Tester) -> dict:
 def tester_from_json(doc: Any) -> Tester:
     _expect(doc, "tester")
     alphabet = alphabet_from_json(doc["alphabet"])
-    n, q = _int(doc["n"]), _int(doc["q"])
-    checks, weights, tables = [], {}, {}  # one Fraction per distinct weight, one size per arity
-    for c in doc["checks"]:
-        queries = _ints(c["queries"])
-        accept = accept_from_json(c["accept"], alphabet.size, len(queries), tables)
-        checks.append(Check(queries, accept, frac_from_json(c["weight"], weights)))
-    return Tester(alphabet, n, q, tuple(checks))
+    n, q, docs = _int(doc["n"]), _int(doc["q"]), doc["checks"]
+    queries = list(map(tuple, _int_lists(docs, "queries")))
+    accepts = _accept_sets(docs, list(map(len, queries)), alphabet.size)
+    weights = _fractions(list(map(itemgetter("weight"), docs)))
+    return Tester(alphabet, n, q, tuple(map(Check, queries, accepts, weights)))
 
 
 def family_to_json(f: FunctionFamily) -> dict:
@@ -359,11 +401,10 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
 @_reader
 def witness_from_json(doc: Any) -> CompatibilityWitness:
     _expect(doc, "witness")
-    size, entries, tables = _int(doc["target_size"]), [], {}
-    for e in doc["checks"]:
-        b = _ints(e["b"])
-        entries.append(WitnessEntry(b, accept_from_json(e["accept"], size, len(b), tables)))
-    return CompatibilityWitness(tuple(entries))
+    size, docs = _int(doc["target_size"]), doc["checks"]
+    positions = list(map(tuple, _int_lists(docs, "b")))
+    accepts = _accept_sets(docs, list(map(len, positions)), size)
+    return CompatibilityWitness(tuple(map(WitnessEntry, positions, accepts)))
 
 
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
@@ -388,14 +429,17 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
 @_reader
 def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     _expect(doc, "certificate")
-    size, checks, tables = _int(doc["delta_size"]), [], {}
-    for chk in doc["checks"]:
-        bases, maps = chk["subspaces"], tuple(_ints(m) for m in chk["maps"])
+    size, docs = _int(doc["delta_size"]), doc["checks"]
+    maps = [tuple(_ints(m) for m in chk["maps"]) for chk in docs]
+    accepts = _accept_sets(docs, list(map(len, maps)), size)
+    checks = []
+    for chk, coord_maps, accept in zip(docs, maps, accepts):
+        bases = chk["subspaces"]
         checks.append(
             CheckCertificate(
                 tuple(tuple(_ints(cls) for cls in coord) for coord in chk["partitions"]),
-                maps,
-                accept_from_json(chk["accept"], size, len(maps), tables),
+                coord_maps,
+                accept,
                 None if bases is None else tuple(tuple(_ints(v) for v in basis) for basis in bases),
             )
         )

@@ -42,6 +42,15 @@ keeps the least ratio, then the least word index (the lexicographically
 smallest witness), and a chunk goes on to exact ratios only in its words
 strictly below the running best.
 
+A tester validates its checks in bulk: a few passes over all of them,
+each in C, give the arities, the query positions and, per arity, the
+least and largest accept set, and each distinct weight object is tested
+once.  `gc_paused` runs a builder of one object per check
+(`constructions.dependence_tester` and every `serialize` reader) with the
+cyclic garbage collector off.  Such builders make no reference cycles, so
+reference counting frees all they drop, and the package runs in one
+thread, so nothing else allocates while the collector is off.
+
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
 the trial count never perturbs earlier draws.
@@ -49,8 +58,11 @@ the trial count never perturbs earlier draws.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
+from itertools import chain, compress
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -61,6 +73,26 @@ from .codes import Alphabet, Code, Word
 from .errors import CapacityError, DomainError, MismatchError
 
 ACCEPT_BITS_LIMIT = 1 << 24  # alphabet^arity per check
+
+
+def gc_paused(build):
+    """build, run with the cyclic garbage collector off and its previous
+    state restored on return or raise.  For builders of one object per
+    check: they make no reference cycles, so reference counting frees all
+    they drop, and the collector's passes would only walk every object the
+    process holds.  Under a caller that paused it, build runs as is."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def accept_from_indices(indices: Sequence[int]) -> int:
@@ -122,19 +154,27 @@ class Tester:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        size, n, q = self.alphabet.size, self.n, self.q
+        size, n, q, checks = self.alphabet.size, self.n, self.q, self.checks
         if q < 1:
             raise DomainError("tester arity q must be at least 1")
-        for ch in self.checks:
-            queries, arity = ch.queries, len(ch.queries)
-            if not 0 < arity <= q:
-                raise DomainError("check arity must be between 1 and q")
-            if min(queries) < 0 or max(queries) >= n:
-                raise DomainError("query position out of range")
-            if ch.weight.numerator <= 0:  # Fraction denominators are positive
-                raise DomainError("check weights must be positive")
-        for arity in {len(ch.queries) for ch in self.checks}:
-            accept_bits(size, arity)
+        # a few passes over all checks, each in C, then one test per
+        # distinct arity and per distinct weight object
+        queries = [ch.queries for ch in checks]
+        arities = list(map(len, queries))
+        if arities and not 0 < min(arities) <= max(arities) <= q:
+            raise DomainError("check arity must be between 1 and q")
+        positions = set(chain.from_iterable(queries))
+        if positions and (min(positions) < 0 or max(positions) >= n):
+            raise DomainError("query position out of range")
+        weights = {id(ch.weight): ch.weight for ch in checks}
+        if any(w.numerator <= 0 for w in weights.values()):  # Fraction denominators are positive
+            raise DomainError("check weights must be positive")
+        accepts = [ch.accept for ch in checks]
+        for arity in set(arities):
+            table = accept_bits(size, arity)
+            same = list(compress(accepts, map(arity.__eq__, arities)))
+            if min(same) < 0 or max(same).bit_length() > table:
+                raise DomainError(f"accept set outside the {table} tuples of arity {arity}")
 
 
 def accept_bits(size: int, arity: int) -> int:

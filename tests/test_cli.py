@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import subprocess
@@ -137,6 +138,24 @@ def test_schema_mismatch_exit_2(tmp_path, capsys):
     code = main(["soundness", "exact", "--tester", str(path), "--code", str(path)])
     capsys.readouterr()
     assert code == 2
+
+
+def test_loading_an_artifact_restores_the_collector(tmp_path, capsys):
+    # an artifact file is parsed and read with the cyclic collector paused;
+    # it is back on after a load that succeeds, and after one that fails
+    # at the JSON, at the schema or past a capacity
+    _, doc = run_cli(capsys, "tester", "equality", "--n", "2", "--size", "3")
+    good, huge = tmp_path / "t.json", tmp_path / "huge.json"
+    good.write_text(json.dumps(doc))
+    doc["tester"]["alphabet"]["size"] = 10**30
+    huge.write_text(json.dumps(doc))
+    bad, other = tmp_path / "bad.json", tmp_path / "other.json"
+    bad.write_text("{not json")
+    other.write_text(json.dumps({"schema": "ltc-forge/other-v1"}))
+    for path, want in [(good, 0), (huge, 2), (bad, 2), (other, 2)]:
+        code = main(["separate", "check", "--tester", str(path), "--delta-size", "3"])
+        capsys.readouterr()
+        assert code == want and gc.isenabled()
 
 
 def test_separate_check_failure_exit_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Round-trip identity for every serialized artifact."""
 
 import ast
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,7 @@ from ltcforge.pipeline import (
 )
 from ltcforge.separability import check_separable, compatibility_encoder, separable_replacement
 from ltcforge.serialize import (
+    alphabet_from_json,
     certificate_from_json,
     certificate_to_json,
     code_from_json,
@@ -476,6 +478,128 @@ def test_readers_size_each_accept_table_once_per_arity():
         with mock.patch("ltcforge.serialize.accept_bits", wraps=accept_bits) as sized:
             read(json.loads(dumps(doc)))
         assert sized.call_count == arities
+
+
+def _shared_accept_docs():
+    """(document, reader) for a tester, a witness and a certificate, each
+    with two checks of one accept set over the 2**2 binary pairs, and the
+    tester's of one weight."""
+    eq = equality_tester(BIN, 3)
+    witness = check_f_compatible(eq, compatibility_encoder(BIN, BIN, False))
+    return [
+        (tester_to_json(eq), tester_from_json),
+        (witness_to_json(witness, 2), witness_from_json),
+        (certificate_to_json(check_separable(eq, 2)), certificate_from_json),
+    ]
+
+
+@pytest.mark.parametrize("second", [[True], [1.0]])
+def test_decoded_accept_sets_do_not_hide_a_later_bool_or_float(second):
+    # True and 1.0 equal 1 as dict keys: every accept set is type-checked
+    # before the first is decoded and kept
+    for doc, read in _shared_accept_docs():
+        doc["checks"][0]["accept"] = [1]
+        doc["checks"][1]["accept"] = [1]
+        assert read(json.loads(dumps(doc))) is not None
+        doc["checks"][1]["accept"] = second
+        what = read.__name__.removesuffix("_from_json")
+        with pytest.raises(SchemaError, match=f"malformed {what}"):
+            read(doc)
+
+
+@pytest.mark.parametrize("second", [{"num": True, "den": 1}, {"num": 1, "den": 1.0}, {"num": 1, "den": 1, "x": 0}])
+def test_decoded_weights_do_not_hide_a_later_malformed_weight(second):
+    doc, _ = _shared_accept_docs()[0]
+    doc["checks"][0]["weight"] = {"num": 1, "den": 1}
+    doc["checks"][1]["weight"] = {"num": 1, "den": 1}
+    assert tester_from_json(json.loads(dumps(doc))).checks[1].weight == 1
+    doc["checks"][1]["weight"] = second
+    with pytest.raises(SchemaError, match="malformed tester"):
+        tester_from_json(doc)
+
+
+def test_one_index_list_is_range_checked_at_each_arity():
+    # [5] lies in the 3**2 pairs of three letters, not in the three letters
+    tri = {"kind": "plain", "size": 3}
+    checks = [{"queries": [0, 1], "accept": [5], "weight": {"num": 1, "den": 2}},
+              {"queries": [0], "accept": [2], "weight": {"num": 1, "den": 2}}]
+    doc = {"schema": "ltc-forge/tester-v2", "alphabet": tri, "n": 2, "q": 2, "checks": checks}
+    assert tester_from_json(doc).checks[1].accept == 1 << 2
+    checks[1]["accept"] = [5]
+    with pytest.raises(SchemaError, match="indices in 0..2"):
+        tester_from_json(doc)
+    # the witness and certificate readers, over two letters: [3] at arities 2 and 1
+    _, witness, certificate = _shared_accept_docs()
+    witness[0]["checks"][1]["b"] = [1]
+    certificate[0]["checks"][1]["maps"] = [[0, 1]]
+    certificate[0]["checks"][1]["partitions"] = [[[0], [1]]]
+    for doc, read in (witness, certificate):
+        doc["checks"][0]["accept"] = [3]
+        doc["checks"][1]["accept"] = [1]
+        assert read(doc) is not None
+        doc["checks"][1]["accept"] = [3]
+        with pytest.raises(SchemaError, match="indices in 0..1"):
+            read(doc)
+
+
+def _collector_cases():
+    """(call, exception or None) for dependence_tester and every reader,
+    returning and raising."""
+    fam, _ = generalized_long_code(2, Alphabet.plain(3))
+    huge = tester_to_json(equality_tester(BIN, 2))
+    huge["alphabet"]["size"] = 10**30
+    cases = [
+        (lambda: dependence_tester(fam, 2), None),
+        (lambda: dependence_tester(fam, 2, budget=2), CapacityError),
+        (lambda: tester_from_json(huge), CapacityError),
+    ]
+    for kind in ["tester", "code", "rate", "witness", "certificate", "soundness", "word", "report"]:
+        doc, read = _valid_doc(kind)
+        cases.append((lambda doc=doc, read=read: read(doc), None))
+        cases.append((lambda read=read: read({"schema": 3}), SchemaError))
+    return cases
+
+
+def test_builders_and_readers_restore_the_collector():
+    # dependence_tester and the readers pause the cyclic collector, and
+    # turn it back on whether they return or raise
+    assert gc.isenabled()
+    for call, error in _collector_cases():
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert gc.isenabled()
+
+
+def test_builders_and_readers_leave_a_paused_collector_paused():
+    gc.disable()
+    try:
+        for call, error in _collector_cases():
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_reader_leaves_the_collector_paused_until_the_outer_returns():
+    # tester_from_json reads its alphabet through alphabet_from_json, itself
+    # a reader: the collector stays off after the inner one returns
+    real, seen = alphabet_from_json, []
+
+    def inner(doc):
+        out = real(doc)
+        seen.append(gc.isenabled())
+        return out
+
+    with mock.patch("ltcforge.serialize.alphabet_from_json", side_effect=inner):
+        tester_from_json(tester_to_json(equality_tester(BIN, 3)))
+    assert seen == [False] and gc.isenabled()
 
 
 def test_dumps_refuses_a_numpy_query_position_in_both_forms():

@@ -378,6 +378,40 @@ def test_check_rejects_out_of_range_position():
         Tester(BIN, 2, 2, (Check((0, 5), full_accept(2, 2), Fraction(1)),))
 
 
+@pytest.mark.parametrize("accept", [(1 << 4) | 9, (1 << 10) | 9, -1, -(1 << 10)])
+def test_accept_set_outside_the_table_refused(accept):
+    # 2**2 binary pairs: an accept set is a bitset below 2**4.  Past it,
+    # soundness_exact would overflow compiling the check, and dumps would
+    # write a file its own reader refuses.
+    with pytest.raises(DomainError, match="accept set outside"):
+        Tester(BIN, 2, 2, (Check((0, 1), accept, Fraction(1)),))
+
+
+def test_accept_range_checked_per_arity():
+    # bit 5 fits the 3**2 pairs of a 3-letter arity-2 check, not its 3 letters
+    tri = Alphabet.plain(3)
+    pair, single = Check((0, 1), 1 << 5, Fraction(1, 2)), Check((0,), 1 << 5, Fraction(1, 2))
+    assert len(Tester(tri, 2, 2, (pair, replace(single, accept=1 << 2))).checks) == 2
+    with pytest.raises(DomainError, match="accept set outside the 3 tuples of arity 1"):
+        Tester(tri, 2, 2, (pair, single))
+
+
+def test_tester_validates_each_check():
+    # each kind of bad check is refused wherever it stands among good ones
+    good = Check((0, 1), 9, Fraction(1, 3))
+    for bad, what in [
+        (Check((), 1, Fraction(1, 3)), "check arity"),
+        (Check((0, 1, 0), 1, Fraction(1, 3)), "check arity"),
+        (Check((0, -1), 9, Fraction(1, 3)), "query position"),
+        (Check((2, 0), 9, Fraction(1, 3)), "query position"),
+        (Check((0, 1), 9, Fraction(0)), "check weights"),
+        (Check((0, 1), 9, Fraction(-1, 3)), "check weights"),
+    ]:
+        for checks in [(bad, good, good), (good, bad, good), (good, good, bad)]:
+            with pytest.raises(DomainError, match=what):
+                Tester(BIN, 2, 2, checks)
+
+
 def test_accept_bitset_size_cap():
     # alphabet^arity is capped at 2^24 bits per check
     with pytest.raises(CapacityError):
