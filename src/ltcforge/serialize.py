@@ -14,15 +14,16 @@ at the last step; an int of more digits than Python converts to text
 raises ForgeError.  A list of ints is laid out from its one `repr` by
 string replacement: accept sets are such lists, the bulk of every tester.
 
-`dumps` also takes a `Tester` as a value and writes it straight from its
-checks, as the text of `tester_to_json(t)` at that nesting: each distinct
-accept set and weight is rendered once, and a check's text is the one of
-its accept set, its query positions and the one of its weight, joined.
-It takes a `PipelineReport` too, as the text of `report_to_json(r)` with
-every tester in it written that way: both forms come from one report
-builder.  `tester_to_json` and `report_to_json` stay the dict forms, and
-the tests hold the text written from the objects to the text of their
-dicts, byte for byte.
+`dumps` is the one writer of a `Tester` and a `PipelineReport` too.  It
+takes a tester as a value and writes it straight from its checks: each
+distinct accept set and weight is rendered once, and a check's text is the
+one of its accept set, its query positions and the one of its weight,
+joined.  A report it writes from `report_to_json(r)`, which, like
+`value_to_json`, holds each tester and nested report as the object itself
+under its tag.  `tester_to_json` stays the dict form of a tester, the
+reference the tests hold the written text to, byte for byte.  Every
+`Tester` can be written and reads back equal: it admits only ints for
+positions and accept sets and ints or Fractions for weights.
 
 An accept set (of a tester check, a witness entry or a certificate check)
 is the strictly ascending list of its accepted tuple indices, the index of
@@ -31,7 +32,8 @@ in `testers`, which hold them.
 
 Query positions are 0-based here and throughout the package.  Readers
 raise SchemaError for a non-integer where an integer belongs, a JSON true
-or false included, and `_reader` turns every missing key or value of the
+or false included, and for any value `dumps` could not write back, such as
+a float in a report; `_reader` turns every missing key or value of the
 wrong type or shape into one.
 
 Readers pay per distinct item where they can.  The tester, witness and
@@ -53,6 +55,7 @@ from functools import wraps
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
+from types import NoneType
 from typing import Any, Callable, Iterable
 
 from .codes import Alphabet, Code, Rate, Word, vector_alphabet
@@ -125,16 +128,12 @@ def _encode(v: Any, nl: str) -> str:
     if isinstance(v, Tester):
         return _encode_tester(v, nl)
     if isinstance(v, PipelineReport):
-        return _encode(_report_doc(v, _as_is), nl)
+        return _encode(report_to_json(v), nl)
     raise TypeError(f"{t.__name__} has no JSON form here")
 
 
 def _encode_tester(t: Tester, nl: str) -> str:
     """The text of tester_to_json(t) at the nesting given by nl."""
-    positions = list(chain.from_iterable(ch.queries for ch in t.checks))
-    if set(map(type, positions)) - {int}:
-        # a position that is no int raises, a bool reads `true`: as in the dict
-        return _encode(tester_to_json(t), nl)
     inner = nl + "  "
     at = inner + "  "  # a check
     key = at + "  "  # a member of a check
@@ -145,7 +144,7 @@ def _encode_tester(t: Tester, nl: str) -> str:
     heads: dict[int, str] = {}
     tails: dict[int, str] = {}  # by id: the tester holds every weight
     valued: dict[tuple[int, int], str] = {}  # by value: equal weights may be distinct objects
-    name = {p: str(p) for p in set(positions)}.__getitem__
+    name = list(map(str, range(t.n))).__getitem__  # `Tester` holds int positions below n
     sep = "," + item
     parts = []
     for ch in t.checks:
@@ -193,11 +192,11 @@ def _expect(doc: Any, kind: str) -> None:
         raise SchemaError(f"expected schema {SCHEMAS[kind]}, got {doc.get('schema')!r}")
 
 
-def _int(v: Any) -> int:
-    """v if it is an int; TypeError, which the readers raise as SchemaError,
-    for anything else, a bool included."""
-    if type(v) is not int:
-        raise TypeError(f"not an integer: {v!r}")
+def _typed(v: Any, *types: type) -> Any:
+    """v if its type is one of types; TypeError, which the readers raise as
+    SchemaError, for anything else, a bool where an int belongs included."""
+    if type(v) not in types:
+        raise TypeError(f"not a {' or '.join(t.__name__ for t in types)}: {v!r}")
     return v
 
 
@@ -293,11 +292,11 @@ def alphabet_to_json(a: Alphabet) -> dict:
 def alphabet_from_json(d: Any) -> Alphabet:
     # letters are int64 in the soundness kernels: 2**63 or more are refused
     if d["kind"] == "plain":
-        if (size := _int(d["size"])) >= 2**63:
+        if (size := _typed(d["size"], int)) >= 2**63:
             raise CapacityError(size, 2**63 - 1, "plain alphabet")
         return Alphabet.plain(size)
     if d["kind"] == "vector":
-        return vector_alphabet(_int(d["p"]), _int(d["dim"]))
+        return vector_alphabet(_typed(d["p"], int), _typed(d["dim"], int))
     raise SchemaError(f"unknown alphabet kind {d['kind']!r}")
 
 
@@ -315,7 +314,7 @@ def code_from_json(doc: Any) -> Code:
     _expect(doc, "code")
     alphabet = alphabet_from_json(doc["alphabet"])
     words = tuple(_ints(w) for w in doc["codewords"])
-    return Code(alphabet, _int(doc["n"]), words)
+    return Code(alphabet, _typed(doc["n"], int), words)
 
 
 def word_to_json(w: Word) -> dict:
@@ -348,7 +347,7 @@ def tester_to_json(t: Tester) -> dict:
 def tester_from_json(doc: Any) -> Tester:
     _expect(doc, "tester")
     alphabet = alphabet_from_json(doc["alphabet"])
-    n, q, docs = _int(doc["n"]), _int(doc["q"]), doc["checks"]
+    n, q, docs = _typed(doc["n"], int), _typed(doc["q"], int), doc["checks"]
     queries = list(map(tuple, _int_lists(docs, "queries")))
     accepts = _accept_sets(docs, list(map(len, queries)), alphabet.size)
     weights = _fractions(list(map(itemgetter("weight"), docs)))
@@ -369,7 +368,7 @@ def family_from_json(doc: Any) -> FunctionFamily:
     _expect(doc, "family")
     target = alphabet_from_json(doc["target"])
     tables = tuple(_ints(t) for t in doc["tables"])
-    return FunctionFamily(_int(doc["domain_size"]), target, tables)
+    return FunctionFamily(_typed(doc["domain_size"], int), target, tables)
 
 
 def encoder_to_json(e: Encoder) -> dict:
@@ -401,7 +400,7 @@ def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
 @_reader
 def witness_from_json(doc: Any) -> CompatibilityWitness:
     _expect(doc, "witness")
-    size, docs = _int(doc["target_size"]), doc["checks"]
+    size, docs = _typed(doc["target_size"], int), doc["checks"]
     positions = list(map(tuple, _int_lists(docs, "b")))
     accepts = _accept_sets(docs, list(map(len, positions)), size)
     return CompatibilityWitness(tuple(map(WitnessEntry, positions, accepts)))
@@ -429,7 +428,7 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
 @_reader
 def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     _expect(doc, "certificate")
-    size, docs = _int(doc["delta_size"]), doc["checks"]
+    size, docs = _typed(doc["delta_size"], int), doc["checks"]
     maps = [tuple(_ints(m) for m in chk["maps"]) for chk in docs]
     accepts = _accept_sets(docs, list(map(len, maps)), size)
     checks = []
@@ -443,7 +442,7 @@ def certificate_from_json(doc: Any) -> SeparabilityCertificate:
                 None if bases is None else tuple(tuple(_ints(v) for v in basis) for basis in bases),
             )
         )
-    return SeparabilityCertificate(size, doc["linear"], tuple(checks))
+    return SeparabilityCertificate(size, _typed(doc["linear"], bool), tuple(checks))
 
 
 def soundness_to_json(r: SoundnessReport) -> dict:
@@ -465,15 +464,15 @@ def soundness_to_json(r: SoundnessReport) -> dict:
 def soundness_from_json(doc: Any) -> SoundnessReport:
     _expect(doc, "soundness")
     return SoundnessReport(
-        doc["mode"],
+        _typed(doc["mode"], str, NoneType),
         None if doc["value"] is None else frac_from_json(doc["value"]),
-        doc["infinite"],
+        _typed(doc["infinite"], bool),
         None if doc["witness"] is None else word_from_json(doc["witness"]),
         None if doc["bound"] is None else frac_from_json(doc["bound"]),
-        doc["verdict"],
-        None if doc["trials"] is None else _int(doc["trials"]),
-        None if doc["seed"] is None else _int(doc["seed"]),
-        doc["engine"],
+        _typed(doc["verdict"], str, NoneType),
+        _typed(doc["trials"], int, NoneType),
+        _typed(doc["seed"], int, NoneType),
+        _typed(doc["engine"], str, NoneType),
     )
 
 
@@ -487,7 +486,7 @@ def rate_to_json(r: Rate) -> dict:
 
 @_reader
 def rate_from_json(d: Any) -> Rate:
-    return Rate(frac_from_json(d["scalar"]), _int(d["log_num"]), _int(d["log_base"]))
+    return Rate(frac_from_json(d["scalar"]), _typed(d["log_num"], int), _typed(d["log_base"], int))
 
 
 # ---------------------------------------------------------------------------
@@ -496,29 +495,24 @@ def rate_from_json(d: Any) -> Rate:
 
 
 def value_to_json(v: Any) -> Any:
-    return _value_doc(v, tester_to_json)
-
-
-def _value_doc(v: Any, tester) -> Any:
-    """value_to_json(v), with each Tester t in v, in nested reports too,
-    tagged as tester(t)."""
-    if isinstance(v, Tester):
-        return {"$tester": tester(v)}
-    if isinstance(v, PipelineReport):
-        return {"$report": _report_doc(v, tester)}
+    """The tagged form of v: each artifact under its $tag, a Tester or a
+    PipelineReport, in nested reports too, as the object itself, which
+    `dumps` writes."""
     for tag, (cls, to_json, _) in _TAGS.items():
         if isinstance(v, cls):
-            return {tag: to_json(v)}
+            return {tag: v if to_json is None else to_json(v)}
     if isinstance(v, dict):
-        return {k: _value_doc(x, tester) for k, x in v.items()}
+        return {k: value_to_json(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_value_doc(x, tester) for x in v]
+        return [value_to_json(x) for x in v]
     if v is None or isinstance(v, (bool, int, str)):
         return v
     raise SchemaError(f"value of type {type(v).__name__} has no JSON form")
 
 
 def value_from_json(v: Any) -> Any:
+    """The value of a tagged form; TypeError, which the readers raise as
+    SchemaError, for a leaf `dumps` cannot write back, a float included."""
     if isinstance(v, dict):
         if len(v) == 1:
             ((tag, inner),) = v.items()
@@ -527,29 +521,23 @@ def value_from_json(v: Any) -> Any:
         return {k: value_from_json(x) for k, x in v.items()}
     if isinstance(v, list):
         return [value_from_json(x) for x in v]
-    return v
+    if v is None or type(v) in (bool, int, str):
+        return v
+    raise TypeError(f"no JSON value of type {type(v).__name__}")
 
 
 def report_to_json(r: PipelineReport) -> dict:
-    return _report_doc(r, tester_to_json)
-
-
-def _as_is(t: Tester) -> Tester:
-    return t
-
-
-def _report_doc(r: PipelineReport, tester) -> dict:
-    """report_to_json(r), with each Tester t in it given as tester(t):
-    `dumps` writes a report from the one built with `_as_is`."""
+    """The report's document, its testers and nested reports left as
+    objects under their tags, for `dumps` to write."""
     stages = dict(r.stages)
     witness = stages.pop("witness", None)
     doc = {
         "schema": SCHEMAS["report"],
         "kind": r.kind,
-        "params": _value_doc(r.params, tester),
-        "promised": _value_doc(r.promised, tester),
-        "achieved": _value_doc(r.achieved, tester),
-        "stages": _value_doc(stages, tester),
+        "params": value_to_json(r.params),
+        "promised": value_to_json(r.promised),
+        "achieved": value_to_json(r.achieved),
+        "stages": value_to_json(stages),
         "verdicts": dict(r.verdicts),
         "overall": r.overall,
     }
@@ -568,27 +556,29 @@ def report_from_json(doc: Any) -> PipelineReport:
     if witness_doc is not None:
         stages["witness"] = witness_from_json(witness_doc)
     return PipelineReport(
-        kind=doc["kind"],
+        kind=_typed(doc["kind"], str),
         params=value_from_json(doc["params"]),
         promised=value_from_json(doc["promised"]),
         achieved=value_from_json(doc["achieved"]),
         stages=stages,
-        verdicts=dict(doc["verdicts"]),
-        overall=doc["overall"],
+        verdicts={k: _typed(v, str) for k, v in doc["verdicts"].items()},
+        overall=_typed(doc["overall"], str),
         version=doc["schema"],
     )
 
 
 # $tag -> (type, to_json, from_json) for every artifact that stands alone.
+# A Tester and a PipelineReport have no to_json here: they stay objects,
+# and `dumps` writes them.
 _TAGS = {
     "$frac": (Fraction, frac_to_json, frac_from_json),
     "$rate": (Rate, rate_to_json, rate_from_json),
     "$soundness": (SoundnessReport, soundness_to_json, soundness_from_json),
     "$code": (Code, code_to_json, code_from_json),
-    "$tester": (Tester, tester_to_json, tester_from_json),
+    "$tester": (Tester, None, tester_from_json),
     "$encoder": (Encoder, encoder_to_json, encoder_from_json),
     "$word": (Word, word_to_json, word_from_json),
     "$certificate": (SeparabilityCertificate, certificate_to_json, certificate_from_json),
     "$family": (FunctionFamily, family_to_json, family_from_json),
-    "$report": (PipelineReport, report_to_json, report_from_json),
+    "$report": (PipelineReport, None, report_from_json),
 }

@@ -43,13 +43,14 @@ smallest witness), and a chunk goes on to exact ratios only in its words
 strictly below the running best.
 
 A tester validates its checks in bulk: a few passes over all of them,
-each in C, give the arities, the query positions and, per arity, the
-least and largest accept set, and each distinct weight object is tested
-once.  `gc_paused` runs a builder of one object per check
-(`constructions.dependence_tester` and every `serialize` reader) with the
-cyclic garbage collector off.  Such builders make no reference cycles, so
-reference counting frees all they drop, and the package runs in one
-thread, so nothing else allocates while the collector is off.
+each in C, give the types of every position and accept set, the arities,
+the query positions and, per arity, the least and largest accept set, and
+each distinct weight object is tested once.  `gc_paused` runs a builder
+of one object per check (`constructions.dependence_tester` and every
+`serialize` reader) with the cyclic garbage collector off.  Such builders
+make no reference cycles, so reference counting frees all they drop, and
+the package runs in one thread, so nothing else allocates while the
+collector is off.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
@@ -131,7 +132,7 @@ def full_accept(size: int, arity: int) -> int:
     return (1 << size**arity) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     queries: tuple[int, ...]
     accept: int
@@ -155,21 +156,28 @@ class Tester:
 
     def __post_init__(self):
         size, n, q, checks = self.alphabet.size, self.n, self.q, self.checks
-        if q < 1:
-            raise DomainError("tester arity q must be at least 1")
+        # A tester is what `serialize` writes and reads back equal: n, q,
+        # positions and accept sets ints (no bool, float or numpy integer),
+        # checks and queries tuples, weights ints or Fractions.  Every item's
+        # type is tested before any value, as True and 1.0 equal 1.
+        if type(n) is not int or type(q) is not int or type(checks) is not tuple or q < 1:
+            raise DomainError("tester n and q must be ints, q at least 1, and checks a tuple")
         # a few passes over all checks, each in C, then one test per
         # distinct arity and per distinct weight object
         queries = [ch.queries for ch in checks]
+        accepts = [ch.accept for ch in checks]
+        if set(map(type, queries)) - {tuple} or set(map(type, chain(accepts, *queries))) - {int}:
+            raise DomainError("queries must be tuples of int positions, accept sets int bitsets")
         arities = list(map(len, queries))
         if arities and not 0 < min(arities) <= max(arities) <= q:
             raise DomainError("check arity must be between 1 and q")
         positions = set(chain.from_iterable(queries))
         if positions and (min(positions) < 0 or max(positions) >= n):
             raise DomainError("query position out of range")
-        weights = {id(ch.weight): ch.weight for ch in checks}
-        if any(w.numerator <= 0 for w in weights.values()):  # Fraction denominators are positive
-            raise DomainError("check weights must be positive")
-        accepts = [ch.accept for ch in checks]
+        weights = {id(ch.weight): ch.weight for ch in checks}.values()
+        # Fraction denominators are positive
+        if set(map(type, weights)) - {int, Fraction} or any(w.numerator <= 0 for w in weights):
+            raise DomainError("check weights must be positive ints or Fractions")
         for arity in set(arities):
             table = accept_bits(size, arity)
             same = list(compress(accepts, map(arity.__eq__, arities)))

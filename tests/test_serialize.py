@@ -17,7 +17,7 @@ from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import Alphabet, Word, rate, repetition_code, vector_alphabet
 from ltcforge.concat import check_f_compatible
 from ltcforge.constructions import dependence_tester, generalized_long_code
-from ltcforge.errors import CapacityError, SchemaError
+from ltcforge.errors import CapacityError, DomainError, SchemaError
 from ltcforge.pipeline import (
     DEMO_PARAMS,
     PipelineReport,
@@ -202,7 +202,7 @@ def _valid_doc(kind):
     lin = repetition_code(vector_alphabet(2, 1), 2)
     lin_eq = equality_tester(lin.alphabet, 2)
     report = linear_reduction(lin, lin_eq, soundness_exact(lin_eq, lin).value, VecSpace(Field(2), 2), 2)
-    return report_to_json(report), report_from_json
+    return json.loads(dumps(report)), report_from_json
 
 
 @pytest.mark.parametrize(
@@ -229,6 +229,15 @@ def _valid_doc(kind):
         ("code", lambda doc: doc["codewords"][1].__setitem__(0, True)),
         ("code", lambda doc: doc.update(n=True)),
         ("word", lambda doc: doc["letters"].__setitem__(0, False)),
+        ("certificate", lambda doc: doc.update(linear=1.5)),
+        ("soundness", lambda doc: doc.update(mode=1.5)),
+        ("soundness", lambda doc: doc.update(verdict=1.5)),
+        ("soundness", lambda doc: doc.update(engine=1.5)),
+        ("soundness", lambda doc: doc.update(infinite=1.5)),
+        ("report", lambda doc: doc.update(kind=1.5)),
+        ("report", lambda doc: doc.update(overall=1.5)),
+        ("report", lambda doc: doc["verdicts"].update(soundness=1.5)),
+        ("report", lambda doc: doc["params"].update(x=1.5)),
     ],
     ids=[
         "witness-target-size-str",
@@ -252,12 +261,22 @@ def _valid_doc(kind):
         "code-letter-bool",
         "code-n-bool",
         "word-letter-bool",
+        "certificate-linear-float",
+        "soundness-mode-float",
+        "soundness-verdict-float",
+        "soundness-engine-float",
+        "soundness-infinite-float",
+        "report-kind-float",
+        "report-overall-float",
+        "report-verdict-float",
+        "report-param-float",
     ],
 )
 def test_malformed_document_raises_schema_error(kind, corrupt):
     # The first six once escaped their reader as a KeyError or a TypeError;
-    # the others, a non-integer where an integer belongs, were read as valid:
-    # a JSON true or false, the last six, as the integer 1 or 0.
+    # the next fifteen, a non-integer where an integer belongs, were read as
+    # valid: a JSON true or false, six of them, as the integer 1 or 0.  The
+    # last nine were read, and `dumps` then could not write the artifact.
     doc, from_json = _valid_doc(kind)
     assert from_json(json.loads(dumps(doc))) is not None
     corrupt(doc)
@@ -393,13 +412,28 @@ def test_dumps_writes_a_tester_as_its_dict(t):
     # every nesting in one example: an accept text is rendered per nesting
     for depth in range(4):
         assert dumps(_nested(t, depth)) == dumps(_nested(tester_to_json(t), depth))
+    assert tester_from_json(json.loads(dumps(t))) == t
+
+
+def _as_dicts(v):
+    """v with every Tester in it, in nested reports too, as its dict form
+    `tester_to_json`: the reference `dumps` writes a report against."""
+    if isinstance(v, Tester):
+        return tester_to_json(v)
+    if isinstance(v, PipelineReport):
+        return _as_dicts(report_to_json(v))
+    if isinstance(v, dict):
+        return {k: _as_dicts(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_as_dicts(x) for x in v]
+    return v
 
 
 def _report_forms_agree(report: PipelineReport) -> None:
     # every nesting of one report: a tester's accept and weight texts are
     # rendered per nesting
     for depth in range(4):
-        assert dumps(_nested(report, depth)) == dumps(_nested(report_to_json(report), depth))
+        assert dumps(_nested(report, depth)) == dumps(_nested(_as_dicts(report), depth))
 
 
 @pytest.mark.parametrize("kind", ["linear", "general", "semilinear"])
@@ -602,15 +636,23 @@ def test_nested_reader_leaves_the_collector_paused_until_the_outer_returns():
     assert seen == [False] and gc.isenabled()
 
 
-def test_dumps_refuses_a_numpy_query_position_in_both_forms():
-    t = Tester(BIN, 2, 2, (Check((0, 1), 9, Fraction(1, 2)), Check((np.int64(1), 0), 6, Fraction(1, 2))))
-    for doc in (t, tester_to_json(t)):
-        with pytest.raises(TypeError):
-            dumps({"tester": doc})
+@pytest.mark.parametrize("position", [np.int64(1), 1.0, True], ids=["numpy", "float", "bool"])
+def test_tester_refuses_a_query_position_that_is_no_int(position):
+    # each equals 1, and so is one member of the position set {0, 1}; `dumps`
+    # could not write it (a numpy integer or a float) or wrote `true`, which
+    # tester_from_json refuses
+    with pytest.raises(DomainError, match="tuples of int positions"):
+        Tester(BIN, 2, 2, (Check((0, 1), 9, Fraction(1, 2)), Check((position, 1), 6, Fraction(1, 2))))
+
+
+def test_a_tester_with_an_int_weight_reads_back_equal():
+    t = Tester(BIN, 2, 2, (Check((0, 1), 9, 1),))
+    assert tester_from_json(json.loads(dumps(t))) == t
 
 
 @pytest.mark.parametrize(
-    "doc", [{"x": 0.5}, [1, 2.0], {1: "a"}, {"a": (1, 2)}, [[1, 2], (3,)], {"a": object()}]
+    "doc",
+    [{"x": 0.5}, [1, 2.0], {1: "a"}, {"a": (1, 2)}, [[1, 2], (3,)], {"a": object()}, [0, np.int64(1)]],
 )
 def test_dumps_refuses_values_outside_the_artifact_types(doc):
     with pytest.raises(TypeError):

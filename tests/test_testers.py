@@ -406,10 +406,25 @@ def test_tester_validates_each_check():
         (Check((2, 0), 9, Fraction(1, 3)), "query position"),
         (Check((0, 1), 9, Fraction(0)), "check weights"),
         (Check((0, 1), 9, Fraction(-1, 3)), "check weights"),
+        # types `serialize` could not write, or would not read back equal
+        (Check([0, 1], 9, Fraction(1, 3)), "queries must be tuples"),
+        (Check((0, 1), 9.0, Fraction(1, 3)), "int bitsets"),
+        (Check((0, 1), np.int64(9), Fraction(1, 3)), "int bitsets"),
+        (Check((0, 1), True, Fraction(1, 3)), "int bitsets"),
+        (Check((0, 1), 9, 0.5), "ints or Fractions"),
+        (Check((0, 1), 9, np.int64(1)), "ints or Fractions"),
+        (Check((0, 1), 9, True), "ints or Fractions"),
     ]:
         for checks in [(bad, good, good), (good, bad, good), (good, good, bad)]:
             with pytest.raises(DomainError, match=what):
                 Tester(BIN, 2, 2, checks)
+
+
+@pytest.mark.parametrize("n, q, checks", [(2.0, 2, ()), (2, True, ()), (2, 2, [])])
+def test_tester_refuses_n_q_and_checks_of_other_types(n, q, checks):
+    # `dumps` could not write them, or wrote what reads back unequal
+    with pytest.raises(DomainError, match="must be ints"):
+        Tester(BIN, n, q, checks)
 
 
 def test_accept_bitset_size_cap():
