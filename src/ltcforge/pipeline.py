@@ -221,8 +221,6 @@ def linear_reduction(
         raise DomainError("c must lie in 1..dim(target)")
     if c == 1 and q < 3:
         raise DomainError("c = 1 requires a tester with at least 3 queries")
-    if classify_linear(tester).kind == "nonlinear":
-        raise DomainError("linear reduction needs a linear tester")
     p = space.field.p
     sigma_size = space.size
     delta_prime = VecSpace(space.field, c)
@@ -246,7 +244,7 @@ def linear_reduction(
             else Fraction(1, sigma_size**3),
         }
 
-    wit = witness_from_certificate(cert, t_sep, encoder)
+    wit = witness_from_certificate(cert, encoder)
     mu_prime = Fraction(c, q * space.dim + c) * mu
     return _reduce(
         "linear", code, t_sep, mu_prime, encoder, wit, inner_code, 2 if c > 1 else 3, promise,
@@ -292,7 +290,7 @@ def general_reduction(
             else Fraction(1, 2 ** (3 * sigma_size)),
         }
 
-    wit = witness_from_certificate(cert, t_sep, encoder)
+    wit = witness_from_certificate(cert, encoder)
     return _reduce(
         "general", code, t_sep, mu / sigma_size**q, encoder, wit, inner_code, 2 if c > 2 else 3,
         promise, {"c": c, "d": d, "mu": mu}, Alphabet.plain(d), budget, seed, trials,
@@ -318,8 +316,6 @@ def semilinear_reduction(
     space = code.alphabet.space
     if space is None or space.field.p != 2:
         raise DomainError("semilinear reduction needs a GF(2) vector alphabet")
-    if classify_linear(tester).kind == "nonlinear":
-        raise DomainError("semilinear reduction needs a linear tester")
     q = tester.q
     f2 = VecSpace(space.field, 1)
 
@@ -336,7 +332,7 @@ def semilinear_reduction(
         derived.tables + ((0,) * derived.domain_size,) * (k - derived.k),
     )
     encoder = Encoder(padded)
-    wit = extend_compatibility(witness_from_certificate(cert, t_sep, g_encoder), g_encoder, encoder)
+    wit = extend_compatibility(witness_from_certificate(cert, g_encoder), g_encoder, encoder)
     inner_code, _ = code_from_family(padded)
     delta_c, r_c = distance(code), rate(code)
 

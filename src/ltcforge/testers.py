@@ -802,11 +802,11 @@ class LinearClassification:
     subspace_bases: tuple[tuple[tuple[int, ...], ...], ...] | None
 
 
-def _flat_accepted(space, accept: int, arity: int) -> np.ndarray:
-    """The accepted tuples of an accept set over the vector alphabet `space`
-    flattened to GF(p) rows, in index order: space.flatten of the tuple of
+def flat_rows(space, index: np.ndarray, arity: int) -> np.ndarray:
+    """The tuples of the given indices over the vector alphabet `space`
+    flattened to GF(p) rows, one per index: space.flatten of the tuple of
     index i is i's arity * dim base-p digits, least significant first."""
-    p, index = space.field.p, np.array(indices_from_accept(accept), dtype=np.int64)
+    p = space.field.p
     return index[:, None] // p ** np.arange(arity * space.dim, dtype=np.int64) % p
 
 
@@ -822,7 +822,7 @@ def classify_linear(tester: Tester) -> LinearClassification:
     bases, reduced = [], {}  # reduced: (arity, accept) -> its basis, or None if no subspace
     for ch in tester.checks:
         if (key := (ch.arity, ch.accept)) not in reduced:
-            flat = _flat_accepted(space, ch.accept, ch.arity)
+            flat = flat_rows(space, np.array(indices_from_accept(ch.accept), dtype=np.int64), ch.arity)
             rref, _ = row_reduce(flat.tolist(), p)
             reduced[key] = tuple(rref) if p ** len(rref) == len(flat) else None
         if reduced[key] is None:

@@ -898,6 +898,22 @@ def test_pipeline_on_a_tester_for_another_code_exits_2(tmp_path, capsys, kind, b
     assert _error_exit(capsys, argv) == "error: tester incompatible with code"
 
 
+@pytest.mark.parametrize("kind, extra", [("linear", "--dimd 2 --c 2"), ("semilinear", "")])
+def test_pipeline_on_a_nonlinear_tester_exits_2(tmp_path, capsys, kind, extra):
+    # a tester over GF(2) accepting {00, 10, 11}: both codewords of the
+    # repetition code, but no subspace
+    code_path, tester_path = tmp_path / "c.json", tmp_path / "t.json"
+    assert main(f"tester equality --n 2 --p 2 --dim 1 --out {tester_path}".split()) == 0
+    doc = json.loads(tester_path.read_text())
+    code = {"schema": "ltc-forge/code-v1", "alphabet": doc["tester"]["alphabet"], "n": 2, "codewords": [[0, 0], [1, 1]]}
+    code_path.write_text(json.dumps(code))
+    doc["tester"]["checks"][0]["accept"] = [0, 1, 3]
+    tester_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = f"pipeline {kind} --code {code_path} --tester {tester_path} --mu 1/2 {extra}".split()
+    assert _error_exit(capsys, argv) == "error: linear replacement is defined for linear testers"
+
+
 @pytest.mark.parametrize("field, expect", [("n", "outer tester does not match the code"), ("q", "accept bitset")])
 def test_concat_outer_tester_of_huge_n_or_q_exits_2_quickly(tmp_path, capsys, field, expect):
     # An outer tester declaring 2**40 more positions or queries than it has:

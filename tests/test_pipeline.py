@@ -6,24 +6,28 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import ltcforge
+from ltcforge import concat, pipeline, separability, testers
 from ltcforge.algebra import Field, VecSpace
 from ltcforge.codes import Alphabet, make_rate, repetition_code, vector_alphabet
 from ltcforge.constructions import generalized_hadamard, generalized_long_code
 from ltcforge.errors import DomainError, MismatchError
 from ltcforge.pipeline import (
+    DEMO_PARAMS,
     IncompleteReportError,
     PipelineReport,
     certify,
+    demo_inputs,
     general_reduction,
     linear_reduction,
     run_reduction,
     semilinear_reduction,
 )
-from ltcforge.testers import equality_tester, soundness_exact
+from ltcforge.testers import Check, Tester, accept_from_tuples, equality_tester, soundness_exact
 
 
 def desk_linear_inputs():
@@ -102,6 +106,31 @@ def test_semilinear_rejects_plain_alphabet():
     code, tester, mu = desk_plain_inputs()
     with pytest.raises(DomainError):
         semilinear_reduction(code, tester, mu)
+
+
+@pytest.mark.parametrize("reduce", [lambda *a: linear_reduction(*a, VecSpace(Field(2), 2), 2), semilinear_reduction])
+def test_linear_reductions_refuse_a_nonlinear_tester(reduce):
+    # {00, 10, 11} holds both codewords but is no subspace: the separable
+    # replacement refuses it before anything is built on it
+    code = repetition_code(vector_alphabet(2, 1), 2)
+    tester = Tester(code.alphabet, 2, 2, (Check((0, 1), accept_from_tuples([(0, 0), (1, 0), (1, 1)], 2), Fraction(1)),))
+    with pytest.raises(DomainError, match="defined for linear testers"):
+        reduce(code, tester, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind, classified", [("linear", 3), ("general", 0), ("semilinear", 2)])
+def test_each_reduction_classifies_and_verifies_once(kind, classified):
+    # classify_linear runs once on the separable replacement's padded input,
+    # once on its output and, for the linear route, once on the final
+    # tester; concat_tester is the one verification of the witness
+    counted = mock.Mock(wraps=testers.classify_linear)
+    verified = mock.Mock(wraps=concat.verify_witness)
+    with mock.patch.object(pipeline, "classify_linear", counted), mock.patch.object(
+        separability, "classify_linear", counted
+    ), mock.patch.object(concat, "verify_witness", verified):
+        report = run_reduction(kind, *demo_inputs(kind), DEMO_PARAMS[kind], trials=300)
+    assert report.overall in ("pass", "conditional")
+    assert (counted.call_count, verified.call_count) == (classified, 1)
 
 
 @pytest.mark.parametrize("kind, params", [("linear", {"dimd": 2, "c": 2}), ("general", {"d": 3, "c": 3}), ("semilinear", {})])

@@ -3,14 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
+from math import ceil
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltcforge import separability
-from ltcforge.algebra import Field, VecSpace, span_vectors
+from ltcforge import separability, testers
+from ltcforge.algebra import Field, VecSpace, encode_tuple, span_vectors
 from ltcforge.codes import Alphabet, Word, repetition_code, vector_alphabet
 from ltcforge.concat import CompatFailure, check_f_compatible, verify_witness
 from ltcforge.constructions import generalized_hadamard, generalized_long_code
@@ -181,7 +182,7 @@ def test_witness_from_certificate_verifies():
     replaced = separable_replacement(eq, Fraction(2), 2)
     cert = check_separable(replaced, 2)
     enc = compatibility_encoder(BIN, BIN, False)
-    wit = witness_from_certificate(cert, replaced, enc)
+    wit = witness_from_certificate(cert, enc)
     assert verify_witness(replaced, enc, wit)
 
 
@@ -196,8 +197,8 @@ def test_witness_from_certificate_takes_each_table_first_coordinate():
     cert = check_separable(replaced, 2)
     enc = compatibility_encoder(BIN, BIN, False)
     twice = Encoder(FunctionFamily(2, BIN, enc.family.tables * 2))
-    wit = witness_from_certificate(cert, replaced, twice)
-    assert wit == witness_from_certificate(cert, replaced, enc)
+    wit = witness_from_certificate(cert, twice)
+    assert wit == witness_from_certificate(cert, enc)
     assert verify_witness(replaced, twice, wit)
 
 
@@ -219,7 +220,7 @@ def test_extend_compatibility_into_larger_family():
     sep = linear_separable_replacement(tester, Fraction(2), VecSpace(Field(2), 1))
     cert = check_linearly_separable(sep, VecSpace(Field(2), 1))
     g_enc = compatibility_encoder(code.alphabet, vector_alphabet(2, 1), True)
-    wit = witness_from_certificate(cert, sep, g_enc)
+    wit = witness_from_certificate(cert, g_enc)
     derived = critical_family(g_enc.family)
     k = 2 + 2 * 4
     padded = FunctionFamily(
@@ -270,7 +271,7 @@ def test_necessity_and_sufficiency_randomized():
         is_sep = isinstance(sep, SeparabilityCertificate)
         assert is_sep == (not isinstance(compat, CompatFailure))
         if is_sep:
-            wit = witness_from_certificate(sep, tester, enc)
+            wit = witness_from_certificate(sep, enc)
             assert verify_witness(tester, enc, wit)
         seen[is_sep] += 1
     assert seen[True] > 0 and seen[False] > 0
@@ -353,3 +354,100 @@ def test_linear_replacement_is_the_per_check_construction(tester, data):
     assert replaced.meta == alone[0].meta
     size = tester.alphabet.size
     assert built.call_count == len({pad_check(ch, tester.q, size).accept for ch in tester.checks})
+
+
+def _per_tuple_replacement(tester, mu, delta_space):
+    """The linear replacement built tuple by tuple: each tuple flattened,
+    mapped by its check's surjection and numbered on its own."""
+    space, size, q, d = tester.alphabet.space, tester.alphabet.size, tester.q, delta_space.dim
+    m = ceil(q * space.dim / d)
+    padded = Tester(tester.alphabet, tester.n, q, tuple(pad_check(ch, q, size) for ch in tester.checks))
+    flat_space, target = VecSpace(space.field, q * space.dim), VecSpace(space.field, m * d)
+    checks = []
+    for ch, basis in zip(padded.checks, classify_linear(padded).subspace_bases):
+        surj = separability.kernel_complement_surjection(flat_space, list(basis), target)
+        accepts = [0] * m
+        for tup in itertools.product(range(size), repeat=q):
+            image = surj.apply(space.flatten(tup))
+            for j in range(m):
+                if not any(image[j * d : (j + 1) * d]):
+                    accepts[j] |= 1 << encode_tuple(tup, size)
+        checks += [Check(ch.queries, accept, ch.weight / m) for accept in accepts]
+    return Tester(tester.alphabet, tester.n, q, tuple(checks), meta={"bound": mu / m, "m": m})
+
+
+@st.composite
+def _linear_testers(draw):
+    """A tester over GF(p)^dim, p in {2, 3} and dim 1-2, of arity q <= 3
+    (q <= 2 over GF(3)^2), whose checks of arity 1..q accept subspaces."""
+    p = draw(st.sampled_from([2, 3]))
+    space = VecSpace(Field(p), draw(st.integers(1, 2)))
+    q = draw(st.integers(1, 2 if space.size > 4 else 3))
+    checks = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, q)) * space.dim
+        rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * width), max_size=width))
+        index = [sum(v * p**k for k, v in enumerate(vec)) for vec in span_vectors(rows, width, p)]
+        queries = tuple(draw(st.integers(0, 2)) for _ in range(width // space.dim))
+        checks.append(Check(queries, accept_from_indices(index), Fraction(1, 3)))
+    return Tester(Alphabet.vector(space), 3, q, tuple(checks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_testers(), st.data())
+def test_linear_replacement_is_the_per_tuple_construction(tester, data):
+    # Mapping whole blocks of the tuple table gives, component for component,
+    # what mapping each tuple on its own gives, for every target dimension
+    # and for blocks down to one tuple.
+    space = tester.alphabet.space
+    target = VecSpace(space.field, data.draw(st.integers(1, tester.q * space.dim + 1)))
+    chunk = data.draw(st.sampled_from([testers.CHUNK, 1, 5, 8]))
+    with mock.patch.object(testers, "CHUNK", chunk):
+        replaced = linear_separable_replacement(tester, Fraction(1, 2), target)
+    want = _per_tuple_replacement(tester, Fraction(1, 2), target)
+    assert replaced == want and replaced.meta == want.meta
+
+
+def test_linear_replacement_across_blocks():
+    # GF(3)^2 at q = 3: 729 tuples in blocks of 100, none starting on a byte
+    # boundary after the first, against one block and tuple by tuple.
+    space = VecSpace(Field(3), 2)
+    tester = equality_tester(Alphabet.vector(space), 3)
+    tester = Tester(tester.alphabet, 3, 3, tester.checks + (Check((0, 1, 2), full_accept(9, 3), Fraction(1)),))
+    target = VecSpace(space.field, 2)
+    whole = linear_separable_replacement(tester, Fraction(1), target)
+    with mock.patch.object(testers, "CHUNK", 100):
+        blocked = linear_separable_replacement(tester, Fraction(1), target)
+    assert blocked == whole == _per_tuple_replacement(tester, Fraction(1), target)
+    assert whole.meta["m"] == 3
+
+
+@pytest.mark.parametrize("kind", ["general", "linear", "semilinear"])
+def test_a_flipped_witness_bit_fails_concatenation(kind):
+    # The witness a certificate gives composes; with one accepted image
+    # removed from its first entry, concat_tester refuses it, also after
+    # the semilinear route extends it into the derived family.
+    from ltcforge.concat import CompatibilityWitness, Encoder, WitnessEntry, concat_tester
+    from ltcforge.constructions import FunctionFamily, critical_family, dependence_tester
+
+    alphabet = BIN if kind == "general" else vector_alphabet(2, 1)
+    tester = equality_tester(alphabet, 2)
+    if kind == "general":
+        sep = separable_replacement(tester, Fraction(1), 2)
+        cert, delta = check_separable(sep, 2), BIN
+    else:
+        sep = linear_separable_replacement(tester, Fraction(1), VecSpace(Field(2), 1))
+        cert, delta = check_linearly_separable(sep, VecSpace(Field(2), 1)), vector_alphabet(2, 1)
+    enc = compatibility_encoder(alphabet, delta, kind != "general")
+    wit = witness_from_certificate(cert, enc)
+    first = wit.entries[0]
+    flipped = CompatibilityWitness((WitnessEntry(first.positions, first.accept & (first.accept - 1)),) + wit.entries[1:])
+    if kind == "semilinear":
+        derived = critical_family(enc.family)
+        wider = Encoder(FunctionFamily(2, derived.target, derived.tables + ((0, 0),) * (10 - derived.k)))
+        wit, flipped = (extend_compatibility(w, enc, wider) for w in (wit, flipped))
+        enc = wider
+    inner = dependence_tester(enc.family, 2)
+    assert concat_tester(sep, Fraction(1, 4), inner, Fraction(1, 4), enc, wit).n == sep.n * enc.k
+    with pytest.raises(MismatchError, match="witness does not verify"):
+        concat_tester(sep, Fraction(1, 4), inner, Fraction(1, 4), enc, flipped)

@@ -252,7 +252,7 @@ def test_flat_accepted_rows_are_the_flattened_tuples(field_dim, arity, data):
     space = VecSpace(Field(field_dim[0]), field_dim[1])
     tuples = data.draw(st.sets(st.tuples(*[st.integers(0, space.size - 1)] * arity), max_size=30))
     accept = accept_from_tuples(tuples, space.size)
-    rows = testers._flat_accepted(space, accept, arity)
+    rows = testers.flat_rows(space, np.array(indices_from_accept(accept), dtype=np.int64), arity)
     want = [space.flatten(t) for t in tuples_from_accept(accept, space.size, arity)]
     assert rows.shape == (len(want), arity * space.dim)
     assert [tuple(row) for row in rows.tolist()] == want
