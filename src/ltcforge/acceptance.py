@@ -327,7 +327,7 @@ def criterion_11(budget: int, seed: int) -> dict:
             >= reject_probability(tester, Word(alphabet, w)) / m
             for w in itertools.product(range(alphabet.size), repeat=n)
         )
-        linear = classify_linear(replaced).kind != "nonlinear"
+        linear = classify_linear(replaced) is not None
         ok &= pointwise and linear
         details.append({"dim_sigma": dim, "n": n, "m": m, "pointwise": pointwise, "linear": linear})
     return {"status": _status(ok), "instances": details}

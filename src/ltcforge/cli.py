@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         s_cmd.add_argument("--tester", type=str, required=True)
         s_cmd.add_argument("--code", type=str, required=True)
         if what == "sample":
-            s_cmd.add_argument("--trials", type=int, required=True)
+            s_cmd.add_argument("--trials", type=_int_in(1, 2**63), required=True)
         s_cmd.add_argument("--bound", type=_rational, default=None)
 
     conc = sub.add_parser("concat", parents=[common])
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--code", type=str)
         pp.add_argument("--tester", type=str)
         pp.add_argument("--mu", type=_rational)
-        pp.add_argument("--trials", type=int, default=10**5)
+        pp.add_argument("--trials", type=_int_in(1, 2**63), default=10**5)
         for name in params:
             pp.add_argument(f"--{name}", type=int)
 

@@ -48,10 +48,6 @@ class Alphabet:
     def vector(space: VecSpace) -> "Alphabet":
         return Alphabet(space.size, space)
 
-    @property
-    def is_vector(self) -> bool:
-        return self.space is not None
-
 
 def vector_alphabet(p: int, dim: int) -> Alphabet:
     """GF(p)^dim as an alphabet.  Letters are int64 in the soundness kernels,

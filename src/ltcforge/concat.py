@@ -102,24 +102,27 @@ def check_f_compatible(tester: Tester, encoder: Encoder) -> CompatibilityWitness
     the table meets one class), and the coordinates choose independently,
     so each takes the first valid table; the synthesized predicate is the
     image of the check's accepted tuples (tuples outside the factoring image
-    reject), asserted disjoint from the image of its rejected tuples.
+    reject), asserted disjoint from the image of its rejected tuples.  Each
+    distinct (arity, accept) predicate is decided once, at its first check.
     """
     if tester.alphabet.size != encoder.domain_size:
         raise MismatchError("tester alphabet disagrees with encoder domain")
     size, tables = tester.alphabet.size, encoder.family.tables
-    entries = []
+    built, entries = {}, []  # (arity, accept): its entry, shared by the checks that have it
     for ci, check in enumerate(tester.checks):
-        positions = []
-        for coord in range(check.arity):
-            classes = coordinate_classes(check.accept, size, check.arity, coord)
-            labels = [(sym, idx) for idx, cls in enumerate(classes) for sym in cls]
-            valid = (b for b, t in enumerate(tables) if len({(t[s], i) for s, i in labels}) == len(set(t)))
-            if (b := next(valid, None)) is None:
-                return CompatFailure(ci, coord)
-            positions.append(b)
-        accept, rejected = images(check, size, [tables[b] for b in positions], encoder.target.size)
-        assert not accept & rejected
-        entries.append(WitnessEntry(tuple(positions), accept))
+        if (key := (check.arity, check.accept)) not in built:
+            positions = []
+            for coord in range(check.arity):
+                classes = coordinate_classes(check.accept, size, check.arity, coord)
+                labels = [(sym, idx) for idx, cls in enumerate(classes) for sym in cls]
+                valid = (b for b, t in enumerate(tables) if len({(t[s], i) for s, i in labels}) == len(set(t)))
+                if (b := next(valid, None)) is None:
+                    return CompatFailure(ci, coord)
+                positions.append(b)
+            accept, rejected = images(check, size, [tables[b] for b in positions], encoder.target.size)
+            assert not accept & rejected
+            built[key] = WitnessEntry(tuple(positions), accept)
+        entries.append(built[key])
     return CompatibilityWitness(tuple(entries))
 
 
@@ -271,10 +274,6 @@ def alphabet_increase_tester(
     return Tester(target, n, tester.q, checks, meta={"bound": mu / (mu + 1)})
 
 
-def embed_word(letters, mapping: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(mapping[s] for s in letters)
-
-
 def embed_code(code: Code, mapping: tuple[int, ...], target: Alphabet) -> Code:
     """The same codewords over a larger alphabet via a symbol injection."""
-    return Code(target, code.n, tuple(embed_word(w, mapping) for w in code.codewords))
+    return Code(target, code.n, tuple(tuple(mapping[s] for s in w) for w in code.codewords))

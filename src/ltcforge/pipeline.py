@@ -77,7 +77,6 @@ class PipelineReport:
     stages: dict
     verdicts: dict = field(default_factory=dict)
     overall: str = "incomplete"
-    version: str = REPORT_SCHEMA
 
 
 def certify(report: PipelineReport) -> dict:
@@ -176,7 +175,7 @@ def _reduce(
         "validation_ok": validate(t_final, final_code).ok,
     }
     if kind == "linear":
-        achieved["tester_linear"] = classify_linear(t_final).kind != "nonlinear"
+        achieved["tester_linear"] = classify_linear(t_final) is not None
         achieved["code_linear"] = is_linear_code(final_code)[0]
     params = {**params, "q": q, "k": k, "mu_prime": mu_prime}
     params.update(seed=seed, trials=s_rep.trials, budget=budget)

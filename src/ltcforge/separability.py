@@ -131,8 +131,7 @@ def check_linearly_separable(
     space = tester.alphabet.space
     if space is None:
         raise DomainError("linear separability needs a vector-space alphabet")
-    classification = classify_linear(tester)
-    if classification.kind == "nonlinear":
+    if classify_linear(tester) is None:
         raise DomainError("linear separability is defined for linear testers")
     p = space.field.p
     size = tester.alphabet.size
@@ -235,14 +234,13 @@ def linear_separable_replacement(
     if (tests := max(1, len(tester.checks)) * m * size ** min(q, 64)) > budget:  # charged as above
         raise CapacityError(tests, budget, "linear separable replacement")
     padded = Tester(tester.alphabet, tester.n, q, tuple(pad_check(ch, q, size) for ch in tester.checks))
-    classification = classify_linear(padded)
-    if classification.kind == "nonlinear":
+    if (bases := classify_linear(padded)) is None:
         raise DomainError("linear replacement is defined for linear testers")
     flat_space = VecSpace(space.field, q * space.dim)
     target = VecSpace(space.field, m * d)
     p, table = space.field.p, size**q
     checks, components = [], {}  # padded accept: its m component accept sets, built once per predicate
-    for ch, basis in zip(padded.checks, classification.subspace_bases):
+    for ch, basis in zip(padded.checks, bases):
         if ch.accept not in components:
             surj = kernel_complement_surjection(flat_space, list(basis), target)
             matrix = np.array(surj.matrix, dtype=np.int64).T  # flat row @ matrix: its image
@@ -323,11 +321,11 @@ def extend_compatibility(
         remap.append(match[table])
     d_old = source.target.size
     d_new = target.target.size
-    entries = []
+    extended, entries = {}, []  # (arity, accept): the extended accept set, built once
     for entry in witness.entries:
-        arity = len(entry.positions)
-        own = Check(entry.positions, entry.accept, Fraction(1))
-        _, rejected = images(own, d_old, [range(d_old)] * arity, d_new)
-        accept = full_accept(d_new, arity) & ~rejected
-        entries.append(WitnessEntry(tuple(remap[b] for b in entry.positions), accept))
+        if (key := (len(entry.positions), entry.accept)) not in extended:
+            own = Check(entry.positions, entry.accept, Fraction(1))
+            _, rejected = images(own, d_old, [range(d_old)] * key[0], d_new)
+            extended[key] = full_accept(d_new, key[0]) & ~rejected
+        entries.append(WitnessEntry(tuple(remap[b] for b in entry.positions), extended[key]))
     return CompatibilityWitness(tuple(entries))

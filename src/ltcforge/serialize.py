@@ -283,7 +283,7 @@ def _accept_sets(docs: list, arities: list[int], size: int) -> list[int]:
 
 
 def alphabet_to_json(a: Alphabet) -> dict:
-    if a.is_vector:
+    if a.space is not None:
         return {"kind": "vector", "p": a.space.field.p, "dim": a.space.dim}
     return {"kind": "plain", "size": a.size}
 
@@ -563,7 +563,6 @@ def report_from_json(doc: Any) -> PipelineReport:
         stages=stages,
         verdicts={k: _typed(v, str) for k, v in doc["verdicts"].items()},
         overall=_typed(doc["overall"], str),
-        version=doc["schema"],
     )
 
 

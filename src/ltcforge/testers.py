@@ -54,7 +54,9 @@ collector is off.
 
 Sampled soundness draws words from per-trial substreams of a splitmix-style
 generator: trial t is keyed independently of every other trial, so changing
-the trial count never perturbs earlier draws.
+the trial count never perturbs earlier draws.  It runs in chunks of at most
+CHUNK trials, each selected against the running best as a scan chunk is, so
+its memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -370,17 +372,6 @@ def _reject_numerators(compiled, digits, size: int, dtype, count: int) -> np.nda
     for support, lut in compiled:
         rej += lut[sum(digits[pos] * size**m for m, pos in enumerate(support))]
     return rej
-
-
-def _mismatch_rows(codewords, digits, positions, count: int, dtype):
-    """Per codeword, in order, the row of each word's mismatches with it at
-    `positions` (digits as in `_reject_numerators`, `count` words); a row is
-    built only when the previous one is taken."""
-    for cw in codewords:
-        row = np.zeros(count, dtype=dtype)
-        for pos in positions:
-            row += digits[pos] != cw[pos]
-        yield row
 
 
 def _grid_sum(entries, size: int, axes, fixed: dict, dtype) -> np.ndarray:
@@ -740,27 +731,31 @@ def soundness_sampled(
         return SoundnessReport("sampled", None, True, None, bound, verdict, trials, seed, "sampled")
 
     def distances():  # least mismatch count per trial, one codeword row at a time
-        rows = _mismatch_rows(code.codewords, digits, range(n), trials, np.min_scalar_type(n))
-        best = next(rows)
-        for row in rows:
-            np.minimum(best, row, out=best)
-        return best
-
-    trial_idx = np.arange(trials, dtype=np.int64)
-    digits = _sample_letters(seed, trial_idx, 0, n, size)
-    attempt = 0
-    while (member := distances() == 0).any():
-        attempt += 1
-        redo = trial_idx[member]
-        fresh = _sample_letters(seed, redo, attempt, n, size)
-        for j in range(n):
-            digits[j][member] = fresh[j]
+        least = None
+        for cw in code.codewords:
+            row = np.zeros(len(trial_idx), dtype=np.min_scalar_type(n))
+            for pos in range(n):
+                row += digits[pos] != cw[pos]
+            least = row if least is None else np.minimum(least, row, out=least)
+        return least
 
     compiled, den, dtype = _compiled_checks(tester)
-    rej = _reject_numerators(compiled, digits, size, dtype, trials)
-    rn, mm, t = _select(None, rej, distances(), 0)
-    value = Fraction(rn * n, den * mm)
-    witness = Word(tester.alphabet, tuple(int(digits[j][t]) for j in range(n)))
+    best = None
+    for start in range(0, trials, CHUNK):  # chunks of trials, selected against the running best
+        trial_idx = np.arange(start, min(start + CHUNK, trials), dtype=np.int64)
+        digits = _sample_letters(seed, trial_idx, 0, n, size)
+        attempt = 0
+        while (member := (mism := distances()) == 0).any():
+            attempt += 1
+            fresh = _sample_letters(seed, trial_idx[member], attempt, n, size)
+            for j in range(n):
+                digits[j][member] = fresh[j]
+        rej = _reject_numerators(compiled, digits, size, dtype, len(trial_idx))
+        if (found := _select(best, rej, mism, start)) is not best:
+            best, at = found, found[2] - start
+            witness = Word(tester.alphabet, tuple(int(digits[j][at]) for j in range(n)))
+        del digits, rej, mism  # freed before the next chunk is drawn
+    value = Fraction(best[0] * n, den * best[1])
     verdict = None if bound is None else ("violated" if value < bound else "consistent")
     return SoundnessReport("sampled", value, False, witness, bound, verdict, trials, seed, "sampled")
 
@@ -796,12 +791,6 @@ def coordinate_classes(accept: int, size: int, arity: int, coord: int) -> list[l
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearClassification:
-    kind: str  # "nonlinear" | "linear"
-    subspace_bases: tuple[tuple[tuple[int, ...], ...], ...] | None
-
-
 def flat_rows(space, index: np.ndarray, arity: int) -> np.ndarray:
     """The tuples of the given indices over the vector alphabet `space`
     flattened to GF(p) rows, one per index: space.flatten of the tuple of
@@ -810,9 +799,10 @@ def flat_rows(space, index: np.ndarray, arity: int) -> np.ndarray:
     return index[:, None] // p ** np.arange(arity * space.dim, dtype=np.int64) % p
 
 
-def classify_linear(tester: Tester) -> LinearClassification:
-    """linear: every accept set is a subspace of Sigma^arity (flattened over
-    GF(p)), with its reduced basis per check.  An accept set is a subspace
+def classify_linear(tester: Tester) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
+    """The reduced basis of each check's accept set, or None unless every
+    accept set is a subspace of Sigma^arity (flattened over GF(p)); a tester
+    without checks is linear, with ().  An accept set is a subspace
     exactly when it has p**rank elements: distinct vectors that many fill
     their span.  Each distinct (arity, accept) is row-reduced once."""
     space = tester.alphabet.space
@@ -826,6 +816,6 @@ def classify_linear(tester: Tester) -> LinearClassification:
             rref, _ = row_reduce(flat.tolist(), p)
             reduced[key] = tuple(rref) if p ** len(rref) == len(flat) else None
         if reduced[key] is None:
-            return LinearClassification("nonlinear", None)
+            return None
         bases.append(reduced[key])
-    return LinearClassification("linear", tuple(bases))
+    return tuple(bases)

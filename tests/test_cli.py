@@ -428,6 +428,24 @@ def test_seed_and_budget_out_of_range_exit_2(capsys, flag, value):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", str(2**63), str(2**70)])
+def test_trials_out_of_range_exit_2(tmp_path, capsys, value):
+    # --trials lies in [1, 2**63) on both commands that sample; past it the
+    # sampler would have no trial or could never finish.
+    for name, argv, key in [
+        ("c.json", ["build", "longcode", "--s", "2", "--delta-size", "3"], "code"),
+        ("t.json", ["tester", "dependence", "--longcode", "2", "3", "--q", "2"], "tester"),
+    ]:
+        (tmp_path / name).write_text(json.dumps(run_cli(capsys, *argv)[1][key]))
+    files = ["--tester", str(tmp_path / "t.json"), "--code", str(tmp_path / "c.json")]
+    for argv in (["soundness", "sample", *files], ["pipeline", "general", "--demo"]):
+        assert main(argv + ["--trials", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+    assert main(["soundness", "sample", *files, "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["soundness"]["trials"] == 1
+
+
 def test_seed_and_budget_range_ends_accepted(capsys):
     code, doc = run_cli(
         capsys, "tester", "ring", "--s", "2", "--seed", str(2**64 - 1), "--budget", str(2**63 - 1)

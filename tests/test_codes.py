@@ -130,6 +130,14 @@ def test_rate_multiplication_cancellation():
         _ = make_rate(Fraction(1), 5, 2) * make_rate(Fraction(1), 7, 3)
 
 
+def test_rate_multiplication_cancels_either_way():
+    # log 3/log 2 times log 5/log 3 cancels through the right factor's base
+    # (the second branch), the other order through the left factor's.
+    a = make_rate(Fraction(1), 3, 2)
+    b = make_rate(Fraction(1), 5, 3)
+    assert a * b == b * a == make_rate(Fraction(1), 5, 2)
+
+
 def test_is_linear_code_repetition():
     code = repetition_code(vector_alphabet(2, 1), 2)
     ok, basis = is_linear_code(code)

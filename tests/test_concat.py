@@ -251,13 +251,13 @@ def test_linearity_preserved_through_composition():
     nu = soundness_exact(inner, inner_code).value
     wit = check_f_compatible(tester, enc)
     composed = concat_tester(tester, mu, inner, nu, enc, wit)
-    assert classify_linear(composed).kind != "nonlinear"
+    assert classify_linear(composed) is not None
     # widening through a subspace inclusion stays linear
     v3 = VecSpace(Field(2), 3)
     widened = alphabet_increase_tester(
         composed, composed.meta["bound"], tuple(range(4)), Alphabet.vector(v3)
     )
-    assert classify_linear(widened).kind != "nonlinear"
+    assert classify_linear(widened) is not None
 
 
 def _three_routines(outer, mu_outer, inner, mu_inner, encoder, witness):
@@ -458,3 +458,37 @@ def test_verify_witness_images_each_distinct_entry_once(monkeypatch):
     assert len(calls) == 2
     wrong = entries[:2] + (WitnessEntry((0, 0), diag ^ accept_from_tuples([(1, 1)], 3)),) + entries[3:]
     assert not verify_witness(eq, enc, CompatibilityWitness(wrong))
+
+
+def test_check_f_compatible_decides_each_distinct_predicate_once(monkeypatch):
+    # Equal (arity, accept) predicates share one table search and one
+    # imaging: 0b01 is {0} at arity 1 and {00} at arity 2, so the key
+    # carries the arity.  Each entry is the one its check gets alone.
+    import ltcforge.concat as concat_module
+
+    enc = identity_encoder(BIN)
+    checks = (Check((0,), 0b01, Fraction(1, 8)), Check((0, 1), 0b01, Fraction(1, 8))) * 3
+    tester = Tester(BIN, 2, 2, checks + EQ2.checks * 2)
+    classes, imaged = [], []
+    real_classes, real_images = concat_module.coordinate_classes, concat_module.images
+    monkeypatch.setattr(
+        concat_module, "coordinate_classes", lambda *a: classes.append(a) or real_classes(*a)
+    )
+    monkeypatch.setattr(concat_module, "images", lambda *a: imaged.append(a) or real_images(*a))
+    wit = check_f_compatible(tester, enc)
+    assert (len(imaged), len(classes)) == (3, 1 + 2 + 2)
+    for check, entry in zip(tester.checks, wit.entries):
+        assert check_f_compatible(Tester(BIN, 2, 2, (check,)), enc).entries == (entry,)
+    assert verify_witness(tester, enc, wit)
+
+
+def test_check_f_compatible_names_the_first_failing_check():
+    # Over three symbols, the encoder (0,0,1), (0,1,1) factors "the letter
+    # is 2" but no table refines equality's three classes: the failure is
+    # at the first equality check, after a shared passing predicate.
+    tri = Alphabet.plain(3)
+    enc = Encoder(FunctionFamily(3, BIN, ((0, 0, 1), (0, 1, 1))))
+    two = Check((0,), accept_from_tuples([(2,)], 3), Fraction(1, 5))
+    eq3 = equality_tester(tri, 2).checks[0]
+    tester = Tester(tri, 2, 2, (two, two, eq3, two, eq3))
+    assert check_f_compatible(tester, enc) == CompatFailure(2, 0)

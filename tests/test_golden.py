@@ -27,6 +27,8 @@ ARTIFACTS = [
     ("dep22.json", "tester dependence --longcode 2 2 --q 2", "tester"),
     ("enc22.json", "build encoder --sigma-size 2 --delta-size 2", "encoder"),
     ("eqv.json", "tester equality --n 2 --p 2 --dim 2", "tester"),
+    ("had212.json", "build hadamard --p 2 --dimv 1 --dimd 2", "code"),
+    ("dep212.json", "tester dependence --hadamard 2 1 2 --q 3", "tester"),
 ]
 
 # Run in a directory holding ARTIFACTS under relative names, because the
@@ -52,6 +54,12 @@ GOLDEN_WITH_FILES = {
     "concat --code lc22.json --encoder enc22.json --outer-tester dep22.json --mu 1/2"
     " --inner-tester dep22.json --nu 1/2": "2da44dc2f045cdbb9ea21fab4f7a43ad4f9aafca89f53ed57bf6269145206925",
     "pipeline general --demo --trials 300 --seed 3": "e1064392ee73b0a9ed9da55f9c92deede41686f920602b545a16283d29317a91",
+    # paper rows (b) and (c): the general reduction at c = 2 and the linear
+    # one at c = 1, each on the q = 3 Hadamard tester over F2 -> F2^2
+    "pipeline general --code had212.json --tester dep212.json --d 2 --c 2 --mu 1":
+    "56dd5f5fb75c011ea6383358d3821117159bc52d6dd58d1b6549c5081884b365",
+    "pipeline linear --code had212.json --tester dep212.json --dimd 1 --c 1 --mu 1":
+    "4870dc5b4da99887ada46a384e91378fc6b31b184772ef527096eb49b9fe0636",
 }
 
 
@@ -81,3 +89,22 @@ def test_stdout_digest_with_files(command, artifact_dir, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert _digest(out) == GOLDEN_WITH_FILES[command]
+
+
+@pytest.mark.parametrize(
+    "command, achieved, promised",
+    [
+        ("pipeline general --code had212.json --tester dep212.json --d 2 --c 2 --mu 1", (6, 643), (3, 643)),
+        ("pipeline linear --code had212.json --tester dep212.json --dimd 1 --c 1 --mu 1", (525, 4096), (3, 128)),
+    ],
+)
+def test_rows_b_and_c_pass_exactly(command, achieved, promised, artifact_dir, capsys):
+    # The c = 2 general and c = 1 linear reductions, whose nu floors only
+    # these rows reach, certify their final soundness exactly and pass.
+    assert main(command.split()) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    sound = report["achieved"]["soundness"]["$soundness"]
+    assert (sound["mode"], sound["verdict"], report["overall"]) == ("exact", "pass", "pass")
+    assert (sound["value"]["num"], sound["value"]["den"]) == achieved
+    assert (sound["bound"]["num"], sound["bound"]["den"]) == promised
+    assert report["verdicts"]["nu_floor"] == "pass"

@@ -142,7 +142,7 @@ def test_linear_replacement_components_and_soundness():
     mu = soundness_exact(tester, code).value
     replaced = linear_separable_replacement(tester, mu, VecSpace(Field(2), 1))
     assert replaced.meta["m"] == 2
-    assert classify_linear(replaced).kind != "nonlinear"
+    assert classify_linear(replaced) is not None
     assert soundness_exact(replaced, code).value >= mu / 2
     cert = check_linearly_separable(replaced, VecSpace(Field(2), 1))
     assert isinstance(cert, SeparabilityCertificate)
@@ -231,6 +231,26 @@ def test_extend_compatibility_into_larger_family():
     assert verify_witness(sep, enc2, extended)
     # padding coordinates are never referenced
     assert all(b < derived.k for e in extended.entries for b in e.positions)
+
+
+def test_extend_compatibility_extends_each_distinct_predicate_once(monkeypatch):
+    # Entries with equal (arity, accept) share one imaging, whatever their
+    # offsets; the result equals extending each entry on its own.
+    from ltcforge.concat import CompatibilityWitness, Encoder, WitnessEntry
+    from ltcforge.constructions import FunctionFamily
+
+    enc = compatibility_encoder(BIN, BIN, False)
+    wider = Encoder(FunctionFamily(2, TRI, enc.family.tables))
+    diag = accept_from_tuples([(0, 0), (1, 1)], 2)
+    entries = (WitnessEntry((0, 1), diag), WitnessEntry((1, 1), diag), WitnessEntry((0,), 0b01)) * 2
+    real, imaged = separability.images, []
+    monkeypatch.setattr(separability, "images", lambda *a: imaged.append(a) or real(*a))
+    extended = extend_compatibility(CompatibilityWitness(entries), enc, wider)
+    assert len(imaged) == 2
+    monkeypatch.setattr(separability, "images", real)
+    for entry, got in zip(entries, extended.entries):
+        alone = extend_compatibility(CompatibilityWitness((entry,)), enc, wider)
+        assert alone.entries == (got,)
 
 
 def test_extend_compatibility_missing_coordinate():
@@ -364,7 +384,7 @@ def _per_tuple_replacement(tester, mu, delta_space):
     padded = Tester(tester.alphabet, tester.n, q, tuple(pad_check(ch, q, size) for ch in tester.checks))
     flat_space, target = VecSpace(space.field, q * space.dim), VecSpace(space.field, m * d)
     checks = []
-    for ch, basis in zip(padded.checks, classify_linear(padded).subspace_bases):
+    for ch, basis in zip(padded.checks, classify_linear(padded)):
         surj = separability.kernel_complement_surjection(flat_space, list(basis), target)
         accepts = [0] * m
         for tup in itertools.product(range(size), repeat=q):
