@@ -153,7 +153,7 @@ def criterion_6(budget: int, seed: int) -> dict:
     domain is 2-letter defined: accepted set equals its code."""
     g, _ = generalized_long_code(2, Alphabet.plain(2), budget)
     fam = critical_family(g)
-    code, _ = code_from_family(fam)
+    code = code_from_family(fam)
     acc = accepted_words(dependence_tester(fam, 2, budget), budget)
     ok = set(acc) == set(code.codewords)
     return {"status": _status(ok), "family_size": fam.k, "codewords": len(code.codewords)}

@@ -252,11 +252,10 @@ def _cmd_build(args) -> tuple[dict, int]:
     if args.what == "critical":
         g, _ = generalized_long_code(args.s, Alphabet.plain(2), args.budget)
         fam = critical_family(g)
-        code, injective = code_from_family(fam)
         return {
             "family": family_to_json(fam),
-            "code": code_to_json(code),
-            "injective": injective,
+            "code": code_to_json(code_from_family(fam)),
+            "injective": fam.is_injective(),
         }, 0
     delta = _target(args)
     if (args.sigma_dim if args.linear else args.sigma_size) is None:
@@ -328,7 +327,7 @@ def _cmd_concat(args) -> tuple[dict, int]:
         payload["tester"] = composed
         payload["witness"] = witness_to_json(wit, encoder.target.size)
         payload["bound"] = frac_to_json(composed.meta["bound"])
-        payload["validation_ok"] = validate(composed, joined).ok
+        payload["validation_ok"] = validate(composed, joined)
         return payload, 0 if payload["validation_ok"] else 1
     return payload, 0
 

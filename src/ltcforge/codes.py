@@ -217,8 +217,8 @@ def rate(code: Code) -> Rate:
 # ---------------------------------------------------------------------------
 
 
-def is_linear_code(code: Code) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-    """Whether the codeword set is a subspace; returns a basis of codewords."""
+def is_linear_code(code: Code) -> tuple[tuple[int, ...], ...] | None:
+    """A basis of codewords when the codeword set is a subspace, else None."""
     space = code.alphabet.space
     if space is None:
         raise DomainError("linearity is defined for vector-space alphabets only")
@@ -226,9 +226,8 @@ def is_linear_code(code: Code) -> tuple[bool, tuple[tuple[int, ...], ...] | None
     flat = [space.flatten(w) for w in code.codewords]
     rref, _ = row_reduce(flat, p)
     if p ** len(rref) != len(code.codewords):  # distinct words filling their span
-        return False, None
-    basis = tuple(
+        return None
+    return tuple(
         tuple(space.index(row[i * space.dim : (i + 1) * space.dim]) for i in range(code.n))
         for row in rref
     )
-    return True, basis

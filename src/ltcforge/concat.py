@@ -51,7 +51,7 @@ class Encoder:
         return self.family.evaluate(symbol)
 
     def image_code(self) -> Code:
-        return code_from_family(self.family)[0]
+        return code_from_family(self.family)
 
 
 @dataclass(frozen=True)

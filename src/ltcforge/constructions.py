@@ -58,15 +58,13 @@ class FunctionFamily:
         return len(set(images)) == self.domain_size
 
 
-def code_from_family(family: FunctionFamily) -> tuple[Code, bool]:
-    """Code of the evaluation vectors; flags whether the family separates
-    domain elements (duplicate rows collapse)."""
+def code_from_family(family: FunctionFamily) -> Code:
+    """Code of the evaluation vectors, in order of first appearance (duplicate
+    rows collapse unless the family `is_injective`)."""
     seen: dict[tuple[int, ...], None] = {}
     for s in range(family.domain_size):
         seen.setdefault(family.evaluate(s), None)
-    words = tuple(seen)
-    injective = len(words) == family.domain_size
-    return Code(family.target, family.k, words), injective
+    return Code(family.target, family.k, tuple(seen))
 
 
 IMAGE_CELLS = 1 << 20  # array elements per chunk of joint-image rows
@@ -143,7 +141,7 @@ def generalized_hadamard(
         tuple(m.apply_index(s) for s in range(v_space.size)) for m in maps
     )
     family = FunctionFamily(v_space.size, delta, tables)
-    code, _ = code_from_family(family)
+    code = code_from_family(family)
     assert code.n == delta.size**v_space.dim
     if v_space.size >= 2:
         assert distance(code) == 1 - Fraction(1, delta.size)
@@ -164,7 +162,7 @@ def generalized_long_code(
         raise CapacityError(k, budget, "function family enumeration")
     tables = tuple(decode_tuple(m, d, s_size) for m in range(k))
     family = FunctionFamily(s_size, delta, tables)
-    code, _ = code_from_family(family)
+    code = code_from_family(family)
     if s_size >= 2:
         assert distance(code) == 1 - Fraction(1, d)
     return family, code

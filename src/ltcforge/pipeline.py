@@ -171,12 +171,12 @@ def _reduce(
         "soundness": s_rep,
         "inner_soundness": nu,
         "inner_distance": distance(inner_code),
-        "separable_soundness": None if sep is None or sep.infinite else sep.value,
-        "validation_ok": validate(t_final, final_code).ok,
+        "separable_soundness": None if sep is None else sep.value,
+        "validation_ok": validate(t_final, final_code),
     }
     if kind == "linear":
         achieved["tester_linear"] = classify_linear(t_final) is not None
-        achieved["code_linear"] = is_linear_code(final_code)[0]
+        achieved["code_linear"] = is_linear_code(final_code) is not None
     params = {**params, "q": q, "k": k, "mu_prime": mu_prime}
     params.update(seed=seed, trials=s_rep.trials, budget=budget)
     stages = {
@@ -332,7 +332,7 @@ def semilinear_reduction(
     )
     encoder = Encoder(padded)
     wit = extend_compatibility(witness_from_certificate(cert, g_encoder), g_encoder, encoder)
-    inner_code, _ = code_from_family(padded)
+    inner_code = code_from_family(padded)
     delta_c, r_c = distance(code), rate(code)
 
     def promise(nu: Fraction) -> dict:

@@ -123,14 +123,24 @@ def check_separable(
     return _certified(tester, certify, delta_size, False)
 
 
+def _letter_space(tester: Tester, delta_space: VecSpace) -> VecSpace:
+    """The tester's letter space; refuses a target of dimension below 1 or over another field."""
+    space = tester.alphabet.space
+    if space is None:
+        raise DomainError("linear separability needs a vector-space alphabet")
+    if delta_space.dim < 1:
+        raise DomainError("target dimension must be at least 1")
+    if delta_space.field != space.field:
+        raise MismatchError("target space lies over another field")
+    return space
+
+
 def check_linearly_separable(
     tester: Tester, delta_space: VecSpace
 ) -> SeparabilityCertificate | SeparabilityFailure:
     """Linear factoring certificate via the per-coordinate kernels U_l, or
     the first coordinate whose codimension exceeds dim Delta."""
-    space = tester.alphabet.space
-    if space is None:
-        raise DomainError("linear separability needs a vector-space alphabet")
+    space = _letter_space(tester, delta_space)
     if classify_linear(tester) is None:
         raise DomainError("linear separability is defined for linear testers")
     p = space.field.p
@@ -222,11 +232,7 @@ def linear_separable_replacement(
     """
     if mu <= 0:
         raise DomainError("soundness lower bound must be positive")
-    if delta_space.dim < 1:
-        raise DomainError("target dimension must be at least 1")
-    space = tester.alphabet.space
-    if space is None:
-        raise DomainError("needs a vector-space alphabet")
+    space = _letter_space(tester, delta_space)
     size = tester.alphabet.size
     q = tester.q
     d = delta_space.dim

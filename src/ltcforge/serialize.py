@@ -463,16 +463,20 @@ def soundness_to_json(r: SoundnessReport) -> dict:
 @_reader
 def soundness_from_json(doc: Any) -> SoundnessReport:
     _expect(doc, "soundness")
+    mode, engine = _typed(doc["mode"], str, NoneType), _typed(doc["engine"], str, NoneType)
+    if _typed(doc["infinite"], bool) != (doc["value"] is None):
+        raise ValueError("infinite must hold exactly when the value is null")
+    if (mode == "sampled") != (engine == "sampled"):
+        raise ValueError(f"mode {mode!r} with engine {engine!r}: only the sampler gives sampled values")
     return SoundnessReport(
-        _typed(doc["mode"], str, NoneType),
+        mode,
         None if doc["value"] is None else frac_from_json(doc["value"]),
-        _typed(doc["infinite"], bool),
         None if doc["witness"] is None else word_from_json(doc["witness"]),
         None if doc["bound"] is None else frac_from_json(doc["bound"]),
         _typed(doc["verdict"], str, NoneType),
         _typed(doc["trials"], int, NoneType),
         _typed(doc["seed"], int, NoneType),
-        _typed(doc["engine"], str, NoneType),
+        engine,
     )
 
 

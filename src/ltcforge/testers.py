@@ -277,45 +277,36 @@ def reject_probability(tester: Tester, w: Word) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    weight_sum: Fraction
-    violations: tuple[tuple[int, tuple[int, ...]], ...]  # (check index, codeword)
-
-
 def require_compatible(tester: Tester, code: Code) -> None:
     """Refuse a tester whose words are not the code's: another alphabet or length."""
     if tester.alphabet != code.alphabet or tester.n != code.n:
         raise MismatchError("tester incompatible with code")
 
 
-def validate(tester: Tester, code: Code) -> ValidationReport:
-    """Weights must sum to 1 exactly and every codeword must be accepted."""
+def validate(tester: Tester, code: Code) -> bool:
+    """Whether the weights sum to 1 exactly and every check accepts every codeword."""
     require_compatible(tester, code)
     size = tester.alphabet.size
     den = lcm(*{ch.weight.denominator for ch in tester.checks})  # 1 without checks
-    wsum = Fraction(sum(ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks), den)
-    violations = []
-    for ci, ch in enumerate(tester.checks):
-        for cw in code.codewords:
-            if not ch.accepts([cw[i] for i in ch.queries], size):
-                violations.append((ci, cw))
-    ok = wsum == 1 and not violations
-    return ValidationReport(ok, wsum, tuple(violations))
+    if sum(ch.weight.numerator * (den // ch.weight.denominator) for ch in tester.checks) != den:
+        return False
+    return all(ch.accepts([cw[i] for i in ch.queries], size) for ch in tester.checks for cw in code.codewords)
 
 
 @dataclass(frozen=True)
 class SoundnessReport:
     mode: str  # "exact" | "sampled"
     value: Fraction | None  # None iff infinite (no non-codeword exists)
-    infinite: bool
     witness: Word | None
     bound: Fraction | None = None
     verdict: str | None = None  # exact: pass/fail; sampled: consistent/violated
     trials: int | None = None
     seed: int | None = None
     engine: str | None = None  # "prune" (the ladder) | "scan" | "sampled"
+
+    @property
+    def infinite(self) -> bool:
+        return self.value is None
 
 
 def _compiled_checks(tester: Tester):
@@ -622,11 +613,11 @@ def soundness_exact(
     def report(engine, best):
         if best is None:
             verdict = None if bound is None else "pass"
-            return SoundnessReport("exact", None, True, None, bound, verdict, engine=engine)
+            return SoundnessReport("exact", None, None, bound, verdict, engine=engine)
         rn, mm, letters = best
         value = Fraction(rn * n, den * mm)
         verdict = None if bound is None else ("pass" if value >= bound else "fail")
-        return SoundnessReport("exact", value, False, Word(tester.alphabet, letters), bound, verdict, engine=engine)
+        return SoundnessReport("exact", value, Word(tester.alphabet, letters), bound, verdict, engine=engine)
 
     start = bound if bound is not None and bound > 0 else None
     if start is None and total > budget:
@@ -728,7 +719,7 @@ def soundness_sampled(
     size, n = tester.alphabet.size, tester.n
     if len(code.codewords) == size**n:
         verdict = None if bound is None else "consistent"
-        return SoundnessReport("sampled", None, True, None, bound, verdict, trials, seed, "sampled")
+        return SoundnessReport("sampled", None, None, bound, verdict, trials, seed, "sampled")
 
     def distances():  # least mismatch count per trial, one codeword row at a time
         least = None
@@ -757,7 +748,7 @@ def soundness_sampled(
         del digits, rej, mism  # freed before the next chunk is drawn
     value = Fraction(best[0] * n, den * best[1])
     verdict = None if bound is None else ("violated" if value < bound else "consistent")
-    return SoundnessReport("sampled", value, False, witness, bound, verdict, trials, seed, "sampled")
+    return SoundnessReport("sampled", value, witness, bound, verdict, trials, seed, "sampled")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import gc
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -511,14 +512,21 @@ def test_zero_denominator_rational_exit_2(capsys, argv):
 
 
 def test_linear_replacement_zero_target_dimension_exit_2(tmp_path, capsys):
-    _, doc = run_cli(capsys, "tester", "equality", "--n", "2", "--p", "2", "--dim", "1")
+    # a GF(2) tester against a target of dimension 0 or over GF(3): both
+    # linear separability commands refuse it before any work.  Replacing
+    # over GF(3) once wrote the GF(2) tester and exited 0, and the check
+    # exited 1 at dimension 0 and at (GF(3), 1).
+    _, doc = run_cli(capsys, "tester", "equality", "--n", "2", "--p", "2", "--dim", "2")
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc["tester"]))
-    argv = ["separate", "replace", "--tester", str(path), "--mu", "1/2", "--linear", "--p", "2"]
-    assert main(argv + ["--delta-dim", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert "target dimension must be at least 1" in captured.err
+    commands = {"check": [], "replace": ["--mu", "1/2"]}
+    targets = {(2, 0): "target dimension must be at least 1", (3, 1): "another field", (3, 2): "another field"}
+    for (what, extra), ((p, dim), message) in itertools.product(commands.items(), targets.items()):
+        argv = ["separate", what, "--tester", str(path), *extra, "--linear", "--p", str(p), "--delta-dim", str(dim)]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count("error:") == 1 and message in captured.err, argv
 
 
 def test_package_main_matches_in_process_cli(capsys):

@@ -154,7 +154,7 @@ def test_concat_tester_validates_and_meets_bound():
     fam, inner_code, enc, inner, mu_o, mu_i, wit = _binary_instance()
     joined = concatenate(REP2, enc)
     tester = concat_tester(EQ2, mu_o, inner, mu_i, enc, wit)
-    assert validate(tester, joined).ok
+    assert validate(tester, joined)
     assert tester.q == max(EQ2.q, inner.q)
     bound = mu_o * mu_i / ((EQ2.q * enc.k + 1) * mu_o + mu_i)
     assert tester.meta["bound"] == bound
@@ -179,7 +179,7 @@ def test_concat_tester_degenerate_outer_code():
     wit = check_f_compatible(accept_all, enc)
     joined = concatenate(full, enc)
     tester = concat_tester(accept_all, Fraction(1), inner, mu_i, enc, wit)
-    assert validate(tester, joined).ok
+    assert validate(tester, joined)
     report = soundness_exact(tester, joined)
     assert not report.infinite  # joined is not the whole target space
     assert report.value >= 0
@@ -199,7 +199,7 @@ def test_alphabet_increase_bound_and_validation():
     target = Alphabet.plain(3)
     bigger = alphabet_increase_tester(EQ2, mu, (0, 1), target)
     big_code = embed_code(REP2, (0, 1), target)
-    assert validate(bigger, big_code).ok
+    assert validate(bigger, big_code)
     report = soundness_exact(bigger, big_code)
     assert report.value >= mu / (mu + 1)
 

@@ -15,6 +15,10 @@ GOLDEN = {
     "pipeline general --demo": "2ce177b262eb208a739769bd56527358ad3e37b5b4a0ca3a19a6ae7fafe92fee",
     "pipeline semilinear --demo": "47c8c434e935433ebafd0a564b3543b34e1f9d1bbc220ed6849549f7691efb22",
     "verify all": "fdc7fd9b8503438f746b7b51b4ef9692235aec9b47f7b46d45daa199ac200e8e",
+    # paper rows (a) and (d): the general reduction to 4 letters and the
+    # linear one to dim Delta = 3
+    "pipeline general --demo --d 4": "8c31eb0d81ccf98a9b93f0314728f3cc19efef6222a714b583f8a3f5277abc4c",
+    "pipeline linear --demo --dimd 3": "a702c828df60bba987bea97cbd1cf3166fb5cef2991f75b4988e8fd43699b15b",
 }
 
 # Artifacts the file-reading commands below need: (file, command, key of
@@ -96,11 +100,15 @@ def test_stdout_digest_with_files(command, artifact_dir, capsys):
     [
         ("pipeline general --code had212.json --tester dep212.json --d 2 --c 2 --mu 1", (6, 643), (3, 643)),
         ("pipeline linear --code had212.json --tester dep212.json --dimd 1 --c 1 --mu 1", (525, 4096), (3, 128)),
+        ("pipeline general --demo --d 4", (1, 21), (2, 63)),
+        ("pipeline linear --demo --dimd 3", (8, 33), (1, 11)),
     ],
 )
-def test_rows_b_and_c_pass_exactly(command, achieved, promised, artifact_dir, capsys):
-    # The c = 2 general and c = 1 linear reductions, whose nu floors only
-    # these rows reach, certify their final soundness exactly and pass.
+def test_paper_rows_pass_exactly(command, achieved, promised, artifact_dir, capsys):
+    # Paper rows (b) and (c): the c = 2 general and c = 1 linear reductions,
+    # whose nu floors only these rows reach; rows (a) and (d): the demos
+    # over 4 letters and onto dim Delta = 3.  Each certifies its final
+    # soundness exactly and passes.
     assert main(command.split()) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     sound = report["achieved"]["soundness"]["$soundness"]

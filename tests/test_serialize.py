@@ -238,6 +238,9 @@ def _valid_doc(kind):
         ("report", lambda doc: doc.update(overall=1.5)),
         ("report", lambda doc: doc["verdicts"].update(soundness=1.5)),
         ("report", lambda doc: doc["params"].update(x=1.5)),
+        ("soundness", lambda doc: doc.update(infinite=True)),
+        ("soundness", lambda doc: doc.update(mode="sampled")),
+        ("soundness", lambda doc: doc.update(engine="sampled")),
     ],
     ids=[
         "witness-target-size-str",
@@ -270,13 +273,19 @@ def _valid_doc(kind):
         "report-overall-float",
         "report-verdict-float",
         "report-param-float",
+        "soundness-finite-marked-infinite",
+        "soundness-exact-marked-sampled",
+        "soundness-engine-sampled-mode-exact",
     ],
 )
 def test_malformed_document_raises_schema_error(kind, corrupt):
     # The first six once escaped their reader as a KeyError or a TypeError;
     # the next fifteen, a non-integer where an integer belongs, were read as
     # valid: a JSON true or false, six of them, as the integer 1 or 0.  The
-    # last nine were read, and `dumps` then could not write the artifact.
+    # next nine were read, and `dumps` then could not write the artifact.
+    # The last three were read as a report that contradicts itself: an
+    # infinite flag beside a finite value, or a sampled value labelled
+    # exact (or the reverse), which `certify` would then judge.
     doc, from_json = _valid_doc(kind)
     assert from_json(json.loads(dumps(doc))) is not None
     corrupt(doc)

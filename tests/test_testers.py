@@ -61,21 +61,21 @@ def test_reject_probability_weighted_pairs():
 def test_validate_dependence_tester_own_code():
     fam, code = generalized_long_code(2, Alphabet.plain(3))
     tester = dependence_tester(fam, 2)
-    assert validate(tester, code).ok
+    assert validate(tester, code)
 
 
 def test_validate_rejected_codeword():
     bad = Code(BIN, 2, ((0, 1),))
-    report = validate(EQ2, bad)
-    assert not report.ok
-    assert (0, (0, 1)) in report.violations
+    # EQ2 passes on its own code, so the rejected codeword alone fails it
+    assert validate(EQ2, REP2) and not validate(EQ2, bad)
 
 
 def test_validate_weight_sum():
     half = Check((0, 1), accept_from_tuples([(0, 0), (1, 1)], 2), Fraction(1, 2))
     tester = Tester(BIN, 2, 2, (half,))
-    report = validate(tester, REP2)
-    assert not report.ok and report.weight_sum == Fraction(1, 2)
+    # at weight 1 the check passes, so the weight sum of 1/2 alone fails it
+    assert not validate(tester, REP2)
+    assert validate(Tester(BIN, 2, 2, (replace(half, weight=Fraction(1)),)), REP2)
 
 
 def test_soundness_exact_equality_pair():
@@ -228,7 +228,7 @@ def test_positive_soundness_iff_accepted_set_is_code():
                 Check(queries, accept_from_tuples(must | extra, size), Fraction(1, count))
             )
         tester = Tester(alphabet, n, 2, tuple(checks))
-        assert validate(tester, code).ok
+        assert validate(tester, code)
         report = soundness_exact(tester, code)
         if report.infinite:
             continue
