@@ -14,7 +14,7 @@ verdict degrades from "pass" to "conditional".
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import DEFAULT_BUDGET, Field, VecSpace
@@ -47,7 +47,6 @@ from .separability import (
     witness_from_certificate,
 )
 from .testers import (
-    SoundnessReport,
     Tester,
     classify_linear,
     equality_tester,
@@ -56,8 +55,6 @@ from .testers import (
     soundness_sampled,
     validate,
 )
-
-REPORT_SCHEMA = "ltc-forge/report-v2"
 
 # The parameters each reduction takes after (code, tester, mu), at their
 # values on the desk instance of `demo_inputs`.
@@ -75,8 +72,14 @@ class PipelineReport:
     promised: dict
     achieved: dict
     stages: dict
-    verdicts: dict = field(default_factory=dict)
-    overall: str = "incomplete"
+
+    @property
+    def verdicts(self) -> dict:
+        return certify(self)["verdicts"]
+
+    @property
+    def overall(self) -> str:
+        return certify(self)["overall"]
 
 
 def certify(report: PipelineReport) -> dict:
@@ -99,12 +102,7 @@ def certify(report: PipelineReport) -> dict:
     verdicts["nu_floor"] = (
         "pass" if achieved["inner_soundness"] >= promised["nu_floor"] else "fail"
     )
-    s_rep: SoundnessReport = achieved["soundness"]
-    ok = s_rep.infinite or s_rep.value >= promised["soundness"]
-    if s_rep.mode == "exact":
-        verdicts["soundness"] = "pass" if ok else "fail"
-    else:
-        verdicts["soundness"] = "consistent" if ok else "violated"
+    verdicts["soundness"] = replace(achieved["soundness"], bound=promised["soundness"]).verdict
     if "separable_soundness" in achieved and achieved["separable_soundness"] is not None:
         verdicts["separable_soundness"] = (
             "pass"
@@ -189,10 +187,7 @@ def _reduce(
     if target is not None:  # without an increase step they are the final stages
         stages.update(concatenated_code=concat_code, concatenated_tester=t_concat)
     stages.update(final_code=final_code, final_tester=t_final)
-    report = PipelineReport(kind, params, promised, achieved, stages)
-    summary = certify(report)
-    report.verdicts, report.overall = summary["verdicts"], summary["overall"]
-    return report
+    return PipelineReport(kind, params, promised, achieved, stages)
 
 
 def linear_reduction(

@@ -44,10 +44,20 @@ from .testers import (
 
 @dataclass(frozen=True)
 class CheckCertificate:
-    partitions: tuple[tuple[tuple[int, ...], ...], ...]  # per coordinate
     coord_maps: tuple[tuple[int, ...], ...]  # per coordinate: symbol -> delta symbol
     accept: int  # image of the accepted tuples, over delta^arity
     subspaces: tuple[tuple[tuple[int, ...], ...], ...] | None = None  # linear case
+
+    @property
+    def partitions(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per coordinate, the fibers of its map in order of their smallest symbol."""
+        parts = []
+        for table in self.coord_maps:
+            fibers: dict[int, list[int]] = {}
+            for sym, image in enumerate(table):
+                fibers.setdefault(image, []).append(sym)
+            parts.append(tuple(map(tuple, fibers.values())))
+        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -68,18 +78,11 @@ def _certificate(
     check: Check, size: int, coord_maps: list, delta_size: int, subspaces: tuple | None
 ) -> CheckCertificate:
     """Certificate of one check factoring through per-coordinate maps: the
-    partitions are the maps' fibers in order of their smallest symbol, the
     accept set is the image of the check's accepted tuples, asserted
     disjoint from the image of its rejected ones."""
-    partitions = []
-    for table in coord_maps:
-        fibers: dict[int, list[int]] = {}
-        for sym, image in enumerate(table):
-            fibers.setdefault(image, []).append(sym)
-        partitions.append(tuple(tuple(fiber) for fiber in fibers.values()))
     accept, rejected = images(check, size, coord_maps, delta_size)
     assert not accept & rejected
-    return CheckCertificate(tuple(partitions), tuple(coord_maps), accept, subspaces)
+    return CheckCertificate(tuple(coord_maps), accept, subspaces)
 
 
 def _certified(tester: Tester, certify, delta_size: int, linear: bool):

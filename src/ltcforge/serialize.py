@@ -62,7 +62,7 @@ from .codes import Alphabet, Code, Rate, Word, vector_alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry
 from .constructions import FunctionFamily
 from .errors import CapacityError, ForgeError, SchemaError
-from .pipeline import REPORT_SCHEMA, PipelineReport
+from .pipeline import IncompleteReportError, PipelineReport, certify
 from .separability import CheckCertificate, SeparabilityCertificate
 from .testers import (
     Check,
@@ -82,7 +82,7 @@ SCHEMAS = {
     "witness": "ltc-forge/witness-v2",
     "certificate": "ltc-forge/certificate-v2",
     "soundness": "ltc-forge/soundness-v2",
-    "report": REPORT_SCHEMA,
+    "report": "ltc-forge/report-v2",
     "verify": "ltc-forge/verify-v1",
 }
 
@@ -170,8 +170,9 @@ def _encode_tester(t: Tester, nl: str) -> str:
 
 
 def _reader(read):
-    """The reader `read`, with KeyError, TypeError and ValueError raised as
-    SchemaError, run with the cyclic collector paused (`gc_paused`)."""
+    """The reader `read`, with KeyError, TypeError, ValueError and
+    IncompleteReportError raised as SchemaError, run with the cyclic
+    collector paused (`gc_paused`)."""
     what = read.__name__.removesuffix("_from_json")
 
     @gc_paused
@@ -179,7 +180,7 @@ def _reader(read):
     def checked(doc: Any):
         try:
             return read(doc)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IncompleteReportError) as exc:
             raise SchemaError(f"malformed {what} ({exc!r})") from None
 
     return checked
@@ -428,21 +429,19 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
 @_reader
 def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     _expect(doc, "certificate")
-    size, docs = _typed(doc["delta_size"], int), doc["checks"]
+    size, linear, docs = _typed(doc["delta_size"], int), _typed(doc["linear"], bool), doc["checks"]
     maps = [tuple(_ints(m) for m in chk["maps"]) for chk in docs]
     accepts = _accept_sets(docs, list(map(len, maps)), size)
     checks = []
     for chk, coord_maps, accept in zip(docs, maps, accepts):
-        bases = chk["subspaces"]
-        checks.append(
-            CheckCertificate(
-                tuple(tuple(_ints(cls) for cls in coord) for coord in chk["partitions"]),
-                coord_maps,
-                accept,
-                None if bases is None else tuple(tuple(_ints(v) for v in basis) for basis in bases),
-            )
-        )
-    return SeparabilityCertificate(size, _typed(doc["linear"], bool), tuple(checks))
+        if (bases := chk["subspaces"]) is not None:
+            bases = tuple(tuple(_ints(v) for v in basis) for basis in bases)
+        if (bases is None) == linear:
+            raise ValueError("subspaces must be listed exactly when linear is true")
+        checks.append(cert := CheckCertificate(coord_maps, accept, bases))
+        if tuple(tuple(_ints(cls) for cls in coord) for coord in chk["partitions"]) != cert.partitions:
+            raise ValueError("partitions are not the fibers of the maps")
+    return SeparabilityCertificate(size, linear, tuple(checks))
 
 
 def soundness_to_json(r: SoundnessReport) -> dict:
@@ -463,21 +462,17 @@ def soundness_to_json(r: SoundnessReport) -> dict:
 @_reader
 def soundness_from_json(doc: Any) -> SoundnessReport:
     _expect(doc, "soundness")
-    mode, engine = _typed(doc["mode"], str, NoneType), _typed(doc["engine"], str, NoneType)
-    if _typed(doc["infinite"], bool) != (doc["value"] is None):
-        raise ValueError("infinite must hold exactly when the value is null")
-    if (mode == "sampled") != (engine == "sampled"):
-        raise ValueError(f"mode {mode!r} with engine {engine!r}: only the sampler gives sampled values")
-    return SoundnessReport(
-        mode,
+    r = SoundnessReport(
+        _typed(doc["engine"], str, NoneType),
         None if doc["value"] is None else frac_from_json(doc["value"]),
         None if doc["witness"] is None else word_from_json(doc["witness"]),
         None if doc["bound"] is None else frac_from_json(doc["bound"]),
-        _typed(doc["verdict"], str, NoneType),
         _typed(doc["trials"], int, NoneType),
         _typed(doc["seed"], int, NoneType),
-        engine,
     )
+    if (doc["mode"], _typed(doc["infinite"], bool), doc["verdict"]) != (r.mode, r.infinite, r.verdict):
+        raise ValueError("mode, infinite or verdict contradicts engine, value and bound")
+    return r
 
 
 def rate_to_json(r: Rate) -> dict:
@@ -559,15 +554,16 @@ def report_from_json(doc: Any) -> PipelineReport:
     stages = value_from_json(stages_doc)
     if witness_doc is not None:
         stages["witness"] = witness_from_json(witness_doc)
-    return PipelineReport(
+    report = PipelineReport(
         kind=_typed(doc["kind"], str),
         params=value_from_json(doc["params"]),
         promised=value_from_json(doc["promised"]),
         achieved=value_from_json(doc["achieved"]),
         stages=stages,
-        verdicts={k: _typed(v, str) for k, v in doc["verdicts"].items()},
-        overall=_typed(doc["overall"], str),
     )
+    if {"verdicts": doc["verdicts"], "overall": doc["overall"]} != (computed := certify(report)):
+        raise ValueError(f"verdicts and overall {doc['overall']!r} differ from the recomputed {computed}")
+    return report
 
 
 # $tag -> (type, to_json, from_json) for every artifact that stands alone.

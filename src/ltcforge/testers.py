@@ -295,18 +295,27 @@ def validate(tester: Tester, code: Code) -> bool:
 
 @dataclass(frozen=True)
 class SoundnessReport:
-    mode: str  # "exact" | "sampled"
+    engine: str | None  # "prune" (the ladder) | "scan" | "sampled"
     value: Fraction | None  # None iff infinite (no non-codeword exists)
     witness: Word | None
     bound: Fraction | None = None
-    verdict: str | None = None  # exact: pass/fail; sampled: consistent/violated
     trials: int | None = None
     seed: int | None = None
-    engine: str | None = None  # "prune" (the ladder) | "scan" | "sampled"
+
+    @property
+    def mode(self) -> str:
+        return "sampled" if self.engine == "sampled" else "exact"
 
     @property
     def infinite(self) -> bool:
         return self.value is None
+
+    @property
+    def verdict(self) -> str | None:  # exact: pass/fail; sampled: consistent/violated
+        if self.bound is None:
+            return None
+        ok = self.infinite or self.value >= self.bound
+        return ("pass" if ok else "fail") if self.mode == "exact" else ("consistent" if ok else "violated")
 
 
 def _compiled_checks(tester: Tester):
@@ -610,14 +619,8 @@ def soundness_exact(
     compiled, den, dtype = _compiled_checks(tester)
     codewords = code.codewords
 
-    def report(engine, best):
-        if best is None:
-            verdict = None if bound is None else "pass"
-            return SoundnessReport("exact", None, None, bound, verdict, engine=engine)
-        rn, mm, letters = best
-        value = Fraction(rn * n, den * mm)
-        verdict = None if bound is None else ("pass" if value >= bound else "fail")
-        return SoundnessReport("exact", value, Word(tester.alphabet, letters), bound, verdict, engine=engine)
+    def report(engine, rn, mm, letters):
+        return SoundnessReport(engine, Fraction(rn * n, den * mm), Word(tester.alphabet, letters), bound)
 
     start = bound if bound is not None and bound > 0 else None
     if start is None and total > budget:
@@ -632,15 +635,15 @@ def soundness_exact(
         try:
             while (best := below(t)) is None:
                 t *= 2
-            return report("prune", best)
+            return report("prune", *best)
         except CapacityError:
             pass
     if total > budget:
         raise CapacityError(total, budget, "exact soundness")
     if len(codewords) == total:
-        return report("scan", None)
+        return SoundnessReport("scan", None, None, bound)
     rn, mm, widx = _least_ratio(compiled, dtype, size, n, codewords)
-    return report("scan", (rn, mm, decode_tuple(widx, size, n)[::-1]))
+    return report("scan", rn, mm, decode_tuple(widx, size, n)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +721,7 @@ def soundness_sampled(
         raise DomainError("need at least one trial")
     size, n = tester.alphabet.size, tester.n
     if len(code.codewords) == size**n:
-        verdict = None if bound is None else "consistent"
-        return SoundnessReport("sampled", None, None, bound, verdict, trials, seed, "sampled")
+        return SoundnessReport("sampled", None, None, bound, trials, seed)
 
     def distances():  # least mismatch count per trial, one codeword row at a time
         least = None
@@ -746,9 +748,7 @@ def soundness_sampled(
             best, at = found, found[2] - start
             witness = Word(tester.alphabet, tuple(int(digits[j][at]) for j in range(n)))
         del digits, rej, mism  # freed before the next chunk is drawn
-    value = Fraction(best[0] * n, den * best[1])
-    verdict = None if bound is None else ("violated" if value < bound else "consistent")
-    return SoundnessReport("sampled", value, witness, bound, verdict, trials, seed, "sampled")
+    return SoundnessReport("sampled", Fraction(best[0] * n, den * best[1]), witness, bound, trials, seed)
 
 
 # ---------------------------------------------------------------------------

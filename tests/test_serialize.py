@@ -3,7 +3,9 @@
 import ast
 import gc
 import json
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +28,12 @@ from ltcforge.pipeline import (
     run_reduction,
     semilinear_reduction,
 )
-from ltcforge.separability import check_separable, compatibility_encoder, separable_replacement
+from ltcforge.separability import (
+    check_linearly_separable,
+    check_separable,
+    compatibility_encoder,
+    separable_replacement,
+)
 from ltcforge.serialize import (
     alphabet_from_json,
     certificate_from_json,
@@ -160,6 +167,19 @@ def test_soundness_report_roundtrip():
     assert soundness_to_json(soundness_from_json(stored)) == stored
 
 
+def test_certificate_linear_flag_matches_subspaces():
+    # A set certificate marked linear, and a linear one marked set, each
+    # read back as written before the flag was held to the checks.
+    plain = certificate_to_json(check_separable(equality_tester(BIN, 3), 2))
+    space = VecSpace(Field(2), 2)
+    linear = certificate_to_json(check_linearly_separable(equality_tester(vector_alphabet(2, 2), 2), space))
+    assert linear["linear"] and not plain["linear"]
+    for doc in (plain, linear):
+        assert certificate_to_json(certificate_from_json(doc)) == doc
+        with pytest.raises(SchemaError, match="subspaces must be listed exactly when linear is true"):
+            certificate_from_json(dict(doc, linear=not doc["linear"]))
+
+
 def test_pipeline_report_roundtrip():
     code = repetition_code(vector_alphabet(2, 1), 2)
     tester = equality_tester(code.alphabet, 2)
@@ -241,6 +261,15 @@ def _valid_doc(kind):
         ("soundness", lambda doc: doc.update(infinite=True)),
         ("soundness", lambda doc: doc.update(mode="sampled")),
         ("soundness", lambda doc: doc.update(engine="sampled")),
+        ("soundness", lambda doc: doc.update(bound=frac_to_json(Fraction(1)), verdict="fail")),
+        ("soundness", lambda doc: doc.update(bound=frac_to_json(Fraction(3)), verdict="pass")),
+        ("soundness", lambda doc: doc.update(mode=None)),
+        ("soundness", lambda doc: doc.update(mode="bogus")),
+        ("report", lambda doc: doc["promised"].update(distance=frac_to_json(Fraction(99, 100)))),
+        ("report", lambda doc: doc["verdicts"].update(distance="fail")),
+        ("certificate", lambda doc: doc["checks"][0]["partitions"].__setitem__(0, [[1], [0]])),
+        ("certificate", lambda doc: doc.update(linear=True)),
+        ("certificate", lambda doc: doc["checks"][0].update(subspaces=[])),
     ],
     ids=[
         "witness-target-size-str",
@@ -276,6 +305,15 @@ def _valid_doc(kind):
         "soundness-finite-marked-infinite",
         "soundness-exact-marked-sampled",
         "soundness-engine-sampled-mode-exact",
+        "soundness-passing-verdict-flipped",
+        "soundness-bound-above-value-verdict-kept",
+        "soundness-mode-null",
+        "soundness-mode-bogus",
+        "report-distance-raised-overall-kept",
+        "report-verdict-flipped",
+        "certificate-partitions-swapped",
+        "certificate-set-marked-linear",
+        "certificate-subspaces-listed-marked-set",
     ],
 )
 def test_malformed_document_raises_schema_error(kind, corrupt):
@@ -285,7 +323,12 @@ def test_malformed_document_raises_schema_error(kind, corrupt):
     # next nine were read, and `dumps` then could not write the artifact.
     # The last three were read as a report that contradicts itself: an
     # infinite flag beside a finite value, or a sampled value labelled
-    # exact (or the reverse), which `certify` would then judge.
+    # exact (or the reverse), which `certify` would then judge.  The nine
+    # after them were read back as written, though each judgment or
+    # partition they hold differs from the one the document's measurements
+    # give: the exact value 2 passes at a bound of 1 and fails at 3, a mode
+    # follows from the engine, a report's verdicts from its values, and a
+    # certificate's partitions and linear flag from its maps and subspaces.
     doc, from_json = _valid_doc(kind)
     assert from_json(json.loads(dumps(doc))) is not None
     corrupt(doc)
@@ -480,18 +523,27 @@ _SHARED_NUMERATORS = Tester(
 )
 
 
+@cache
+def _desk_linear_report() -> PipelineReport:
+    return run_reduction("linear", *demo_inputs("linear"), DEMO_PARAMS["linear"], seed=4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(stages=st.lists(_testers(), min_size=1, max_size=3), inner=st.booleans())
 def test_dumps_writes_a_report_of_testers_as_its_dict(stages, inner):
     # Testers anywhere in a report's parts, in lists and in a report nested
-    # in its parameters, written at every nesting of the report.
+    # in its parameters, written at every nesting of the report.  The
+    # reports are complete, so that their verdicts can be computed, and hold
+    # the testers in promised and achieved under keys `certify` does not read.
     stages = [_SHARED_NUMERATORS] + stages
+    desk = _desk_linear_report()
     params = {"seed": 4, "mu": Fraction(1, 3), "testers": stages[1:]}
     if inner:
-        params["report"] = PipelineReport("general", {"n": 1}, {}, {"soundness": stages[-1]}, {"t": stages[0]})
-    report = PipelineReport(
-        "linear", params, {"soundness": Fraction(2, 3)}, {"rate": stages[0]},
-        {f"tester_{i}": t for i, t in enumerate(stages)}, {"soundness": "pass"}, "pass",
+        achieved = {**desk.achieved, "tester": stages[-1]}
+        params["report"] = replace(desk, kind="general", params={"n": 1}, achieved=achieved, stages={"t": stages[0]})
+    report = replace(
+        desk, params=params, promised={**desk.promised, "tester": stages[-1]},
+        achieved={**desk.achieved, "rate_tester": stages[0]}, stages={f"tester_{i}": t for i, t in enumerate(stages)},
     )
     _report_forms_agree(report)
 

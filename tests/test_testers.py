@@ -1109,7 +1109,7 @@ def test_prune_ladder_overflow_falls_back_to_the_plan():
     tester, code = equality_tester(BIN, 10), repetition_code(BIN, 10)
     plain = soundness_exact(tester, code, budget=2**11)
     bounded = soundness_exact(tester, code, budget=2**11, bound=Fraction(100))
-    assert replace(bounded, bound=None, verdict=None) == plain and plain.engine == "scan"
+    assert replace(bounded, bound=None) == plain and plain.engine == "scan"
     assert bounded.verdict == "fail"
     assert soundness_exact(tester, code, budget=2**12, bound=plain.value / 2).engine == "prune"
     errors = []
