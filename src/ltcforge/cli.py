@@ -325,7 +325,7 @@ def _cmd_concat(args) -> tuple[dict, int]:
             return payload, 1
         composed = concat_tester(outer, args.mu, inner, args.nu, encoder, wit)
         payload["tester"] = composed
-        payload["witness"] = witness_to_json(wit, encoder.target.size)
+        payload["witness"] = witness_to_json(wit)
         payload["bound"] = frac_to_json(composed.meta["bound"])
         payload["validation_ok"] = validate(composed, joined)
         return payload, 0 if payload["validation_ok"] else 1

@@ -35,6 +35,8 @@ class Alphabet:
     space: VecSpace | None = None
 
     def __post_init__(self):
+        if self.size >= 2**63:  # letters are int64 in the soundness kernels
+            raise CapacityError(self.size, 2**63 - 1, f"{'plain' if self.space is None else 'vector'} alphabet")
         if self.space is not None and self.space.size != self.size:
             raise MismatchError("alphabet size disagrees with vector space size")
         if self.size < 2:
@@ -50,12 +52,12 @@ class Alphabet:
 
 
 def vector_alphabet(p: int, dim: int) -> Alphabet:
-    """GF(p)^dim as an alphabet.  Letters are int64 in the soundness kernels,
-    so 2**63 letters or more are refused; p >= 2, so a dimension of 63 or
-    more already passes, and it is refused before p**dim is taken."""
+    """GF(p)^dim as an alphabet.  `Alphabet` refuses 2**63 letters or more;
+    p >= 2, so a dimension of 63 or more is refused here, before p**dim is
+    taken."""
     field = Field(p)
-    if dim >= 63 or p**dim >= 2**63:
-        raise CapacityError(p ** min(dim, 63), 2**63 - 1, "vector alphabet")
+    if dim >= 63:
+        raise CapacityError(p**63, 2**63 - 1, "vector alphabet")
     return Alphabet.vector(VecSpace(field, dim))
 
 
@@ -109,13 +111,6 @@ def repetition_code(alphabet: Alphabet, n: int) -> Code:
 
 def _mismatches(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
-
-
-def hamming_dist(u: Word, v: Word) -> Fraction:
-    """Normalized Hamming distance, exact."""
-    if u.alphabet != v.alphabet or len(u) != len(v):
-        raise MismatchError("words live in different spaces")
-    return Fraction(_mismatches(u.letters, v.letters), len(u))
 
 
 def dist_to_code(w: Word, code: Code) -> Fraction:

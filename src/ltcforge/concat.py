@@ -62,6 +62,7 @@ class WitnessEntry:
 
 @dataclass(frozen=True)
 class CompatibilityWitness:
+    target_size: int  # letters of the encoder's target alphabet, over which each accept set lies
     entries: tuple[WitnessEntry, ...]
 
 
@@ -123,22 +124,25 @@ def check_f_compatible(tester: Tester, encoder: Encoder) -> CompatibilityWitness
             assert not accept & rejected
             built[key] = WitnessEntry(tuple(positions), accept)
         entries.append(built[key])
-    return CompatibilityWitness(tuple(entries))
+    return CompatibilityWitness(encoder.target.size, tuple(entries))
 
 
 def verify_witness(
     tester: Tester, encoder: Encoder, witness: CompatibilityWitness
 ) -> bool:
     """Exhaustive check of the factoring identity for every entry; an entry
-    may also accept tuples outside the image."""
-    if len(witness.entries) != len(tester.checks):
-        return False
+    may also accept tuples outside the image.  False for a witness over
+    another target alphabet or an offset outside 0..k-1."""
     size, dsize = tester.alphabet.size, encoder.target.size
+    if len(witness.entries) != len(tester.checks) or witness.target_size != dsize:
+        return False
     imaged = {}  # (check accept, entry positions as many as its arity): its images
     for check, entry in zip(tester.checks, witness.entries):
         if len(entry.positions) != check.arity:
             return False
         if (pair := imaged.get((check.accept, entry.positions))) is None:
+            if not all(0 <= b < encoder.k for b in entry.positions):
+                return False
             maps = [encoder.family.tables[b] for b in entry.positions]
             pair = imaged[check.accept, entry.positions] = images(check, size, maps, dsize)
         accepted, rejected = pair

@@ -66,6 +66,13 @@ class SeparabilityCertificate:
     linear: bool
     checks: tuple[CheckCertificate, ...]
 
+    def __post_init__(self):
+        distinct = dict(zip(map(id, self.checks), self.checks)).values()  # producers share one per predicate
+        if any((chk.subspaces is None) == self.linear for chk in distinct):
+            raise DomainError("subspaces must be listed exactly when linear is true")
+        if not all(0 <= x < self.delta_size for chk in distinct for table in chk.coord_maps for x in table):
+            raise DomainError(f"a map image lies outside 0..{self.delta_size - 1}")
+
 
 @dataclass(frozen=True)
 class SeparabilityFailure:
@@ -307,7 +314,7 @@ def witness_from_certificate(cert: SeparabilityCertificate, encoder: Encoder) ->
                 raise MismatchError("certificate map missing from the encoder family")
             positions.append(index_of[table])
         entries.append(WitnessEntry(tuple(positions), chk_cert.accept))
-    return CompatibilityWitness(tuple(entries))
+    return CompatibilityWitness(encoder.target.size, tuple(entries))
 
 
 def extend_compatibility(
@@ -322,6 +329,8 @@ def extend_compatibility(
     """
     if target.target.size < source.target.size:
         raise MismatchError("target encoder alphabet does not contain the source's")
+    if witness.target_size != source.target.size:
+        raise MismatchError("witness lies over another alphabet than the source encoder's target")
     match = _first_index(target.family.tables)
     remap = []
     for table in source.family.tables:
@@ -337,4 +346,4 @@ def extend_compatibility(
             _, rejected = images(own, d_old, [range(d_old)] * key[0], d_new)
             extended[key] = full_accept(d_new, key[0]) & ~rejected
         entries.append(WitnessEntry(tuple(remap[b] for b in entry.positions), extended[key]))
-    return CompatibilityWitness(tuple(entries))
+    return CompatibilityWitness(d_new, tuple(entries))

@@ -34,7 +34,9 @@ Query positions are 0-based here and throughout the package.  Readers
 raise SchemaError for a non-integer where an integer belongs, a JSON true
 or false included, and for any value `dumps` could not write back, such as
 a float in a report; `_reader` turns every missing key or value of the
-wrong type or shape into one.
+wrong type or shape into one, and every value the artifact's constructor
+refuses.  A reader holds format rules and the comparison of each written
+judgment with the computed one; every other rule is the constructor's.
 
 Readers pay per distinct item where they can.  The tester, witness and
 certificate readers decode each distinct (arity, accept index list) once,
@@ -61,7 +63,7 @@ from typing import Any, Callable, Iterable
 from .codes import Alphabet, Code, Rate, Word, vector_alphabet
 from .concat import CompatibilityWitness, Encoder, WitnessEntry
 from .constructions import FunctionFamily
-from .errors import CapacityError, ForgeError, SchemaError
+from .errors import CapacityError, DomainError, ForgeError, MismatchError, SchemaError
 from .pipeline import IncompleteReportError, PipelineReport, certify
 from .separability import CheckCertificate, SeparabilityCertificate
 from .testers import (
@@ -170,9 +172,10 @@ def _encode_tester(t: Tester, nl: str) -> str:
 
 
 def _reader(read):
-    """The reader `read`, with KeyError, TypeError, ValueError and
-    IncompleteReportError raised as SchemaError, run with the cyclic
-    collector paused (`gc_paused`)."""
+    """The reader `read`, with KeyError, TypeError, ValueError,
+    IncompleteReportError and the constructors' DomainError and
+    MismatchError raised as SchemaError, run with the cyclic collector
+    paused (`gc_paused`)."""
     what = read.__name__.removesuffix("_from_json")
 
     @gc_paused
@@ -180,7 +183,7 @@ def _reader(read):
     def checked(doc: Any):
         try:
             return read(doc)
-        except (KeyError, TypeError, ValueError, IncompleteReportError) as exc:
+        except (KeyError, TypeError, ValueError, IncompleteReportError, DomainError, MismatchError) as exc:
             raise SchemaError(f"malformed {what} ({exc!r})") from None
 
     return checked
@@ -291,11 +294,8 @@ def alphabet_to_json(a: Alphabet) -> dict:
 
 @_reader
 def alphabet_from_json(d: Any) -> Alphabet:
-    # letters are int64 in the soundness kernels: 2**63 or more are refused
     if d["kind"] == "plain":
-        if (size := _typed(d["size"], int)) >= 2**63:
-            raise CapacityError(size, 2**63 - 1, "plain alphabet")
-        return Alphabet.plain(size)
+        return Alphabet.plain(_typed(d["size"], int))
     if d["kind"] == "vector":
         return vector_alphabet(_typed(d["p"], int), _typed(d["dim"], int))
     raise SchemaError(f"unknown alphabet kind {d['kind']!r}")
@@ -384,10 +384,10 @@ def encoder_from_json(doc: Any) -> Encoder:
     return Encoder(family_from_json({**doc, "schema": SCHEMAS["family"]}))
 
 
-def witness_to_json(w: CompatibilityWitness, target_size: int) -> dict:
+def witness_to_json(w: CompatibilityWitness) -> dict:
     return {
         "schema": SCHEMAS["witness"],
-        "target_size": target_size,
+        "target_size": w.target_size,
         "checks": [
             {
                 "b": list(e.positions),
@@ -404,7 +404,7 @@ def witness_from_json(doc: Any) -> CompatibilityWitness:
     size, docs = _typed(doc["target_size"], int), doc["checks"]
     positions = list(map(tuple, _int_lists(docs, "b")))
     accepts = _accept_sets(docs, list(map(len, positions)), size)
-    return CompatibilityWitness(tuple(map(WitnessEntry, positions, accepts)))
+    return CompatibilityWitness(size, tuple(map(WitnessEntry, positions, accepts)))
 
 
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
@@ -436,8 +436,6 @@ def certificate_from_json(doc: Any) -> SeparabilityCertificate:
     for chk, coord_maps, accept in zip(docs, maps, accepts):
         if (bases := chk["subspaces"]) is not None:
             bases = tuple(tuple(_ints(v) for v in basis) for basis in bases)
-        if (bases is None) == linear:
-            raise ValueError("subspaces must be listed exactly when linear is true")
         checks.append(cert := CheckCertificate(coord_maps, accept, bases))
         if tuple(tuple(_ints(cls) for cls in coord) for coord in chk["partitions"]) != cert.partitions:
             raise ValueError("partitions are not the fibers of the maps")
@@ -467,8 +465,8 @@ def soundness_from_json(doc: Any) -> SoundnessReport:
         None if doc["value"] is None else frac_from_json(doc["value"]),
         None if doc["witness"] is None else word_from_json(doc["witness"]),
         None if doc["bound"] is None else frac_from_json(doc["bound"]),
-        _typed(doc["trials"], int, NoneType),
-        _typed(doc["seed"], int, NoneType),
+        doc["trials"],  # their types are the constructor's rule
+        doc["seed"],
     )
     if (doc["mode"], _typed(doc["infinite"], bool), doc["verdict"]) != (r.mode, r.infinite, r.verdict):
         raise ValueError("mode, infinite or verdict contradicts engine, value and bound")
@@ -528,32 +526,23 @@ def value_from_json(v: Any) -> Any:
 def report_to_json(r: PipelineReport) -> dict:
     """The report's document, its testers and nested reports left as
     objects under their tags, for `dumps` to write."""
-    stages = dict(r.stages)
-    witness = stages.pop("witness", None)
-    doc = {
+    return {
         "schema": SCHEMAS["report"],
         "kind": r.kind,
         "params": value_to_json(r.params),
         "promised": value_to_json(r.promised),
         "achieved": value_to_json(r.achieved),
-        "stages": value_to_json(stages),
+        "stages": {k: witness_to_json(v) if k == "witness" else value_to_json(v) for k, v in r.stages.items()},
         "verdicts": dict(r.verdicts),
         "overall": r.overall,
     }
-    if witness is not None:
-        target_size = r.stages["encoder"].target.size
-        doc["stages"]["witness"] = witness_to_json(witness, target_size)
-    return doc
 
 
 @_reader
 def report_from_json(doc: Any) -> PipelineReport:
     _expect(doc, "report")
-    stages_doc = dict(doc["stages"])
-    witness_doc = stages_doc.pop("witness", None)
-    stages = value_from_json(stages_doc)
-    if witness_doc is not None:
-        stages["witness"] = witness_from_json(witness_doc)
+    stages = dict(doc["stages"])  # the witness stage is untagged
+    stages = {k: witness_from_json(v) if k == "witness" else value_from_json(v) for k, v in stages.items()}
     report = PipelineReport(
         kind=_typed(doc["kind"], str),
         params=value_from_json(doc["params"]),

@@ -125,11 +125,6 @@ def accept_from_tuples(tuples: Iterable[Sequence[int]], size: int) -> int:
     return accept_from_indices([encode_tuple(t, size) for t in tuples])
 
 
-def tuples_from_accept(accept: int, size: int, arity: int) -> list[tuple[int, ...]]:
-    """The accepted tuples in index order."""
-    return [decode_tuple(i, size, arity) for i in indices_from_accept(accept)]
-
-
 def full_accept(size: int, arity: int) -> int:
     return (1 << size**arity) - 1
 
@@ -301,6 +296,13 @@ class SoundnessReport:
     bound: Fraction | None = None
     trials: int | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        if (self.witness is None) != (self.value is None) or self.value is not None and self.value < 0:
+            raise DomainError("a finite value is at least 0 and has a witness, an infinite one none")
+        drawn = type(self.trials) is int and self.trials >= 1 and type(self.seed) is int
+        if not (drawn if self.engine == "sampled" else (self.trials, self.seed) == (None, None)):
+            raise DomainError("trials >= 1 and an int seed are given exactly when the value is sampled")
 
     @property
     def mode(self) -> str:

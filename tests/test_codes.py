@@ -16,7 +16,6 @@ from ltcforge.codes import (
     Word,
     dist_to_code,
     distance,
-    hamming_dist,
     is_linear_code,
     make_rate,
     rate,
@@ -24,13 +23,20 @@ from ltcforge.codes import (
     vector_alphabet,
 )
 from ltcforge.constructions import generalized_hadamard, generalized_long_code
-from ltcforge.errors import DomainError, MismatchError
+from ltcforge.errors import CapacityError, DomainError, MismatchError
 
 BIN = Alphabet.plain(2)
 
 
 def w(letters, alphabet=BIN):
     return Word(alphabet, tuple(letters))
+
+
+def hamming_dist(u, v):
+    """Normalized Hamming distance, exact: the reference the metrics are held to."""
+    if u.alphabet != v.alphabet or len(u) != len(v):
+        raise MismatchError("words live in different spaces")
+    return Fraction(sum(a != b for a, b in zip(u.letters, v.letters)), len(u))
 
 
 def test_hamming_identical():
@@ -262,3 +268,23 @@ def test_metrics_match_brute_force(code):
         assert dist_to_code(word, code) == min(mismatched(letters, c) for c in words)
         for c in words:
             assert hamming_dist(word, Word(code.alphabet, c)) == mismatched(letters, c)
+
+
+@pytest.mark.parametrize(
+    "build, what, size",
+    [
+        (lambda: Alphabet.plain(2**63), "plain alphabet", 2**63),
+        (lambda: Alphabet.vector(VecSpace(Field(2), 63)), "vector alphabet", 2**63),
+        (lambda: vector_alphabet(3, 40), "vector alphabet", 3**40),
+        (lambda: vector_alphabet(2, 10**12), "vector alphabet", 2**63),
+    ],
+    ids=["plain", "vector-space", "vector-3-40", "vector-huge-dim"],
+)
+def test_alphabets_of_2_63_letters_or_more_are_refused(build, what, size):
+    # Letters are int64 in the soundness kernels.  `Alphabet` itself refuses
+    # the size, so a plain alphabet built directly is refused like one read
+    # from a document; `vector_alphabet` refuses a dimension of 63 or more
+    # before it takes the power.
+    with pytest.raises(CapacityError, match=f"^{what} requires {size} items, budget is {2**63 - 1}$"):
+        build()
+    assert Alphabet.plain(2**63 - 1).size == 2**63 - 1

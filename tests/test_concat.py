@@ -1,6 +1,7 @@
 """Concatenation, compatibility witnesses, composed and widened testers."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -121,7 +122,7 @@ def test_verify_witness_checks_each_entry_against_the_images():
     diag = accept_from_tuples([(0, 0), (1, 1)], 3)
 
     def verifies(positions, accept):
-        return verify_witness(EQ2, enc, CompatibilityWitness((WitnessEntry(positions, accept),)))
+        return verify_witness(EQ2, enc, CompatibilityWitness(3, (WitnessEntry(positions, accept),)))
 
     assert verifies((0, 0), diag)
     assert verifies((0, 0), diag | accept_from_tuples([(2, 2), (0, 2)], 3))
@@ -185,11 +186,30 @@ def test_concat_tester_degenerate_outer_code():
     assert report.value >= 0
 
 
+def test_verify_witness_refuses_offsets_outside_the_blocks():
+    # The equality chain's witness with every offset shifted by -k read the
+    # same tables through negative indices, and verified; offsets shifted
+    # by +k raised IndexError.  Each now fails, and so does the witness
+    # under another target size.
+    eq = equality_tester(BIN, 3)
+    enc = compatibility_encoder(BIN, BIN, False)
+    wit = check_f_compatible(eq, enc)
+    assert wit.target_size == 2 and verify_witness(eq, enc, wit)
+    for shift in (-enc.k, enc.k):
+        entries = tuple(WitnessEntry(tuple(b + shift for b in e.positions), e.accept) for e in wit.entries)
+        assert not verify_witness(eq, enc, CompatibilityWitness(2, entries))
+    assert not verify_witness(eq, enc, replace(wit, target_size=3))
+    inner = dependence_tester(enc.family, 2)
+    mu_i = soundness_exact(inner, enc.image_code()).value
+    with pytest.raises(MismatchError, match="witness does not verify"):
+        concat_tester(eq, Fraction(1), inner, mu_i, enc, replace(wit, target_size=3))
+
+
 def test_concat_tester_rejects_bad_inputs():
     fam, inner_code, enc, inner, mu_o, mu_i, wit = _binary_instance()
     with pytest.raises(DomainError):
         concat_tester(EQ2, Fraction(0), inner, mu_i, enc, wit)
-    broken = CompatibilityWitness((wit.entries[0],) * 2)
+    broken = CompatibilityWitness(wit.target_size, (wit.entries[0],) * 2)
     with pytest.raises(MismatchError):
         concat_tester(EQ2, mu_o, inner, mu_i, enc, broken)
 
@@ -454,10 +474,10 @@ def test_verify_witness_images_each_distinct_entry_once(monkeypatch):
     real = concat_module.images
     monkeypatch.setattr(concat_module, "images", lambda *args: calls.append(args[0]) or real(*args))
     entries = (WitnessEntry((0, 0), diag),) * 3 + (WitnessEntry((1, 1), diag),)
-    assert verify_witness(eq, enc, CompatibilityWitness(entries))
+    assert verify_witness(eq, enc, CompatibilityWitness(3, entries))
     assert len(calls) == 2
     wrong = entries[:2] + (WitnessEntry((0, 0), diag ^ accept_from_tuples([(1, 1)], 3)),) + entries[3:]
-    assert not verify_witness(eq, enc, CompatibilityWitness(wrong))
+    assert not verify_witness(eq, enc, CompatibilityWitness(3, wrong))
 
 
 def test_check_f_compatible_decides_each_distinct_predicate_once(monkeypatch):

@@ -349,3 +349,26 @@ def test_repetition_length_5_reductions_exact_by_prune(kind, n, value, bound, wi
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{n} exact prune pass {value} {bound}", witness, value]
+
+
+@pytest.mark.parametrize(
+    "kind, alphabet, achieved, promised",
+    [("linear", vector_alphabet(3, 1), (4, 21), (2, 21)), ("general", Alphabet.plain(4), (6, 547), (3, 547))],
+    ids=["row-c-over-F3", "row-b-from-4-letters"],
+)
+def test_library_paper_rows_pass_exactly(kind, alphabet, achieved, promised):
+    # Paper rows (c) over F3 and (b) from four letters, which no CLI command
+    # builds: the length-2 repetition code with its equality checks in a
+    # q = 3 tester, reduced with dim Delta = c = 1 (linear) or d = c = 2
+    # (general).  Each certifies its final soundness exactly and passes.
+    code = repetition_code(alphabet, 2)
+    tester = Tester(alphabet, 2, 3, equality_tester(alphabet, 2).checks)
+    mu = soundness_exact(tester, code).value
+    if kind == "linear":
+        report = linear_reduction(code, tester, mu, VecSpace(Field(3), 1), 1)
+    else:
+        report = general_reduction(code, tester, mu, 2, 2)
+    sound = report.achieved["soundness"]
+    assert (sound.mode, report.verdicts["soundness"], report.overall) == ("exact", "pass", "pass")
+    assert sound.value == Fraction(*achieved) and report.promised["soundness"] == Fraction(*promised)
+    assert report.verdicts["nu_floor"] == "pass"

@@ -245,11 +245,11 @@ def test_extend_compatibility_extends_each_distinct_predicate_once(monkeypatch):
     entries = (WitnessEntry((0, 1), diag), WitnessEntry((1, 1), diag), WitnessEntry((0,), 0b01)) * 2
     real, imaged = separability.images, []
     monkeypatch.setattr(separability, "images", lambda *a: imaged.append(a) or real(*a))
-    extended = extend_compatibility(CompatibilityWitness(entries), enc, wider)
+    extended = extend_compatibility(CompatibilityWitness(2, entries), enc, wider)
     assert len(imaged) == 2
     monkeypatch.setattr(separability, "images", real)
     for entry, got in zip(entries, extended.entries):
-        alone = extend_compatibility(CompatibilityWitness((entry,)), enc, wider)
+        alone = extend_compatibility(CompatibilityWitness(2, (entry,)), enc, wider)
         assert alone.entries == (got,)
 
 
@@ -263,6 +263,23 @@ def test_extend_compatibility_missing_coordinate():
     smaller = Encoder(FunctionFamily(2, TRI, ((0, 1),)))
     with pytest.raises(MismatchError):
         extend_compatibility(wit, enc, smaller)
+
+
+def test_extend_compatibility_refuses_a_witness_over_another_alphabet():
+    # A witness of target size 7 fails against its binary source encoder;
+    # its extension into three letters once came out of size 3, and verified.
+    from dataclasses import replace
+
+    from ltcforge.concat import Encoder
+    from ltcforge.constructions import FunctionFamily
+
+    eq = equality_tester(BIN, 2)
+    enc = compatibility_encoder(BIN, BIN, False)
+    wider = Encoder(FunctionFamily(2, TRI, enc.family.tables))
+    wit = replace(check_f_compatible(eq, enc), target_size=7)
+    assert not verify_witness(eq, enc, wit)
+    with pytest.raises(MismatchError, match="witness lies over another alphabet"):
+        extend_compatibility(wit, enc, wider)
 
 
 def _random_tester(rng, alphabet, n, q):
@@ -461,7 +478,8 @@ def test_a_flipped_witness_bit_fails_concatenation(kind):
     enc = compatibility_encoder(alphabet, delta, kind != "general")
     wit = witness_from_certificate(cert, enc)
     first = wit.entries[0]
-    flipped = CompatibilityWitness((WitnessEntry(first.positions, first.accept & (first.accept - 1)),) + wit.entries[1:])
+    flipped_entry = WitnessEntry(first.positions, first.accept & (first.accept - 1))
+    flipped = CompatibilityWitness(wit.target_size, (flipped_entry,) + wit.entries[1:])
     if kind == "semilinear":
         derived = critical_family(enc.family)
         wider = Encoder(FunctionFamily(2, derived.target, derived.tables + ((0, 0),) * (10 - derived.k)))
@@ -471,3 +489,20 @@ def test_a_flipped_witness_bit_fails_concatenation(kind):
     assert concat_tester(sep, Fraction(1, 4), inner, Fraction(1, 4), enc, wit).n == sep.n * enc.k
     with pytest.raises(MismatchError, match="witness does not verify"):
         concat_tester(sep, Fraction(1, 4), inner, Fraction(1, 4), enc, flipped)
+
+
+def test_certificate_holds_its_maps_and_linear_flag():
+    # Each certificate below was built before the constructor held these
+    # rules: a linear flag over checks without subspaces (or the reverse),
+    # and a map image outside 0..delta_size-1.
+    plain = check_separable(equality_tester(BIN, 3), 2)
+    linear = check_linearly_separable(equality_tester(vector_alphabet(2, 2), 2), VecSpace(Field(2), 2))
+    for cert in (plain, linear):
+        with pytest.raises(DomainError, match="subspaces must be listed exactly when linear is true"):
+            SeparabilityCertificate(cert.delta_size, not cert.linear, cert.checks)
+    first = plain.checks[0]
+    for image in (7, -3, 2):
+        moved = separability.CheckCertificate(((image, 1),) + first.coord_maps[1:], first.accept)
+        with pytest.raises(DomainError, match=r"a map image lies outside 0\.\.1"):
+            SeparabilityCertificate(2, False, (moved,) + plain.checks[1:])
+    assert SeparabilityCertificate(2, False, plain.checks) == plain

@@ -134,7 +134,7 @@ def test_witness_roundtrip():
     eq = equality_tester(BIN, 2)
     enc = compatibility_encoder(BIN, BIN, False)
     wit = check_f_compatible(eq, enc)
-    doc = witness_to_json(wit, enc.target.size)
+    doc = witness_to_json(wit)
     assert witness_from_json(json.loads(dumps(doc))) == wit
 
 
@@ -190,6 +190,22 @@ def test_pipeline_report_roundtrip():
     assert roundtrip(semi) == semi
 
 
+@pytest.mark.parametrize("kind", sorted(DEMO_PARAMS))
+def test_report_witness_keeps_the_target_size_its_document_holds(kind):
+    # Each reduction's witness holds its encoder's target size.  The witness
+    # once dropped the size its document held, and the report writer took
+    # the encoder's again: a general demo report whose witness says 9
+    # letters read back and was written with 3.
+    report = run_reduction(kind, *demo_inputs(kind), DEMO_PARAMS[kind])
+    assert report.stages["witness"].target_size == report.stages["encoder"].target.size
+    doc = json.loads(dumps(report))
+    doc["stages"]["witness"]["target_size"] = 9
+    text = dumps(doc)
+    again = report_from_json(json.loads(text))
+    assert again.stages["witness"].target_size == 9
+    assert dumps(again) == text
+
+
 def test_schema_mismatch_raises():
     code = repetition_code(BIN, 2)
     doc = code_to_json(code)
@@ -212,7 +228,7 @@ def _valid_doc(kind):
     if kind == "rate":
         return rate_to_json(rate(code)), rate_from_json
     if kind == "witness":
-        return witness_to_json(check_f_compatible(eq, compatibility_encoder(BIN, BIN, False)), 2), witness_from_json
+        return witness_to_json(check_f_compatible(eq, compatibility_encoder(BIN, BIN, False))), witness_from_json
     if kind == "certificate":
         return certificate_to_json(check_separable(eq, 2)), certificate_from_json
     if kind == "soundness":
@@ -270,6 +286,13 @@ def _valid_doc(kind):
         ("certificate", lambda doc: doc["checks"][0]["partitions"].__setitem__(0, [[1], [0]])),
         ("certificate", lambda doc: doc.update(linear=True)),
         ("certificate", lambda doc: doc["checks"][0].update(subspaces=[])),
+        ("soundness", lambda doc: doc.update(witness=None)),
+        ("soundness", lambda doc: doc.update(trials=5, seed=7)),
+        ("soundness", lambda doc: doc.update(value=frac_to_json(Fraction(-1, 2)))),
+        ("soundness", lambda doc: doc.update(engine="sampled", mode="sampled", trials=0, seed=7)),
+        ("soundness", lambda doc: doc.update(engine="sampled", mode="sampled", seed=7)),
+        ("soundness", lambda doc: doc.update(engine="sampled", mode="sampled", trials=5)),
+        ("certificate", lambda doc: doc["checks"][0]["maps"].__setitem__(0, [7, -3])),
     ],
     ids=[
         "witness-target-size-str",
@@ -314,6 +337,13 @@ def _valid_doc(kind):
         "certificate-partitions-swapped",
         "certificate-set-marked-linear",
         "certificate-subspaces-listed-marked-set",
+        "soundness-finite-value-without-witness",
+        "soundness-exact-with-trials-and-seed",
+        "soundness-value-negative",
+        "soundness-sampled-zero-trials",
+        "soundness-sampled-null-trials",
+        "soundness-sampled-null-seed",
+        "certificate-map-images-out-of-range",
     ],
 )
 def test_malformed_document_raises_schema_error(kind, corrupt):
@@ -329,6 +359,11 @@ def test_malformed_document_raises_schema_error(kind, corrupt):
     # give: the exact value 2 passes at a bound of 1 and fails at 3, a mode
     # follows from the engine, a report's verdicts from its values, and a
     # certificate's partitions and linear flag from its maps and subspaces.
+    # The last seven were read back though no producer writes them: a
+    # finite value without a witness, an exact value with trials and a
+    # seed, a value below 0, a sampled value without trials >= 1 or a seed,
+    # and a certificate map with images outside 0..delta_size-1 (its
+    # partitions, the fibers, unchanged).  The constructors refuse each.
     doc, from_json = _valid_doc(kind)
     assert from_json(json.loads(dumps(doc))) is not None
     corrupt(doc)
@@ -348,7 +383,7 @@ def _accept_set_docs():
     witness = check_f_compatible(eq, compatibility_encoder(BIN, BIN, False))
     return [
         (tester_to_json(eq), tester_from_json),
-        (witness_to_json(witness, 2), witness_from_json),
+        (witness_to_json(witness), witness_from_json),
         (certificate_to_json(check_separable(eq, 2)), certificate_from_json),
     ]
 
@@ -565,7 +600,7 @@ def test_readers_size_each_accept_table_once_per_arity():
     witness = check_f_compatible(eq, compatibility_encoder(BIN, BIN, False))
     docs = [
         (tester_to_json(mixed), tester_from_json, 2),
-        (witness_to_json(witness, 2), witness_from_json, 1),
+        (witness_to_json(witness), witness_from_json, 1),
         (certificate_to_json(check_separable(eq, 2)), certificate_from_json, 1),
     ]
     for doc, read, arities in docs:
@@ -583,7 +618,7 @@ def _shared_accept_docs():
     witness = check_f_compatible(eq, compatibility_encoder(BIN, BIN, False))
     return [
         (tester_to_json(eq), tester_from_json),
-        (witness_to_json(witness, 2), witness_from_json),
+        (witness_to_json(witness), witness_from_json),
         (certificate_to_json(check_separable(eq, 2)), certificate_from_json),
     ]
 

@@ -34,13 +34,17 @@ from ltcforge.testers import (
     reject_probability,
     soundness_exact,
     soundness_sampled,
-    tuples_from_accept,
     validate,
 )
 
 BIN = Alphabet.plain(2)
 REP2 = repetition_code(BIN, 2)
 EQ2 = equality_tester(BIN, 2)
+
+
+def tuples_from_accept(accept, size, arity):
+    """The accepted tuples in index order: the reference for the accept codec."""
+    return [decode_tuple(i, size, arity) for i in indices_from_accept(accept)]
 
 
 def test_reject_probability_codeword():
@@ -1335,3 +1339,30 @@ def test_prune_closes_arity_one_supports_at_depth_zero():
             report = soundness_exact(tester, code, bound=Fraction(1, 8))
             assert (report.engine, report.value, report.witness.letters) == ("prune", *best)
     assert _least_by_scan(tester, code) == best
+
+
+def test_soundness_report_holds_what_its_engine_produces():
+    # Each report below was built, and read back from its document, before
+    # the constructor held these rules; neither engine produces one.
+    exact = soundness_exact(EQ2, REP2)
+    sampled = soundness_sampled(EQ2, REP2, trials=16, seed=5)
+    assert exact.witness is not None and (exact.trials, exact.seed) == (None, None)
+    assert (sampled.trials, sampled.seed) == (16, 5)
+    cases = [
+        (exact, {"value": Fraction(-1, 2)}, "a finite value is at least 0"),
+        (exact, {"witness": None}, "and has a witness, an infinite one none"),
+        (exact, {"value": None}, "and has a witness, an infinite one none"),
+        (exact, {"trials": 5, "seed": 7}, "exactly when the value is sampled"),
+        (exact, {"seed": 7}, "exactly when the value is sampled"),
+        (replace(exact, engine="separator"), {"trials": 5}, "exactly when the value is sampled"),
+        (sampled, {"trials": 0}, "exactly when the value is sampled"),
+        (sampled, {"trials": None}, "exactly when the value is sampled"),
+        (sampled, {"seed": None}, "exactly when the value is sampled"),
+        (sampled, {"seed": 1.5}, "exactly when the value is sampled"),
+    ]
+    for report, change, message in cases:
+        with pytest.raises(DomainError, match=message):
+            replace(report, **change)
+    # an infinite value has no witness; a legacy exact engine still builds
+    assert testers.SoundnessReport("scan", None, None).infinite
+    assert replace(exact, engine=None).mode == "exact"
